@@ -48,8 +48,10 @@ def _load_json(path: str) -> dict:
 
 def _parse_d_range(text: str) -> list[int]:
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        lo, hi = (int(x) for x in text.split("..", 1))
+        if hi < lo:
+            raise ValueError(f"empty range {text!r}: {hi} < {lo}")
+        return list(range(lo, hi + 1))
     return [int(text)]
 
 

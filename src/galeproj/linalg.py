@@ -32,14 +32,6 @@ def mat(rows: Iterable[Iterable]) -> Mat:
     return out
 
 
-def zeros(n: int) -> Vec:
-    return (Fraction(0),) * n
-
-
-def unit(n: int, j: int) -> Vec:
-    return tuple(Fraction(1 if i == j else 0) for i in range(n))
-
-
 def vadd(u: Vec, v: Vec) -> Vec:
     if len(u) != len(v):
         raise DimensionMismatch(f"vector dims {len(u)} != {len(v)}")
@@ -50,10 +42,6 @@ def vsub(u: Vec, v: Vec) -> Vec:
     if len(u) != len(v):
         raise DimensionMismatch(f"vector dims {len(u)} != {len(v)}")
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vneg(u: Vec) -> Vec:
-    return tuple(-a for a in u)
 
 
 def vscale(c, u: Vec) -> Vec:

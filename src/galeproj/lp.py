@@ -2,10 +2,11 @@
 
 A two-phase rational simplex (Bland's rule, hence terminating) decides
 systems of ``<=``, ``=`` and strict ``<`` constraints.  Strict rows are
-handled by maximizing a shared margin variable t over a box: the strict
-system is feasible iff the optimal margin is positive.  Every feasible
-verdict carries a witness that is re-checked against the input before it
-is returned.
+handled by maximizing a shared margin variable t subject to t <= 1; the
+variables themselves are free and unbounded, and the strict system is
+feasible iff the optimal margin is positive.  Every feasible verdict
+carries a witness that is re-checked against the input before it is
+returned.
 """
 
 from __future__ import annotations
@@ -16,11 +17,6 @@ from typing import Iterable
 
 from .errors import DimensionMismatch
 from .linalg import Vec, frac, vdot, vec
-
-# Box bound on every variable in margin LPs.  The geometric queries routed
-# through here are positively homogeneous, so any positive bound gives the
-# same verdict; 10^6 leaves ample room for witnesses of desk-scale inputs.
-BOX_BOUND = Fraction(10**6)
 
 LE = "<="
 EQ = "="
@@ -116,7 +112,9 @@ def _simplex_max(rows, basis, z, allowed):
                     best_ratio = ratio
                     best_row = i
         if best_ratio is None:
-            raise AssertionError("boxed LP cannot be unbounded")
+            # every objective maximized here is capped (phase 1 at 0, the
+            # margin by its row t <= 1), so no improving ray can exist
+            raise AssertionError("capped objective cannot be unbounded")
         _pivot(rows, basis, z, best_row, enter)
 
 
@@ -227,10 +225,10 @@ def convex_combination(points, target) -> list[Fraction] | None:
 def lp_feasible(constraints: Iterable[LinConstraint], dim: int | None = None) -> FeasibilityResult:
     """Exact feasibility verdict for a finite system of linear constraints.
 
-    Free variables are split into positive and negative parts and boxed by
-    ``BOX_BOUND``.  When strict rows are present the solver maximizes their
-    common slack t; the result is feasible iff t > 0, and the optimal t is
-    reported as the margin.
+    Free variables are split into positive and negative parts and left
+    unbounded.  When strict rows are present the solver maximizes their
+    common slack t subject to t <= 1; the result is feasible iff t > 0, and
+    the margin reported is the optimal slack capped at 1.
     """
     cons = list(constraints)
     dims = {len(c.coeffs) for c in cons}
@@ -254,17 +252,11 @@ def lp_feasible(constraints: Iterable[LinConstraint], dim: int | None = None) ->
         if has_strict:
             coeffs.append(_ONE if c.relation == LT else _ZERO)
         rows.append((coeffs, EQ if c.relation == EQ else LE, c.rhs))
-    for j in range(k):
-        box = [_ZERO] * nvars
-        box[j] = _ONE
-        box[k + j] = Fraction(-1)
-        rows.append((box, LE, BOX_BOUND))
-        rows.append(([-a for a in box], LE, BOX_BOUND))
-
     objective = None
     if has_strict:
         objective = [_ZERO] * nvars
         objective[-1] = _ONE
+        rows.append((objective, LE, _ONE))
 
     ok, y, value = _solve_nonneg(rows, nvars, objective)
     if not ok:

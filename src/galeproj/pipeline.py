@@ -48,9 +48,10 @@ from .polytopes import (
     hull_vertex_indices,
     is_simple,
     minkowski_sum_vertices,
+    recentre,
     trivial_upper_bound,
 )
-from .projections import make_setup, oracle_survival, vertex_survival_census
+from .projections import make_setup, oracle_survival, verify_cc_realized, vertex_survival_census
 from .serialize import rat_str
 
 
@@ -277,8 +278,6 @@ def two_triangle_example(eps) -> PipelineReport:
         f"missing {[sort_labels(a) for a in absent]}",
     )
 
-    from .projections import verify_cc_realized
-
     if len(absent) == 1:
         k33_minus = closure_from_facets(k33.vertices, k33.facets - {absent[0]})
         report.check(
@@ -502,8 +501,6 @@ def perturb_to_general_position(
             return False
         if proj is None:
             return True
-        from .polytopes import recentre
-
         base = Q if all(x > 0 for x in Q.b) else recentre(Q)
         return general_position(make_setup(base, proj).g_images)
 

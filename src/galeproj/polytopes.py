@@ -33,11 +33,8 @@ from .linalg import (
     affine_rank,
     kernel_basis,
     mat,
-    mat_vec,
     rank,
     solve_square,
-    unit,
-    vadd,
     vdot,
     vec,
     vsub,
@@ -198,7 +195,11 @@ def product(P: HPolytope, Q: HPolytope) -> HPolytope:
 
 
 def recentre(P: HPolytope) -> HPolytope:
-    """Translate so that 0 is strictly interior (max-slack interior point)."""
+    """Translate so that 0 is strictly interior.
+
+    The new origin has slack at least the LP margin on every row, i.e. the
+    largest common slack capped at 1.
+    """
     interior = lp.lp_feasible([lp.lt(a, bi) for a, bi in zip(P.A, P.b)])
     if not interior.feasible:
         raise NotFullDimensional("no interior point to recentre on")
@@ -224,23 +225,23 @@ def minkowski_vertex_test(choice: Sequence[int], polys: Sequence[VPolytope]) -> 
 
     True iff some direction c has strictly larger inner product on each
     chosen point than on every other point of its polytope, i.e. the open
-    normal cones of the chosen vertices intersect.
+    normal cones of the chosen vertices intersect.  By Gordan's alternative
+    such a c exists iff 0 is not a convex combination of the differences
+    w - v_i, which one phase-1 solve decides.
     """
     if len(choice) != len(polys):
         raise DimensionMismatch("one chosen vertex per summand")
-    dims = {Q.dim for Q in polys}
-    if len(dims) != 1:
+    if len({Q.dim for Q in polys}) != 1:
         raise DimensionMismatch("summands must share an ambient dimension")
-    d = dims.pop()
-    cons = []
+    diffs = []
     for idx, Q in zip(choice, polys):
         if not 0 <= idx < len(Q.points):
             raise IndexOutOfRange(f"vertex index {idx} out of range")
         v = Q.points[idx]
-        cons.extend(lp.lt(vsub(w, v), 0) for w in Q.points if w != v)
-    if not cons:
+        diffs.extend(vsub(w, v) for w in Q.points if w != v)
+    if not diffs:
         return True  # all summands are single points
-    return lp.lp_feasible(cons, dim=d).feasible
+    return lp.convex_combination(diffs, (0,) * polys[0].dim) is None
 
 
 def minkowski_sum_vertices(polys: Sequence[VPolytope]) -> list[tuple[tuple[int, ...], Vec]]:

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .complexes import Complex, closure_from_facets, sort_labels
-from .gale import VectorConfig
-from .linalg import Mat, Vec
-from .obstructions import Graph, ObstructionVerdict, graph
+from .complexes import Complex, closure_from_facets
+from .linalg import Vec
+from .obstructions import ObstructionVerdict
 from .polytopes import HPolytope, VPolytope
 
 
@@ -34,26 +33,8 @@ def parse_vec(entries) -> tuple[Fraction, ...]:
     return tuple(parse_rat(x) for x in entries)
 
 
-def mat_json(m: Mat) -> list[list[str]]:
-    return [vec_json(row) for row in m]
-
-
 def parse_mat(rows) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(parse_vec(row) for row in rows)
-
-
-def vpolytope_json(P: VPolytope) -> dict:
-    return {"type": "V", "dim": P.dim, "points": [vec_json(p) for p in P.points]}
-
-
-def hpolytope_json(P: HPolytope) -> dict:
-    return {
-        "type": "H",
-        "dim": P.dim,
-        "A": mat_json(P.A),
-        "b": vec_json(P.b),
-        "labels": list(P.facet_labels),
-    }
 
 
 def parse_polytope(data: dict) -> VPolytope | HPolytope:
@@ -69,51 +50,12 @@ def parse_polytope(data: dict) -> VPolytope | HPolytope:
     return P
 
 
-def vector_config_json(G: VectorConfig) -> dict:
-    return {
-        "dim": G.dim,
-        "labels": list(G.labels),
-        "vectors": [vec_json(v) for v in G.vectors],
-    }
-
-
-def parse_vector_config(data: dict) -> VectorConfig:
-    G = VectorConfig(parse_mat(data["vectors"]), data.get("labels"))
-    if G.dim != data.get("dim", G.dim):
-        raise ValueError("declared dim does not match the vectors")
-    return G
-
-
 def complex_json(K: Complex) -> dict:
     return {"vertices": list(K.vertices), "facets": K.sorted_facets()}
 
 
 def parse_complex(data: dict) -> Complex:
     return closure_from_facets(data["vertices"], [frozenset(f) for f in data["facets"]])
-
-
-def _label_json(label):
-    if isinstance(label, tuple):
-        return [_label_json(x) for x in label]
-    return label
-
-
-def graph_json(G: Graph) -> dict:
-    edges = sorted((sorted(e, key=str) for e in G.edges), key=str)
-    return {
-        "vertices": [_label_json(v) for v in G.vertices],
-        "edges": [[_label_json(a), _label_json(b)] for a, b in edges],
-    }
-
-
-def parse_graph(data: dict) -> Graph:
-    def to_label(x):
-        return tuple(to_label(y) for y in x) if isinstance(x, list) else x
-
-    return graph(
-        [to_label(v) for v in data["vertices"]],
-        [(to_label(a), to_label(b)) for a, b in data["edges"]],
-    )
 
 
 def verdict_json(v: ObstructionVerdict) -> dict:
@@ -125,20 +67,4 @@ def verdict_json(v: ObstructionVerdict) -> dict:
         "djn_dim_upper": v.djn_dim_upper,
         "target_sphere": v.target_sphere,
         "embeddable": v.embeddable,
-    }
-
-
-def survival_json(report) -> dict:
-    return {
-        "vertices": [
-            {
-                "facets": sort_labels(r.tight_facets),
-                "strict": r.strictly_preserved,
-                "preserved": r.preserved,
-            }
-            for r in report.records
-        ],
-        "total": report.total,
-        "surviving": report.surviving,
-        "image_vertex_count": report.image_vertex_count,
     }

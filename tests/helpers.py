@@ -96,6 +96,20 @@ def separation_hull_vertices(points: list[Vec]) -> set[int]:
     return out
 
 
+def normal_cone_oracle(choice, polys) -> bool:
+    """Minkowski vertex test by the direct strict-separation LP.
+
+    Some c with c.(w - v_i) < 0 for every other point w of each summand,
+    i.e. the open normal cones of the chosen points meet; the primal side
+    of the Gordan alternative that `minkowski_vertex_test` decides.
+    """
+    cons = []
+    for idx, Q in zip(choice, polys):
+        v = Q.points[idx]
+        cons.extend(lp.lt(vsub(w, v), 0) for w in Q.points if w != v)
+    return lp.lp_feasible(cons, dim=polys[0].dim).feasible
+
+
 def spans_positively_primal(vectors) -> bool:
     """Primal oracle: +-e_j in cone(W) for every coordinate direction."""
     e = len(vectors[0])

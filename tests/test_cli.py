@@ -1,0 +1,71 @@
+"""Exit codes of every `galeproj` subcommand: 0 on a passing call, 2 on bad input."""
+
+import json
+
+import pytest
+
+from galeproj.cli import main
+
+SQUARE_H = {"type": "H", "dim": 2, "A": [[1, 0], [-1, 0], [0, 1], [0, -1]], "b": [1, 1, 1, 1]}
+TRIANGLE_V = {"type": "V", "dim": 2, "points": [["0", "0"], ["1", "0"], ["0", "1"]]}
+# the boundary of a triangle plus an isolated vertex
+COMPLEX = {"vertices": [1, 2, 3, 4], "facets": [[1, 2], [2, 3], [1, 3], [4]]}
+
+
+@pytest.fixture
+def files(tmp_path):
+    paths = {}
+    for name, doc in (("square", SQUARE_H), ("triangle", TRIANGLE_V), ("complex", COMPLEX)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    paths["broken"] = tmp_path / "broken.json"
+    paths["broken"].write_text("{not json")
+    paths["missing"] = tmp_path / "missing.json"
+    return {name: str(path) for name, path in paths.items()}
+
+
+PASSING = {
+    "example": ["example", "--epsilon", "1/4"],
+    "minksum": ["minksum", "--input", "{triangle}", "--input", "{square}", "--format", "json"],
+    "bound": ["bound", "--d", "2", "--r", "2", "--f0", "3,4"],
+    "experiment": ["experiment", "--d", "2", "--r", "2", "--f0", "3,3", "--trials", "1", "--seed", "5"],
+    "complex cc": ["complex", "cc", "--input", "{complex}"],
+    "complex nf": ["complex", "nf", "--input", "{complex}", "--format", "json"],
+    "complex djn": ["complex", "djn", "--input", "{complex}"],
+    "embed": ["embed", "--input", "{complex}", "--sphere", "1", "--format", "json"],
+    "obstruction": ["obstruction", "--d", "3"],
+}
+
+BAD_INPUT = {
+    "example": ["example", "--epsilon", "0"],
+    "minksum": ["minksum", "--input", "{missing}"],
+    "bound": ["bound", "--d", "3", "--r", "2", "--f0", "4,4"],
+    "experiment": ["experiment", "--d", "4", "--r", "4", "--f0", "5,5,5,5", "--trials", "1", "--seed", "5"],
+    "complex": ["complex", "cc", "--input", "{broken}"],
+    "embed": ["embed", "--input", "{complex}", "--sphere", "-1"],
+    "obstruction": ["obstruction", "--d", "5..2"],
+}
+
+
+def test_every_subcommand_is_covered():
+    commands = {"example", "minksum", "bound", "experiment", "complex", "embed", "obstruction"}
+    assert {key.split()[0] for key in PASSING} == commands == set(BAD_INPUT)
+
+
+@pytest.mark.parametrize("name", sorted(PASSING))
+def test_passing_call_exits_0(name, files, capsys):
+    argv = [arg.format(**files) for arg in PASSING[name]]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out
+    if "json" in argv:
+        json.loads(out)
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUT))
+def test_bad_input_exits_2(name, files, capsys):
+    argv = [arg.format(**files) for arg in BAD_INPUT[name]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""

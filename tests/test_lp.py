@@ -106,3 +106,39 @@ def test_cone_and_convex_combinations_certify():
 def test_feasibility_result_shape():
     r = FeasibilityResult("infeasible")
     assert not r.feasible and r.witness is None and r.margin is None
+
+
+def test_answers_do_not_depend_on_magnitude():
+    # feasible points lie only beyond |x| = 3*10^6; no variable is bounded
+    for cons in ([le([1], -3 * 10**6)], [lt([1], -3 * 10**6)]):
+        r = lp_feasible(cons)
+        assert r.feasible
+        assert all(c.holds(r.witness) for c in cons)
+    far = [lt([1], -3 * 10**6), lt([-1], 3 * 10**6 + 5)]
+    r = lp_feasible(far)
+    assert r.feasible and -3 * 10**6 - 5 < r.witness[0] < -3 * 10**6
+
+
+def test_margin_is_the_optimal_slack_capped_at_one():
+    assert lp_feasible([lt([1], 1), lt([-1], 0)]).margin == Fraction(1, 2)
+    # the largest common slack here is 10; the reported margin stops at 1
+    assert lp_feasible([lt([1], 10), lt([-1], 10)]).margin == 1
+    assert lp_feasible([lt([1, 0], 0)]).margin == 1
+
+
+def test_margin_in_unit_interval_on_random_strict_systems():
+    rng = random.Random(8080)
+    seen = 0
+    for _ in range(150):
+        k = rng.randint(1, 3)
+        cons = [lt([Fraction(rng.randint(-4, 4)) for _ in range(k)], Fraction(rng.randint(-50, 50)))]
+        for _ in range(rng.randint(0, 5)):
+            coeffs = [Fraction(rng.randint(-4, 4)) for _ in range(k)]
+            rel = rng.choice([le, eq, lt])
+            cons.append(rel(coeffs, Fraction(rng.randint(-50, 50))))
+        r = lp_feasible(cons)
+        if r.feasible:
+            seen += 1
+            assert 0 < r.margin <= 1
+            assert all(c.holds(r.witness) for c in cons)
+    assert seen > 20

@@ -14,7 +14,8 @@ from galeproj.errors import (
     RedundantRow,
     UnboundedPolytope,
 )
-from galeproj.linalg import mat_vec, vadd, vec
+from galeproj import lp
+from galeproj.linalg import mat_vec, vadd, vec, vsub
 from galeproj.polytopes import (
     HPolytope,
     VPolytope,
@@ -32,7 +33,7 @@ from galeproj.polytopes import (
     sum_as_projection,
     trivial_upper_bound,
 )
-from helpers import random_points, separation_hull_vertices
+from helpers import normal_cone_oracle, random_points, separation_hull_vertices
 
 UNIT_SQUARE = HPolytope([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 1, 1, 1])
 TRIANGLE = VPolytope([(0, 0), (1, 0), (0, 1)])
@@ -75,6 +76,12 @@ class TestConstruction:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(DuplicateLabels):
             HPolytope([[1], [-1]], [1, 1], [1, 1])
+
+    def test_far_from_origin_interval_constructs(self):
+        # [2*10^6, 2*10^6 + 1]: no bound on the LP variables hides it
+        far = HPolytope([[1], [-1]], [2000001, -2000000])
+        assert [r.vertex_coords for r in h_vertices(far)] == [(2000000,), (2000001,)]
+        assert all(bi > 0 for bi in recentre(far).b)
 
     def test_vpolytope_distinct_points(self):
         with pytest.raises(DuplicateLabels):
@@ -299,6 +306,101 @@ class TestMinkowski:
             distinct = sorted(set(candidates))
             hull = {distinct[i] for i in hull_vertex_indices(distinct)}
             assert {pt for _, pt in sums} == hull
+
+
+def lifted_lattice_summands():
+    """Three summands of five lifted lattice points (x, y, x^2 + y^2), all
+    vertices: the instance the minksum-d3r3 benchmark workload runs."""
+    rng = random.Random("minksum-d3r3/0")
+    summands = []
+    for _ in range(3):
+        xy = set()
+        while len(xy) < 5:
+            xy.add((rng.randint(-10, 10), rng.randint(-10, 10)))
+        summands.append(VPolytope([(x, y, x * x + y * y) for x, y in sorted(xy)]))
+    return summands
+
+
+def all_choices(polys):
+    return itertools.product(*(range(len(p.points)) for p in polys))
+
+
+class TestGordanVertexTest:
+    """`minkowski_vertex_test` (0 not in conv of differences) against the
+    strict-separation LP of `normal_cone_oracle`."""
+
+    def test_matches_oracle_on_random_instances(self):
+        rng = random.Random(1729)
+        for d in (2, 3):
+            for r in (2, 3):
+                for _ in range(3):
+                    polys = [VPolytope(random_points(rng, d, rng.randint(2, 4))) for _ in range(r)]
+                    for choice in all_choices(polys):
+                        assert minkowski_vertex_test(choice, polys) == normal_cone_oracle(choice, polys)
+
+    def test_matches_oracle_with_non_vertices_and_points(self):
+        rng = random.Random(577)
+        seen_non_vertex_accepted = seen_rejected = 0
+        for d in (2, 3):
+            for _ in range(4):
+                pts = random_points(rng, d, 3)
+                mid = tuple((a + b) / 2 for a, b in zip(pts[0], pts[1]))
+                if mid in pts:
+                    continue
+                polys = [
+                    VPolytope(pts + [mid]),
+                    VPolytope(random_points(rng, d, 1)),
+                    VPolytope(random_points(rng, d, 3)),
+                ]
+                for choice in all_choices(polys):
+                    got = minkowski_vertex_test(choice, polys)
+                    assert got == normal_cone_oracle(choice, polys)
+                    if choice[0] == 3:
+                        seen_non_vertex_accepted += got
+                    seen_rejected += not got
+        assert seen_non_vertex_accepted == 0 and seen_rejected > 0
+        points_only = [VPolytope([(1, 2)]), VPolytope([(-3, 0)])]
+        assert minkowski_vertex_test((0, 0), points_only)
+        assert normal_cone_oracle((0, 0), points_only)
+
+    def test_matches_oracle_on_lifted_lattice_instance(self):
+        polys = lifted_lattice_summands()
+        accepted = 0
+        for choice in all_choices(polys):
+            got = minkowski_vertex_test(choice, polys)
+            assert got == normal_cone_oracle(choice, polys)
+            accepted += got
+            if not got:
+                # the rejection certificate: 0 as a convex combination of
+                # the differences w - v_i
+                diffs = [
+                    vsub(w, Q.points[i]) for i, Q in zip(choice, polys) for w in Q.points if w != Q.points[i]
+                ]
+                lam = lp.convex_combination(diffs, (0, 0, 0))
+                assert lam is not None and sum(lam) == 1 and min(lam) >= 0
+                assert all(sum(l * u[c] for l, u in zip(lam, diffs)) == 0 for c in range(3))
+        assert accepted == 41
+
+    def test_one_phase_one_solve_per_tuple(self, monkeypatch):
+        calls = {"convex_combination": 0, "lp_feasible": 0}
+
+        def counting(name):
+            original = getattr(lp, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(lp, name, counting(name))
+        polys = [TRIANGLE, VPolytope([(0, 0), (2, 1)])]
+        for choice in all_choices(polys):
+            minkowski_vertex_test(choice, polys)
+        assert calls == {"convex_combination": 6, "lp_feasible": 0}
+        minkowski_vertex_test((0, 0), [VPolytope([(1, 1)]), VPolytope([(2, 2)])])
+        assert calls == {"convex_combination": 6, "lp_feasible": 0}
 
 
 class TestTrivialBound:
