@@ -1,18 +1,20 @@
-"""Abstract simplicial complexes stored by their facet antichain.
+"""Abstract simplicial complexes: facet antichains and structured joins.
 
-Face membership is a subset test against the facets, which is the right
-representation for the small, join-structured complexes this package
-works with.  Joins tag vertex labels with a factor prefix ("1:v", "2:v",
-...) so repeated joins stay unambiguous; complexes built by `join` or
-`power_join` remember their factors, which downstream obstruction
-computations exploit.
+A `Complex` stores its facets, and face membership is a subset test
+against them.  A `Join` stores its factors instead: its faces are the
+unions of one face per factor, so its vertices, dimension and face test
+come from the factors, and its facets, a product of the factors' facets,
+are built only when asked for.  Joins tag vertex labels with a factor
+prefix ("1:v", "2:v", ...) so repeated joins stay unambiguous;
+downstream obstruction computations work factor by factor.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Iterable, Mapping
 
 from .errors import LabelOutsideVertexSet
 
@@ -43,7 +45,6 @@ class Complex:
 
     vertices: tuple
     facets: frozenset[Face]
-    factors: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
         vs = set(self.vertices)
@@ -97,28 +98,71 @@ def _tag(prefix: str, label) -> str:
     return f"{prefix}:{label}"
 
 
-def _tagged(prefix: str, K: Complex) -> Complex:
-    return relabel(K, {v: _tag(prefix, v) for v in K.vertices})
+class Join(Complex):
+    """Join of factor-tagged complexes, kept as its factors.
+
+    `factors` holds (prefix, complex) pairs; the vertices are the factor
+    vertices tagged "prefix:v".  The facets are built on first access and
+    cached, so the obstruction chain, which reads only the factors, never
+    builds them.
+    """
+
+    def __init__(self, factors: Iterable[tuple[str, Complex]]):
+        factors = tuple(factors)
+        untag = {_tag(prefix, v): (i, v) for i, (prefix, K) in enumerate(factors) for v in K.vertices}
+        if len(untag) != sum(len(K.vertices) for _, K in factors):
+            raise LabelOutsideVertexSet("duplicate vertex labels")
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "vertices", tuple(untag))
+        object.__setattr__(self, "_untag", untag)
+
+    def __repr__(self):
+        return f"Join({self.factors!r})"
+
+    @cached_property
+    def facets(self) -> frozenset[Face]:
+        return self._tagged_product(lambda K: K.facets)
+
+    @property
+    def dim(self) -> int:
+        if not self.is_face(()):  # a factor without faces leaves none
+            return -1
+        return sum(K.dim + 1 for _, K in self.factors) - 1
+
+    def is_face(self, sigma: Iterable) -> bool:
+        parts: list[set] = [set() for _ in self.factors]
+        for v in sigma:
+            if v not in self._untag:
+                return False
+            i, label = self._untag[v]
+            parts[i].add(label)
+        return all(K.is_face(part) for (_, K), part in zip(self.factors, parts))
+
+    def faces(self) -> set[Face]:
+        return set(self._tagged_product(lambda K: K.faces()))
+
+    def distinct_factors(self) -> list[tuple[Complex, int]]:
+        """Each distinct factor object once, with the number of times it occurs."""
+        counts: dict[int, list] = {}
+        for _, K in self.factors:
+            counts.setdefault(id(K), [K, 0])[1] += 1
+        return [(K, m) for K, m in counts.values()]
+
+    def _tagged_product(self, sets_of: Callable[[Complex], Iterable[Face]]) -> frozenset[Face]:
+        tagged = [[frozenset(_tag(prefix, v) for v in s) for s in sets_of(K)] for prefix, K in self.factors]
+        return frozenset(frozenset().union(*combo) for combo in itertools.product(*tagged))
 
 
-def join(K: Complex, L: Complex) -> Complex:
+def join(K: Complex, L: Complex) -> Join:
     """Join of two complexes on factor-tagged labels ("1:v" and "2:v")."""
-    a, b = _tagged("1", K), _tagged("2", L)
-    facets = frozenset(f | g for f in a.facets for g in b.facets)
-    return Complex(a.vertices + b.vertices, facets, factors=(("1", K), ("2", L)))
+    return Join((("1", K), ("2", L)))
 
 
-def power_join(L: Complex, d: int) -> Complex:
+def power_join(L: Complex, d: int) -> Join:
     """d-fold join of L with itself, factors tagged "1:", ..., "d:"."""
     if d < 1:
         raise ValueError("power_join needs d >= 1")
-    copies = [_tagged(str(k), L) for k in range(1, d + 1)]
-    vertices = tuple(v for c in copies for v in c.vertices)
-    facets = frozenset(
-        frozenset().union(*combo)
-        for combo in itertools.product(*(c.facets for c in copies))
-    )
-    return Complex(vertices, facets, factors=tuple((str(k), L) for k in range(1, d + 1)))
+    return Join((str(k), L) for k in range(1, d + 1))
 
 
 def complement_complex(K: Complex) -> Complex:

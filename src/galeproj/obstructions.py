@@ -6,20 +6,23 @@ join, against the upper bound given by its dimension.  A lower bound
 exceeding d rules out an embedding into the d-sphere; the criterion is
 one-directional, so the alternative verdict is "unknown", never "yes".
 
-Complexes built by `join`/`power_join` decompose: minimal non-faces of a
-join are the tagged non-faces of the factors, the Kneser graph is the
-bipartite sum of the factor graphs, and chromatic numbers add over
-bipartite sums.  That keeps every graph actually colored here at desk
-scale.
+Joins (`complexes.Join`) are handled from their factors and never
+materialised: minimal non-faces of a join are the tagged non-faces of
+the factors, the Kneser graph is the bipartite sum of the factor graphs,
+and chromatic numbers add over bipartite sums.  Each distinct factor is
+colored once, however often it occurs.  A factor graph over the exact
+cap is still colored exactly when it is a Kneser graph KG(n, k) with
+n >= 2k, where Lovasz's theorem certifies the value.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable, Sequence
 
-from .complexes import Complex, minimal_nonfaces, sort_labels
+from .complexes import Complex, Join, minimal_nonfaces, sort_labels
 from .errors import OutOfTheoremRange, TooLargeForExact
 
 EXACT_CAP = 32
@@ -153,23 +156,27 @@ def chromatic_number(G: Graph, mode: str = "exact", cap: int = EXACT_CAP) -> tup
 
     Exact mode runs branch-and-bound (greedy clique seed, saturation-first
     branching, canonical color introduction) and is capped at `cap`
-    vertices.  Greedy mode returns the largest-degree-first bound, flagged
-    inexact; an upper bound still yields valid index lower bounds
-    downstream.
+    vertices; over the cap only a Kneser graph KG(n, k) with n >= 2k is
+    answered, by `certified_kneser_chi`.  Greedy mode returns the
+    largest-degree-first bound, flagged inexact; an upper bound still
+    yields valid index lower bounds downstream.
     """
     if mode not in ("exact", "greedy_upper"):
         raise ValueError(f"unknown mode {mode!r}")
     n = len(G.vertices)
     if n == 0:
         return 0, True
+    if mode == "exact" and n > cap:
+        chi = certified_kneser_chi(G)
+        if chi is None:
+            raise TooLargeForExact(
+                f"{n} vertices exceed the exact cap {cap}; use mode='greedy_upper'"
+            )
+        return chi, True
     adj = _adjacency(G)
     ub = _greedy_coloring(adj)
     if mode == "greedy_upper":
         return ub, False
-    if n > cap:
-        raise TooLargeForExact(
-            f"{n} vertices exceed the exact cap {cap}; use mode='greedy_upper'"
-        )
     clique = _greedy_clique(adj)
     for k in range(len(clique), ub):
         if _k_colorable(adj, k, clique):
@@ -188,6 +195,37 @@ def lovasz_kneser_chi(n: int, k: int) -> int:
     if k < 1 or n < 2 * k:
         raise OutOfTheoremRange(f"need k >= 1 and n >= 2k, got n={n}, k={k}")
     return n - 2 * k + 2
+
+
+def certified_kneser_chi(G: Graph) -> int | None:
+    """Chromatic number n - 2k + 2 of G if G is KG(n, k) with n >= 2k, else None.
+
+    G qualifies when its vertices are the k-tuples of all k-subsets of an
+    n-set, as `kneser_graph` labels them, and its edges are exactly the
+    disjoint pairs.  Coloring each set by min(rank of its least element,
+    n - 2k + 2) is checked proper on G's edges, which bounds chi from
+    above; Lovasz's theorem bounds it from below.
+    """
+    labels = G.vertices
+    if not labels or not all(isinstance(s, tuple) for s in labels):
+        return None
+    k = len(labels[0])
+    ground = sort_labels(frozenset().union(*labels))
+    n = len(ground)
+    if (
+        k < 1
+        or n < 2 * k
+        or set(map(frozenset, labels)) != set(map(frozenset, itertools.combinations(ground, k)))
+        or len(G.edges) != comb(n, k) * comb(n - k, k) // 2
+        or any(not set(a).isdisjoint(b) for a, b in map(tuple, G.edges))
+    ):
+        return None
+    chi = lovasz_kneser_chi(n, k)
+    rank = {v: i for i, v in enumerate(ground, 1)}
+    color = {s: min(min(rank[v] for v in s), chi) for s in labels}
+    if any(color[a] == color[b] for a, b in map(tuple, G.edges)):
+        return None
+    return chi
 
 
 @dataclass(frozen=True)
@@ -223,15 +261,15 @@ def _verdict(K: Complex, chi: int, exact: bool, target: int | None) -> Obstructi
 def nonface_kneser_chi(K: Complex, mode: str = "exact", cap: int = EXACT_CAP) -> tuple[int, bool]:
     """Chromatic number of the Kneser graph of K's minimal non-faces.
 
-    Join-built complexes are decomposed factor by factor: the full Kneser
-    graph is the bipartite sum of the factor graphs, so the chromatic
-    numbers add.
+    Joins are decomposed factor by factor: the full Kneser graph is the
+    bipartite sum of the factor graphs, so the chromatic numbers add.
+    Each distinct factor is colored once and counted with its multiplicity.
     """
-    if K.factors is not None:
+    if isinstance(K, Join):
         total, exact = 0, True
-        for _, factor in K.factors:
+        for factor, times in K.distinct_factors():
             chi, ex = nonface_kneser_chi(factor, mode, cap)
-            total += chi
+            total += times * chi
             exact = exact and ex
         return total, exact
     nf = minimal_nonfaces(K)
@@ -244,12 +282,12 @@ def djn_dim_upper(K: Complex) -> int:
     """Dimension of the deleted join, an upper bound for its index.
 
     Computed from facet pairs: the largest disjoint face pair has the form
-    (F, G - F) over facets F, G.  Join-built complexes add up factor
-    dimensions (plus one per extra factor).
+    (F, G - F) over facets F, G.  Joins add up factor dimensions (plus one
+    per extra factor), taking each distinct factor's once.
     """
-    if K.factors is not None:
-        dims = [djn_dim_upper(factor) for _, factor in K.factors]
-        return sum(dims) + len(dims) - 1
+    if isinstance(K, Join):
+        total = sum(times * djn_dim_upper(factor) for factor, times in K.distinct_factors())
+        return total + len(K.factors) - 1
     best = -1
     for f in K.facets:
         for g in K.facets:

@@ -299,12 +299,14 @@ def two_triangle_example(eps) -> PipelineReport:
 def obstruction_pipeline(d: int) -> PipelineReport:
     """The general-d obstruction chain for d-fold products of d-simplices.
 
-    Builds the d-fold join of d+1 points, colors the factor Kneser graph
-    exactly, assembles the index interval [2d-1, 2d-1], and records the
-    consequence: a projection to d-space keeps at most (d+1)^d - 1 of the
-    (d+1)^d vertices.  The factor coloring is checked against Lovasz's
-    value d-1 where his theorem applies (d+1 >= 4), and against chi = 1
-    for the edgeless KG(3,2) at d = 2.
+    Builds the d-fold join of d+1 points (kept as its factors, never as
+    its (d+1)^d facets), colors the factor Kneser graph exactly (past the
+    solver's cap by the certified KG(n, k) coloring), assembles the index
+    interval [2d-1, 2d-1], and records the consequence: a projection to
+    d-space keeps at most (d+1)^d - 1 of the (d+1)^d vertices.  The factor
+    coloring is checked against Lovasz's value d-1 where his theorem
+    applies (d+1 >= 4), and against chi = 1 for the edgeless KG(3,2) at
+    d = 2.
     """
     if d < 2:
         raise HypothesisViolated("the obstruction needs d >= 2 (d = 1 is vacuous)")
@@ -326,8 +328,7 @@ def obstruction_pipeline(d: int) -> PipelineReport:
         f"{len(nf)} non-faces",
     )
 
-    kg = kneser_graph(nf)
-    chi_factor, chi_exact = chromatic_number(kg)
+    chi_factor, chi_exact = chromatic_number(kneser_graph(nf))
     report.results["chi_factor"] = chi_factor
     if d + 1 >= 4:  # Lovasz's range n >= 2k for the 2-subsets of d+1 points
         formula = lovasz_kneser_chi(d + 1, 2)
@@ -338,10 +339,11 @@ def obstruction_pipeline(d: int) -> PipelineReport:
         )
     else:
         # d = 2: no two 2-subsets of three points are disjoint.
+        num_edges = kneser_graph(nf).num_edges
         report.check(
             "exact factor coloring of the edgeless Kneser graph KG(3,2) is 1 = d-1",
-            chi_exact and kg.num_edges == 0 and chi_factor == 1 == d - 1,
-            f"solver {chi_factor}, {kg.num_edges} edges",
+            chi_exact and num_edges == 0 and chi_factor == 1 == d - 1,
+            f"solver {chi_factor}, {num_edges} edges",
         )
 
     verdict = nonembeddable(K, 2 * d - 2)

@@ -12,7 +12,7 @@ fibers cross-validates the whole classification.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import lp
 from .complexes import Complex

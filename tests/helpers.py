@@ -133,3 +133,15 @@ def brute_minimal_nonfaces(K: Complex) -> set[frozenset]:
             if all(K.is_face(c - {x}) for x in c):
                 out.add(c)
     return out
+
+
+def materialised_join(factors) -> Complex:
+    """Join as a plain Complex: every union of one tagged facet per factor.
+
+    `factors` holds (prefix, complex) pairs; labels are tagged "prefix:v"
+    as `complexes.join` tags them.
+    """
+    vertices = tuple(f"{prefix}:{v}" for prefix, K in factors for v in K.vertices)
+    tagged = [[frozenset(f"{prefix}:{v}" for v in f) for f in K.facets] for prefix, K in factors]
+    facets = frozenset(frozenset().union(*combo) for combo in itertools.product(*tagged))
+    return Complex(vertices, facets)

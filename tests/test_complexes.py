@@ -5,6 +5,7 @@ import pytest
 
 from galeproj.complexes import (
     Complex,
+    Join,
     closure_from_facets,
     complement_complex,
     complete_bipartite,
@@ -20,7 +21,7 @@ from galeproj.complexes import (
     skeleton,
 )
 from galeproj.errors import LabelOutsideVertexSet
-from helpers import brute_minimal_nonfaces, random_complex, random_pure_complex
+from helpers import brute_minimal_nonfaces, materialised_join, random_complex, random_pure_complex
 
 K33 = complete_bipartite((1, 2, 3), (4, 5, 6))
 
@@ -68,6 +69,83 @@ class TestJoin:
         K3 = power_join(points_complex(4), 3)
         assert len(K3.vertices) == 12 and len(K3.facets) == 64
         assert points_complex(1).facets == frozenset([frozenset({1})])
+
+
+def assert_join_matches_oracle(J, M, check_deleted_join=True):
+    """Structured join J against its materialised oracle M."""
+    assert isinstance(J, Join) and type(M) is Complex
+    assert J.vertices == M.vertices
+    assert J.dim == M.dim
+    faces = M.faces()
+    assert J.faces() == faces
+    probes = [frozenset(c) for r in range(4) for c in itertools.combinations(M.vertices, r)]
+    probes += [frozenset({"x:1"}), frozenset(M.vertices[:1]) | {"x:1"}]
+    for sigma in probes:
+        assert J.is_face(sigma) == (sigma in faces), sorted(sigma)
+    assert minimal_nonfaces(J) == minimal_nonfaces(M)
+    assert "facets" not in vars(J)  # nothing above needed the facets
+    assert J.facets == M.facets and len(J.facets) == len(M.facets)
+    assert J == M and M == J and hash(J) == hash(M)
+    if check_deleted_join:
+        assert deleted_join(J) == deleted_join(M)
+
+
+class TestStructuredJoin:
+    def test_power_join_of_points(self):
+        for d in (1, 2, 3):
+            L = points_complex(d + 1)
+            J = power_join(L, d)
+            M = materialised_join([(str(k), L) for k in range(1, d + 1)])
+            assert_join_matches_oracle(J, M)
+
+    def test_random_binary_joins(self):
+        rng = random.Random(91)
+        for _ in range(30):
+            K, L = random_complex(rng, 5), random_complex(rng, 5)
+            assert_join_matches_oracle(join(K, L), materialised_join([("1", K), ("2", L)]))
+
+    def test_random_power_joins(self):
+        rng = random.Random(92)
+        for _ in range(12):
+            L = random_complex(rng, 4)
+            d = rng.randint(1, 3)
+            J = power_join(L, d)
+            M = materialised_join([(str(k), L) for k in range(1, d + 1)])
+            assert_join_matches_oracle(J, M, check_deleted_join=d < 3)
+
+    def test_nested_join(self):
+        rng = random.Random(93)
+        for _ in range(10):
+            K, L, N = (random_complex(rng, 3) for _ in range(3))
+            inner = materialised_join([("1", K), ("2", L)])
+            J = join(join(K, L), N)
+            assert_join_matches_oracle(J, materialised_join([("1", inner), ("2", N)]))
+            assert_join_matches_oracle(join(N, join(K, L)), materialised_join([("1", N), ("2", inner)]))
+
+    def test_join_with_empty_and_void_complexes(self):
+        K = closure_from_facets([1, 2, 3], [{1, 2}, {3}])
+        empty = closure_from_facets([], [frozenset()])  # the complex {empty face}
+        void = closure_from_facets([4], [])  # no faces at all
+        for other in (empty, void):
+            assert_join_matches_oracle(join(K, other), materialised_join([("1", K), ("2", other)]))
+            assert_join_matches_oracle(join(other, K), materialised_join([("1", other), ("2", K)]))
+        assert join(K, void).dim == -1 and join(K, empty).dim == K.dim
+
+    def test_obstruction_chain_does_not_build_facets(self):
+        J = power_join(points_complex(8), 7)
+        assert len(J.vertices) == 56 and J.dim == 6
+        assert J.is_face(["1:1", "2:1", "7:8"]) and not J.is_face(["1:1", "1:2"])
+        assert "facets" not in vars(J)
+
+    def test_distinct_factors(self):
+        L = points_complex(3)
+        assert power_join(L, 4).distinct_factors() == [(L, 4)]
+        K = full_simplex(2)
+        assert Join([("1", L), ("2", K), ("3", L)]).distinct_factors() == [(L, 2), (K, 1)]
+
+    def test_repeated_prefix_rejected(self):
+        with pytest.raises(LabelOutsideVertexSet):
+            Join([("1", points_complex(2)), ("1", points_complex(2))])
 
 
 class TestComplement:

@@ -1,9 +1,13 @@
+import itertools
 import json
+import tracemalloc
+from math import comb
 
 import pytest
 
 from galeproj.cli import main
-from galeproj.errors import HypothesisViolated
+from galeproj.errors import HypothesisViolated, TooLargeForExact
+from galeproj.obstructions import EXACT_CAP, certified_kneser_chi, chromatic_number, graph, kneser_graph
 from galeproj.pipeline import obstruction_pipeline
 
 
@@ -40,6 +44,56 @@ class TestObstructionPipeline:
             obstruction_pipeline(1)
 
 
+def kg(n, k):
+    return kneser_graph(itertools.combinations(range(1, n + 1), k))
+
+
+class TestObstructionScale:
+    def test_d7_memory_stays_small(self):
+        # the join is kept as its 7 factors; building its 8^7 facets took about 1 GB
+        tracemalloc.start()
+        try:
+            report = obstruction_pipeline(7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 4 * 2**20, f"peak {peak} bytes"
+
+    @pytest.mark.parametrize("d", [8, 12])
+    def test_chain_past_the_exact_cap(self, d):
+        assert comb(d + 1, 2) > EXACT_CAP
+        report = obstruction_pipeline(d)
+        assert report.passed, [c.claim for c in report.checks if not c.passed]
+        res = report.results
+        assert res["chi_factor"] == d - 1 and res["chi_total"] == d * (d - 1)
+        assert res["sarkaria_lower"] == res["djn_dim_upper"] == 2 * d - 1
+
+    def test_certified_coloring_matches_solver(self):
+        for k in (2, 3):
+            n = 2 * k
+            while comb(n, k) <= EXACT_CAP:
+                G = kg(n, k)
+                chi, exact = chromatic_number(G)
+                assert exact and certified_kneser_chi(G) == chi == n - 2 * k + 2, (n, k)
+                n += 1
+
+    def test_certified_coloring_needs_a_whole_kneser_graph(self):
+        full = kg(9, 2)
+        assert len(full.vertices) > EXACT_CAP and chromatic_number(full) == (7, True)
+        one_edge_less = graph(full.vertices, sorted(full.edges, key=sorted)[1:])
+        # same edge count, and the certified coloring stays proper on it
+        one_edge_moved = graph(full.vertices, sorted(full.edges, key=sorted)[1:] + [((1, 2), (2, 3))])
+        one_set_less = kneser_graph(itertools.islice(itertools.combinations(range(1, 10), 2), 35))
+        integer_labels = graph(range(36), [])
+        below_range = kg(5, 3)
+        for G in (one_edge_less, one_edge_moved, one_set_less, integer_labels, below_range):
+            assert certified_kneser_chi(G) is None
+        for G in (one_edge_less, one_edge_moved, one_set_less, integer_labels):
+            with pytest.raises(TooLargeForExact):
+                chromatic_number(G)
+
+
 class TestObstructionCli:
     def test_d2_text(self, capsys):
         assert main(["obstruction", "--d", "2"]) == 0
@@ -54,3 +108,7 @@ class TestObstructionCli:
     def test_d1_is_an_input_error(self, capsys):
         assert main(["obstruction", "--d", "1"]) == 2
         assert "d >= 2" in capsys.readouterr().err
+
+    def test_d8_past_the_exact_cap(self, capsys):
+        assert main(["obstruction", "--d", "8"]) == 0
+        assert "overall: PASS" in capsys.readouterr().out
