@@ -48,9 +48,7 @@ from .pipeline import (
     PipelineReport,
     minkowski_vertex_bound,
     obstruction_pipeline,
-    perturb_to_general_position,
     pigeonhole_lower_bound,
-    planar_bound_check,
     random_experiment,
     two_triangle_example,
 )
@@ -72,8 +70,6 @@ from .polytopes import (
 from .projections import (
     ProjectionSetup,
     SurvivalReport,
-    associated_polytope,
-    face_comb_equiv,
     face_preserved,
     face_strictly_preserved,
     make_setup,

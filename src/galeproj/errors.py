@@ -53,14 +53,6 @@ class NotGale(GaleprojError, ValueError):
     """The vector configuration is not a Gale transform."""
 
 
-class NotAllVerticesSurvive(GaleprojError, ValueError):
-    """The projection setup loses at least one vertex."""
-
-
-class SpanningDefect(GaleprojError, ValueError):
-    """A configuration expected to be a Gale transform fails the deletion test."""
-
-
 class TooLargeForExact(GaleprojError, ValueError):
     """Graph exceeds the size cap of the exact coloring solver."""
 

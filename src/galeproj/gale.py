@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -19,7 +20,12 @@ from .linalg import Vec, mat, rank, vec
 
 @dataclass(frozen=True)
 class VectorConfig:
-    """Ordered, labeled configuration of vectors in a common space."""
+    """Ordered, labeled configuration of vectors in a common space.
+
+    Whether it is a Gale transform (`is_gale`) is decided on first use and
+    kept on the instance; the configuration is immutable, so the verdict
+    cannot go stale, and `==` and `hash` compare only the fields.
+    """
 
     vectors: tuple[Vec, ...]
     labels: tuple[int, ...]
@@ -52,6 +58,15 @@ class VectorConfig:
 
     def subset(self, labels: Iterable[int]) -> list[Vec]:
         return [self.vector(l) for l in labels]
+
+    @cached_property
+    def is_gale(self) -> bool:
+        """True iff every single-deletion subconfiguration positively spans."""
+        n = len(self.vectors)
+        return all(
+            positively_spanning([self.vectors[j] for j in range(n) if j != i])
+            for i in range(n)
+        )
 
 
 def _as_vectors(W) -> list[Vec]:
@@ -96,22 +111,11 @@ def positively_dependent(W) -> bool:
 
 
 def is_gale_transform(G: VectorConfig) -> bool:
-    """True iff every single-deletion subconfiguration positively spans."""
-    n = len(G)
-    return all(
-        positively_spanning([G.vectors[j] for j in range(n) if j != i])
-        for i in range(n)
-    )
+    """True iff every single-deletion subconfiguration positively spans.
 
-
-def _face_test(G: VectorConfig, coface: frozenset[int]) -> bool:
-    unknown = coface - set(G.labels)
-    if unknown:
-        raise UnknownLabel(sorted(unknown)[0])
-    complement = [l for l in G.labels if l not in coface]
-    if not complement:
-        return True  # improper face: the whole vertex set
-    return positively_dependent(G.subset(complement))
+    The verdict is decided on the first query of G and kept (`G.is_gale`).
+    """
+    return G.is_gale
 
 
 def gale_face_test(G: VectorConfig, coface: Iterable[int]) -> bool:
@@ -121,9 +125,16 @@ def gale_face_test(G: VectorConfig, coface: Iterable[int]) -> bool:
     to answer for configurations that are not Gale transforms, where the
     correspondence is meaningless.
     """
-    if not is_gale_transform(G):
+    if not G.is_gale:
         raise NotGale("face queries need a Gale transform")
-    return _face_test(G, frozenset(coface))
+    coface = frozenset(coface)
+    unknown = coface - set(G.labels)
+    if unknown:
+        raise UnknownLabel(sorted(unknown)[0])
+    complement = [l for l in G.labels if l not in coface]
+    if not complement:
+        return True  # improper face: the whole vertex set
+    return positively_dependent(G.subset(complement))
 
 
 def gale_faces_of_card(G: VectorConfig, k: int, cap: int = 8) -> list[frozenset[int]]:
@@ -136,12 +147,12 @@ def gale_faces_of_card(G: VectorConfig, k: int, cap: int = 8) -> list[frozenset[
         raise ValueError(f"cardinality {k} exceeds cap {cap}; pass a larger cap")
     if k > len(G):
         raise ValueError(f"cardinality {k} exceeds configuration size {len(G)}")
-    if not is_gale_transform(G):
+    if not G.is_gale:
         raise NotGale("face enumeration needs a Gale transform")
     out = [
         frozenset(c)
         for c in itertools.combinations(sorted(G.labels), k)
-        if _face_test(G, frozenset(c))
+        if gale_face_test(G, c)
     ]
     return sorted(out, key=sorted)
 

@@ -1,5 +1,5 @@
 """End-to-end drivers: bounds, the obstruction chain, the worked
-two-triangle projection, randomized empirical checks, and perturbation.
+two-triangle projection, and randomized empirical checks.
 
 Every driver returns a PipelineReport whose checks each carry the claim
 they verify; the CLI turns reports into exit codes.  All randomness is
@@ -25,13 +25,7 @@ from .complexes import (
     power_join,
     sort_labels,
 )
-from .errors import (
-    EpsilonOutOfRange,
-    GaleprojError,
-    HypothesisViolated,
-    RetriesExhausted,
-    WrongDimension,
-)
+from .errors import EpsilonOutOfRange, HypothesisViolated, RetriesExhausted, WrongDimension
 from .gale import VectorConfig, general_position, is_gale_transform, gale_faces_of_card
 from .linalg import Mat, affine_rank, frac, mat
 from .obstructions import (
@@ -48,7 +42,6 @@ from .polytopes import (
     hull_vertex_indices,
     is_simple,
     minkowski_sum_vertices,
-    recentre,
     trivial_upper_bound,
 )
 from .projections import make_setup, oracle_survival, verify_cc_realized, vertex_survival_census
@@ -176,12 +169,14 @@ def coupling_g_matrix(eps) -> VectorConfig:
     )
 
 
-def _octahedron_checks(report: PipelineReport, G: VectorConfig) -> None:
+def _octahedron_checks(report: PipelineReport, G: VectorConfig) -> list[frozenset[int]]:
+    """Check the octahedron encoded by G; return its 2-faces (edges)."""
     report.check(
         "the g-vectors form a Gale transform (every single deletion spans)",
         is_gale_transform(G),
     )
-    counts = [len(gale_faces_of_card(G, k)) for k in (1, 2, 3)]
+    faces = [gale_faces_of_card(G, k) for k in (1, 2, 3)]
+    counts = [len(f) for f in faces]
     report.results["face_counts"] = counts
     report.check(
         "the encoded polytope has octahedron face counts (6, 12, 8)",
@@ -195,6 +190,7 @@ def _octahedron_checks(report: PipelineReport, G: VectorConfig) -> None:
         not gp,
         "pairs of equal vectors are linearly dependent",
     )
+    return faces[1]
 
 
 def two_triangle_example(eps) -> PipelineReport:
@@ -241,7 +237,7 @@ def two_triangle_example(eps) -> PipelineReport:
         "projected dual vertices match the closed-form coupling matrix",
         setup.g_images == G,
     )
-    _octahedron_checks(report, setup.g_images)
+    edges = _octahedron_checks(report, setup.g_images)
 
     census = vertex_survival_census(setup)
     oracle = oracle_survival(setup)
@@ -270,8 +266,7 @@ def two_triangle_example(eps) -> PipelineReport:
     report.results["missing_edges"] = [sort_labels(m) for m in missing_edges]
 
     k33 = complete_bipartite((1, 2, 3), (4, 5, 6))
-    skeleton_edges = set(gale_faces_of_card(setup.g_images, 2))
-    absent = sorted(k33.facets - skeleton_edges, key=sort_labels)
+    absent = sorted(k33.facets - set(edges), key=sort_labels)
     report.check(
         "exactly one bipartite edge is missing from the encoded skeleton",
         len(absent) == 1 and set(absent) == set(missing_edges),
@@ -378,26 +373,6 @@ def obstruction_pipeline(d: int) -> PipelineReport:
     return report
 
 
-def planar_bound_check(P: VPolytope, Q: VPolytope) -> PipelineReport:
-    """Verify f0(P + Q) <= f0(P) + f0(Q) for two polygons in the plane."""
-    if P.dim != 2 or Q.dim != 2:
-        raise WrongDimension("the polygon bound lives in the plane")
-    report = PipelineReport(
-        "planar_bound_check",
-        {"f0_P": P.f0(), "f0_Q": Q.f0()},
-    )
-    count = len(minkowski_sum_vertices([P, Q]))
-    bound = P.f0() + Q.f0()
-    report.results["f0_sum"] = count
-    report.results["bound"] = bound
-    report.check(
-        "a planar sum has at most f0(P) + f0(Q) vertices",
-        count <= bound,
-        f"{count} <= {bound}",
-    )
-    return report
-
-
 # ---------------------------------------------------------------------------
 # seeded random experiments
 
@@ -476,49 +451,3 @@ def random_experiment(d: int, r: int, f0s: Sequence[int], trials: int, seed: int
             f"max {max_count} <= {f0_bound}",
         )
     return report
-
-
-def _incidence_pattern(P: HPolytope) -> frozenset[frozenset[int]]:
-    return frozenset(r.tight_facets for r in h_vertices(P))
-
-
-def perturb_to_general_position(
-    P: HPolytope, seed: int, proj=None, max_tries: int = 64
-) -> HPolytope:
-    """Jiggle the bounding hyperplanes until the combinatorics is unchanged
-    and, when a projection is supplied, the induced g-vectors are in
-    general position.
-
-    The strict-survival conditions are open, so small rational
-    perturbations of (A, b) preserve them; perturbing b alone cannot break
-    parallel facet normals, hence whole rows are jiggled.  Deterministic
-    per seed; the unperturbed input is returned if it already qualifies.
-    """
-    if not is_simple(P):
-        raise GaleprojError("perturbation expects a simple polytope")
-    target = _incidence_pattern(P)
-
-    def qualifies(Q: HPolytope) -> bool:
-        if _incidence_pattern(Q) != target or not is_simple(Q):
-            return False
-        if proj is None:
-            return True
-        base = Q if all(x > 0 for x in Q.b) else recentre(Q)
-        return general_position(make_setup(base, proj).g_images)
-
-    if qualifies(P):
-        return P
-    for attempt in range(1, max_tries + 1):
-        rng = random.Random(_child_seed(seed, attempt))
-        try:
-            A = [
-                [x + Fraction(rng.randint(-9, 9), 10000) for x in row]
-                for row in P.A
-            ]
-            b = [x + Fraction(rng.randint(-9, 9), 10000) for x in P.b]
-            candidate = HPolytope(A, b, P.facet_labels)
-            if qualifies(candidate):
-                return candidate
-        except GaleprojError:
-            continue
-    raise RetriesExhausted(f"no qualifying perturbation in {max_tries} attempts")

@@ -3,10 +3,9 @@
 A projection setup packages a polytope with 0 interior, a full-rank
 projection, a kernel basis, and the projected dual vertices g_i.  Whether
 a face survives the projection is read off the g-vectors indexed by its
-tight facets: containing 0 in the convex hull / affine-spanning /
-positively spanning correspond to preserved / combinatorially equivalent
-/ strictly preserved.  An independent census computed from images and
-fibers cross-validates the whole classification.
+tight facets: containing 0 in the convex hull / positively spanning
+correspond to preserved / strictly preserved.  An independent census
+computed from images and fibers cross-validates the whole classification.
 """
 
 from __future__ import annotations
@@ -16,25 +15,11 @@ from typing import Iterable
 
 from . import lp
 from .complexes import Complex
-from .errors import (
-    NotAllVerticesSurvive,
-    NotGale,
-    OriginNotInterior,
-    RankDeficient,
-    SpanningDefect,
-    UnknownLabel,
-)
-from .gale import (
-    VectorConfig,
-    general_position,
-    is_gale_transform,
-    _face_test,
-    positively_spanning,
-)
+from .errors import NotGale, OriginNotInterior, RankDeficient, UnknownLabel
+from .gale import VectorConfig, gale_face_test, positively_spanning
 from .linalg import (
     Mat,
     Vec,
-    affine_rank,
     kernel_basis,
     mat,
     mat_vec,
@@ -53,10 +38,6 @@ class ProjectionSetup:
     proj: Mat
     kernel: Mat
     g_images: VectorConfig
-
-    @property
-    def target_dim(self) -> int:
-        return len(self.proj)
 
     @property
     def kernel_dim(self) -> int:
@@ -122,12 +103,6 @@ def face_preserved(s: ProjectionSetup, tight: Iterable[int]) -> bool:
         return False
     zero = vec([0] * s.kernel_dim)
     return lp.convex_combination(g, zero) is not None
-
-
-def face_comb_equiv(s: ProjectionSetup, tight: Iterable[int]) -> bool:
-    """Image combinatorially equivalent: the g-vectors span affinely."""
-    g = _g_subset(s, tight)
-    return affine_rank(g) == s.kernel_dim
 
 
 def face_strictly_preserved(s: ProjectionSetup, tight: Iterable[int]) -> bool:
@@ -197,50 +172,18 @@ def oracle_survival(s: ProjectionSetup) -> SurvivalReport:
     )
 
 
-@dataclass(frozen=True)
-class AssociatedPolytope:
-    """Gale-encoded combinatorics of the polytope associated to (P, proj)."""
-
-    config: VectorConfig
-    dim: int
-    num_vertices: int
-    general_position: bool
-
-
-def associated_polytope(s: ProjectionSetup) -> AssociatedPolytope:
-    """The g-configuration as a Gale transform, when all vertices survive.
-
-    Undefined (raises) otherwise.  The encoded polytope has the facet
-    labels of P as vertices and dimension m - (n - d) - 1; general
-    position of the g-vectors certifies that it is simplicial.
-    """
-    census = vertex_survival_census(s)
-    if census.surviving < census.total:
-        raise NotAllVerticesSurvive(
-            f"only {census.surviving} of {census.total} vertices survive"
-        )
-    if not is_gale_transform(s.g_images):
-        raise SpanningDefect("g-vectors fail the single-deletion spanning test")
-    m = s.polytope.num_facets
-    return AssociatedPolytope(
-        s.g_images,
-        dim=m - s.kernel_dim - 1,
-        num_vertices=m,
-        general_position=general_position(s.g_images),
-    )
-
-
 def verify_cc_realized(s: ProjectionSetup, K: Complex) -> bool:
     """Does every facet of K appear as a face of the associated polytope?
 
     K must live on the facet labels of P.  With full vertex survival this
     checks that the whole complement complex of the dual boundary sits in
-    the boundary of the associated polytope.
+    the boundary of the associated polytope.  Each facet is a query to
+    `gale_face_test` on the g-vectors.
     """
     labels = set(s.g_images.labels)
     alien = set(K.vertices) - labels
     if alien:
         raise UnknownLabel(sorted(alien, key=str)[0])
-    if not is_gale_transform(s.g_images):
+    if not s.g_images.is_gale:
         raise NotGale("realization check needs the g-vectors to be a Gale transform")
-    return all(_face_test(s.g_images, frozenset(f)) for f in K.facets)
+    return all(gale_face_test(s.g_images, f) for f in K.facets)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from galeproj import lp
 from galeproj.errors import DuplicateLabels, NotGale
 from galeproj.gale import (
     VectorConfig,
@@ -86,6 +87,54 @@ class TestGaleTransform:
 
     def test_coupling_matrix_at_zero_fails(self):
         assert not is_gale_transform(coupling_config(0))
+
+
+class TestCachedVerdict:
+    def test_equals_the_single_deletion_loop(self):
+        rng = random.Random(66)
+        configs = [coupling_config(0), coupling_config(1), coupling_config(Fraction(1, 4))]
+        for _ in range(30):
+            e = rng.randint(1, 3)
+            configs.append(VectorConfig([
+                tuple(Fraction(rng.randint(-3, 3)) for _ in range(e))
+                for _ in range(rng.randint(e + 1, 7))
+            ]))
+        seen = set()
+        for G in configs:
+            loop = all(
+                positively_spanning(G.vectors[:i] + G.vectors[i + 1:]) for i in range(len(G))
+            )
+            assert is_gale_transform(G) == G.is_gale == loop
+            seen.add(loop)
+        assert seen == {True, False}
+
+    def test_second_read_runs_no_lp(self, monkeypatch):
+        calls = []
+        original = lp.lp_feasible
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(lp, "lp_feasible", counting)
+        G = coupling_config(Fraction(1, 4))
+        assert is_gale_transform(G)
+        assert len(calls) == 24  # 6 deletions, 2e = 4 margin LPs each
+        assert is_gale_transform(G) and G.is_gale
+        gale_faces_of_card(G, 2)
+        gale_face_test(G, {1, 3})
+        assert len(calls) == 24
+        # the verdict lives on the instance: an equal, fresh one decides again
+        assert is_gale_transform(coupling_config(Fraction(1, 4)))
+        assert len(calls) == 48
+
+    def test_verdict_leaves_eq_and_hash_unchanged(self):
+        G, H = coupling_config(Fraction(1, 4)), coupling_config(Fraction(1, 4))
+        before = hash(G)
+        assert G.is_gale
+        assert G == H and hash(G) == hash(H) == before
+        assert G != coupling_config(Fraction(1, 2))
+        assert repr(G) == repr(H)
 
 
 class TestFaceTest:

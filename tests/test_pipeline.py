@@ -1,14 +1,16 @@
 import itertools
 import json
 import tracemalloc
+from collections import Counter
 from math import comb
 
 import pytest
 
+from galeproj import lp
 from galeproj.cli import main
 from galeproj.errors import HypothesisViolated, TooLargeForExact
 from galeproj.obstructions import EXACT_CAP, certified_kneser_chi, chromatic_number, graph, kneser_graph
-from galeproj.pipeline import obstruction_pipeline
+from galeproj.pipeline import obstruction_pipeline, two_triangle_example
 
 
 def json_documents(text):
@@ -112,3 +114,28 @@ class TestObstructionCli:
     def test_d8_past_the_exact_cap(self, capsys):
         assert main(["obstruction", "--d", "8"]) == 0
         assert "overall: PASS" in capsys.readouterr().out
+
+
+class TestTwoTriangleOpCounts:
+    def test_lp_calls_at_one_quarter(self, monkeypatch):
+        counts = Counter()
+
+        def count(name):
+            original = getattr(lp, name)
+
+            def counting(*args, **kwargs):
+                result = original(*args, **kwargs)
+                counts[name] += 1
+                if name == "lp_feasible":
+                    counts["feasible"] += result.feasible
+                return result
+
+            monkeypatch.setattr(lp, name, counting)
+
+        count("lp_feasible")
+        count("nonneg_combination")
+        assert two_triangle_example("1/4").passed
+        # The Gale property of the g-vectors is decided once (24 margin
+        # LPs); deciding it again in every face question made 218
+        # lp_feasible and 106 nonneg_combination calls.
+        assert counts == {"lp_feasible": 74, "feasible": 10, "nonneg_combination": 91}
