@@ -7,7 +7,7 @@ All arithmetic is exact; nothing in this package ever touches a float.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, RankDeficient
@@ -70,16 +70,16 @@ def matmul(a: Mat, b: Mat) -> Mat:
     return tuple(tuple(vdot(row, col) for col in bt) for row in a)
 
 
+def integer_row(row: Iterable) -> tuple[list[int], int]:
+    """(lam * row, lam) for lam the lcm of the row's denominators."""
+    row = list(row)
+    lam = lcm(*(x.denominator for x in row))
+    return [x.numerator * (lam // x.denominator) for x in row], lam
+
+
 def _integer_rows(m: Mat) -> list[list[int]]:
     """Scale each row by the lcm of its denominators (kernel/rank invariant)."""
-    out = []
-    for row in m:
-        lcm = 1
-        for x in row:
-            d = x.denominator
-            lcm = lcm // gcd(lcm, d) * d
-        out.append([int(x * lcm) for x in row])
-    return out
+    return [integer_row(row)[0] for row in m]
 
 
 def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
@@ -148,23 +148,31 @@ def kernel_basis(m: Mat) -> Mat:
 
 
 def solve_square(a: Mat, b: Vec) -> Vec | None:
-    """Solve a square system exactly; None if the matrix is singular."""
+    """Solve a square system exactly; None if the matrix is singular.
+
+    Fraction-free inside, returning Fractions: the rows of [a | b] are
+    scaled to integers and reduced by the Bareiss update in Gauss-Jordan
+    form, after which every diagonal entry is the same determinant and
+    coordinate i is one quotient rhs_i / det.
+    """
     n = len(a)
     if n == 0 or any(len(row) != n for row in a) or len(b) != n:
         raise DimensionMismatch("solve_square needs a square system")
-    aug = [list(row) + [rhs] for row, rhs in zip(a, b)]
+    aug = _integer_rows([(*row, rhs) for row, rhs in zip(a, b)])
+    prev = 1
     for c in range(n):
         p = next((i for i in range(c, n) if aug[i][c] != 0), None)
         if p is None:
             return None
         aug[c], aug[p] = aug[p], aug[c]
-        piv = aug[c][c]
-        aug[c] = [x / piv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                fac = aug[i][c]
-                aug[i] = [x - fac * y for x, y in zip(aug[i], aug[c])]
-    return tuple(row[n] for row in aug)
+        prow = aug[c]
+        piv = prow[c]
+        for i, row in enumerate(aug):
+            if i != c:
+                f = row[c]
+                aug[i] = [(x * piv - f * y) // prev for x, y in zip(row, prow)]
+        prev = piv
+    return tuple(Fraction(row[n], prev) for row in aug)
 
 
 def affine_rank(points: Sequence[Vec]) -> int:

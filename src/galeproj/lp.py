@@ -1,22 +1,29 @@
 """Exact linear feasibility with certificates.
 
-A two-phase rational simplex (Bland's rule, hence terminating) decides
-systems of ``<=``, ``=`` and strict ``<`` constraints.  Strict rows are
-handled by maximizing a shared margin variable t subject to t <= 1; the
-variables themselves are free and unbounded, and the strict system is
-feasible iff the optimal margin is positive.  Every feasible verdict
-carries a witness that is re-checked against the input before it is
-returned.
+A two-phase simplex (Bland's rule, hence terminating) decides systems of
+``<=``, ``=`` and strict ``<`` constraints.  Strict rows are handled by
+maximizing a shared margin variable t subject to t <= 1; the variables
+are free and unbounded, and the system is feasible iff the optimal margin
+is positive.  Every feasible verdict carries a re-checked witness.
+
+The tableau is integer over one common denominator D > 0 and pivots by
+the fraction-free update of Edmonds (1967), as Avis's lrs (2000) does:
+each division is exact and no gcd is taken while pivoting.  Rationals
+occur only where rows come in and where the witness and value go out.
+The tableau differs from the rational one only by positive scalings of
+rows and of slack/artificial columns, which keep every sign Bland's rule
+reads, so the pivots are those of a rational simplex (see `_solve_nonneg`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from .errors import DimensionMismatch
-from .linalg import Vec, frac, vdot, vec
+from .linalg import Vec, frac, integer_row, vdot, vec
 
 LE = "<="
 EQ = "="
@@ -71,113 +78,119 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _pivot(rows, basis, z, r, c):
-    piv_row = rows[r]
-    piv = piv_row[c]
-    piv_row = [x / piv for x in piv_row]
-    rows[r] = piv_row
-    for i, other in enumerate(rows):
-        if i != r and other[c] != 0:
-            f = other[c]
-            rows[i] = [x - f * y for x, y in zip(other, piv_row)]
-    if z[c] != 0:
-        f = z[c]
-        z[:] = [x - f * y for x, y in zip(z, piv_row)]
+def _pivot(T, basis, Z, D, r, c):
+    """Fraction-free pivot on T[r][c]; returns the new denominator p.
+
+    Row r stays; the other rows and Z become (x*p - f*y) / D, exactly.
+    A negative p (met only pivoting out an artificial) is made positive
+    by negating row r first, which negates all of T and Z and keeps T / D.
+    """
+    if T[r][c] < 0:
+        T[r] = [-y for y in T[r]]
+    prow = T[r]
+    p = prow[c]
+    for i, row in enumerate(T):
+        f = row[c]
+        if i != r and (f or p != D):
+            T[i] = [(x * p - f * y) // D for x, y in zip(row, prow)]
+    f = Z[c]
+    Z[:] = [(x * p - f * y) // D for x, y in zip(Z, prow)]
     basis[r] = c
+    return p
 
 
-def _reduce_objective(rows, basis, z):
-    for i, b in enumerate(basis):
-        if z[b] != 0:
-            f = z[b]
-            z[:] = [x - f * y for x, y in zip(z, rows[i])]
+def _reduced(c, T, basis, D):
+    """D times the reduced costs of the integer objective c at the basis."""
+    Z = [D * x for x in c]
+    for row, b in zip(T, basis):
+        f = c[b]
+        if f:
+            Z = [z - f * y for z, y in zip(Z, row)]
+    return Z
 
 
-def _simplex_max(rows, basis, z, allowed):
-    """Maximize with Bland's rule; z[-1] holds -(objective value)."""
+def _simplex_max(T, basis, Z, D, allowed):
+    """Maximize with Bland's rule; Z[-1] / D is -(value).  Returns D.
+
+    As D > 0, the ratio test compares rhs_i / T[i][enter] cross-multiplied.
+    """
     while True:
-        enter = next((j for j in allowed if z[j] > 0), None)
+        enter = next((j for j in allowed if Z[j] > 0), None)
         if enter is None:
-            return -z[-1]
-        best_ratio = None
-        best_row = -1
-        for i, row in enumerate(rows):
-            if row[enter] > 0:
-                ratio = row[-1] / row[enter]
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[best_row])
-                ):
-                    best_ratio = ratio
-                    best_row = i
-        if best_ratio is None:
+            return D
+        candidates = [i for i, row in enumerate(T) if row[enter] > 0]
+        if not candidates:
             # every objective maximized here is capped (phase 1 at 0, the
             # margin by its row t <= 1), so no improving ray can exist
             raise AssertionError("capped objective cannot be unbounded")
-        _pivot(rows, basis, z, best_row, enter)
+        best = candidates[0]
+        for i in candidates[1:]:
+            lhs, rhs = T[i][-1] * T[best][enter], T[best][-1] * T[i][enter]
+            if lhs < rhs or (lhs == rhs and basis[i] < basis[best]):
+                best = i
+        D = _pivot(T, basis, Z, D, best, enter)
 
 
 def _solve_nonneg(raw_rows, nvars, objective):
     """max objective over {x >= 0, rows}; rows are (coeffs, rel, rhs).
 
     Returns (feasible, x, value); value is None when objective is None.
+    Row i is scaled by the lcm lam_i of its denominators and its slack or
+    artificial gets entry 1, so the first basis is the identity and D = 1.
+    The phase-1 objective -sum a_i reads -sum (L / lam_i) a'_i in the
+    scaled artificials a'_i = lam_i a_i, L the lcm of the lam_i; the
+    phase-2 objective is scaled by the lcm K of its denominators.  Both
+    multiply each reduced cost by a positive number, and each ratio test
+    is scaled by one positive factor, ties included, so Bland's rule picks
+    the pivots of the rational tableau.
     """
     nslack = sum(1 for _, rel, _ in raw_rows if rel == LE)
-    prepared = []
+    art_start = nvars + nslack
+    width = art_start + sum(1 for _, rel, rhs in raw_rows if rel != LE or rhs < 0)
+    T, basis, art_lams = [], [], []
     s_at = nvars
     for coeffs, rel, rhs in raw_rows:
-        row = list(coeffs) + [_ZERO] * nslack + [rhs]
-        slack_col = None
+        ints, lam = integer_row([*coeffs, rhs])
+        row = ints[:-1] + [0] * (width - nvars) + ints[-1:]
         if rel == LE:
-            row[s_at] = _ONE
-            slack_col = s_at
+            row[s_at] = 1
             s_at += 1
-        if row[-1] < 0:
+        if rhs < 0:
             row = [-x for x in row]
-        prepared.append((row, slack_col))
-
-    nart = sum(1 for row, sc in prepared if sc is None or row[sc] < 0)
-    width = nvars + nslack + nart
-    rows = []
-    basis = []
-    art_start = nvars + nslack
-    a_at = art_start
-    for row, slack_col in prepared:
-        full = row[:-1] + [_ZERO] * nart + [row[-1]]
-        if slack_col is not None and full[slack_col] > 0:
-            basis.append(slack_col)
+        if rel == LE and rhs >= 0:
+            basis.append(s_at - 1)
         else:
-            full[a_at] = _ONE
-            basis.append(a_at)
-            a_at += 1
-        rows.append(full)
+            basis.append(art_start + len(art_lams))
+            row[basis[-1]] = 1
+            art_lams.append(lam)
+        T.append(row)
 
+    D = 1
     allowed = list(range(art_start))
-    if nart:
-        z = [_ZERO] * (width + 1)
-        for j in range(art_start, width):
-            z[j] = Fraction(-1)
-        _reduce_objective(rows, basis, z)
-        if _simplex_max(rows, basis, z, allowed) < 0:
+    if art_lams:
+        L = lcm(*art_lams)
+        Z = _reduced([0] * art_start + [-(L // lam) for lam in art_lams] + [0], T, basis, D)
+        D = _simplex_max(T, basis, Z, D, allowed)
+        if Z[-1] > 0:
             return False, None, None
         # pivot leftover zero-valued artificials out of the basis
-        for i in range(len(rows)):
+        for i in range(len(T)):
             if basis[i] >= art_start:
-                c = next((j for j in allowed if rows[i][j] != 0), None)
-                if c is not None:
-                    _pivot(rows, basis, z, i, c)
+                j = next((j for j in allowed if T[i][j] != 0), None)
+                if j is not None:
+                    D = _pivot(T, basis, Z, D, i, j)
 
     value = None
     if objective is not None:
-        z = list(objective) + [_ZERO] * (width - nvars + 1)
-        _reduce_objective(rows, basis, z)
-        value = _simplex_max(rows, basis, z, allowed)
+        c, K = integer_row(objective)
+        Z = _reduced(c + [0] * (width - nvars + 1), T, basis, D)
+        D = _simplex_max(T, basis, Z, D, allowed)
+        value = Fraction(-Z[-1], K * D)
 
     x = [_ZERO] * nvars
-    for i, b in enumerate(basis):
+    for row, b in zip(T, basis):
         if b < nvars:
-            x[b] = rows[i][-1]
+            x[b] = Fraction(row[-1], D)
     return True, x, value
 
 
@@ -191,34 +204,30 @@ def nonneg_combination(eq_rows: list[tuple[list, Fraction]], nvars: int) -> list
     ok, x, _ = _solve_nonneg(rows, nvars, None)
     if not ok:
         return None
-    for coeffs, _, rhs in rows:
-        if sum((a * v for a, v in zip(coeffs, x)), _ZERO) != rhs or any(v < 0 for v in x):
-            raise AssertionError("simplex returned an invalid witness")
+    if any(v < 0 for v in x) or any(vdot(coeffs, x) != rhs for coeffs, _, rhs in rows):
+        raise AssertionError("simplex returned an invalid witness")
     return x
+
+
+def _membership_rows(vectors, target, kind):
+    """Equality rows sum(lam_i * v_i) = target, one per coordinate."""
+    vectors = [vec(v) for v in vectors]
+    target = vec(target)
+    if any(len(v) != len(target) for v in vectors):
+        raise DimensionMismatch(f"{kind} membership with mixed dimensions")
+    return [([v[r] for v in vectors], target[r]) for r in range(len(target))]
 
 
 def cone_combination(vectors, target) -> list[Fraction] | None:
     """Coefficients lam >= 0 with sum(lam_i * v_i) = target, or None."""
-    vectors = [vec(v) for v in vectors]
-    target = vec(target)
-    if any(len(v) != len(target) for v in vectors):
-        raise DimensionMismatch("cone membership with mixed dimensions")
-    eq_rows = [
-        ([v[r] for v in vectors], target[r]) for r in range(len(target))
-    ]
-    return nonneg_combination(eq_rows, len(vectors))
+    vectors = list(vectors)
+    return nonneg_combination(_membership_rows(vectors, target, "cone"), len(vectors))
 
 
 def convex_combination(points, target) -> list[Fraction] | None:
     """Coefficients of target as a convex combination of points, or None."""
-    points = [vec(p) for p in points]
-    target = vec(target)
-    if any(len(p) != len(target) for p in points):
-        raise DimensionMismatch("convex membership with mixed dimensions")
-    eq_rows = [
-        ([p[r] for p in points], target[r]) for r in range(len(target))
-    ]
-    eq_rows.append(([_ONE] * len(points), _ONE))
+    points = list(points)
+    eq_rows = _membership_rows(points, target, "convex") + [([_ONE] * len(points), _ONE)]
     return nonneg_combination(eq_rows, len(points))
 
 
@@ -234,14 +243,11 @@ def lp_feasible(constraints: Iterable[LinConstraint], dim: int | None = None) ->
     dims = {len(c.coeffs) for c in cons}
     if len(dims) > 1:
         raise DimensionMismatch(f"mixed constraint dimensions {sorted(dims)}")
-    if dims:
-        k = dims.pop()
-        if dim is not None and dim != k:
-            raise DimensionMismatch(f"declared dim {dim} != constraint dim {k}")
-    elif dim is not None:
-        k = dim
-    else:
+    k = dims.pop() if dims else dim
+    if k is None:
         raise DimensionMismatch("empty system with no declared dimension")
+    if dim is not None and dim != k:
+        raise DimensionMismatch(f"declared dim {dim} != constraint dim {k}")
 
     has_strict = any(c.relation == LT for c in cons)
     # variables: u_1..u_k, w_1..w_k (x = u - w), then t if strict rows exist
@@ -252,20 +258,14 @@ def lp_feasible(constraints: Iterable[LinConstraint], dim: int | None = None) ->
         if has_strict:
             coeffs.append(_ONE if c.relation == LT else _ZERO)
         rows.append((coeffs, EQ if c.relation == EQ else LE, c.rhs))
-    objective = None
+    objective = [_ZERO] * (nvars - 1) + [_ONE] if has_strict else None
     if has_strict:
-        objective = [_ZERO] * nvars
-        objective[-1] = _ONE
         rows.append((objective, LE, _ONE))
 
     ok, y, value = _solve_nonneg(rows, nvars, objective)
-    if not ok:
-        return INFEASIBLE
-    if has_strict and value <= 0:
+    if not ok or (has_strict and value <= 0):
         return INFEASIBLE
     witness = tuple(y[j] - y[k + j] for j in range(k))
-    result = FeasibilityResult("feasible", witness, value if has_strict else None)
-    for c in cons:
-        if not c.holds(witness):
-            raise AssertionError("simplex returned an invalid witness")
-    return result
+    if not all(c.holds(witness) for c in cons):
+        raise AssertionError("simplex returned an invalid witness")
+    return FeasibilityResult("feasible", witness, value)

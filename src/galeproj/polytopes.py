@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import prod
 from typing import Iterable, Sequence
@@ -107,6 +108,27 @@ class HPolytope:
     def contains(self, x: Vec) -> bool:
         return all(vdot(a, x) <= bi for a, bi in zip(self.A, self.b))
 
+    @cached_property
+    def vertex_records(self) -> tuple[FaceRecord, ...]:
+        """Vertex records, enumerated on first read and kept on the instance.
+
+        Enumerates n-subsets of rows, keeps feasible basic solutions, merges
+        duplicates and recomputes tightness against every row, so non-simple
+        vertices come out with |I(v)| > n.  Ordered by coordinates.  Like
+        `VectorConfig.is_gale`, the value lives in the instance dict, so
+        `==` and `hash` still compare only the fields.
+        """
+        m, n = self.num_facets, self.dim
+        found: dict[Vec, frozenset[int]] = {}
+        for rows in itertools.combinations(range(m), n):
+            x = solve_square(tuple(self.A[i] for i in rows), tuple(self.b[i] for i in rows))
+            if x is None or x in found or not self.contains(x):
+                continue
+            found[x] = frozenset(
+                self.facet_labels[i] for i in range(m) if vdot(self.A[i], x) == self.b[i]
+            )
+        return tuple(FaceRecord(found[x], x) for x in sorted(found))
+
     def _validate(self) -> None:
         m, n = self.num_facets, self.dim
         interior = lp.lp_feasible([lp.lt(a, bi) for a, bi in zip(self.A, self.b)])
@@ -134,24 +156,13 @@ class HPolytope:
                 raise RedundantRow(f"row with label {self.facet_labels[i]} defines no facet")
 
 
-def h_vertices(P: HPolytope) -> list[FaceRecord]:
+def h_vertices(P: HPolytope) -> tuple[FaceRecord, ...]:
     """All vertices with exact coordinates and full tight-facet sets.
 
-    Enumerates n-subsets of rows, keeps feasible basic solutions, merges
-    duplicates and recomputes tightness against every row, so non-simple
-    vertices come out with |I(v)| > n.  Ordered by coordinates.
+    The records are enumerated once per polytope and kept on it; see
+    `HPolytope.vertex_records`.
     """
-    m, n = P.num_facets, P.dim
-    found: dict[Vec, frozenset[int]] = {}
-    for rows in itertools.combinations(range(m), n):
-        x = solve_square(tuple(P.A[i] for i in rows), tuple(P.b[i] for i in rows))
-        if x is None or x in found or not P.contains(x):
-            continue
-        tight = frozenset(
-            P.facet_labels[i] for i in range(m) if vdot(P.A[i], x) == P.b[i]
-        )
-        found[x] = tight
-    return [FaceRecord(found[x], x) for x in sorted(found)]
+    return P.vertex_records
 
 
 def hull_vertex_indices(points: Sequence[Vec]) -> set[int]:

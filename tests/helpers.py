@@ -145,3 +145,151 @@ def materialised_join(factors) -> Complex:
     tagged = [[frozenset(f"{prefix}:{v}" for v in f) for f in K.facets] for prefix, K in factors]
     facets = frozenset(frozenset().union(*combo) for combo in itertools.product(*tagged))
     return Complex(vertices, facets)
+
+
+# The rational two-phase simplex that `lp._solve_nonneg` used before its
+# tableau became integer, kept as the oracle for the integer pivots.  It
+# is the old code with two additions: `log` receives (entering column,
+# leaving column) for every pivot, and `events` counts the cases the
+# oracle test must cover (ratio ties, pivot-outs of leftover artificials,
+# negative pivot-outs, artificials left basic on redundant rows).
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _fraction_pivot(rows, basis, z, r, c, log):
+    log.append((c, basis[r]))
+    piv_row = rows[r]
+    piv = piv_row[c]
+    piv_row = [x / piv for x in piv_row]
+    rows[r] = piv_row
+    for i, other in enumerate(rows):
+        if i != r and other[c] != 0:
+            f = other[c]
+            rows[i] = [x - f * y for x, y in zip(other, piv_row)]
+    if z[c] != 0:
+        f = z[c]
+        z[:] = [x - f * y for x, y in zip(z, piv_row)]
+    basis[r] = c
+
+
+def _fraction_reduce_objective(rows, basis, z):
+    for i, b in enumerate(basis):
+        if z[b] != 0:
+            f = z[b]
+            z[:] = [x - f * y for x, y in zip(z, rows[i])]
+
+
+def _fraction_simplex_max(rows, basis, z, allowed, log, events):
+    """Maximize with Bland's rule; z[-1] holds -(objective value)."""
+    while True:
+        enter = next((j for j in allowed if z[j] > 0), None)
+        if enter is None:
+            return -z[-1]
+        best_ratio = None
+        best_row = -1
+        for i, row in enumerate(rows):
+            if row[enter] > 0:
+                ratio = row[-1] / row[enter]
+                if best_ratio is not None and ratio == best_ratio:
+                    events["tie"] += 1
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < basis[best_row])
+                ):
+                    best_ratio = ratio
+                    best_row = i
+        if best_ratio is None:
+            raise AssertionError("capped objective cannot be unbounded")
+        _fraction_pivot(rows, basis, z, best_row, enter, log)
+
+
+def fraction_solve_nonneg(raw_rows, nvars, objective, log, events):
+    """max objective over {x >= 0, rows} in `Fraction` arithmetic.
+
+    Same contract as `lp._solve_nonneg`: returns (feasible, x, value).
+    """
+    nslack = sum(1 for _, rel, _ in raw_rows if rel == lp.LE)
+    prepared = []
+    s_at = nvars
+    for coeffs, rel, rhs in raw_rows:
+        row = list(coeffs) + [_ZERO] * nslack + [rhs]
+        slack_col = None
+        if rel == lp.LE:
+            row[s_at] = _ONE
+            slack_col = s_at
+            s_at += 1
+        if row[-1] < 0:
+            row = [-x for x in row]
+        prepared.append((row, slack_col))
+
+    nart = sum(1 for row, sc in prepared if sc is None or row[sc] < 0)
+    width = nvars + nslack + nart
+    rows = []
+    basis = []
+    art_start = nvars + nslack
+    a_at = art_start
+    for row, slack_col in prepared:
+        full = row[:-1] + [_ZERO] * nart + [row[-1]]
+        if slack_col is not None and full[slack_col] > 0:
+            basis.append(slack_col)
+        else:
+            full[a_at] = _ONE
+            basis.append(a_at)
+            a_at += 1
+        rows.append(full)
+
+    allowed = list(range(art_start))
+    if nart:
+        z = [_ZERO] * (width + 1)
+        for j in range(art_start, width):
+            z[j] = Fraction(-1)
+        _fraction_reduce_objective(rows, basis, z)
+        if _fraction_simplex_max(rows, basis, z, allowed, log, events) < 0:
+            return False, None, None
+        # pivot leftover zero-valued artificials out of the basis
+        for i in range(len(rows)):
+            if basis[i] >= art_start:
+                c = next((j for j in allowed if rows[i][j] != 0), None)
+                if c is not None:
+                    events["pivot-out"] += 1
+                    events["negative pivot-out"] += rows[i][c] < 0
+                    _fraction_pivot(rows, basis, z, i, c, log)
+                else:
+                    events["artificial left basic"] += 1
+
+    value = None
+    if objective is not None:
+        z = list(objective) + [_ZERO] * (width - nvars + 1)
+        _fraction_reduce_objective(rows, basis, z)
+        value = _fraction_simplex_max(rows, basis, z, allowed, log, events)
+
+    x = [_ZERO] * nvars
+    for i, b in enumerate(basis):
+        if b < nvars:
+            x[b] = rows[i][-1]
+    return True, x, value
+
+
+def gauss_jordan_solve(a, b):
+    """Solve a square system by `Fraction` Gauss-Jordan; None if singular.
+
+    The rational elimination `linalg.solve_square` used before it became
+    fraction-free, kept as its oracle.
+    """
+    n = len(a)
+    aug = [[Fraction(x) for x in row] + [Fraction(rhs)] for row, rhs in zip(a, b)]
+    for c in range(n):
+        p = next((i for i in range(c, n) if aug[i][c] != 0), None)
+        if p is None:
+            return None
+        aug[c], aug[p] = aug[p], aug[c]
+        piv = aug[c][c]
+        aug[c] = [x / piv for x in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c] != 0:
+                fac = aug[i][c]
+                aug[i] = [x - fac * y for x, y in zip(aug[i], aug[c])]
+    return tuple(row[n] for row in aug)

@@ -15,6 +15,7 @@ from galeproj.linalg import (
     transpose,
     vec,
 )
+from helpers import gauss_jordan_solve
 
 
 def gauss_rank(rows):
@@ -112,6 +113,46 @@ def test_solve_square_exact_and_singular():
     x = solve_square(a, vec([5, 10]))
     assert mat_vec(a, x) == vec([5, 10])
     assert solve_square(mat([[1, 2], [2, 4]]), vec([1, 1])) is None
+
+
+def square_entry(rng, kind):
+    if kind == "integer":
+        return Fraction(rng.randint(-4, 4))
+    if kind == "rational":
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 8))
+    return Fraction(rng.choice([-1, 1]) * 10**7 + rng.randint(-3, 3), rng.choice([1, 7]))
+
+
+def test_solve_square_matches_gauss_jordan_oracle():
+    rng = random.Random(4141)
+    seen = {"solved": 0, "singular": 0}
+    for trial in range(400):
+        n = rng.randint(1, 5)
+        kind = ("integer", "rational", "large")[trial % 3]
+        a = [[square_entry(rng, kind) for _ in range(n)] for _ in range(n)]
+        if n > 1 and trial % 4 == 0:
+            # singular: one row a rational combination of two others
+            i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+            s, t = Fraction(rng.randint(-3, 3), rng.randint(1, 3)), Fraction(rng.randint(-3, 3))
+            a[i] = [s * x + t * y for x, y in zip(a[j], a[k])] if i not in (j, k) else [Fraction(0)] * n
+        b = [square_entry(rng, kind) for _ in range(n)]
+        expected = gauss_jordan_solve(a, b)
+        x = solve_square(mat(a), vec(b))
+        assert x == expected
+        if x is None:
+            seen["singular"] += 1
+            assert rank(mat(a)) < n
+        else:
+            seen["solved"] += 1
+            assert all(type(v) is Fraction for v in x)
+            assert mat_vec(mat(a), x) == vec(b)
+    assert seen["solved"] > 200 and seen["singular"] > 50
+
+
+def test_solve_square_one_by_one():
+    assert solve_square(mat([[Fraction(-3, 7)]]), vec([Fraction(9, 2)])) == (Fraction(-21, 2),)
+    assert solve_square(mat([[10**7]]), vec([1])) == (Fraction(1, 10**7),)
+    assert solve_square(mat([[0]]), vec([1])) is None
 
 
 def test_exactness_with_huge_entries():

@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from galeproj import lp
 from galeproj.errors import DimensionMismatch
 from galeproj.lp import (
     FeasibilityResult,
@@ -13,6 +15,8 @@ from galeproj.lp import (
     lp_feasible,
     lt,
 )
+from galeproj.pipeline import two_triangle_example
+from helpers import fraction_solve_nonneg
 
 
 def test_unit_interval_feasible():
@@ -142,3 +146,95 @@ def test_margin_in_unit_interval_on_random_strict_systems():
             assert 0 < r.margin <= 1
             assert all(c.holds(r.witness) for c in cons)
     assert seen > 20
+
+
+@pytest.fixture
+def oracle_checked(monkeypatch):
+    """Check every `_solve_nonneg` call against the `Fraction` simplex.
+
+    Each solve must make the oracle's pivots, (entering, leaving) column
+    by column, and return the same (feasible, x, value).  The pivot loop
+    must see only ints over a positive denominator.  Returns the counts of
+    solves, pivots and covered cases.
+    """
+    events = Counter()
+    integer_log = []
+    pivot, solve = lp._pivot, lp._solve_nonneg
+
+    def checked_pivot(T, basis, Z, D, r, c):
+        assert type(D) is int and D > 0
+        assert all(type(x) is int for row in T for x in row + Z)
+        integer_log.append((c, basis[r]))
+        events["integer negative pivot"] += T[r][c] < 0
+        return pivot(T, basis, Z, D, r, c)
+
+    def checked_solve(raw_rows, nvars, objective):
+        oracle_log = []
+        expected = fraction_solve_nonneg(raw_rows, nvars, objective, oracle_log, events)
+        integer_log.clear()
+        got = solve(raw_rows, nvars, objective)
+        assert integer_log == oracle_log
+        assert got == expected
+        if got[0]:
+            assert all(type(v) is Fraction for v in got[1])
+        events["solves"] += 1
+        events["pivots"] += len(oracle_log)
+        return got
+
+    monkeypatch.setattr(lp, "_pivot", checked_pivot)
+    monkeypatch.setattr(lp, "_solve_nonneg", checked_solve)
+    return events
+
+
+def oracle_entry(rng):
+    """Small integers (so zeros and ratio ties), rationals, or about 10^7."""
+    kind = rng.random()
+    if kind < 0.6:
+        return Fraction(rng.randint(-3, 3))
+    if kind < 0.85:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+    return Fraction(rng.choice([-1, 1]) * 10**7 + rng.randint(-5, 5), rng.choice([1, 1, 3]))
+
+
+class TestIntegerPivotsMatchFractionSimplex:
+    def test_random_systems_through_lp_feasible(self, oracle_checked):
+        rng = random.Random(6060)
+        for _ in range(300):
+            k = rng.randint(1, 3)
+            cons = []
+            for _ in range(rng.randint(1, 6)):
+                rel = rng.choice([le, eq, lt])
+                cons.append(rel([oracle_entry(rng) for _ in range(k)], oracle_entry(rng)))
+            if rng.random() < 0.3:
+                # a redundant equality: a multiple of a row, or an equality on a row
+                c = rng.choice(cons)
+                scale = Fraction(rng.randint(1, 4), rng.randint(1, 3)) if c.relation == "=" else 1
+                cons.append(eq([scale * x for x in c.coeffs], scale * c.rhs))
+            lp_feasible(cons)
+        assert oracle_checked["solves"] == 300
+        for case in ("tie", "pivot-out", "negative pivot-out", "artificial left basic"):
+            assert oracle_checked[case] > 0, case
+        assert oracle_checked["integer negative pivot"] == oracle_checked["negative pivot-out"]
+
+    def test_hand_made_cases(self, oracle_checked):
+        # a negative right-hand side, a redundant pair, parallel rows
+        assert lp_feasible([le([1], -3), lt([-1], 10**7)]).feasible
+        assert lp_feasible([eq([1, 1], 2), eq([2, 2], 4), le([1, -1], 0), lt([0, -1], 0)]).feasible
+        assert not lp_feasible([eq([Fraction(1, 3), 1], 1), eq([1, 3], 4)]).feasible
+        assert lp_feasible([le([1, 1], 0), le([1, -1], 0), lt([-1, 0], 1)]).margin == 1
+        assert oracle_checked["solves"] == 4
+
+    def test_random_cone_and_convex_combinations(self, oracle_checked):
+        rng = random.Random(7070)
+        found = 0
+        for _ in range(150):
+            e = rng.randint(1, 3)
+            points = [[oracle_entry(rng) for _ in range(e)] for _ in range(rng.randint(1, 6))]
+            target = [oracle_entry(rng) for _ in range(e)]
+            found += cone_combination(points, target) is not None
+            found += convex_combination(points, points[0]) is not None
+        assert oracle_checked["solves"] == 300 and 150 < found < 300
+
+    def test_two_triangle_example_solves(self, oracle_checked):
+        assert two_triangle_example("1/4").passed
+        assert oracle_checked["solves"] == 74 + 91

@@ -6,11 +6,11 @@ from math import comb
 
 import pytest
 
-from galeproj import lp
+from galeproj import lp, polytopes
 from galeproj.cli import main
 from galeproj.errors import HypothesisViolated, TooLargeForExact
 from galeproj.obstructions import EXACT_CAP, certified_kneser_chi, chromatic_number, graph, kneser_graph
-from galeproj.pipeline import obstruction_pipeline, two_triangle_example
+from galeproj.pipeline import obstruction_pipeline, random_experiment, two_triangle_example
 
 
 def json_documents(text):
@@ -139,3 +139,25 @@ class TestTwoTriangleOpCounts:
         # LPs); deciding it again in every face question made 218
         # lp_feasible and 106 nonneg_combination calls.
         assert counts == {"lp_feasible": 74, "feasible": 10, "nonneg_combination": 91}
+
+    def test_one_vertex_enumeration(self, monkeypatch):
+        # h_vertices runs 5 times on the product polytope (directly, and in
+        # is_simple, both censuses and dual_boundary_complex) but enumerates
+        # its 15 row subsets once; each run enumerated them anew before
+        calls = []
+        original = polytopes.solve_square
+
+        def counting(a, b):
+            calls.append(1)
+            return original(a, b)
+
+        monkeypatch.setattr(polytopes, "solve_square", counting)
+        assert two_triangle_example("1/4").passed
+        assert len(calls) == 15
+
+
+def test_random_experiment_counts_at_r_equal_d():
+    # the vertex-test verdicts of 250 Gordan phase-1 solves in the r = d regime
+    report = random_experiment(3, 3, [5, 5, 5], 2, 7)
+    assert report.passed
+    assert report.results["counts"] == [38, 37]

@@ -14,7 +14,7 @@ from galeproj.errors import (
     RedundantRow,
     UnboundedPolytope,
 )
-from galeproj import lp
+from galeproj import lp, polytopes
 from galeproj.linalg import mat_vec, vadd, vec, vsub
 from galeproj.polytopes import (
     HPolytope,
@@ -124,6 +124,38 @@ class TestVertexEnumeration:
         apex = [r for r in recs if r.vertex_coords == vec([0, 0, 1])]
         assert len(apex) == 1 and len(apex[0].tight_facets) == 4
         assert not is_simple(pyramid)
+
+
+class TestVertexRecordsCached:
+    def test_enumerated_once_per_polytope(self, monkeypatch):
+        calls = []
+        original = polytopes.solve_square
+
+        def counting(a, b):
+            calls.append(1)
+            return original(a, b)
+
+        monkeypatch.setattr(polytopes, "solve_square", counting)
+        P = coupled_triangles(Fraction(1, 4))
+        records = h_vertices(P)
+        assert isinstance(records, tuple) and len(records) == 9
+        assert len(calls) == 15  # one solve per 4-subset of the 6 rows
+        assert h_vertices(P) is records is P.vertex_records
+        assert is_simple(P)
+        dual_boundary_complex(P)
+        assert len(calls) == 15
+        # the records live on the instance: an equal, fresh one enumerates again
+        Q = coupled_triangles(Fraction(1, 4))
+        assert h_vertices(Q) == records and h_vertices(Q) is not records
+        assert len(calls) == 30
+
+    def test_records_leave_eq_hash_and_repr_unchanged(self):
+        P, Q = coupled_triangles(Fraction(1, 4)), coupled_triangles(Fraction(1, 4))
+        before, text = hash(P), repr(P)
+        h_vertices(P)
+        assert P == Q and hash(P) == hash(Q) == before
+        assert repr(P) == repr(Q) == text
+        assert P != coupled_triangles(Fraction(1, 2))
 
 
 class TestHull:
