@@ -163,8 +163,6 @@ def general_position(G: VectorConfig) -> bool:
     This is the condition under which the encoded polytope is simplicial.
     """
     e = G.dim
-    if len(G) < e:
-        return True
     return all(
         rank(mat(sub)) == e for sub in itertools.combinations(G.vectors, e)
     )

@@ -2,6 +2,8 @@
 
 Vectors are tuples of ``fractions.Fraction``; matrices are tuples of rows.
 All arithmetic is exact; nothing in this package ever touches a float.
+Rank, kernels and square solves share one fraction-free Gauss-Jordan
+elimination on integer rows and build Fractions only for their results.
 """
 
 from __future__ import annotations
@@ -77,72 +79,66 @@ def integer_row(row: Iterable) -> tuple[list[int], int]:
     return [x.numerator * (lam // x.denominator) for x in row], lam
 
 
-def _integer_rows(m: Mat) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators (kernel/rank invariant)."""
-    return [integer_row(row)[0] for row in m]
+def _gauss_jordan(m: Iterable[Iterable]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968).
 
-
-def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free elimination to row echelon form.
-
-    Returns the echelon rows and the list of pivot column indices.  All
-    divisions are exact by the Bareiss identity, so intermediate entries stay
-    integers of controlled size.
+    Each row is scaled to integers by `integer_row`.  A column with no
+    nonzero entry left below the pivot rows is skipped; otherwise the
+    pivot row is swapped up and every other row gets the Bareiss update
+    (x*p - f*y) // prev, which divides exactly.  Returns the rows and the
+    pivot columns: row r has its pivot in column pivots[r], every pivot
+    entry equals the last pivot (a determinant), each pivot column is zero
+    off its pivot, and the rows past len(pivots) are zero.
     """
-    rows = [r[:] for r in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
+    rows = [integer_row(row)[0] for row in m]
     pivots: list[int] = []
     prev = 1
-    r = 0
-    for c in range(ncols):
-        p = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+    for c in range(len(rows[0])):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if p is None:
             continue
         rows[r], rows[p] = rows[p], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, nrows):
-            fac = rows[i][c]
-            for j in range(c, ncols):
-                rows[i][j] = (rows[i][j] * piv - fac * rows[r][j]) // prev
+        prow = rows[r]
+        piv = prow[c]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
+                rows[i] = [(x * piv - f * y) // prev for x, y in zip(row, prow)]
         prev = piv
         pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows[:r], pivots
+    return rows, pivots
 
 
 def rank(m: Mat) -> int:
     """Exact rank over the rationals by fraction-free elimination."""
     if not m:
         raise DimensionMismatch("rank of an empty matrix")
-    _, pivots = _bareiss_echelon(_integer_rows(m))
-    return len(pivots)
+    return len(_gauss_jordan(m)[1])
 
 
 def kernel_basis(m: Mat) -> Mat:
     """Rational basis of the null space of a full-row-rank d x n matrix.
 
-    Returns an n x (n-d) matrix whose columns span ker(m); each free column
-    of the echelon form contributes one basis vector via back-substitution.
+    Returns an n x (n-d) matrix whose columns span ker(m).  Each free
+    column f of the reduced rows gives one basis vector, read off without
+    back-substitution: 1 at f and -row[f] / det at the pivot column of
+    each row, where det is the common pivot entry.
     """
     if not m:
         raise DimensionMismatch("kernel of an empty matrix")
     n = len(m[0])
-    ech, pivots = _bareiss_echelon(_integer_rows(m))
+    rows, pivots = _gauss_jordan(m)
     if len(pivots) < len(m):
         raise RankDeficient(f"row rank {len(pivots)} < {len(m)} rows")
-    free = [c for c in range(n) if c not in pivots]
+    det = rows[0][pivots[0]]
     cols: list[Vec] = []
-    for f in free:
-        x = [Fraction(0)] * n
-        x[f] = Fraction(1)
-        for r in range(len(pivots) - 1, -1, -1):
-            p = pivots[r]
-            s = sum((Fraction(ech[r][j]) * x[j] for j in range(p + 1, n)), Fraction(0))
-            x[p] = -s / Fraction(ech[r][p])
-        cols.append(tuple(x))
+    for f in [c for c in range(n) if c not in pivots]:
+        x = [0] * n
+        x[f] = det
+        for row, p in zip(rows, pivots):
+            x[p] = -row[f]
+        cols.append(tuple(Fraction(v, det) for v in x))
     # columns-as-rows transposed into an n x (n-d) matrix
     return transpose(tuple(cols))
 
@@ -150,29 +146,17 @@ def kernel_basis(m: Mat) -> Mat:
 def solve_square(a: Mat, b: Vec) -> Vec | None:
     """Solve a square system exactly; None if the matrix is singular.
 
-    Fraction-free inside, returning Fractions: the rows of [a | b] are
-    scaled to integers and reduced by the Bareiss update in Gauss-Jordan
-    form, after which every diagonal entry is the same determinant and
-    coordinate i is one quotient rhs_i / det.
+    Fraction-free inside, returning Fractions: [a | b] is reduced by
+    `_gauss_jordan`.  The matrix is nonsingular iff the pivots are the
+    columns of a, and then coordinate i is one quotient rhs_i / det.
     """
     n = len(a)
     if n == 0 or any(len(row) != n for row in a) or len(b) != n:
         raise DimensionMismatch("solve_square needs a square system")
-    aug = _integer_rows([(*row, rhs) for row, rhs in zip(a, b)])
-    prev = 1
-    for c in range(n):
-        p = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if p is None:
-            return None
-        aug[c], aug[p] = aug[p], aug[c]
-        prow = aug[c]
-        piv = prow[c]
-        for i, row in enumerate(aug):
-            if i != c:
-                f = row[c]
-                aug[i] = [(x * piv - f * y) // prev for x, y in zip(row, prow)]
-        prev = piv
-    return tuple(Fraction(row[n], prev) for row in aug)
+    rows, pivots = _gauss_jordan([(*row, rhs) for row, rhs in zip(a, b)])
+    if pivots != list(range(n)):
+        return None
+    return tuple(Fraction(row[n], row[i]) for i, row in enumerate(rows))
 
 
 def affine_rank(points: Sequence[Vec]) -> int:

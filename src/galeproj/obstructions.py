@@ -151,11 +151,11 @@ def _k_colorable(adj: Sequence[set[int]], k: int, clique: Sequence[int]) -> bool
     return extend(len(clique))
 
 
-def chromatic_number(G: Graph, mode: str = "exact", cap: int = EXACT_CAP) -> tuple[int, bool]:
+def chromatic_number(G: Graph, mode: str = "exact") -> tuple[int, bool]:
     """Chromatic number with an exactness flag.
 
     Exact mode runs branch-and-bound (greedy clique seed, saturation-first
-    branching, canonical color introduction) and is capped at `cap`
+    branching, canonical color introduction) and is capped at `EXACT_CAP`
     vertices; over the cap only a Kneser graph KG(n, k) with n >= 2k is
     answered, by `certified_kneser_chi`.  Greedy mode returns the
     largest-degree-first bound, flagged inexact; an upper bound still
@@ -166,11 +166,11 @@ def chromatic_number(G: Graph, mode: str = "exact", cap: int = EXACT_CAP) -> tup
     n = len(G.vertices)
     if n == 0:
         return 0, True
-    if mode == "exact" and n > cap:
+    if mode == "exact" and n > EXACT_CAP:
         chi = certified_kneser_chi(G)
         if chi is None:
             raise TooLargeForExact(
-                f"{n} vertices exceed the exact cap {cap}; use mode='greedy_upper'"
+                f"{n} vertices exceed the exact cap {EXACT_CAP}; use mode='greedy_upper'"
             )
         return chi, True
     adj = _adjacency(G)
@@ -258,7 +258,7 @@ def _verdict(K: Complex, chi: int, exact: bool, target: int | None) -> Obstructi
     return ObstructionVerdict(n, chi, exact, lower, upper, target, embeddable)
 
 
-def nonface_kneser_chi(K: Complex, mode: str = "exact", cap: int = EXACT_CAP) -> tuple[int, bool]:
+def nonface_kneser_chi(K: Complex, mode: str = "exact") -> tuple[int, bool]:
     """Chromatic number of the Kneser graph of K's minimal non-faces.
 
     Joins are decomposed factor by factor: the full Kneser graph is the
@@ -268,14 +268,14 @@ def nonface_kneser_chi(K: Complex, mode: str = "exact", cap: int = EXACT_CAP) ->
     if isinstance(K, Join):
         total, exact = 0, True
         for factor, times in K.distinct_factors():
-            chi, ex = nonface_kneser_chi(factor, mode, cap)
+            chi, ex = nonface_kneser_chi(factor, mode)
             total += times * chi
             exact = exact and ex
         return total, exact
     nf = minimal_nonfaces(K)
     if not nf:
         return 0, True
-    return chromatic_number(kneser_graph(nf), mode, cap)
+    return chromatic_number(kneser_graph(nf), mode)
 
 
 def djn_dim_upper(K: Complex) -> int:
@@ -295,15 +295,15 @@ def djn_dim_upper(K: Complex) -> int:
     return best - 1 if best >= 0 else -1
 
 
-def sarkaria_bound(K: Complex, chi_mode: str = "exact", cap: int = EXACT_CAP) -> ObstructionVerdict:
+def sarkaria_bound(K: Complex) -> ObstructionVerdict:
     """Index interval for the deleted join: [n - chi - 1, dim djn K]."""
-    chi, exact = nonface_kneser_chi(K, chi_mode, cap)
+    chi, exact = nonface_kneser_chi(K)
     return _verdict(K, chi, exact, None)
 
 
-def nonembeddable(K: Complex, d: int, chi_mode: str = "exact", cap: int = EXACT_CAP) -> ObstructionVerdict:
+def nonembeddable(K: Complex, d: int, chi_mode: str = "exact") -> ObstructionVerdict:
     """Verdict "no" iff the index lower bound exceeds d; else "unknown"."""
     if d < 0:
         raise ValueError("sphere dimension must be >= 0")
-    chi, exact = nonface_kneser_chi(K, chi_mode, cap)
+    chi, exact = nonface_kneser_chi(K, chi_mode)
     return _verdict(K, chi, exact, d)

@@ -28,12 +28,7 @@ from .complexes import (
 from .errors import EpsilonOutOfRange, HypothesisViolated, RetriesExhausted, WrongDimension
 from .gale import VectorConfig, general_position, is_gale_transform, gale_faces_of_card
 from .linalg import Mat, affine_rank, frac, mat
-from .obstructions import (
-    chromatic_number,
-    kneser_graph,
-    lovasz_kneser_chi,
-    nonembeddable,
-)
+from .obstructions import lovasz_kneser_chi, nonembeddable
 from .polytopes import (
     HPolytope,
     VPolytope,
@@ -295,13 +290,13 @@ def obstruction_pipeline(d: int) -> PipelineReport:
     """The general-d obstruction chain for d-fold products of d-simplices.
 
     Builds the d-fold join of d+1 points (kept as its factors, never as
-    its (d+1)^d facets), colors the factor Kneser graph exactly (past the
-    solver's cap by the certified KG(n, k) coloring), assembles the index
-    interval [2d-1, 2d-1], and records the consequence: a projection to
-    d-space keeps at most (d+1)^d - 1 of the (d+1)^d vertices.  The factor
-    coloring is checked against Lovasz's value d-1 where his theorem
-    applies (d+1 >= 4), and against chi = 1 for the edgeless KG(3,2) at
-    d = 2.
+    its (d+1)^d facets), runs the chain, which colors the factor Kneser
+    graph once and exactly (past the solver's cap by the certified KG(n, k)
+    coloring), assembles the index interval [2d-1, 2d-1], and records the
+    consequence: a projection to d-space keeps at most (d+1)^d - 1 of the
+    (d+1)^d vertices.  The factor coloring, the chain's chi over d, is
+    checked against Lovasz's value d-1 where his theorem applies
+    (d+1 >= 4), and against chi = 1 for the edgeless KG(3,2) at d = 2.
     """
     if d < 2:
         raise HypothesisViolated("the obstruction needs d >= 2 (d = 1 is vacuous)")
@@ -323,7 +318,10 @@ def obstruction_pipeline(d: int) -> PipelineReport:
         f"{len(nf)} non-faces",
     )
 
-    chi_factor, chi_exact = chromatic_number(kneser_graph(nf))
+    # K is d copies of one factor object, which the chain colors once.
+    verdict = nonembeddable(K, 2 * d - 2)
+    chi_factor, rest = divmod(verdict.chi_used, d)
+    chi_exact = verdict.chi_is_exact and rest == 0
     report.results["chi_factor"] = chi_factor
     if d + 1 >= 4:  # Lovasz's range n >= 2k for the 2-subsets of d+1 points
         formula = lovasz_kneser_chi(d + 1, 2)
@@ -334,14 +332,13 @@ def obstruction_pipeline(d: int) -> PipelineReport:
         )
     else:
         # d = 2: no two 2-subsets of three points are disjoint.
-        num_edges = kneser_graph(nf).num_edges
+        num_edges = sum(1 for s, t in itertools.combinations(nf, 2) if not set(s) & set(t))
         report.check(
             "exact factor coloring of the edgeless Kneser graph KG(3,2) is 1 = d-1",
             chi_exact and num_edges == 0 and chi_factor == 1 == d - 1,
             f"solver {chi_factor}, {num_edges} edges",
         )
 
-    verdict = nonembeddable(K, 2 * d - 2)
     report.results["chi_total"] = verdict.chi_used
     report.results["sarkaria_lower"] = verdict.sarkaria_lower
     report.results["djn_dim_upper"] = verdict.djn_dim_upper
@@ -381,12 +378,15 @@ def _child_seed(seed: int, index: int) -> int:
     return seed * 1_000_003 + index
 
 
-def sample_vpolytope(rng: random.Random, d: int, f0: int, max_tries: int = 5000) -> VPolytope:
+SAMPLE_TRIES = 5000
+
+
+def sample_vpolytope(rng: random.Random, d: int, f0: int) -> VPolytope:
     """Random rational polytope with exactly f0 vertices, all in convex
     position: integer coordinates in [-100, 100] scaled by 1/10, rejected
-    until full-dimensional and redundancy-free.
+    until full-dimensional and redundancy-free, at most SAMPLE_TRIES times.
     """
-    for _ in range(max_tries):
+    for _ in range(SAMPLE_TRIES):
         pts: list[tuple] = []
         while len(pts) < f0:
             p = tuple(Fraction(rng.randint(-100, 100), 10) for _ in range(d))
@@ -396,7 +396,7 @@ def sample_vpolytope(rng: random.Random, d: int, f0: int, max_tries: int = 5000)
             continue
         if len(hull_vertex_indices(pts)) == f0:
             return VPolytope(pts)
-    raise RetriesExhausted(f"no convex-position sample after {max_tries} tries")
+    raise RetriesExhausted(f"no convex-position sample after {SAMPLE_TRIES} tries")
 
 
 def random_experiment(d: int, r: int, f0s: Sequence[int], trials: int, seed: int) -> PipelineReport:

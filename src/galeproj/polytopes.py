@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 from typing import Iterable, Sequence
 
 from . import lp
@@ -32,6 +32,7 @@ from .linalg import (
     Mat,
     Vec,
     affine_rank,
+    integer_row,
     kernel_basis,
     mat,
     rank,
@@ -208,13 +209,12 @@ def product(P: HPolytope, Q: HPolytope) -> HPolytope:
 def recentre(P: HPolytope) -> HPolytope:
     """Translate so that 0 is strictly interior.
 
-    The new origin has slack at least the LP margin on every row, i.e. the
-    largest common slack capped at 1.
+    The new origin is the mean of P's vertices, read from the records kept
+    on P.  It is interior because P is validated bounded and
+    full-dimensional, so its vertices affinely span the space.
     """
-    interior = lp.lp_feasible([lp.lt(a, bi) for a, bi in zip(P.A, P.b)])
-    if not interior.feasible:
-        raise NotFullDimensional("no interior point to recentre on")
-    x0 = interior.witness
+    coords = [rec.vertex_coords for rec in P.vertex_records]
+    x0 = tuple(sum(column) / len(coords) for column in zip(*coords))
     b = tuple(bi - vdot(a, x0) for a, bi in zip(P.A, P.b))
     return HPolytope(P.A, b, P.facet_labels)
 
@@ -310,22 +310,9 @@ def facet_description(S: VPolytope) -> HPolytope:
 
 def _canonical_row(a: Vec, beta: Fraction) -> tuple[Vec, Fraction]:
     """Scale (a, beta) by a positive rational to coprime integer form."""
-    denom = 1
-    for x in a + (beta,):
-        denom = denom * x.denominator // _gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in a] + [int(beta * denom)]
-    g = 0
-    for v in ints:
-        g = _gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(Fraction(v) for v in ints[:-1]), Fraction(ints[-1])
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+    ints, _ = integer_row(a + (beta,))
+    g = gcd(*ints) or 1
+    return tuple(Fraction(v // g) for v in ints[:-1]), Fraction(ints[-1] // g)
 
 
 def sum_as_projection(P: VPolytope, Q: VPolytope) -> tuple[HPolytope, Mat]:

@@ -293,3 +293,63 @@ def gauss_jordan_solve(a, b):
                 fac = aug[i][c]
                 aug[i] = [x - fac * y for x, y in zip(aug[i], aug[c])]
     return tuple(row[n] for row in aug)
+
+
+def fraction_rref(m):
+    """Reduced row echelon form by `Fraction` elimination, with pivot columns.
+
+    The independent oracle for `linalg._gauss_jordan`: each pivot row is
+    divided by its pivot, and the pivot column is cleared in every other row.
+    """
+    rows = [[Fraction(x) for x in row] for row in m]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                fac = rows[i][c]
+                rows[i] = [x - fac * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def rref_kernel(m):
+    """Kernel vectors from the RREF: 1 at a free column, -rref[r][f] at pivot r."""
+    rows, pivots = fraction_rref(m)
+    n = len(m[0])
+    out = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        x = [Fraction(0)] * n
+        x[f] = Fraction(1)
+        for row, p in zip(rows, pivots):
+            x[p] = -row[f]
+        out.append(tuple(x))
+    return out
+
+
+def lcm_gcd_canonical_row(a, beta):
+    """`polytopes._canonical_row` as written with its own lcm and gcd loops,
+    kept as the oracle for the version built on `linalg.integer_row`."""
+
+    def gcd(x, y):
+        while y:
+            x, y = y, x % y
+        return x
+
+    denom = 1
+    for x in tuple(a) + (beta,):
+        denom = denom * x.denominator // gcd(denom, x.denominator)
+    ints = [int(x * denom) for x in a] + [int(beta * denom)]
+    g = 0
+    for v in ints:
+        g = gcd(g, abs(v))
+    if g > 1:
+        ints = [v // g for v in ints]
+    return tuple(Fraction(v) for v in ints[:-1]), Fraction(ints[-1])

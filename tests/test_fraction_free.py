@@ -1,12 +1,14 @@
 """The exact kernels pivot on integers; `Fraction` arithmetic stays out.
 
-`lp._solve_nonneg` and `linalg.solve_square` keep integer tableaux over
-one common denominator.  A `Fraction` may be built only where the input
-is coerced (module-level constants) and where a result goes out, as one
-two-argument `Fraction(numerator, denominator)` per value.  The pivot
-loops (`lp._pivot`, every loop of `lp.py` that calls it, and the body of
-`solve_square`) name no `Fraction` and use no true division `/`.  The
-`Fraction` simplex lives on only as the test oracle in `helpers.py`.
+`lp._solve_nonneg` and `linalg._gauss_jordan` keep integer rows, the
+tableau over one common denominator.  A `Fraction` may be built only
+where the input is coerced (module-level constants) and where a result
+goes out, as one two-argument `Fraction(numerator, denominator)` per
+value.  The pivot loops (`lp._pivot`, every loop of `lp.py` that calls
+it, `_gauss_jordan`, and the body of `solve_square`) name no `Fraction`
+and use no true division `/`, and `_gauss_jordan` is the only function
+of `linalg.py` with a Bareiss row update.  The `Fraction` simplex and
+eliminations live on only as test oracles in `helpers.py`.
 """
 
 import ast
@@ -83,3 +85,34 @@ def test_fraction_simplex_lives_only_in_the_tests():
         _, functions = _functions(path)
         pivoting = [name for name, fn in functions.items() if name == "_pivot" or _calls(fn, "_pivot")]
         assert path.name == "lp.py" or not pivoting, f"{path.name} pivots: {pivoting}"
+
+
+def _is_bareiss_update(node):
+    """(x * p - f * y) // prev: a floor division of a difference of products."""
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.FloorDiv)
+        and isinstance(node.left, ast.BinOp)
+        and isinstance(node.left.op, ast.Sub)
+        and all(isinstance(side, ast.BinOp) and isinstance(side.op, ast.Mult) for side in (node.left.left, node.left.right))
+    )
+
+
+def test_linalg_has_one_elimination():
+    _, functions = _functions(PACKAGE / "linalg.py")
+    eliminating = [name for name, fn in functions.items() if any(map(_is_bareiss_update, ast.walk(fn)))]
+    assert eliminating == ["_gauss_jordan"]
+    for name in ("rank", "kernel_basis", "solve_square"):
+        assert _calls(functions[name], "_gauss_jordan"), name
+
+
+def test_gauss_jordan_is_integer():
+    _, functions = _functions(PACKAGE / "linalg.py")
+    assert not _rational_uses(functions["_gauss_jordan"])
+
+
+def test_kernel_and_solve_build_fractions_from_two_integers():
+    _, functions = _functions(PACKAGE / "linalg.py")
+    for name in ("kernel_basis", "solve_square"):
+        calls = _fraction_calls(functions[name])
+        assert calls and all(len(c.args) == 2 for c in calls), name

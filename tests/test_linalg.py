@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from galeproj import linalg
 from galeproj.errors import DimensionMismatch, RankDeficient
 from galeproj.linalg import (
     affine_rank,
@@ -15,7 +16,7 @@ from galeproj.linalg import (
     transpose,
     vec,
 )
-from helpers import gauss_jordan_solve
+from helpers import fraction_rref, gauss_jordan_solve, rref_kernel
 
 
 def gauss_rank(rows):
@@ -167,3 +168,129 @@ def test_affine_rank():
     assert affine_rank([vec([0, 0]), vec([1, 0]), vec([2, 0])]) == 1
     assert affine_rank([vec([0, 0]), vec([1, 0]), vec([0, 1])]) == 2
     assert affine_rank([vec([5, 5])]) == 0
+
+
+def structured_matrix(rng, trial):
+    """Seeded matrix for the elimination tests; the trial number picks the
+    entry kind (integer, rational, about 10^7) and one structure: a zero
+    column, a column combined from earlier ones (no pivot there once the
+    earlier columns have pivots), a row combined from two others, a zero
+    row, or none."""
+    nrows, ncols = rng.randint(1, 5), rng.randint(1, 7)
+    kind = ("integer", "rational", "large")[trial % 3]
+    m = [[square_entry(rng, kind) for _ in range(ncols)] for _ in range(nrows)]
+    structure = trial % 5
+    if structure == 0:
+        c = rng.randrange(ncols)
+        for row in m:
+            row[c] = Fraction(0)
+    elif structure == 1 and ncols > 2:
+        c = rng.randrange(2, ncols)
+        s, t = Fraction(rng.randint(-3, 3), rng.randint(1, 3)), Fraction(rng.randint(-3, 3))
+        for row in m:
+            row[c] = s * row[rng.randrange(c)] + t * row[0]
+    elif structure == 2 and nrows > 2:
+        s, t = Fraction(rng.randint(-3, 3), rng.randint(1, 3)), Fraction(rng.randint(1, 3))
+        m[-1] = [s * x + t * y for x, y in zip(m[0], m[1])]
+    elif structure == 3:
+        m[rng.randrange(nrows)] = [Fraction(0)] * ncols
+    return mat(m)
+
+
+def fraction_det(rows):
+    """Determinant of a square matrix by `Fraction` elimination."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(rows)):
+        p = next((i for i in range(c, len(rows)) if rows[i][c] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            rows[c], rows[p] = rows[p], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for i in range(c + 1, len(rows)):
+            fac = rows[i][c] / rows[c][c]
+            rows[i] = [x - fac * y for x, y in zip(rows[i], rows[c])]
+    return det
+
+
+class ExactInt(int):
+    """An int whose floor division fails unless it leaves no remainder."""
+
+    def __floordiv__(self, other):
+        q, r = divmod(int(self), int(other))
+        assert r == 0, f"{int(self)} // {int(other)} leaves {r}"
+        return ExactInt(q)
+
+    def __mul__(self, other):
+        return ExactInt(int(self) * int(other))
+
+    __rmul__ = __mul__
+
+    def __sub__(self, other):
+        return ExactInt(int(self) - int(other))
+
+
+class TestGaussJordan:
+    def test_rows_are_the_determinant_times_the_rref(self):
+        rng = random.Random(9090)
+        seen = {"full": 0, "deficient": 0, "skipped": 0, "square_det": 0, "large": 0}
+        for trial in range(360):
+            m = structured_matrix(rng, trial)
+            rows, pivots = linalg._gauss_jordan(m)
+            ref, ref_pivots = fraction_rref(m)
+            assert pivots == ref_pivots
+            assert all(type(x) is int for row in rows for x in row)
+            if not pivots:
+                assert all(x == 0 for row in rows for x in row)
+                continue
+            det = rows[0][pivots[0]]
+            assert det != 0 and all(rows[r][p] == det for r, p in enumerate(pivots))
+            assert rows == [[det * x for x in row] for row in ref]
+            seen["full" if len(pivots) == len(m) else "deficient"] += 1
+            seen["skipped"] += pivots != list(range(len(pivots)))
+            seen["large"] += trial % 3 == 2
+            if len(m) == len(m[0]) == len(pivots):
+                # the common pivot is the determinant of the integer rows, up to the swaps' sign
+                scaled = [linalg.integer_row(row)[0] for row in m]
+                assert abs(det) == abs(fraction_det(scaled))
+                seen["square_det"] += 1
+        assert seen["full"] > 150 and seen["deficient"] > 50 and seen["skipped"] > 30
+        assert seen["square_det"] > 20 and seen["large"] > 80
+
+    def test_every_division_is_exact(self, monkeypatch):
+        original = linalg.integer_row
+
+        def exact_row(row):
+            ints, lam = original(row)
+            return [ExactInt(x) for x in ints], lam
+
+        monkeypatch.setattr(linalg, "integer_row", exact_row)
+        rng = random.Random(5151)
+        for trial in range(300):
+            rows, _ = linalg._gauss_jordan(structured_matrix(rng, trial))
+            assert all(type(x) is ExactInt for row in rows for x in row)
+
+    def test_kernel_basis_equals_the_rref_kernel(self):
+        rng = random.Random(6262)
+        checked = {"kernel": 0, "deficient": 0}
+        for trial in range(360):
+            m = structured_matrix(rng, trial)
+            if rank(m) < len(m):
+                with pytest.raises(RankDeficient):
+                    kernel_basis(m)
+                checked["deficient"] += 1
+                continue
+            k = kernel_basis(m)
+            assert list(transpose(k)) == rref_kernel(m)
+            assert all(type(x) is Fraction for row in k for x in row)
+            assert all(x == 0 for row in matmul(m, k) for x in row)
+            checked["kernel"] += len(m[0]) > len(m)
+        assert checked["kernel"] > 100 and checked["deficient"] > 30
+
+    def test_rank_equals_the_rref_pivot_count(self):
+        rng = random.Random(7373)
+        for trial in range(200):
+            m = structured_matrix(rng, trial)
+            assert rank(m) == len(fraction_rref(m)[1]) == gauss_rank(m)

@@ -2,11 +2,12 @@ import itertools
 import json
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from math import comb
 
 import pytest
 
-from galeproj import lp, polytopes
+from galeproj import lp, obstructions, pipeline, polytopes
 from galeproj.cli import main
 from galeproj.errors import HypothesisViolated, TooLargeForExact
 from galeproj.obstructions import EXACT_CAP, certified_kneser_chi, chromatic_number, graph, kneser_graph
@@ -161,3 +162,38 @@ def test_random_experiment_counts_at_r_equal_d():
     report = random_experiment(3, 3, [5, 5, 5], 2, 7)
     assert report.passed
     assert report.results["counts"] == [38, 37]
+
+
+class TestKneserFactorBuiltOnce:
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_one_kneser_graph_per_call(self, d, monkeypatch):
+        built = []
+        original = obstructions.kneser_graph
+
+        def counting(family):
+            graph = original(family)
+            built.append(len(graph.vertices))
+            return graph
+
+        for module in (obstructions, pipeline):
+            if hasattr(module, "kneser_graph"):
+                monkeypatch.setattr(module, "kneser_graph", counting)
+        report = obstruction_pipeline(d)
+        assert report.passed, [c.claim for c in report.checks if not c.passed]
+        assert built == [comb(d + 1, 2)]
+        assert report.results["chi_factor"] == d - 1 and report.results["chi_total"] == d * (d - 1)
+
+    def test_factor_check_fails_when_the_total_is_not_d_copies(self, monkeypatch):
+        # chi_factor is read as chi_total // d, so a total that d does not
+        # divide must fail the factor check rather than round down
+        original = pipeline.nonembeddable
+
+        def one_more_color(K, d):
+            v = original(K, d)
+            return replace(v, chi_used=v.chi_used + 1, sarkaria_lower=v.sarkaria_lower - 1, embeddable="unknown")
+
+        monkeypatch.setattr(pipeline, "nonembeddable", one_more_color)
+        report = obstruction_pipeline(4)
+        assert report.results["chi_factor"] == 3 == 4 - 1
+        failed = [c.claim for c in report.checks if not c.passed]
+        assert "exact factor coloring matches the closed-form Kneser value d-1" in failed

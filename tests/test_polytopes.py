@@ -33,7 +33,7 @@ from galeproj.polytopes import (
     sum_as_projection,
     trivial_upper_bound,
 )
-from helpers import normal_cone_oracle, random_points, separation_hull_vertices
+from helpers import lcm_gcd_canonical_row, normal_cone_oracle, random_points, separation_hull_vertices
 
 UNIT_SQUARE = HPolytope([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 1, 1, 1])
 TRIANGLE = VPolytope([(0, 0), (1, 0), (0, 1)])
@@ -489,3 +489,75 @@ def test_dual_boundary_complex_of_triangle_product():
     assert len(K.vertices) == 6
     assert all(len(f) == 4 for f in K.facets)
     assert len(K.facets) == 9
+
+
+class TestCanonicalRow:
+    def test_equals_the_lcm_gcd_oracle(self):
+        rng = random.Random(3131)
+        for trial in range(400):
+            n = rng.randint(1, 5)
+
+            def entry():
+                kind = trial % 4
+                if kind == 0:
+                    return Fraction(rng.randint(-6, 6))
+                if kind == 1:
+                    return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                if kind == 2:
+                    return Fraction(rng.choice([-1, 0, 1]) * 10**7 + rng.randint(-3, 3), rng.choice([1, 3, 10**5]))
+                return Fraction(rng.choice([0, 0, 2, -4, 6]), rng.choice([1, 2, 3]))
+
+            a, beta = tuple(entry() for _ in range(n)), entry()
+            assert polytopes._canonical_row(a, beta) == lcm_gcd_canonical_row(a, beta)
+
+    def test_hand_cases(self):
+        half = Fraction(1, 2)
+        assert polytopes._canonical_row((half, Fraction(3, 4)), Fraction(0)) == ((2, 3), 0)
+        assert polytopes._canonical_row((Fraction(-6), Fraction(4)), Fraction(10)) == ((-3, 2), 5)
+        assert polytopes._canonical_row((Fraction(0),), Fraction(0)) == ((0,), 0)
+
+
+def vertex_mean(P):
+    coords = [r.vertex_coords for r in h_vertices(P)]
+    return tuple(sum(column) / len(coords) for column in zip(*coords))
+
+
+class TestRecentreFromVertices:
+    @pytest.mark.parametrize(
+        "P",
+        [
+            HPolytope([[1], [-1]], [2000001, -2000000]),
+            HPolytope([[1], [-1]], [2, 0]),
+            HPolytope([[-1, 0], [0, -1], [1, 1]], [0, 0, 1]),
+            HPolytope([[1, 0], [-1, 0], [0, 1], [0, -1]], [7, -3, Fraction(1, 3), Fraction(1, 2)]),
+            coupled_triangles(Fraction(1, 4)),
+        ],
+        ids=["far-interval", "segment", "simplex", "box", "coupled-triangles"],
+    )
+    def test_vertex_mean_moves_to_the_origin(self, P):
+        moved = recentre(P)
+        assert moved.A == P.A and moved.facet_labels == P.facet_labels
+        assert all(bi > 0 for bi in moved.b)
+        assert vertex_mean(moved) == (0,) * P.dim
+        shift = vertex_mean(P)
+        assert [r.vertex_coords for r in h_vertices(moved)] == [vsub(r.vertex_coords, shift) for r in h_vertices(P)]
+
+    def test_far_interval_is_centred_at_its_midpoint(self):
+        moved = recentre(HPolytope([[1], [-1]], [2000001, -2000000]))
+        assert moved.b == (Fraction(1, 2), Fraction(1, 2))
+
+    def test_solves_no_lp_beyond_validating_the_result(self, monkeypatch):
+        P = coupled_triangles(Fraction(1, 4))
+        h_vertices(P)
+        calls = []
+        original = lp.lp_feasible
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(lp, "lp_feasible", counting)
+        moved = recentre(P)
+        in_recentre = len(calls)
+        HPolytope(moved.A, moved.b, moved.facet_labels)
+        assert in_recentre == len(calls) - in_recentre > 0
