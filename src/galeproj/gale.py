@@ -17,6 +17,8 @@ from . import lp
 from .errors import DimensionMismatch, DuplicateLabels, NotGale, UnknownLabel
 from .linalg import Vec, mat, rank, vec
 
+FACE_CARD_CAP = 8
+
 
 @dataclass(frozen=True)
 class VectorConfig:
@@ -137,14 +139,14 @@ def gale_face_test(G: VectorConfig, coface: Iterable[int]) -> bool:
     return positively_dependent(G.subset(complement))
 
 
-def gale_faces_of_card(G: VectorConfig, k: int, cap: int = 8) -> list[frozenset[int]]:
+def gale_faces_of_card(G: VectorConfig, k: int) -> list[frozenset[int]]:
     """All k-subsets of labels passing the face test, sorted.
 
     For a simplicial encoded polytope these are exactly its (k-1)-faces.
-    The cardinality cap bounds the C(m, k) sweep; raise it deliberately.
+    `FACE_CARD_CAP` bounds the cardinality, and so the C(m, k) sweep.
     """
-    if k > cap:
-        raise ValueError(f"cardinality {k} exceeds cap {cap}; pass a larger cap")
+    if k > FACE_CARD_CAP:
+        raise ValueError(f"cardinality {k} exceeds the cap {FACE_CARD_CAP}")
     if k > len(G):
         raise ValueError(f"cardinality {k} exceeds configuration size {len(G)}")
     if not G.is_gale:

@@ -10,16 +10,15 @@ Joins (`complexes.Join`) are handled from their factors and never
 materialised: minimal non-faces of a join are the tagged non-faces of
 the factors, the Kneser graph is the bipartite sum of the factor graphs,
 and chromatic numbers add over bipartite sums.  Each distinct factor is
-colored once, however often it occurs.  A factor graph over the exact
-cap is still colored exactly when it is a Kneser graph KG(n, k) with
-n >= 2k, where Lovasz's theorem certifies the value.
+colored once, however often it occurs.  A factor with more non-faces
+than the exact cap is colored exactly, without building its graph, when
+they are all k-subsets of an n-set with n >= 2k (Lovasz's theorem).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
 from typing import Iterable, Sequence
 
 from .complexes import Complex, Join, minimal_nonfaces, sort_labels
@@ -156,10 +155,9 @@ def chromatic_number(G: Graph, mode: str = "exact") -> tuple[int, bool]:
 
     Exact mode runs branch-and-bound (greedy clique seed, saturation-first
     branching, canonical color introduction) and is capped at `EXACT_CAP`
-    vertices; over the cap only a Kneser graph KG(n, k) with n >= 2k is
-    answered, by `certified_kneser_chi`.  Greedy mode returns the
-    largest-degree-first bound, flagged inexact; an upper bound still
-    yields valid index lower bounds downstream.
+    vertices; over the cap it raises TooLargeForExact.  Greedy mode
+    returns the largest-degree-first bound, flagged inexact; an upper
+    bound still yields valid index lower bounds downstream.
     """
     if mode not in ("exact", "greedy_upper"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -167,12 +165,9 @@ def chromatic_number(G: Graph, mode: str = "exact") -> tuple[int, bool]:
     if n == 0:
         return 0, True
     if mode == "exact" and n > EXACT_CAP:
-        chi = certified_kneser_chi(G)
-        if chi is None:
-            raise TooLargeForExact(
-                f"{n} vertices exceed the exact cap {EXACT_CAP}; use mode='greedy_upper'"
-            )
-        return chi, True
+        raise TooLargeForExact(
+            f"{n} vertices exceed the exact cap {EXACT_CAP}; use mode='greedy_upper'"
+        )
     adj = _adjacency(G)
     ub = _greedy_coloring(adj)
     if mode == "greedy_upper":
@@ -197,33 +192,29 @@ def lovasz_kneser_chi(n: int, k: int) -> int:
     return n - 2 * k + 2
 
 
-def certified_kneser_chi(G: Graph) -> int | None:
-    """Chromatic number n - 2k + 2 of G if G is KG(n, k) with n >= 2k, else None.
+def certified_kneser_chi(family: Iterable[Iterable]) -> int | None:
+    """Chromatic number n - 2k + 2 of the family's Kneser graph, or None.
 
-    G qualifies when its vertices are the k-tuples of all k-subsets of an
-    n-set, as `kneser_graph` labels them, and its edges are exactly the
-    disjoint pairs.  Coloring each set by min(rank of its least element,
-    n - 2k + 2) is checked proper on G's edges, which bounds chi from
-    above; Lovasz's theorem bounds it from below.
+    The family qualifies when it is exactly the k-subsets of its n-element
+    union, k >= 1 and n >= 2k, so that its Kneser graph is KG(n, k).
+    Coloring each set by min(rank of its least element, chi) is checked on
+    the family: a set of color c < chi holds the c-th element and one of
+    color chi lies in the last 2k - 1, so each class is intersecting.  That
+    bounds chi from above; Lovasz's theorem bounds it from below.
     """
-    labels = G.vertices
-    if not labels or not all(isinstance(s, tuple) for s in labels):
+    sets = {frozenset(f) for f in family}
+    ground = sort_labels(frozenset().union(*sets))
+    n, k = len(ground), min(map(len, sets), default=0)
+    if k < 1 or n < 2 * k or any(len(s) != k for s in sets):
         return None
-    k = len(labels[0])
-    ground = sort_labels(frozenset().union(*labels))
-    n = len(ground)
-    if (
-        k < 1
-        or n < 2 * k
-        or set(map(frozenset, labels)) != set(map(frozenset, itertools.combinations(ground, k)))
-        or len(G.edges) != comb(n, k) * comb(n - k, k) // 2
-        or any(not set(a).isdisjoint(b) for a, b in map(tuple, G.edges))
-    ):
+    # whole iff no k-subset is missing; the first miss ends the sweep early
+    if not all(frozenset(c) in sets for c in itertools.combinations(ground, k)):
         return None
     chi = lovasz_kneser_chi(n, k)
     rank = {v: i for i, v in enumerate(ground, 1)}
-    color = {s: min(min(rank[v] for v in s), chi) for s in labels}
-    if any(color[a] == color[b] for a, b in map(tuple, G.edges)):
+    tail = frozenset(ground[chi - 1 :])
+    color = {s: min(min(rank[v] for v in s), chi) for s in sets}
+    if any(not (ground[c - 1] in s if c < chi else s <= tail) for s, c in color.items()):
         return None
     return chi
 
@@ -264,6 +255,8 @@ def nonface_kneser_chi(K: Complex, mode: str = "exact") -> tuple[int, bool]:
     Joins are decomposed factor by factor: the full Kneser graph is the
     bipartite sum of the factor graphs, so the chromatic numbers add.
     Each distinct factor is colored once and counted with its multiplicity.
+    In exact mode a factor with more than `EXACT_CAP` non-faces is read
+    off the family by `certified_kneser_chi`, and no graph is built.
     """
     if isinstance(K, Join):
         total, exact = 0, True
@@ -275,6 +268,12 @@ def nonface_kneser_chi(K: Complex, mode: str = "exact") -> tuple[int, bool]:
     nf = minimal_nonfaces(K)
     if not nf:
         return 0, True
+    if mode == "exact" and len(nf) > EXACT_CAP:
+        chi = certified_kneser_chi(nf)
+        if chi is None:
+            msg = f"{len(nf)} non-faces exceed the exact cap {EXACT_CAP}; use mode='greedy_upper'"
+            raise TooLargeForExact(msg)
+        return chi, True
     return chromatic_number(kneser_graph(nf), mode)
 
 

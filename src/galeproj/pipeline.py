@@ -290,9 +290,10 @@ def obstruction_pipeline(d: int) -> PipelineReport:
     """The general-d obstruction chain for d-fold products of d-simplices.
 
     Builds the d-fold join of d+1 points (kept as its factors, never as
-    its (d+1)^d facets), runs the chain, which colors the factor Kneser
-    graph once and exactly (past the solver's cap by the certified KG(n, k)
-    coloring), assembles the index interval [2d-1, 2d-1], and records the
+    its (d+1)^d facets), runs the chain, which colors the factor once and
+    exactly (its Kneser graph by the solver up to the cap, past it the
+    non-face family by the certified KG(n, k) coloring, with no graph
+    built), assembles the index interval [2d-1, 2d-1], and records the
     consequence: a projection to d-space keeps at most (d+1)^d - 1 of the
     (d+1)^d vertices.  The factor coloring, the chain's chi over d, is
     checked against Lovasz's value d-1 where his theorem applies
@@ -411,6 +412,8 @@ def random_experiment(d: int, r: int, f0s: Sequence[int], trials: int, seed: int
         raise WrongDimension("experiments are desk-scale: d must be 2 or 3")
     if len(f0s) != r:
         raise HypothesisViolated(f"need one vertex count per summand, got {len(f0s)}")
+    if trials < 1:
+        raise HypothesisViolated(f"need at least one trial, got {trials}")
     report = PipelineReport(
         "random_experiment",
         {"d": d, "r": r, "f0s": list(f0s), "trials": trials, "seed": seed},
@@ -422,7 +425,7 @@ def random_experiment(d: int, r: int, f0s: Sequence[int], trials: int, seed: int
         rng = random.Random(_child_seed(seed, t))
         polys = [sample_vpolytope(rng, d, f) for f in f0s]
         counts.append(len(minkowski_sum_vertices(polys)))
-    max_count = max(counts) if counts else 0
+    max_count = max(counts)
     report.results["counts"] = counts
     report.results["max_observed"] = max_count
     report.results["trivial_bound"] = trivial

@@ -19,6 +19,31 @@ def rat_str(x: Fraction) -> str:
     return str(x)
 
 
+def _array(value, field: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{field!r} must be an array, got {type(value).__name__}")
+    return value
+
+
+def _matrix(value, field: str) -> list:
+    for i, row in enumerate(_array(value, field)):
+        _array(row, f"{field}[{i}]")
+    return value
+
+
+def _labels(value, field: str) -> list:
+    for x in _array(value, field):
+        if isinstance(x, bool) or not isinstance(x, (str, int)):
+            raise ValueError(f"{field!r} holds {x!r}; labels are ints or strings")
+    return value
+
+
+def _object(data, what: str) -> dict:
+    if not isinstance(data, dict):
+        raise ValueError(f"a {what} must be a JSON object, got {type(data).__name__}")
+    return data
+
+
 def parse_rat(s) -> Fraction:
     if isinstance(s, bool) or not isinstance(s, (str, int)):
         raise ValueError(f"expected a rational string or int, got {s!r}")
@@ -38,11 +63,14 @@ def parse_mat(rows) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def parse_polytope(data: dict) -> VPolytope | HPolytope:
-    kind = data.get("type")
+    kind = _object(data, "polytope").get("type")
     if kind == "V":
-        P = VPolytope(parse_mat(data["points"]))
+        P = VPolytope(parse_mat(_matrix(data["points"], "points")))
     elif kind == "H":
-        P = HPolytope(parse_mat(data["A"]), parse_vec(data["b"]), data.get("labels"))
+        labels = data.get("labels")
+        if labels is not None:
+            _labels(labels, "labels")
+        P = HPolytope(parse_mat(_matrix(data["A"], "A")), parse_vec(_array(data["b"], "b")), labels)
     else:
         raise ValueError(f"polytope type must be 'V' or 'H', got {kind!r}")
     if P.dim != data.get("dim", P.dim):
@@ -55,7 +83,11 @@ def complex_json(K: Complex) -> dict:
 
 
 def parse_complex(data: dict) -> Complex:
-    return closure_from_facets(data["vertices"], [frozenset(f) for f in data["facets"]])
+    facets = _array(_object(data, "complex")["facets"], "facets")
+    return closure_from_facets(
+        _labels(data["vertices"], "vertices"),
+        [frozenset(_labels(f, f"facets[{i}]")) for i, f in enumerate(facets)],
+    )
 
 
 def verdict_json(v: ObstructionVerdict) -> dict:

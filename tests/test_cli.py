@@ -5,6 +5,7 @@ import json
 import pytest
 
 from galeproj.cli import main
+from galeproj.obstructions import EXACT_CAP
 
 SQUARE_H = {"type": "H", "dim": 2, "A": [[1, 0], [-1, 0], [0, 1], [0, -1]], "b": [1, 1, 1, 1]}
 TRIANGLE_V = {"type": "V", "dim": 2, "points": [["0", "0"], ["1", "0"], ["0", "1"]]}
@@ -68,4 +69,66 @@ def test_bad_input_exits_2(name, files, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
+def _write(tmp_path, doc) -> str:
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+# well-formed JSON of the wrong shape: (command, document, what the error names)
+MALFORMED = {
+    "polytope array": ("minksum", [TRIANGLE_V], "JSON object"),
+    "points number": ("minksum", {**TRIANGLE_V, "points": 5}, "'points'"),
+    "points row number": ("minksum", {**TRIANGLE_V, "points": [5]}, "'points[0]'"),
+    "A number": ("minksum", {**SQUARE_H, "A": 5}, "'A'"),
+    "b number": ("minksum", {**SQUARE_H, "b": 5}, "'b'"),
+    "labels number": ("minksum", {**SQUARE_H, "labels": 5}, "'labels'"),
+    "complex array": ("complex", [COMPLEX], "JSON object"),
+    "facets entry number": ("complex", {**COMPLEX, "facets": [1]}, "'facets[0]'"),
+    "vertices number": ("embed", {**COMPLEX, "vertices": 5}, "'vertices'"),
+    "facet label list": ("embed", {**COMPLEX, "facets": [[[1]]]}, "'facets[0]'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_file_exits_2(name, tmp_path, capsys):
+    command, doc, field = MALFORMED[name]
+    path = _write(tmp_path, doc)
+    argv = {
+        "minksum": ["minksum", "--input", path],
+        "complex": ["complex", "cc", "--input", path],
+        "embed": ["embed", "--input", path, "--sphere", "1"],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and field in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_experiment_needs_a_trial(trials, capsys):
+    argv = ["experiment", "--d", "2", "--r", "2", "--f0", "3,3", "--trials", trials, "--seed", "5"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "trial" in captured.err
+    assert captured.out == ""
+
+
+def test_embed_certifies_a_kneser_factor_past_the_cap(tmp_path, capsys):
+    # nine isolated points: the 36 non-faces are all 2-subsets, KG(9, 2)
+    doc = {"vertices": list(range(1, 10)), "facets": [[v] for v in range(1, 10)]}
+    assert main(["embed", "--input", _write(tmp_path, doc), "--sphere", "3", "--format", "json"]) == 0
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict["chi_used"] == 7 and verdict["chi_is_exact"] is True
+
+
+def test_embed_past_the_cap_needs_a_whole_kneser_family(tmp_path, capsys):
+    # the edge {1, 2} leaves 35 of the 36 pairs as non-faces
+    doc = {"vertices": list(range(1, 10)), "facets": [[1, 2]] + [[v] for v in range(3, 10)]}
+    assert main(["embed", "--input", _write(tmp_path, doc), "--sphere", "3", "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and f"exact cap {EXACT_CAP}" in captured.err
     assert captured.out == ""

@@ -173,7 +173,7 @@ class TestFaceEnumeration:
         with pytest.raises(ValueError):
             gale_faces_of_card(coupling_config(1), 9)
         with pytest.raises(ValueError):
-            gale_faces_of_card(coupling_config(1), 7, cap=8)
+            gale_faces_of_card(coupling_config(1), 7)
 
     def test_cross_polytope_diagram_matches_direct_hull(self):
         a, b, c = (1, 0), (0, 1), (-1, -1)

@@ -10,7 +10,7 @@ import pytest
 from galeproj import lp, obstructions, pipeline, polytopes
 from galeproj.cli import main
 from galeproj.errors import HypothesisViolated, TooLargeForExact
-from galeproj.obstructions import EXACT_CAP, certified_kneser_chi, chromatic_number, graph, kneser_graph
+from galeproj.obstructions import EXACT_CAP, certified_kneser_chi, chromatic_number, kneser_graph
 from galeproj.pipeline import obstruction_pipeline, random_experiment, two_triangle_example
 
 
@@ -63,6 +63,18 @@ class TestObstructionScale:
         assert report.passed
         assert peak < 4 * 2**20, f"peak {peak} bytes"
 
+    def test_d30_builds_no_factor_graph(self):
+        # the factor's 465 non-faces are certified as a family; KG(31, 2)
+        # has 94,395 edges, and building it peaks at about 26 MiB
+        tracemalloc.start()
+        try:
+            report = obstruction_pipeline(30)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 2 * 2**20, f"peak {peak} bytes"
+
     @pytest.mark.parametrize("d", [8, 12])
     def test_chain_past_the_exact_cap(self, d):
         assert comb(d + 1, 2) > EXACT_CAP
@@ -76,25 +88,22 @@ class TestObstructionScale:
         for k in (2, 3):
             n = 2 * k
             while comb(n, k) <= EXACT_CAP:
-                G = kg(n, k)
-                chi, exact = chromatic_number(G)
-                assert exact and certified_kneser_chi(G) == chi == n - 2 * k + 2, (n, k)
+                chi, exact = chromatic_number(kg(n, k))
+                family = itertools.combinations(range(1, n + 1), k)
+                assert exact and certified_kneser_chi(family) == chi == n - 2 * k + 2, (n, k)
                 n += 1
 
     def test_certified_coloring_needs_a_whole_kneser_graph(self):
-        full = kg(9, 2)
-        assert len(full.vertices) > EXACT_CAP and chromatic_number(full) == (7, True)
-        one_edge_less = graph(full.vertices, sorted(full.edges, key=sorted)[1:])
-        # same edge count, and the certified coloring stays proper on it
-        one_edge_moved = graph(full.vertices, sorted(full.edges, key=sorted)[1:] + [((1, 2), (2, 3))])
-        one_set_less = kneser_graph(itertools.islice(itertools.combinations(range(1, 10), 2), 35))
-        integer_labels = graph(range(36), [])
-        below_range = kg(5, 3)
-        for G in (one_edge_less, one_edge_moved, one_set_less, integer_labels, below_range):
-            assert certified_kneser_chi(G) is None
-        for G in (one_edge_less, one_edge_moved, one_set_less, integer_labels):
-            with pytest.raises(TooLargeForExact):
-                chromatic_number(G)
+        pairs = list(itertools.combinations(range(1, 10), 2))
+        assert len(pairs) > EXACT_CAP and certified_kneser_chi(pairs) == 7
+        one_set_less = pairs[:35]
+        below_range = list(itertools.combinations(range(1, 6), 3))
+        mixed_sizes = pairs + [(1, 2, 3)]
+        for family in (one_set_less, below_range, mixed_sizes):
+            assert certified_kneser_chi(family) is None
+        # over its cap the solver colors no graph, Kneser or not
+        with pytest.raises(TooLargeForExact):
+            chromatic_number(kg(9, 2))
 
 
 class TestObstructionCli:
@@ -180,7 +189,8 @@ class TestKneserFactorBuiltOnce:
                 monkeypatch.setattr(module, "kneser_graph", counting)
         report = obstruction_pipeline(d)
         assert report.passed, [c.claim for c in report.checks if not c.passed]
-        assert built == [comb(d + 1, 2)]
+        # past the cap the factor is certified from its non-faces, no graph built
+        assert built == ([comb(d + 1, 2)] if comb(d + 1, 2) <= EXACT_CAP else [])
         assert report.results["chi_factor"] == d - 1 and report.results["chi_total"] == d * (d - 1)
 
     def test_factor_check_fails_when_the_total_is_not_d_copies(self, monkeypatch):
