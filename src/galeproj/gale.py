@@ -82,7 +82,7 @@ def positively_spanning(W) -> bool:
 
     Dual criterion: W spans positively iff no nonzero c has <c, w> <= 0 for
     all w.  A nonzero such c must have some coordinate of some sign, so 2e
-    margin LPs settle it.
+    strict feasibility systems settle it.
     """
     vectors = _as_vectors(W)
     if not vectors:

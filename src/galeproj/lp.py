@@ -1,15 +1,15 @@
 """Exact linear feasibility with certificates.
 
-A two-phase simplex (Bland's rule, hence terminating) decides systems of
-``<=``, ``=`` and strict ``<`` constraints.  Strict rows are handled by
-maximizing a shared margin variable t subject to t <= 1; the variables
-are free and unbounded, and the system is feasible iff the optimal margin
-is positive.  Every feasible verdict carries a re-checked witness.
+Phase 1 of a simplex (Bland's rule, hence terminating) is the only
+algorithm: it finds a point of {x >= 0, rows} or proves there is none.
+Systems of ``<=``, ``=`` and strict ``<`` constraints on free, unbounded
+variables reduce to it by homogenisation (see `lp_feasible`).  Every
+feasible verdict carries a re-checked witness.
 
 The tableau is integer over one common denominator D > 0 and pivots by
 the fraction-free update of Edmonds (1967), as Avis's lrs (2000) does:
 each division is exact and no gcd is taken while pivoting.  Rationals
-occur only where rows come in and where the witness and value go out.
+occur only where rows come in and where the witness goes out.
 The tableau differs from the rational one only by positive scalings of
 rows and of slack/artificial columns, which keep every sign Bland's rule
 reads, so the pivots are those of a rational simplex (see `_solve_nonneg`).
@@ -65,7 +65,6 @@ def lt(coeffs: Iterable, rhs) -> LinConstraint:
 class FeasibilityResult:
     status: str  # "feasible" | "infeasible"
     witness: Vec | None = None
-    margin: Fraction | None = None
 
     @property
     def feasible(self) -> bool:
@@ -79,14 +78,10 @@ _ONE = Fraction(1)
 
 
 def _pivot(T, basis, Z, D, r, c):
-    """Fraction-free pivot on T[r][c]; returns the new denominator p.
+    """Fraction-free pivot on T[r][c] > 0; returns the new denominator p.
 
     Row r stays; the other rows and Z become (x*p - f*y) / D, exactly.
-    A negative p (met only pivoting out an artificial) is made positive
-    by negating row r first, which negates all of T and Z and keeps T / D.
     """
-    if T[r][c] < 0:
-        T[r] = [-y for y in T[r]]
     prow = T[r]
     p = prow[c]
     for i, row in enumerate(T):
@@ -99,20 +94,12 @@ def _pivot(T, basis, Z, D, r, c):
     return p
 
 
-def _reduced(c, T, basis, D):
-    """D times the reduced costs of the integer objective c at the basis."""
-    Z = [D * x for x in c]
-    for row, b in zip(T, basis):
-        f = c[b]
-        if f:
-            Z = [z - f * y for z, y in zip(Z, row)]
-    return Z
-
-
 def _simplex_max(T, basis, Z, D, allowed):
-    """Maximize with Bland's rule; Z[-1] / D is -(value).  Returns D.
+    """Maximize the phase-1 objective with Bland's rule; returns D.
 
-    As D > 0, the ratio test compares rhs_i / T[i][enter] cross-multiplied.
+    Z holds D times the reduced costs, and Z[-1] / D is -(value).  As
+    D > 0, the ratio test compares rhs_i / T[i][enter] cross-multiplied,
+    so every pivot element is positive.
     """
     while True:
         enter = next((j for j in allowed if Z[j] > 0), None)
@@ -120,8 +107,8 @@ def _simplex_max(T, basis, Z, D, allowed):
             return D
         candidates = [i for i, row in enumerate(T) if row[enter] > 0]
         if not candidates:
-            # every objective maximized here is capped (phase 1 at 0, the
-            # margin by its row t <= 1), so no improving ray can exist
+            # phase 1 maximizes -(sum of artificials), which is capped at 0,
+            # so no improving ray can exist
             raise AssertionError("capped objective cannot be unbounded")
         best = candidates[0]
         for i in candidates[1:]:
@@ -131,23 +118,22 @@ def _simplex_max(T, basis, Z, D, allowed):
         D = _pivot(T, basis, Z, D, best, enter)
 
 
-def _solve_nonneg(raw_rows, nvars, objective):
-    """max objective over {x >= 0, rows}; rows are (coeffs, rel, rhs).
+def _solve_nonneg(raw_rows, nvars):
+    """A point of {x >= 0, rows} by phase 1, or None; rows are (coeffs, rel, rhs).
 
-    Returns (feasible, x, value); value is None when objective is None.
     Row i is scaled by the lcm lam_i of its denominators and its slack or
     artificial gets entry 1, so the first basis is the identity and D = 1.
     The phase-1 objective -sum a_i reads -sum (L / lam_i) a'_i in the
-    scaled artificials a'_i = lam_i a_i, L the lcm of the lam_i; the
-    phase-2 objective is scaled by the lcm K of its denominators.  Both
-    multiply each reduced cost by a positive number, and each ratio test
+    scaled artificials a'_i = lam_i a_i, L the lcm of the lam_i.  That
+    multiplies each reduced cost by a positive number, and each ratio test
     is scaled by one positive factor, ties included, so Bland's rule picks
-    the pivots of the rational tableau.
+    the pivots of the rational tableau.  An artificial still basic at the
+    end has value 0 and is not read.
     """
     nslack = sum(1 for _, rel, _ in raw_rows if rel == LE)
     art_start = nvars + nslack
     width = art_start + sum(1 for _, rel, rhs in raw_rows if rel != LE or rhs < 0)
-    T, basis, art_lams = [], [], []
+    T, basis, arts = [], [], []
     s_at = nvars
     for coeffs, rel, rhs in raw_rows:
         ints, lam = integer_row([*coeffs, rhs])
@@ -160,49 +146,37 @@ def _solve_nonneg(raw_rows, nvars, objective):
         if rel == LE and rhs >= 0:
             basis.append(s_at - 1)
         else:
-            basis.append(art_start + len(art_lams))
+            basis.append(art_start + len(arts))
             row[basis[-1]] = 1
-            art_lams.append(lam)
+            arts.append((row, lam))
         T.append(row)
 
     D = 1
-    allowed = list(range(art_start))
-    if art_lams:
-        L = lcm(*art_lams)
-        Z = _reduced([0] * art_start + [-(L // lam) for lam in art_lams] + [0], T, basis, D)
-        D = _simplex_max(T, basis, Z, D, allowed)
+    if arts:
+        # D times the reduced costs of -sum (L / lam_i) a'_i at the identity basis
+        L = lcm(*(lam for _, lam in arts))
+        Z = [sum(L // lam * row[j] for row, lam in arts) for j in range(width + 1)]
+        Z[art_start:width] = [0] * len(arts)
+        D = _simplex_max(T, basis, Z, D, range(art_start))
         if Z[-1] > 0:
-            return False, None, None
-        # pivot leftover zero-valued artificials out of the basis
-        for i in range(len(T)):
-            if basis[i] >= art_start:
-                j = next((j for j in allowed if T[i][j] != 0), None)
-                if j is not None:
-                    D = _pivot(T, basis, Z, D, i, j)
-
-    value = None
-    if objective is not None:
-        c, K = integer_row(objective)
-        Z = _reduced(c + [0] * (width - nvars + 1), T, basis, D)
-        D = _simplex_max(T, basis, Z, D, allowed)
-        value = Fraction(-Z[-1], K * D)
+            return None
 
     x = [_ZERO] * nvars
     for row, b in zip(T, basis):
         if b < nvars:
             x[b] = Fraction(row[-1], D)
-    return True, x, value
+    return x
 
 
 def nonneg_combination(eq_rows: list[tuple[list, Fraction]], nvars: int) -> list[Fraction] | None:
-    """Solve {x >= 0, equality rows} by phase-1 only; witness or None.
+    """Solve {x >= 0, equality rows} by phase 1; a re-checked witness or None.
 
-    Much cheaper than `lp_feasible` for cone and convex-hull membership
-    because the sign constraints are native to the simplex variables.
+    Cheaper than `lp_feasible` for cone and convex-hull membership because
+    the sign constraints are native to the simplex variables.
     """
     rows = [([frac(a) for a in coeffs], EQ, frac(rhs)) for coeffs, rhs in eq_rows]
-    ok, x, _ = _solve_nonneg(rows, nvars, None)
-    if not ok:
+    x = _solve_nonneg(rows, nvars)
+    if x is None:
         return None
     if any(v < 0 for v in x) or any(vdot(coeffs, x) != rhs for coeffs, _, rhs in rows):
         raise AssertionError("simplex returned an invalid witness")
@@ -234,10 +208,11 @@ def convex_combination(points, target) -> list[Fraction] | None:
 def lp_feasible(constraints: Iterable[LinConstraint], dim: int | None = None) -> FeasibilityResult:
     """Exact feasibility verdict for a finite system of linear constraints.
 
-    Free variables are split into positive and negative parts and left
-    unbounded.  When strict rows are present the solver maximizes their
-    common slack t subject to t <= 1; the result is feasible iff t > 0, and
-    the margin reported is the optimal slack capped at 1.
+    The system is homogenised onto one phase 1: x = y / lam with y = u - w
+    free and lam = 1 + mu >= 1, where u, w, mu >= 0.  A row a.x <= b (or
+    = b) becomes a.y - b*mu <= b (or = b), and a strict row a.x < b becomes
+    a.y - b*mu <= b - 1, so a.x <= b - 1/lam < b.  Conversely a point x
+    with strict slack delta > 0 gives lam = max(1, 1/delta) and y = lam x.
     """
     cons = list(constraints)
     dims = {len(c.coeffs) for c in cons}
@@ -249,23 +224,20 @@ def lp_feasible(constraints: Iterable[LinConstraint], dim: int | None = None) ->
     if dim is not None and dim != k:
         raise DimensionMismatch(f"declared dim {dim} != constraint dim {k}")
 
-    has_strict = any(c.relation == LT for c in cons)
-    # variables: u_1..u_k, w_1..w_k (x = u - w), then t if strict rows exist
-    nvars = 2 * k + (1 if has_strict else 0)
-    rows = []
-    for c in cons:
-        coeffs = list(c.coeffs) + [-a for a in c.coeffs]
-        if has_strict:
-            coeffs.append(_ONE if c.relation == LT else _ZERO)
-        rows.append((coeffs, EQ if c.relation == EQ else LE, c.rhs))
-    objective = [_ZERO] * (nvars - 1) + [_ONE] if has_strict else None
-    if has_strict:
-        rows.append((objective, LE, _ONE))
-
-    ok, y, value = _solve_nonneg(rows, nvars, objective)
-    if not ok or (has_strict and value <= 0):
+    # variables: u_1..u_k, w_1..w_k, mu
+    rows = [
+        (
+            [*c.coeffs, *(-a for a in c.coeffs), -c.rhs],
+            EQ if c.relation == EQ else LE,
+            c.rhs - 1 if c.relation == LT else c.rhs,
+        )
+        for c in cons
+    ]
+    y = _solve_nonneg(rows, 2 * k + 1)
+    if y is None:
         return INFEASIBLE
-    witness = tuple(y[j] - y[k + j] for j in range(k))
+    lam = 1 + y[-1]
+    witness = tuple((y[j] - y[k + j]) / lam for j in range(k))
     if not all(c.holds(witness) for c in cons):
         raise AssertionError("simplex returned an invalid witness")
-    return FeasibilityResult("feasible", witness, value)
+    return FeasibilityResult("feasible", witness)

@@ -44,6 +44,12 @@ def _object(data, what: str) -> dict:
     return data
 
 
+def _field(data: dict, field: str, what: str):
+    if field not in data:
+        raise ValueError(f"the {what} has no {field!r} field")
+    return data[field]
+
+
 def parse_rat(s) -> Fraction:
     if isinstance(s, bool) or not isinstance(s, (str, int)):
         raise ValueError(f"expected a rational string or int, got {s!r}")
@@ -65,12 +71,13 @@ def parse_mat(rows) -> tuple[tuple[Fraction, ...], ...]:
 def parse_polytope(data: dict) -> VPolytope | HPolytope:
     kind = _object(data, "polytope").get("type")
     if kind == "V":
-        P = VPolytope(parse_mat(_matrix(data["points"], "points")))
+        P = VPolytope(parse_mat(_matrix(_field(data, "points", "V-polytope"), "points")))
     elif kind == "H":
         labels = data.get("labels")
         if labels is not None:
             _labels(labels, "labels")
-        P = HPolytope(parse_mat(_matrix(data["A"], "A")), parse_vec(_array(data["b"], "b")), labels)
+        A = parse_mat(_matrix(_field(data, "A", "H-polytope"), "A"))
+        P = HPolytope(A, parse_vec(_array(_field(data, "b", "H-polytope"), "b")), labels)
     else:
         raise ValueError(f"polytope type must be 'V' or 'H', got {kind!r}")
     if P.dim != data.get("dim", P.dim):
@@ -83,9 +90,9 @@ def complex_json(K: Complex) -> dict:
 
 
 def parse_complex(data: dict) -> Complex:
-    facets = _array(_object(data, "complex")["facets"], "facets")
+    facets = _array(_field(_object(data, "complex"), "facets", "complex"), "facets")
     return closure_from_facets(
-        _labels(data["vertices"], "vertices"),
+        _labels(_field(data, "vertices", "complex"), "vertices"),
         [frozenset(_labels(f, f"facets[{i}]")) for i, f in enumerate(facets)],
     )
 

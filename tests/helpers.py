@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 from galeproj import lp
@@ -148,11 +149,14 @@ def materialised_join(factors) -> Complex:
 
 
 # The rational two-phase simplex that `lp._solve_nonneg` used before its
-# tableau became integer, kept as the oracle for the integer pivots.  It
-# is the old code with two additions: `log` receives (entering column,
-# leaving column) for every pivot, and `events` counts the cases the
-# oracle test must cover (ratio ties, pivot-outs of leftover artificials,
-# negative pivot-outs, artificials left basic on redundant rows).
+# tableau became integer and lost its phase 2.  It serves two oracles:
+# `fraction_solve_nonneg`, its phase 1 alone, must make the pivots of the
+# integer phase 1; `margin_lp_feasible`, the strict-margin LP that
+# `lp.lp_feasible` solved before it homogenised strict rows, must give the
+# same verdicts.  It is the old code with two additions: `log` receives
+# (entering column, leaving column) for every pivot, and `events` counts
+# the cases the oracle tests must cover (ratio ties, and artificials left
+# basic at value 0 after phase 1).
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -206,10 +210,10 @@ def _fraction_simplex_max(rows, basis, z, allowed, log, events):
         _fraction_pivot(rows, basis, z, best_row, enter, log)
 
 
-def fraction_solve_nonneg(raw_rows, nvars, objective, log, events):
+def _fraction_simplex(raw_rows, nvars, objective, log, events):
     """max objective over {x >= 0, rows} in `Fraction` arithmetic.
 
-    Same contract as `lp._solve_nonneg`: returns (feasible, x, value).
+    Returns (feasible, x, value); with no objective it stops after phase 1.
     """
     nslack = sum(1 for _, rel, _ in raw_rows if rel == lp.LE)
     prepared = []
@@ -249,16 +253,14 @@ def fraction_solve_nonneg(raw_rows, nvars, objective, log, events):
         _fraction_reduce_objective(rows, basis, z)
         if _fraction_simplex_max(rows, basis, z, allowed, log, events) < 0:
             return False, None, None
-        # pivot leftover zero-valued artificials out of the basis
-        for i in range(len(rows)):
-            if basis[i] >= art_start:
-                c = next((j for j in allowed if rows[i][j] != 0), None)
-                if c is not None:
-                    events["pivot-out"] += 1
-                    events["negative pivot-out"] += rows[i][c] < 0
-                    _fraction_pivot(rows, basis, z, i, c, log)
-                else:
-                    events["artificial left basic"] += 1
+        events["artificial left basic"] += sum(1 for b in basis if b >= art_start)
+        if objective is not None:
+            # pivot leftover zero-valued artificials out of the basis for phase 2
+            for i in range(len(rows)):
+                if basis[i] >= art_start:
+                    c = next((j for j in allowed if rows[i][j] != 0), None)
+                    if c is not None:
+                        _fraction_pivot(rows, basis, z, i, c, log)
 
     value = None
     if objective is not None:
@@ -271,6 +273,35 @@ def fraction_solve_nonneg(raw_rows, nvars, objective, log, events):
         if b < nvars:
             x[b] = rows[i][-1]
     return True, x, value
+
+
+def fraction_solve_nonneg(raw_rows, nvars, log, events):
+    """Phase 1 in `Fraction` arithmetic; as `lp._solve_nonneg`, a point or None."""
+    return _fraction_simplex(raw_rows, nvars, None, log, events)[1]
+
+
+def margin_lp_feasible(constraints) -> bool:
+    """Verdict of the strict-margin LP that `lp.lp_feasible` once solved.
+
+    The free x = u - w; strict rows share a slack t, maximized subject to
+    t <= 1, and the system is feasible iff phase 1 succeeds and t > 0.
+    """
+    cons = list(constraints)
+    k = len(cons[0].coeffs)
+    has_strict = any(c.relation == lp.LT for c in cons)
+    nvars = 2 * k + has_strict
+    rows = []
+    for c in cons:
+        coeffs = [*c.coeffs, *(-a for a in c.coeffs)]
+        if has_strict:
+            coeffs.append(_ONE if c.relation == lp.LT else _ZERO)
+        rows.append((coeffs, lp.EQ if c.relation == lp.EQ else lp.LE, c.rhs))
+    objective = None
+    if has_strict:
+        objective = [_ZERO] * (nvars - 1) + [_ONE]
+        rows.append((objective, lp.LE, _ONE))
+    feasible, _, value = _fraction_simplex(rows, nvars, objective, [], Counter())
+    return feasible and (not has_strict or value > 0)
 
 
 def gauss_jordan_solve(a, b):

@@ -108,6 +108,32 @@ def test_malformed_file_exits_2(name, tmp_path, capsys):
     assert captured.out == ""
 
 
+# a required field left out: (command, document, the field, the object kind)
+MISSING_FIELD = {
+    "points": ("minksum", {"type": "V"}, "points", "V-polytope"),
+    "A": ("minksum", {"type": "H", "b": [1, 1]}, "A", "H-polytope"),
+    "b": ("minksum", {"type": "H", "A": [[1], [-1]]}, "b", "H-polytope"),
+    "vertices": ("complex", {"facets": [[1]]}, "vertices", "complex"),
+    "facets": ("complex", {"vertices": [1, 2]}, "facets", "complex"),
+    "facets embed": ("embed", {"vertices": [1, 2]}, "facets", "complex"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISSING_FIELD))
+def test_missing_field_is_named(name, tmp_path, capsys):
+    command, doc, field, kind = MISSING_FIELD[name]
+    path = _write(tmp_path, doc)
+    argv = {
+        "minksum": ["minksum", "--input", path],
+        "complex": ["complex", "cc", "--input", path],
+        "embed": ["embed", "--input", path, "--sphere", "1"],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: the {kind} has no {field!r} field\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("trials", ["0", "-2"])
 def test_experiment_needs_a_trial(trials, capsys):
     argv = ["experiment", "--d", "2", "--r", "2", "--f0", "3,3", "--trials", trials, "--seed", "5"]

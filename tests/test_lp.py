@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -16,14 +17,13 @@ from galeproj.lp import (
     lt,
 )
 from galeproj.pipeline import two_triangle_example
-from helpers import fraction_solve_nonneg
+from helpers import fraction_solve_nonneg, margin_lp_feasible
 
 
 def test_unit_interval_feasible():
     r = lp_feasible([le([-1], 0), le([1], 1)])
     assert r.feasible
     assert 0 <= r.witness[0] <= 1
-    assert r.margin is None
 
 
 def test_strict_contradiction_infeasible():
@@ -44,10 +44,9 @@ def test_gordan_system_for_spanning_triple():
             assert not lp_feasible(cons).feasible
 
 
-def test_margin_reported_and_positive():
+def test_strict_box_witness_is_inside():
     r = lp_feasible([lt([1, 0], 1), lt([0, 1], 1), le([-1, 0], 0), le([0, -1], 0)])
     assert r.feasible
-    assert r.margin is not None and r.margin > 0
     assert r.witness[0] < 1 and r.witness[1] < 1
 
 
@@ -85,8 +84,6 @@ def test_witnesses_recheck_on_random_systems():
         if r.feasible:
             feasible_seen += 1
             assert all(c.holds(r.witness) for c in cons)
-            if any(c.relation == "<" for c in cons):
-                assert r.margin > 0
         else:
             infeasible_seen += 1
             assert r.witness is None
@@ -109,7 +106,8 @@ def test_cone_and_convex_combinations_certify():
 
 def test_feasibility_result_shape():
     r = FeasibilityResult("infeasible")
-    assert not r.feasible and r.witness is None and r.margin is None
+    assert not r.feasible and r.witness is None
+    assert [f.name for f in fields(FeasibilityResult)] == ["status", "witness"]
 
 
 def test_answers_do_not_depend_on_magnitude():
@@ -123,14 +121,7 @@ def test_answers_do_not_depend_on_magnitude():
     assert r.feasible and -3 * 10**6 - 5 < r.witness[0] < -3 * 10**6
 
 
-def test_margin_is_the_optimal_slack_capped_at_one():
-    assert lp_feasible([lt([1], 1), lt([-1], 0)]).margin == Fraction(1, 2)
-    # the largest common slack here is 10; the reported margin stops at 1
-    assert lp_feasible([lt([1], 10), lt([-1], 10)]).margin == 1
-    assert lp_feasible([lt([1, 0], 0)]).margin == 1
-
-
-def test_margin_in_unit_interval_on_random_strict_systems():
+def test_witnesses_recheck_on_random_strict_systems():
     rng = random.Random(8080)
     seen = 0
     for _ in range(150):
@@ -143,7 +134,6 @@ def test_margin_in_unit_interval_on_random_strict_systems():
         r = lp_feasible(cons)
         if r.feasible:
             seen += 1
-            assert 0 < r.margin <= 1
             assert all(c.holds(r.witness) for c in cons)
     assert seen > 20
 
@@ -153,9 +143,9 @@ def oracle_checked(monkeypatch):
     """Check every `_solve_nonneg` call against the `Fraction` simplex.
 
     Each solve must make the oracle's pivots, (entering, leaving) column
-    by column, and return the same (feasible, x, value).  The pivot loop
-    must see only ints over a positive denominator.  Returns the counts of
-    solves, pivots and covered cases.
+    by column, and return the same point or None.  The pivot loop must see
+    only ints over a positive denominator and pivot on a positive entry.
+    Returns the counts of solves, pivots and covered cases.
     """
     events = Counter()
     integer_log = []
@@ -164,19 +154,19 @@ def oracle_checked(monkeypatch):
     def checked_pivot(T, basis, Z, D, r, c):
         assert type(D) is int and D > 0
         assert all(type(x) is int for row in T for x in row + Z)
+        assert T[r][c] > 0
         integer_log.append((c, basis[r]))
-        events["integer negative pivot"] += T[r][c] < 0
         return pivot(T, basis, Z, D, r, c)
 
-    def checked_solve(raw_rows, nvars, objective):
+    def checked_solve(raw_rows, nvars):
         oracle_log = []
-        expected = fraction_solve_nonneg(raw_rows, nvars, objective, oracle_log, events)
+        expected = fraction_solve_nonneg(raw_rows, nvars, oracle_log, events)
         integer_log.clear()
-        got = solve(raw_rows, nvars, objective)
+        got = solve(raw_rows, nvars)
         assert integer_log == oracle_log
         assert got == expected
-        if got[0]:
-            assert all(type(v) is Fraction for v in got[1])
+        if got is not None:
+            assert all(type(v) is Fraction for v in got)
         events["solves"] += 1
         events["pivots"] += len(oracle_log)
         return got
@@ -196,15 +186,18 @@ def oracle_entry(rng):
     return Fraction(rng.choice([-1, 1]) * 10**7 + rng.randint(-5, 5), rng.choice([1, 1, 3]))
 
 
+def random_mixed_system(rng):
+    """1 to 6 rows of <=, = or < in 1 to 3 variables, entries from `oracle_entry`."""
+    k = rng.randint(1, 3)
+    rels = [le, eq, lt]
+    return [rng.choice(rels)([oracle_entry(rng) for _ in range(k)], oracle_entry(rng)) for _ in range(rng.randint(1, 6))]
+
+
 class TestIntegerPivotsMatchFractionSimplex:
     def test_random_systems_through_lp_feasible(self, oracle_checked):
         rng = random.Random(6060)
         for _ in range(300):
-            k = rng.randint(1, 3)
-            cons = []
-            for _ in range(rng.randint(1, 6)):
-                rel = rng.choice([le, eq, lt])
-                cons.append(rel([oracle_entry(rng) for _ in range(k)], oracle_entry(rng)))
+            cons = random_mixed_system(rng)
             if rng.random() < 0.3:
                 # a redundant equality: a multiple of a row, or an equality on a row
                 c = rng.choice(cons)
@@ -212,16 +205,17 @@ class TestIntegerPivotsMatchFractionSimplex:
                 cons.append(eq([scale * x for x in c.coeffs], scale * c.rhs))
             lp_feasible(cons)
         assert oracle_checked["solves"] == 300
-        for case in ("tie", "pivot-out", "negative pivot-out", "artificial left basic"):
+        for case in ("tie", "artificial left basic"):
             assert oracle_checked[case] > 0, case
-        assert oracle_checked["integer negative pivot"] == oracle_checked["negative pivot-out"]
 
     def test_hand_made_cases(self, oracle_checked):
         # a negative right-hand side, a redundant pair, parallel rows
         assert lp_feasible([le([1], -3), lt([-1], 10**7)]).feasible
         assert lp_feasible([eq([1, 1], 2), eq([2, 2], 4), le([1, -1], 0), lt([0, -1], 0)]).feasible
         assert not lp_feasible([eq([Fraction(1, 3), 1], 1), eq([1, 3], 4)]).feasible
-        assert lp_feasible([le([1, 1], 0), le([1, -1], 0), lt([-1, 0], 1)]).margin == 1
+        cons = [le([1, 1], 0), le([1, -1], 0), lt([-1, 0], 1)]
+        r = lp_feasible(cons)
+        assert r.feasible and all(c.holds(r.witness) for c in cons)
         assert oracle_checked["solves"] == 4
 
     def test_random_cone_and_convex_combinations(self, oracle_checked):
@@ -238,3 +232,43 @@ class TestIntegerPivotsMatchFractionSimplex:
     def test_two_triangle_example_solves(self, oracle_checked):
         assert two_triangle_example("1/4").passed
         assert oracle_checked["solves"] == 74 + 91
+
+
+# systems at the edge of strictness: name -> (constraints, feasible)
+STRICTNESS_EDGES = {
+    "single point": ([le([1], 1), le([-1], -1)], True),
+    "single point excluded": ([lt([1], 1), le([-1], -1)], False),
+    "strict row beside an equality": ([eq([1, 1], 2), lt([0, -1], 0)], True),
+    "far half-line": ([le([1], -3 * 10**6)], True),
+    "far open half-line": ([lt([1], -3 * 10**6)], True),
+    # an open interval of width 10^-7 needs lam > 10^7
+    "narrow open interval": ([lt([-1], 0), lt([1], Fraction(1, 10**7))], True),
+    "opposite strict rows": ([lt([1], 0), lt([-1], 0), eq([0], 0)], False),
+    "0 < 0": ([lt([0], 0)], False),
+    "0 < 1": ([lt([0], 1)], True),
+}
+
+
+class TestHomogenisedVerdicts:
+    """`lp_feasible` decides by one phase 1 what the margin LP decided by two."""
+
+    def test_verdicts_match_the_margin_lp(self):
+        rng = random.Random(9090)
+        verdicts = Counter()
+        for _ in range(300):
+            cons = random_mixed_system(rng)
+            r = lp_feasible(cons)
+            assert r.feasible == margin_lp_feasible(cons), cons
+            if r.feasible:
+                assert all(c.holds(r.witness) for c in cons)
+            verdicts[r.feasible] += 1
+        assert verdicts[True] > 50 and verdicts[False] > 50
+
+    @pytest.mark.parametrize("name", sorted(STRICTNESS_EDGES))
+    def test_edges_of_strictness(self, name):
+        cons, feasible = STRICTNESS_EDGES[name]
+        assert margin_lp_feasible(cons) == feasible
+        r = lp_feasible(cons)
+        assert r.feasible == feasible
+        if feasible:
+            assert all(c.holds(r.witness) for c in cons)

@@ -150,6 +150,20 @@ class TestTwoTriangleOpCounts:
         # lp_feasible and 106 nonneg_combination calls.
         assert counts == {"lp_feasible": 74, "feasible": 10, "nonneg_combination": 91}
 
+    def test_pivots_at_one_quarter(self, monkeypatch):
+        pivots = []
+        original = lp._pivot
+
+        def counting(*args):
+            pivots.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(lp, "_pivot", counting)
+        assert two_triangle_example("1/4").passed
+        # One phase 1 per system; the strict-margin LP's phase 2 and its
+        # pivot-outs of leftover artificials made 408 pivots.
+        assert len(pivots) == 330
+
     def test_one_vertex_enumeration(self, monkeypatch):
         # h_vertices runs 5 times on the product polytope (directly, and in
         # is_simple, both censuses and dual_boundary_complex) but enumerates
