@@ -80,6 +80,15 @@ class Complex:
     def sorted_facets(self) -> list[list]:
         return sorted((sort_labels(f) for f in self.facets), key=lambda f: [_label_key(x) for x in f])
 
+    @cached_property
+    def nonfaces(self) -> frozenset[Face]:
+        """`minimal_nonfaces` of the complex, listed on first read and kept.
+
+        The value lives in the instance dict, so `==` and `hash` still
+        compare only the vertices and facets.
+        """
+        return minimal_nonfaces(self)
+
 
 def closure_from_facets(vertices: Iterable, facets: Iterable[Iterable]) -> Complex:
     """Complex on the given vertices with the antichain reduction of `facets`."""
@@ -171,7 +180,7 @@ def complement_complex(K: Complex) -> Complex:
     return Complex(K.vertices, _antichain(vs - f for f in K.facets))
 
 
-def minimal_nonfaces(K: Complex) -> set[Face]:
+def minimal_nonfaces(K: Complex) -> frozenset[Face]:
     """Inclusion-minimal non-faces of K.
 
     Any minimal non-face has all proper subsets among the faces, so its
@@ -186,7 +195,7 @@ def minimal_nonfaces(K: Complex) -> set[Face]:
                 continue
             if all(K.is_face(c - {x}) for x in c):
                 out.add(c)
-    return out
+    return frozenset(out)
 
 
 def deleted_join(K: Complex) -> Complex:

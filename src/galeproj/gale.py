@@ -80,22 +80,21 @@ def _as_vectors(W) -> list[Vec]:
 def positively_spanning(W) -> bool:
     """True iff the nonnegative combinations of W fill the whole space.
 
-    Dual criterion: W spans positively iff no nonzero c has <c, w> <= 0 for
-    all w.  A nonzero such c must have some coordinate of some sign, so 2e
-    strict feasibility systems settle it.
+    Davis (1954), via Farkas: W positively spans R^e iff rank W = e and
+    no c has <c, w> <= 0 for all w and <c, sum W> < 0.  Only if: W spans,
+    and such a c is <= 0 on cone W = R^e, so c = 0 and <c, sum W> = 0.
+    If: were cone W != R^e, Farkas gives c != 0 with <c, w> <= 0 for all
+    w; as W spans, some <c, w> < 0, so <c, sum W> < 0.  One rank and one
+    strict system settle it.
     """
     vectors = _as_vectors(W)
     if not vectors:
         raise DimensionMismatch("empty set cannot span")
     e = len(vectors[0])
-    base = [lp.le(w, 0) for w in vectors]
-    for j in range(e):
-        for s in (1, -1):
-            direction = [Fraction(0)] * e
-            direction[j] = Fraction(-s)
-            if lp.lp_feasible(base + [lp.lt(direction, 0)]).feasible:
-                return False
-    return True
+    if rank(mat(vectors)) < e:
+        return False
+    total = [sum(w[j] for w in vectors) for j in range(e)]
+    return not lp.lp_feasible([lp.le(w, 0) for w in vectors] + [lp.lt(total, 0)]).feasible
 
 
 def positively_dependent(W) -> bool:

@@ -4,7 +4,9 @@ Phase 1 of a simplex (Bland's rule, hence terminating) is the only
 algorithm: it finds a point of {x >= 0, rows} or proves there is none.
 Systems of ``<=``, ``=`` and strict ``<`` constraints on free, unbounded
 variables reduce to it by homogenisation (see `lp_feasible`).  Every
-feasible verdict carries a re-checked witness.
+feasible verdict carries a witness re-checked against the input rows,
+never the tableau: `nonneg_combination` checks it in integers, over the
+witness's common denominator.
 
 The tableau is integer over one common denominator D > 0 and pivots by
 the fraction-free update of Edmonds (1967), as Avis's lrs (2000) does:
@@ -20,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Iterable
 
 from .errors import DimensionMismatch
@@ -172,13 +175,19 @@ def nonneg_combination(eq_rows: list[tuple[list, Fraction]], nvars: int) -> list
     """Solve {x >= 0, equality rows} by phase 1; a re-checked witness or None.
 
     Cheaper than `lp_feasible` for cone and convex-hull membership because
-    the sign constraints are native to the simplex variables.
+    the sign constraints are native to the simplex variables.  The witness
+    is re-checked in integers against the input rows alone, not the
+    tableau: x = num / L by `integer_row`, and each row a.x = b, scaled to
+    integers a'.x = b', must hold as a'.num = b' * L, with num >= 0.
     """
     rows = [([frac(a) for a in coeffs], EQ, frac(rhs)) for coeffs, rhs in eq_rows]
     x = _solve_nonneg(rows, nvars)
     if x is None:
         return None
-    if any(v < 0 for v in x) or any(vdot(coeffs, x) != rhs for coeffs, _, rhs in rows):
+    num, L = integer_row(x)
+    scaled = (integer_row([*coeffs, rhs])[0] for coeffs, _, rhs in rows)
+    # num has one entry per variable, so map leaves the rhs b' out of the sum
+    if any(n < 0 for n in num) or any(sum(map(mul, a, num)) != a[-1] * L for a in scaled):
         raise AssertionError("simplex returned an invalid witness")
     return x
 

@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .complexes import Complex, Join, minimal_nonfaces, sort_labels
+from .complexes import Complex, Join, sort_labels
 from .errors import OutOfTheoremRange, TooLargeForExact
 
 EXACT_CAP = 32
@@ -265,7 +265,7 @@ def nonface_kneser_chi(K: Complex, mode: str = "exact") -> tuple[int, bool]:
             total += times * chi
             exact = exact and ex
         return total, exact
-    nf = minimal_nonfaces(K)
+    nf = K.nonfaces
     if not nf:
         return 0, True
     if mode == "exact" and len(nf) > EXACT_CAP:

@@ -20,7 +20,6 @@ from .complexes import (
     closure_from_facets,
     complete_bipartite,
     complement_complex,
-    minimal_nonfaces,
     points_complex,
     power_join,
     sort_labels,
@@ -312,7 +311,7 @@ def obstruction_pipeline(d: int) -> PipelineReport:
         f"got {n}",
     )
 
-    nf = sorted(map(sort_labels, minimal_nonfaces(factor)))
+    nf = sorted(map(sort_labels, factor.nonfaces))
     report.check(
         "the factor's minimal non-faces are exactly the 2-element subsets",
         nf == [list(c) for c in itertools.combinations(range(1, d + 2), 2)],

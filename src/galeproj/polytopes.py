@@ -65,6 +65,16 @@ class VPolytope:
     def f0(self) -> int:
         return len(hull_vertices(self))
 
+    @cached_property
+    def differences(self) -> tuple[tuple[Vec, ...], ...]:
+        """For each point v, the differences w - v over the other points w.
+
+        Built on first read and kept on the instance, like
+        `HPolytope.vertex_records`, so `==` and `hash` still compare only
+        the fields.
+        """
+        return tuple(tuple(vsub(w, v) for w in self.points if w != v) for v in self.points)
+
 
 @dataclass(frozen=True)
 class FaceRecord:
@@ -238,7 +248,9 @@ def minkowski_vertex_test(choice: Sequence[int], polys: Sequence[VPolytope]) -> 
     chosen point than on every other point of its polytope, i.e. the open
     normal cones of the chosen vertices intersect.  By Gordan's alternative
     such a c exists iff 0 is not a convex combination of the differences
-    w - v_i, which one phase-1 solve decides.
+    w - v_i, which one phase-1 solve decides.  The differences are read
+    from each summand's `VPolytope.differences`, built once per summand,
+    not once per tuple.
     """
     if len(choice) != len(polys):
         raise DimensionMismatch("one chosen vertex per summand")
@@ -248,8 +260,7 @@ def minkowski_vertex_test(choice: Sequence[int], polys: Sequence[VPolytope]) -> 
     for idx, Q in zip(choice, polys):
         if not 0 <= idx < len(Q.points):
             raise IndexOutOfRange(f"vertex index {idx} out of range")
-        v = Q.points[idx]
-        diffs.extend(vsub(w, v) for w in Q.points if w != v)
+        diffs.extend(Q.differences[idx])
     if not diffs:
         return True  # all summands are single points
     return lp.convex_combination(diffs, (0,) * polys[0].dim) is None

@@ -122,6 +122,24 @@ def spans_positively_primal(vectors) -> bool:
     return True
 
 
+def signed_systems_spanning(vectors) -> bool:
+    """Dual oracle: the 2e strict systems `gale.positively_spanning` once solved.
+
+    W spans positively iff no nonzero c has <c, w> <= 0 for all w; such a
+    c has some coordinate of some sign, so one strict system per signed
+    coordinate settles it.
+    """
+    e = len(vectors[0])
+    base = [lp.le(w, 0) for w in vectors]
+    for j in range(e):
+        for s in (1, -1):
+            direction = [Fraction(0)] * e
+            direction[j] = Fraction(-s)
+            if lp.lp_feasible(base + [lp.lt(direction, 0)]).feasible:
+                return False
+    return True
+
+
 def brute_minimal_nonfaces(K: Complex) -> set[frozenset]:
     """Reference implementation scanning every vertex subset."""
     verts = list(K.vertices)

@@ -233,6 +233,15 @@ class TestMinimalNonfaces:
             K = random_complex(rng, 7)
             assert minimal_nonfaces(K) == brute_minimal_nonfaces(K)
 
+    def test_family_kept_on_the_instance(self):
+        K, L = points_complex(4), points_complex(4)
+        before, text = hash(K), repr(K)
+        family = K.nonfaces
+        assert isinstance(family, frozenset) and family == minimal_nonfaces(K)
+        assert K.nonfaces is family
+        assert K == L and hash(K) == hash(L) == before
+        assert repr(K) == repr(L) == text
+
 
 class TestDeletedJoin:
     def test_single_point_gives_two_points(self):

@@ -7,8 +7,10 @@ goes out, as one two-argument `Fraction(numerator, denominator)` per
 value.  The pivot loops (`lp._pivot`, every loop of `lp.py` that calls
 it, `_gauss_jordan`, and the body of `solve_square`) name no `Fraction`
 and use no true division `/`, and `_gauss_jordan` is the only function
-of `linalg.py` with a Bareiss row update.  The `Fraction` simplex and
-eliminations live on only as test oracles in `helpers.py`.
+of `linalg.py` with a Bareiss row update.  `nonneg_combination`
+re-checks its witness in integers, with no `Fraction` and no `vdot`.
+The `Fraction` simplex and eliminations live on only as test oracles in
+`helpers.py`.
 """
 
 import ast
@@ -58,6 +60,14 @@ def test_lp_builds_fractions_only_for_input_and_output():
                 assert len(calls) == 1 and len(calls[0].args) == 2
             else:
                 assert not calls, f"Fraction(...) in lp.{node.name}"
+
+
+def test_witness_recheck_is_integer():
+    # the body, not the annotations, which name the Fraction type of the result
+    _, functions = _functions(PACKAGE / "lp.py")
+    body = functions["nonneg_combination"].body
+    names = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+    assert not names & {"vdot", "Fraction"}, names & {"vdot", "Fraction"}
 
 
 def test_lp_pivot_loops_are_integer():

@@ -1,10 +1,11 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from galeproj import lp
+from galeproj import gale, lp
 from galeproj.errors import DuplicateLabels, NotGale
 from galeproj.gale import (
     VectorConfig,
@@ -17,7 +18,8 @@ from galeproj.gale import (
 )
 from galeproj.linalg import mat_vec, vec, vscale
 from galeproj.polytopes import VPolytope, hull_vertices
-from helpers import spans_positively_primal, unimodular_matrix, vpoly_face_oracle
+from helpers import signed_systems_spanning, spans_positively_primal, unimodular_matrix, vpoly_face_oracle
+from test_lp import oracle_entry
 
 
 def coupling_config(e):
@@ -54,6 +56,35 @@ class TestPositivelySpanning:
             agree_true += got
             agree_false += not got
         assert agree_true and agree_false
+
+
+class TestSpanningOracle:
+    """One rank and one strict system decide what 2e strict systems decided."""
+
+    def test_matches_the_signed_systems(self, monkeypatch):
+        ranks = []
+        original = gale.rank
+
+        def recording(m):
+            ranks.append((original(m), len(m[0])))
+            return ranks[-1][0]
+
+        monkeypatch.setattr(gale, "rank", recording)
+        rng = random.Random(1954)
+        verdicts = Counter()
+        for _ in range(300):
+            e = rng.randint(1, 3)
+            vectors = [tuple(oracle_entry(rng) for _ in range(e)) for _ in range(rng.randint(1, 7))]
+            if len(vectors) > 1 and rng.random() < 0.3:
+                vectors[rng.randrange(len(vectors))] = rng.choice(vectors)
+            if rng.random() < 0.2:
+                vectors[rng.randrange(len(vectors))] = (0,) * e
+            got = positively_spanning(vectors)
+            assert got == signed_systems_spanning(vectors), vectors
+            verdicts[got] += 1
+        assert verdicts[True] > 20 and verdicts[False] > 20
+        # the rank test alone rejects some configurations
+        assert sum(r < e for r, e in ranks) > 20
 
 
 class TestPositivelyDependent:
@@ -119,14 +150,14 @@ class TestCachedVerdict:
         monkeypatch.setattr(lp, "lp_feasible", counting)
         G = coupling_config(Fraction(1, 4))
         assert is_gale_transform(G)
-        assert len(calls) == 24  # 6 deletions, 2e = 4 margin LPs each
+        assert len(calls) == 6  # 6 deletions, one strict system each
         assert is_gale_transform(G) and G.is_gale
         gale_faces_of_card(G, 2)
         gale_face_test(G, {1, 3})
-        assert len(calls) == 24
+        assert len(calls) == 6
         # the verdict lives on the instance: an equal, fresh one decides again
         assert is_gale_transform(coupling_config(Fraction(1, 4)))
-        assert len(calls) == 48
+        assert len(calls) == 12
 
     def test_verdict_leaves_eq_and_hash_unchanged(self):
         G, H = coupling_config(Fraction(1, 4)), coupling_config(Fraction(1, 4))

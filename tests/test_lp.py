@@ -231,7 +231,7 @@ class TestIntegerPivotsMatchFractionSimplex:
 
     def test_two_triangle_example_solves(self, oracle_checked):
         assert two_triangle_example("1/4").passed
-        assert oracle_checked["solves"] == 74 + 91
+        assert oracle_checked["solves"] == 25 + 91
 
 
 # systems at the edge of strictness: name -> (constraints, feasible)
@@ -272,3 +272,36 @@ class TestHomogenisedVerdicts:
         assert r.feasible == feasible
         if feasible:
             assert all(c.holds(r.witness) for c in cons)
+
+
+# points 0, 1, 2 on a line and the target 1; both bad points below satisfy
+# the convex-combination row x1 + x2 + x3 = 1
+LINE_POINTS = [(0,), (1,), (2,)]
+BAD_WITNESSES = {
+    # x2 + 2 x3 = 1/2, not 1
+    "off one row": [Fraction(1, 2), Fraction(1, 2), Fraction(0)],
+    # on every row, but x2 < 0
+    "negative coordinate": [Fraction(2, 3), Fraction(-1, 3), Fraction(2, 3)],
+}
+MEMBERSHIP_CALLS = {
+    "nonneg_combination": lambda: lp.nonneg_combination([([0, 1, 2], 1), ([1, 1, 1], 1)], 3),
+    "cone_combination": lambda: cone_combination(LINE_POINTS, (1,)),
+    "convex_combination": lambda: convex_combination(LINE_POINTS, (1,)),
+}
+
+
+class TestWitnessRecheck:
+    """The re-check reads only the input rows and the returned point."""
+
+    @pytest.mark.parametrize("call", sorted(MEMBERSHIP_CALLS))
+    def test_a_valid_witness_passes(self, call):
+        x = MEMBERSHIP_CALLS[call]()
+        assert x is not None and all(v >= 0 for v in x)
+        assert x[1] + 2 * x[2] == 1
+
+    @pytest.mark.parametrize("bad", sorted(BAD_WITNESSES))
+    @pytest.mark.parametrize("call", sorted(MEMBERSHIP_CALLS))
+    def test_a_bad_witness_raises(self, call, bad, monkeypatch):
+        monkeypatch.setattr(lp, "_solve_nonneg", lambda raw_rows, nvars: list(BAD_WITNESSES[bad]))
+        with pytest.raises(AssertionError, match="invalid witness"):
+            MEMBERSHIP_CALLS[call]()

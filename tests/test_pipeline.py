@@ -3,15 +3,22 @@ import json
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from math import comb
 
 import pytest
 
-from galeproj import lp, obstructions, pipeline, polytopes
+from galeproj import complexes, lp, obstructions, pipeline, polytopes
 from galeproj.cli import main
 from galeproj.errors import HypothesisViolated, TooLargeForExact
 from galeproj.obstructions import EXACT_CAP, certified_kneser_chi, chromatic_number, kneser_graph
-from galeproj.pipeline import obstruction_pipeline, random_experiment, two_triangle_example
+from galeproj.pipeline import (
+    minkowski_vertex_bound,
+    obstruction_pipeline,
+    pigeonhole_lower_bound,
+    random_experiment,
+    two_triangle_example,
+)
 
 
 def json_documents(text):
@@ -126,6 +133,42 @@ class TestObstructionCli:
         assert "overall: PASS" in capsys.readouterr().out
 
 
+class TestNonfacesListedOnce:
+    def test_once_per_d(self, monkeypatch, capsys):
+        listed = []
+        original = complexes.minimal_nonfaces
+
+        def counting(K):
+            listed.append(len(K.vertices))
+            return original(K)
+
+        monkeypatch.setattr(complexes, "minimal_nonfaces", counting)
+        assert main(["obstruction", "--d", "2..6"]) == 0
+        assert "overall: PASS" in capsys.readouterr().out
+        # the factor's check and the chain read one family; each listed it before
+        assert listed == [3, 4, 5, 6, 7]
+
+
+class TestBounds:
+    def test_vertex_bound_at_d3_r3(self):
+        assert minkowski_vertex_bound(3, 3, [5, 5, 5]) == Fraction(7875, 64)
+
+    def test_pigeonhole_count_at_d3_r3(self):
+        count = pigeonhole_lower_bound(3, 3, [5, 5, 5])
+        assert (count.subset_choices, count.subsums_per_tuple) == (125, 64)
+        assert count.ratio == count.failures_lower == Fraction(125, 64)
+
+    @pytest.mark.parametrize(
+        "d, r, f0s",
+        [(0, 3, [5, 5, 5]), (3, 2, [5, 5]), (3, 3, [5, 5]), (3, 3, [5, 3, 5]), (2, 2, [3, 2])],
+        ids=["d below 1", "r below d", "wrong f0 count", "f0 equal to d", "f0 below d"],
+    )
+    def test_hypotheses_enforced(self, d, r, f0s):
+        for bound in (minkowski_vertex_bound, pigeonhole_lower_bound):
+            with pytest.raises(HypothesisViolated):
+                bound(d, r, f0s)
+
+
 class TestTwoTriangleOpCounts:
     def test_lp_calls_at_one_quarter(self, monkeypatch):
         counts = Counter()
@@ -145,10 +188,11 @@ class TestTwoTriangleOpCounts:
         count("lp_feasible")
         count("nonneg_combination")
         assert two_triangle_example("1/4").passed
-        # The Gale property of the g-vectors is decided once (24 margin
-        # LPs); deciding it again in every face question made 218
-        # lp_feasible and 106 nonneg_combination calls.
-        assert counts == {"lp_feasible": 74, "feasible": 10, "nonneg_combination": 91}
+        # The Gale property of the g-vectors is decided once (6 strict
+        # systems, one per deletion); deciding it again in every face
+        # question made 218 lp_feasible and 106 nonneg_combination calls,
+        # and 2e strict systems per spanning test made 74 lp_feasible calls.
+        assert counts == {"lp_feasible": 25, "feasible": 10, "nonneg_combination": 91}
 
     def test_pivots_at_one_quarter(self, monkeypatch):
         pivots = []
@@ -160,9 +204,10 @@ class TestTwoTriangleOpCounts:
 
         monkeypatch.setattr(lp, "_pivot", counting)
         assert two_triangle_example("1/4").passed
-        # One phase 1 per system; the strict-margin LP's phase 2 and its
-        # pivot-outs of leftover artificials made 408 pivots.
-        assert len(pivots) == 330
+        # One phase 1 per system and one strict system per spanning test;
+        # the strict-margin LP's phase 2 and its pivot-outs of leftover
+        # artificials made 408 pivots, and 2e systems per spanning test 330.
+        assert len(pivots) == 257
 
     def test_one_vertex_enumeration(self, monkeypatch):
         # h_vertices runs 5 times on the product polytope (directly, and in

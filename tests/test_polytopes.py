@@ -435,6 +435,57 @@ class TestGordanVertexTest:
         assert calls == {"convex_combination": 6, "lp_feasible": 0}
 
 
+class TestDifferencesCached:
+    """Each summand's differences w - v are built once, not once per tuple."""
+
+    def test_one_difference_per_ordered_pair_of_points(self, monkeypatch):
+        calls = []
+        original = polytopes.vsub
+
+        def counting(u, v):
+            calls.append(1)
+            return original(u, v)
+
+        monkeypatch.setattr(polytopes, "vsub", counting)
+        rng = random.Random(36)
+        polys = [VPolytope(random_points(rng, 3, 4)) for _ in range(3)]
+        sums = minkowski_sum_vertices(polys)
+        # sum f0_i (f0_i - 1) = 3 * 4 * 3, not prod f0_i * sum (f0_i - 1) = 64 * 9
+        assert len(calls) == 36
+        accepted = {choice for choice, _ in sums}
+        for choice in all_choices(polys):
+            assert (choice in accepted) == normal_cone_oracle(choice, polys)
+        minkowski_sum_vertices(polys)
+        assert len(calls) == 36
+
+    def test_differences_leave_eq_hash_and_repr_unchanged(self):
+        pts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        P, Q = VPolytope(pts), VPolytope(pts)
+        before, text = hash(P), repr(P)
+        assert P.differences[0] == tuple(vec(p) for p in pts[1:])
+        assert all(len(diffs) == 3 for diffs in P.differences)
+        assert P == Q and hash(P) == hash(Q) == before
+        assert repr(P) == repr(Q) == text
+
+    def test_lifted_lattice_instance_work(self, monkeypatch):
+        # one phase 1 per tuple and no strict system: 125 solves, 875 pivots
+        calls = {"nonneg_combination": 0, "lp_feasible": 0, "_pivot": 0}
+
+        def counting(name):
+            original = getattr(lp, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(lp, name, counting(name))
+        assert len(minkowski_sum_vertices(lifted_lattice_summands())) == 41
+        assert calls == {"nonneg_combination": 125, "lp_feasible": 0, "_pivot": 875}
+
+
 class TestTrivialBound:
     def test_values(self):
         assert trivial_upper_bound([3, 3]) == 9
