@@ -11,7 +11,8 @@ witness's common denominator.
 The tableau is integer over one common denominator D > 0 and pivots by
 the fraction-free update of Edmonds (1967), as Avis's lrs (2000) does:
 each division is exact and no gcd is taken while pivoting.  Rationals
-occur only where rows come in and where the witness goes out.
+occur only where rows come in, each scaled to integers once by
+`integer_row`, and where the witness goes out.
 The tableau differs from the rational one only by positive scalings of
 rows and of slack/artificial columns, which keep every sign Bland's rule
 reads, so the pivots are those of a rational simplex (see `_solve_nonneg`).
@@ -121,32 +122,33 @@ def _simplex_max(T, basis, Z, D, allowed):
         D = _pivot(T, basis, Z, D, best, enter)
 
 
-def _solve_nonneg(raw_rows, nvars):
-    """A point of {x >= 0, rows} by phase 1, or None; rows are (coeffs, rel, rhs).
+def _solve_nonneg(rows, nvars):
+    """A point of {x >= 0, rows} by phase 1, or None.
 
-    Row i is scaled by the lcm lam_i of its denominators and its slack or
-    artificial gets entry 1, so the first basis is the identity and D = 1.
-    The phase-1 objective -sum a_i reads -sum (L / lam_i) a'_i in the
-    scaled artificials a'_i = lam_i a_i, L the lcm of the lam_i.  That
-    multiplies each reduced cost by a positive number, and each ratio test
-    is scaled by one positive factor, ties included, so Bland's rule picks
-    the pivots of the rational tableau.  An artificial still basic at the
-    end has value 0 and is not read.
+    Rows arrive already integer, as (ints, lam, rel) from `integer_row`:
+    ints = lam * [coeffs, rhs] with lam the lcm of the row's denominators,
+    and rel one of LE, EQ.  Each row's slack or artificial gets entry 1,
+    so the first basis is the identity and D = 1.  The phase-1 objective
+    -sum a_i reads -sum (L / lam_i) a'_i in the scaled artificials
+    a'_i = lam_i a_i, L the lcm of the lam_i.  That multiplies each reduced
+    cost by a positive number, and each ratio test is scaled by one
+    positive factor, ties included, so Bland's rule picks the pivots of the
+    rational tableau.  An artificial still basic at the end has value 0
+    and is not read.
     """
-    nslack = sum(1 for _, rel, _ in raw_rows if rel == LE)
+    nslack = sum(1 for _, _, rel in rows if rel == LE)
     art_start = nvars + nslack
-    width = art_start + sum(1 for _, rel, rhs in raw_rows if rel != LE or rhs < 0)
+    width = art_start + sum(1 for ints, _, rel in rows if rel != LE or ints[-1] < 0)
     T, basis, arts = [], [], []
     s_at = nvars
-    for coeffs, rel, rhs in raw_rows:
-        ints, lam = integer_row([*coeffs, rhs])
+    for ints, lam, rel in rows:
         row = ints[:-1] + [0] * (width - nvars) + ints[-1:]
         if rel == LE:
             row[s_at] = 1
             s_at += 1
-        if rhs < 0:
+        if ints[-1] < 0:
             row = [-x for x in row]
-        if rel == LE and rhs >= 0:
+        if rel == LE and ints[-1] >= 0:
             basis.append(s_at - 1)
         else:
             basis.append(art_start + len(arts))
@@ -174,20 +176,21 @@ def _solve_nonneg(raw_rows, nvars):
 def nonneg_combination(eq_rows: list[tuple[list, Fraction]], nvars: int) -> list[Fraction] | None:
     """Solve {x >= 0, equality rows} by phase 1; a re-checked witness or None.
 
-    Cheaper than `lp_feasible` for cone and convex-hull membership because
-    the sign constraints are native to the simplex variables.  The witness
-    is re-checked in integers against the input rows alone, not the
-    tableau: x = num / L by `integer_row`, and each row a.x = b, scaled to
-    integers a'.x = b', must hold as a'.num = b' * L, with num >= 0.
+    Entries are ints or Fractions.  Cheaper than `lp_feasible` for cone and
+    convex-hull membership because the sign constraints are native to the
+    simplex variables.  Each row a.x = b is scaled once by `integer_row`
+    to integers a'.x = b', for the tableau and for the witness re-check.
+    The re-check reads those input rows and the returned point, not the
+    tableau: x = num / L, and each row must hold as a'.num = b' * L, with
+    num >= 0.
     """
-    rows = [([frac(a) for a in coeffs], EQ, frac(rhs)) for coeffs, rhs in eq_rows]
-    x = _solve_nonneg(rows, nvars)
+    rows = [integer_row([*coeffs, rhs]) for coeffs, rhs in eq_rows]
+    x = _solve_nonneg([(ints, lam, EQ) for ints, lam in rows], nvars)
     if x is None:
         return None
     num, L = integer_row(x)
-    scaled = (integer_row([*coeffs, rhs])[0] for coeffs, _, rhs in rows)
     # num has one entry per variable, so map leaves the rhs b' out of the sum
-    if any(n < 0 for n in num) or any(sum(map(mul, a, num)) != a[-1] * L for a in scaled):
+    if any(n < 0 for n in num) or any(sum(map(mul, a, num)) != a[-1] * L for a, _ in rows):
         raise AssertionError("simplex returned an invalid witness")
     return x
 
@@ -234,14 +237,11 @@ def lp_feasible(constraints: Iterable[LinConstraint], dim: int | None = None) ->
         raise DimensionMismatch(f"declared dim {dim} != constraint dim {k}")
 
     # variables: u_1..u_k, w_1..w_k, mu
-    rows = [
-        (
-            [*c.coeffs, *(-a for a in c.coeffs), -c.rhs],
-            EQ if c.relation == EQ else LE,
-            c.rhs - 1 if c.relation == LT else c.rhs,
-        )
-        for c in cons
-    ]
+    rows = []
+    for c in cons:
+        rhs = c.rhs - 1 if c.relation == LT else c.rhs
+        ints, lam = integer_row([*c.coeffs, *(-a for a in c.coeffs), -c.rhs, rhs])
+        rows.append((ints, lam, EQ if c.relation == EQ else LE))
     y = _solve_nonneg(rows, 2 * k + 1)
     if y is None:
         return INFEASIBLE

@@ -9,6 +9,7 @@ trade-off at the scale this package targets (m up to ~20).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -27,7 +28,7 @@ from .errors import (
     RedundantRow,
     UnboundedPolytope,
 )
-from .gale import VectorConfig
+from .gale import VectorConfig, positively_spanning
 from .linalg import (
     Mat,
     Vec,
@@ -112,10 +113,6 @@ class HPolytope:
     def num_facets(self) -> int:
         return len(self.A)
 
-    def row(self, label: int) -> tuple[Vec, Fraction]:
-        i = self.facet_labels.index(label)
-        return self.A[i], self.b[i]
-
     def contains(self, x: Vec) -> bool:
         return all(vdot(a, x) <= bi for a, bi in zip(self.A, self.b))
 
@@ -148,22 +145,16 @@ class HPolytope:
             if not relaxed.feasible:
                 raise EmptyPolytope("the inequality system has no solution")
             raise NotFullDimensional("the solution set has empty interior")
-        # bounded iff the recession cone {Ax <= 0} is {0}; equivalently the
-        # rows positively span, i.e. +-e_j lies in cone(rows) for every j
-        for j in range(n):
-            for s in (1, -1):
-                target = tuple(Fraction(s if i == j else 0) for i in range(n))
-                if lp.cone_combination(list(self.A), target) is None:
-                    raise UnboundedPolytope(f"unbounded in direction {'-' if s < 0 else ''}e_{j + 1}")
-        # row i defines a facet iff it is not implied by the others (Farkas)
+        # bounded iff the recession cone {Ax <= 0} is {0}, that is iff the
+        # rows positively span R^n: one rank and one strict system (Davis 1954)
+        if not positively_spanning(self.A):
+            raise UnboundedPolytope("the solution set is unbounded")
+        # Farkas in cone form: row i is implied by the others, so defines no
+        # facet, iff (a_i, b_i) lies in cone{(a_r, b_r) : r != i} + cone{(0, 1)}
+        lifted = [(*a, bi) for a, bi in zip(self.A, self.b)]
+        up = (Fraction(0),) * n + (Fraction(1),)
         for i in range(m):
-            others = [r for r in range(m) if r != i]
-            eq_rows = [
-                ([self.A[r][c] for r in others] + [Fraction(0)], self.A[i][c])
-                for c in range(n)
-            ]
-            eq_rows.append(([self.b[r] for r in others] + [Fraction(1)], self.b[i]))
-            if lp.nonneg_combination(eq_rows, len(others) + 1) is not None:
+            if lp.cone_combination([*lifted[:i], *lifted[i + 1:], up], lifted[i]) is not None:
                 raise RedundantRow(f"row with label {self.facet_labels[i]} defines no facet")
 
 
@@ -180,20 +171,20 @@ def hull_vertex_indices(points: Sequence[Vec]) -> set[int]:
     """Indices whose point is a vertex of the hull and occurs exactly once.
 
     A point repeated in the input is never reported (its index cannot name
-    a vertex unambiguously); a unique point is a vertex iff it is not a
-    convex combination of the other distinct values.
+    a vertex unambiguously).  A unique point is decided by the Gordan test
+    of `minkowski_vertex_test`, run on one summand: the V-polytope of the
+    distinct values, whose cached `differences` it reads.  No input gives
+    the empty set.
     """
     pts = [vec(p) for p in points]
-    out = set()
-    for i, p in enumerate(pts):
-        if any(j != i and q == p for j, q in enumerate(pts)):
-            continue
-        others = sorted(set(q for q in pts if q != p))
-        if not others:
-            out.add(i)
-        elif lp.convex_combination(others, p) is None:
-            out.add(i)
-    return out
+    if not pts:
+        return set()
+    counts = Counter(pts)
+    hull = VPolytope(counts)  # the distinct values, in order of first occurrence
+    vertices = {
+        p for k, p in enumerate(hull.points) if counts[p] == 1 and minkowski_vertex_test((k,), (hull,))
+    }
+    return {i for i, p in enumerate(pts) if p in vertices}
 
 
 def hull_vertices(S: VPolytope) -> tuple[int, ...]:

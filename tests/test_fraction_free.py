@@ -9,6 +9,10 @@ it, `_gauss_jordan`, and the body of `solve_square`) name no `Fraction`
 and use no true division `/`, and `_gauss_jordan` is the only function
 of `linalg.py` with a Bareiss row update.  `nonneg_combination`
 re-checks its witness in integers, with no `Fraction` and no `vdot`.
+Each LP row is scaled to integers once, where it enters `lp.py`:
+`_solve_nonneg` takes integer rows and scales none itself, and
+`polytopes.py` reaches phase 1 only through the cone, convex-hull and
+spanning tests, never by building `nonneg_combination` rows by hand.
 The `Fraction` simplex and eliminations live on only as test oracles in
 `helpers.py`.
 """
@@ -68,6 +72,27 @@ def test_witness_recheck_is_integer():
     body = functions["nonneg_combination"].body
     names = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
     assert not names & {"vdot", "Fraction"}, names & {"vdot", "Fraction"}
+
+
+def _names(node):
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def test_solve_nonneg_takes_integer_rows():
+    _, functions = _functions(PACKAGE / "lp.py")
+    named = _names(functions["_solve_nonneg"]) & {"integer_row", "frac"}
+    assert not named, f"_solve_nonneg scales rows itself: {sorted(named)}"
+
+
+def test_nonneg_combination_scales_each_row_once():
+    _, functions = _functions(PACKAGE / "lp.py")
+    assert "frac" not in _names(functions["nonneg_combination"])
+
+
+def test_polytopes_build_no_phase_one_rows():
+    tree, _ = _functions(PACKAGE / "polytopes.py")
+    named = _names(tree) | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert "nonneg_combination" not in named
 
 
 def test_lp_pivot_loops_are_integer():

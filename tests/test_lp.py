@@ -158,11 +158,15 @@ def oracle_checked(monkeypatch):
         integer_log.append((c, basis[r]))
         return pivot(T, basis, Z, D, r, c)
 
-    def checked_solve(raw_rows, nvars):
+    def checked_solve(rows, nvars):
+        # the rows arrive scaled to integers; the oracle reads them as Fractions
+        raw_rows = [
+            ([Fraction(a, lam) for a in ints[:-1]], rel, Fraction(ints[-1], lam)) for ints, lam, rel in rows
+        ]
         oracle_log = []
         expected = fraction_solve_nonneg(raw_rows, nvars, oracle_log, events)
         integer_log.clear()
-        got = solve(raw_rows, nvars)
+        got = solve(rows, nvars)
         assert integer_log == oracle_log
         assert got == expected
         if got is not None:
@@ -231,7 +235,7 @@ class TestIntegerPivotsMatchFractionSimplex:
 
     def test_two_triangle_example_solves(self, oracle_checked):
         assert two_triangle_example("1/4").passed
-        assert oracle_checked["solves"] == 25 + 91
+        assert oracle_checked["solves"] == 26 + 83
 
 
 # systems at the edge of strictness: name -> (constraints, feasible)

@@ -192,7 +192,9 @@ class TestTwoTriangleOpCounts:
         # systems, one per deletion); deciding it again in every face
         # question made 218 lp_feasible and 106 nonneg_combination calls,
         # and 2e strict systems per spanning test made 74 lp_feasible calls.
-        assert counts == {"lp_feasible": 25, "feasible": 10, "nonneg_combination": 91}
+        # Boundedness is one spanning test per H-polytope, not 2n cone
+        # LPs, which made 25 lp_feasible and 91 nonneg_combination calls.
+        assert counts == {"lp_feasible": 26, "feasible": 10, "nonneg_combination": 83}
 
     def test_pivots_at_one_quarter(self, monkeypatch):
         pivots = []
@@ -206,8 +208,9 @@ class TestTwoTriangleOpCounts:
         assert two_triangle_example("1/4").passed
         # One phase 1 per system and one strict system per spanning test;
         # the strict-margin LP's phase 2 and its pivot-outs of leftover
-        # artificials made 408 pivots, and 2e systems per spanning test 330.
-        assert len(pivots) == 257
+        # artificials made 408 pivots, 2e systems per spanning test 330, and
+        # 2n cone LPs per boundedness check 257.
+        assert len(pivots) == 215
 
     def test_one_vertex_enumeration(self, monkeypatch):
         # h_vertices runs 5 times on the product polytope (directly, and in

@@ -15,7 +15,7 @@ from galeproj.errors import (
     UnboundedPolytope,
 )
 from galeproj import lp, polytopes
-from galeproj.linalg import mat_vec, vadd, vec, vsub
+from galeproj.linalg import mat_vec, rank, vadd, vec, vsub
 from galeproj.polytopes import (
     HPolytope,
     VPolytope,
@@ -33,7 +33,13 @@ from galeproj.polytopes import (
     sum_as_projection,
     trivial_upper_bound,
 )
-from helpers import lcm_gcd_canonical_row, normal_cone_oracle, random_points, separation_hull_vertices
+from helpers import (
+    lcm_gcd_canonical_row,
+    normal_cone_oracle,
+    random_points,
+    separation_hull_vertices,
+    spans_positively_primal,
+)
 
 UNIT_SQUARE = HPolytope([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 1, 1, 1])
 TRIANGLE = VPolytope([(0, 0), (1, 0), (0, 1)])
@@ -86,6 +92,29 @@ class TestConstruction:
     def test_vpolytope_distinct_points(self):
         with pytest.raises(DuplicateLabels):
             VPolytope([(0, 0), (0, 0)])
+
+    def test_boundedness_matches_primal_oracle(self):
+        # b > 0 puts 0 in the interior, so only boundedness and redundancy
+        # are in question; boundedness is checked first
+        rng = random.Random(1954)
+        seen = set()
+        for _ in range(240):
+            n = rng.randint(1, 3)
+            A = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, 2 * n + 2))]
+            b = [rng.randint(1, 3) for _ in A]
+            bounded = spans_positively_primal([vec(a) for a in A])
+            try:
+                HPolytope(A, b)
+                unbounded = False
+            except UnboundedPolytope as err:
+                assert "unbounded" in str(err)
+                unbounded = True
+            except RedundantRow:
+                unbounded = False
+            assert unbounded == (not bounded), (A, b)
+            seen.add(("bounded", bounded))
+            seen.add(("rank deficient", rank(A) < n))
+        assert seen == {(k, v) for k in ("bounded", "rank deficient") for v in (False, True)}
 
 
 class TestVertexEnumeration:
@@ -169,6 +198,27 @@ class TestHull:
     def test_duplicate_values_not_reported(self):
         pts = [vec([0, 0]), vec([1, 0]), vec([1, 0]), vec([0, 1])]
         assert hull_vertex_indices(pts) == {0, 3}
+
+    def test_contract_on_degenerate_inputs(self):
+        assert hull_vertex_indices([]) == set()
+        assert hull_vertex_indices([(1, 2), (1, 2)]) == set()
+        assert hull_vertex_indices([(0, 0), (1, 0), (0, 0), (1, 0)]) == set()
+        assert hull_vertex_indices([(5, 7)]) == {0}
+        with pytest.raises(DimensionMismatch):
+            hull_vertex_indices([(0, 0), (1,)])
+
+    def test_one_gordan_test_per_unique_point(self, monkeypatch):
+        calls = []
+        original = lp.convex_combination
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(lp, "convex_combination", counting)
+        pts = [(0, 0), (2, 0), (0, 2), (2, 0), (1, 1), (Fraction(1, 2), Fraction(1, 2))]
+        assert hull_vertex_indices(pts) == {0, 2}
+        assert len(calls) == 4  # the repeated (2, 0) is never tested
 
     def test_matches_separation_oracle_on_random_sets(self):
         rng = random.Random(5150)
