@@ -14,13 +14,9 @@ from .complexes import (
     complement_complex,
     complete_bipartite,
     deleted_join,
-    is_subcomplex,
-    join,
     minimal_nonfaces,
     points_complex,
     power_join,
-    simplex_boundary,
-    skeleton,
 )
 from .gale import (
     VectorConfig,
@@ -36,13 +32,11 @@ from .lp import FeasibilityResult, LinConstraint, eq, le, lp_feasible, lt
 from .obstructions import (
     Graph,
     ObstructionVerdict,
-    bipartite_sum,
     chromatic_number,
     djn_dim_upper,
     kneser_graph,
     lovasz_kneser_chi,
     nonembeddable,
-    sarkaria_bound,
 )
 from .pipeline import (
     PipelineReport,
@@ -58,7 +52,6 @@ from .polytopes import (
     VPolytope,
     dual_generators,
     h_vertices,
-    hull_vertices,
     is_simple,
     minkowski_sum_vertices,
     minkowski_vertex_test,

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import pipeline, serialize
@@ -146,7 +147,7 @@ def _cmd_complex(args) -> int:
 def _cmd_embed(args) -> int:
     K = serialize.parse_complex(_load_json(args.input))
     verdict = nonembeddable(K, args.sphere)
-    data = serialize.verdict_json(verdict)
+    data = asdict(verdict)
     if args.format == "json":
         print(_dump(data))
     else:

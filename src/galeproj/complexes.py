@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 from .errors import LabelOutsideVertexSet
 
@@ -95,14 +95,6 @@ def closure_from_facets(vertices: Iterable, facets: Iterable[Iterable]) -> Compl
     return Complex(tuple(vertices), _antichain(frozenset(f) for f in facets))
 
 
-def relabel(K: Complex, mapping: Mapping) -> Complex:
-    """Rename vertices through an injective mapping."""
-    return Complex(
-        tuple(mapping[v] for v in K.vertices),
-        frozenset(frozenset(mapping[v] for v in f) for f in K.facets),
-    )
-
-
 def _tag(prefix: str, label) -> str:
     return f"{prefix}:{label}"
 
@@ -162,11 +154,6 @@ class Join(Complex):
         return frozenset(frozenset().union(*combo) for combo in itertools.product(*tagged))
 
 
-def join(K: Complex, L: Complex) -> Join:
-    """Join of two complexes on factor-tagged labels ("1:v" and "2:v")."""
-    return Join((("1", K), ("2", L)))
-
-
 def power_join(L: Complex, d: int) -> Join:
     """d-fold join of L with itself, factors tagged "1:", ..., "d:"."""
     if d < 1:
@@ -216,42 +203,11 @@ def deleted_join(K: Complex) -> Complex:
     return Complex(vertices, _antichain(candidates))
 
 
-def skeleton(K: Complex, k: int) -> Complex:
-    """Subcomplex of all faces of dimension at most k."""
-    facets = []
-    for f in K.facets:
-        if len(f) <= k + 1:
-            facets.append(f)
-        else:
-            facets.extend(map(frozenset, itertools.combinations(f, k + 1)))
-    return closure_from_facets(K.vertices, facets)
-
-
-def is_subcomplex(K: Complex, L: Complex) -> bool:
-    """True iff every facet of L is a face of K."""
-    return all(K.is_face(f) for f in L.facets)
-
-
 def points_complex(n: int) -> Complex:
     """n isolated points labeled 1..n."""
     if n < 1:
         raise ValueError("points_complex needs n >= 1")
     return Complex(tuple(range(1, n + 1)), frozenset(frozenset([i]) for i in range(1, n + 1)))
-
-
-def full_simplex(n: int) -> Complex:
-    """The simplex with vertices 1..n (a single facet)."""
-    if n < 1:
-        raise ValueError("full_simplex needs n >= 1")
-    return Complex(tuple(range(1, n + 1)), frozenset([frozenset(range(1, n + 1))]))
-
-
-def simplex_boundary(n: int) -> Complex:
-    """Boundary of the simplex on vertices 1..n: all (n-1)-subsets."""
-    if n < 1:
-        raise ValueError("simplex_boundary needs n >= 1")
-    facets = frozenset(frozenset(c) for c in itertools.combinations(range(1, n + 1), n - 1))
-    return Complex(tuple(range(1, n + 1)), facets)
 
 
 def complete_bipartite(part_a: Iterable, part_b: Iterable) -> Complex:

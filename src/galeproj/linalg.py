@@ -34,21 +34,10 @@ def mat(rows: Iterable[Iterable]) -> Mat:
     return out
 
 
-def vadd(u: Vec, v: Vec) -> Vec:
-    if len(u) != len(v):
-        raise DimensionMismatch(f"vector dims {len(u)} != {len(v)}")
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vsub(u: Vec, v: Vec) -> Vec:
     if len(u) != len(v):
         raise DimensionMismatch(f"vector dims {len(u)} != {len(v)}")
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vscale(c, u: Vec) -> Vec:
-    c = frac(c)
-    return tuple(c * a for a in u)
 
 
 def vdot(u: Vec, v: Vec) -> Fraction:

@@ -42,17 +42,6 @@ class Graph:
             if not e <= vs:
                 raise ValueError("edge endpoint not among the vertices")
 
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
-
-    def degree(self, v) -> int:
-        return sum(1 for e in self.edges if v in e)
-
-
-def graph(vertices: Iterable, edges: Iterable[Iterable]) -> Graph:
-    return Graph(tuple(vertices), frozenset(frozenset(e) for e in edges))
-
 
 def kneser_graph(family: Iterable[Iterable]) -> Graph:
     """Vertex per set, edge iff the sets are disjoint.
@@ -72,16 +61,6 @@ def kneser_graph(family: Iterable[Iterable]) -> Graph:
         if not (sets[i] & sets[j])
     ]
     return Graph(tuple(labels), frozenset(edges))
-
-
-def bipartite_sum(G: Graph, H: Graph) -> Graph:
-    """Disjoint union plus all cross edges; vertices tagged ("1", v), ("2", v)."""
-    gv = [("1", v) for v in G.vertices]
-    hv = [("2", v) for v in H.vertices]
-    edges = {frozenset([("1", a), ("1", b)]) for a, b in map(tuple, G.edges)}
-    edges |= {frozenset([("2", a), ("2", b)]) for a, b in map(tuple, H.edges)}
-    edges |= {frozenset([u, v]) for u in gv for v in hv}
-    return Graph(tuple(gv) + tuple(hv), frozenset(edges))
 
 
 def _adjacency(G: Graph) -> list[set[int]]:
@@ -292,12 +271,6 @@ def djn_dim_upper(K: Complex) -> int:
         for g in K.facets:
             best = max(best, len(f) + len(g - f))
     return best - 1 if best >= 0 else -1
-
-
-def sarkaria_bound(K: Complex) -> ObstructionVerdict:
-    """Index interval for the deleted join: [n - chi - 1, dim djn K]."""
-    chi, exact = nonface_kneser_chi(K)
-    return _verdict(K, chi, exact, None)
 
 
 def nonembeddable(K: Complex, d: int, chi_mode: str = "exact") -> ObstructionVerdict:

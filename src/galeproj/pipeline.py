@@ -79,8 +79,8 @@ class PipelineReport:
 
 
 def _require_bound_hypotheses(d: int, r: int, f0s: Sequence[int]) -> None:
-    if d < 1:
-        raise HypothesisViolated(f"need d >= 1, got {d}")
+    if d < 2:
+        raise HypothesisViolated(f"need d >= 2, got {d}")
     if r < d:
         raise HypothesisViolated(f"need r >= d, got r={r} < d={d}")
     if len(f0s) != r:
@@ -93,7 +93,8 @@ def _require_bound_hypotheses(d: int, r: int, f0s: Sequence[int]) -> None:
 def minkowski_vertex_bound(d: int, r: int, f0s: Sequence[int]) -> Fraction:
     """Upper bound (1 - 1/(d+1)^r) * prod f0_i on the sum's vertex count.
 
-    Valid for r >= d summands, each with at least d+1 vertices.
+    Valid for d >= 2 and r >= d summands, each with at least d+1 vertices;
+    at d = 1 a segment has 2 vertices, not 1.
     """
     _require_bound_hypotheses(d, r, f0s)
     total = Fraction(trivial_upper_bound(f0s))
@@ -413,6 +414,9 @@ def random_experiment(d: int, r: int, f0s: Sequence[int], trials: int, seed: int
         raise HypothesisViolated(f"need one vertex count per summand, got {len(f0s)}")
     if trials < 1:
         raise HypothesisViolated(f"need at least one trial, got {trials}")
+    bad = [f for f in f0s if f <= d]
+    if bad:
+        raise HypothesisViolated(f"every summand needs at least d+1={d + 1} vertices, got {bad}")
     report = PipelineReport(
         "random_experiment",
         {"d": d, "r": r, "f0s": list(f0s), "trials": trials, "seed": seed},

@@ -63,9 +63,6 @@ class VPolytope:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "dim", n)
 
-    def f0(self) -> int:
-        return len(hull_vertices(self))
-
     @cached_property
     def differences(self) -> tuple[tuple[Vec, ...], ...]:
         """For each point v, the differences w - v over the other points w.
@@ -185,11 +182,6 @@ def hull_vertex_indices(points: Sequence[Vec]) -> set[int]:
         p for k, p in enumerate(hull.points) if counts[p] == 1 and minkowski_vertex_test((k,), (hull,))
     }
     return {i for i, p in enumerate(pts) if p in vertices}
-
-
-def hull_vertices(S: VPolytope) -> tuple[int, ...]:
-    """Sorted indices of the points that are vertices of conv(S)."""
-    return tuple(sorted(hull_vertex_indices(S.points)))
 
 
 def is_simple(P: HPolytope) -> bool:

@@ -59,11 +59,11 @@ class SurvivalReport:
     image_vertex_count: int
 
 
-def make_setup(P: HPolytope, proj: Iterable[Iterable], kernel: Iterable[Iterable] | None = None) -> ProjectionSetup:
+def make_setup(P: HPolytope, proj: Iterable[Iterable]) -> ProjectionSetup:
     """Assemble the projection data for (P, proj).
 
-    The kernel defaults to a computed basis of ker(proj); the g-vectors
-    are the dual vertices composed with the kernel inclusion, i.e.
+    The kernel is a computed basis of ker(proj); the g-vectors are the
+    dual vertices composed with the kernel inclusion, i.e.
     kernel^T (a_i / b_i).
     """
     proj = mat(proj)
@@ -77,11 +77,9 @@ def make_setup(P: HPolytope, proj: Iterable[Iterable], kernel: Iterable[Iterable
         raise RankDeficient("projection must have full row rank")
     if any(bi <= 0 for bi in P.b):
         raise OriginNotInterior("recentre the polytope first: need b > 0")
-    kern = mat(kernel) if kernel is not None else kernel_basis(proj)
-    if len(kern) != n or len(kern[0]) != n - d or rank(kern) != n - d:
-        raise RankDeficient("kernel must be an n x (n-d) full-rank matrix")
+    kern = kernel_basis(proj)
     if any(any(x != 0 for x in row) for row in matmul(proj, kern)):
-        raise RankDeficient("kernel columns must be annihilated by the projection")
+        raise AssertionError("kernel_basis returned columns the projection does not annihilate")
     kern_t = transpose(kern)
     ells = dual_generators(P)
     g = VectorConfig([mat_vec(kern_t, ell) for ell in ells.vectors], ells.labels)

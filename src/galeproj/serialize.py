@@ -11,7 +11,6 @@ from fractions import Fraction
 
 from .complexes import Complex, closure_from_facets
 from .linalg import Vec
-from .obstructions import ObstructionVerdict
 from .polytopes import HPolytope, VPolytope
 
 
@@ -95,15 +94,3 @@ def parse_complex(data: dict) -> Complex:
         _labels(_field(data, "vertices", "complex"), "vertices"),
         [frozenset(_labels(f, f"facets[{i}]")) for i, f in enumerate(facets)],
     )
-
-
-def verdict_json(v: ObstructionVerdict) -> dict:
-    return {
-        "complex_size": v.complex_size,
-        "chi_used": v.chi_used,
-        "chi_is_exact": v.chi_is_exact,
-        "sarkaria_lower": v.sarkaria_lower,
-        "djn_dim_upper": v.djn_dim_upper,
-        "target_sphere": v.target_sphere,
-        "embeddable": v.embeddable,
-    }

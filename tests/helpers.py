@@ -10,6 +10,7 @@ from fractions import Fraction
 from galeproj import lp
 from galeproj.complexes import Complex, closure_from_facets
 from galeproj.linalg import Vec, mat, rank, vsub
+from galeproj.obstructions import Graph
 
 
 def rnd_frac(rng: random.Random, span: int = 100, den: int = 10) -> Fraction:
@@ -158,12 +159,45 @@ def materialised_join(factors) -> Complex:
     """Join as a plain Complex: every union of one tagged facet per factor.
 
     `factors` holds (prefix, complex) pairs; labels are tagged "prefix:v"
-    as `complexes.join` tags them.
+    as `complexes.Join` tags them.
     """
     vertices = tuple(f"{prefix}:{v}" for prefix, K in factors for v in K.vertices)
     tagged = [[frozenset(f"{prefix}:{v}" for v in f) for f in K.facets] for prefix, K in factors]
     facets = frozenset(frozenset().union(*combo) for combo in itertools.product(*tagged))
     return Complex(vertices, facets)
+
+
+def full_simplex(n: int) -> Complex:
+    """The simplex with vertices 1..n (a single facet)."""
+    if n < 1:
+        raise ValueError("full_simplex needs n >= 1")
+    return Complex(tuple(range(1, n + 1)), frozenset([frozenset(range(1, n + 1))]))
+
+
+def simplex_boundary(n: int) -> Complex:
+    """Boundary of the simplex on vertices 1..n: all (n-1)-subsets."""
+    if n < 1:
+        raise ValueError("simplex_boundary needs n >= 1")
+    facets = frozenset(frozenset(c) for c in itertools.combinations(range(1, n + 1), n - 1))
+    return Complex(tuple(range(1, n + 1)), facets)
+
+
+def graph(vertices, edges) -> Graph:
+    return Graph(tuple(vertices), frozenset(frozenset(e) for e in edges))
+
+
+def bipartite_sum(G: Graph, H: Graph) -> Graph:
+    """Disjoint union plus all cross edges; vertices tagged ("1", v), ("2", v).
+
+    The reference for chi-additivity: `obstructions.nonface_kneser_chi`
+    adds factor chromatic numbers instead of building this graph.
+    """
+    gv = [("1", v) for v in G.vertices]
+    hv = [("2", v) for v in H.vertices]
+    edges = {frozenset([("1", a), ("1", b)]) for a, b in map(tuple, G.edges)}
+    edges |= {frozenset([("2", a), ("2", b)]) for a, b in map(tuple, H.edges)}
+    edges |= {frozenset([u, v]) for u in gv for v in hv}
+    return Graph(tuple(gv) + tuple(hv), frozenset(edges))
 
 
 # The rational two-phase simplex that `lp._solve_nonneg` used before its

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from galeproj import pipeline
 from galeproj.cli import main
 from galeproj.obstructions import EXACT_CAP
 
@@ -141,6 +142,46 @@ def test_experiment_needs_a_trial(trials, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "trial" in captured.err
     assert captured.out == ""
+
+
+def test_experiment_with_too_few_vertices_samples_nothing(monkeypatch, capsys):
+    # f0 = 3 points never span R^3; r < d, so no bound hypothesis catches it
+    sampled = []
+    monkeypatch.setattr(pipeline, "sample_vpolytope", lambda *args: sampled.append(args))
+    argv = ["experiment", "--d", "3", "--r", "1", "--f0", "3", "--trials", "1", "--seed", "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: every summand needs at least d+1=4 vertices, got [3]\n"
+    assert captured.out == "" and sampled == []
+
+
+EMBED_TEXT = """\
+complex_size: 4
+chi_used: 1
+chi_is_exact: True
+sarkaria_lower: 2
+djn_dim_upper: 2
+target_sphere: 1
+embeddable: no
+"""
+
+EMBED_JSON = """\
+{
+  "chi_is_exact": true,
+  "chi_used": 1,
+  "complex_size": 4,
+  "djn_dim_upper": 2,
+  "embeddable": "no",
+  "sarkaria_lower": 2,
+  "target_sphere": 1
+}
+"""
+
+
+@pytest.mark.parametrize("fmt, expected", [("text", EMBED_TEXT), ("json", EMBED_JSON)])
+def test_embed_output_is_pinned(fmt, expected, files, capsys):
+    assert main(["embed", "--input", files["complex"], "--sphere", "1", "--format", fmt]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_embed_certifies_a_kneser_factor_past_the_cap(tmp_path, capsys):

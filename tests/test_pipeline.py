@@ -160,8 +160,8 @@ class TestBounds:
 
     @pytest.mark.parametrize(
         "d, r, f0s",
-        [(0, 3, [5, 5, 5]), (3, 2, [5, 5]), (3, 3, [5, 5]), (3, 3, [5, 3, 5]), (2, 2, [3, 2])],
-        ids=["d below 1", "r below d", "wrong f0 count", "f0 equal to d", "f0 below d"],
+        [(0, 3, [5, 5, 5]), (1, 1, [2]), (3, 2, [5, 5]), (3, 3, [5, 5]), (3, 3, [5, 3, 5]), (2, 2, [3, 2])],
+        ids=["d below 1", "segment at d 1", "r below d", "wrong f0 count", "f0 equal to d", "f0 below d"],
     )
     def test_hypotheses_enforced(self, d, r, f0s):
         for bound in (minkowski_vertex_bound, pigeonhole_lower_bound):

@@ -42,23 +42,6 @@ class TestMakeSetup:
         with pytest.raises(RankDeficient):
             make_setup(CUBE, proj)
 
-    @pytest.mark.parametrize(
-        "kernel",
-        [
-            [[1], [0], [0]],  # not annihilated by the projection
-            [[0], [0], [0]],  # rank 0
-            [[0], [1]],  # wrong shape
-            [[0, 0], [0, 0], [1, 2]],  # too many columns
-        ],
-    )
-    def test_bad_kernel_refused(self, kernel):
-        with pytest.raises(RankDeficient):
-            make_setup(CUBE, AXIS_PLANE, kernel)
-
-    def test_given_kernel_accepted(self):
-        s = make_setup(CUBE, AXIS_PLANE, [[0], [0], [2]])
-        assert [g[0] for g in s.g_images.vectors] == [0, 0, 0, 0, 2, -2]
-
     def test_origin_on_the_boundary_refused(self):
         shifted = HPolytope(CUBE.A, [2, 0, 1, 1, 1, 1])  # 0 <= x <= 2
         with pytest.raises(OriginNotInterior):
