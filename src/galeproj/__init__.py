@@ -23,7 +23,6 @@ from .gale import (
     gale_face_test,
     gale_faces_of_card,
     general_position,
-    is_gale_transform,
     positively_dependent,
     positively_spanning,
 )

@@ -13,7 +13,7 @@ from dataclasses import asdict
 from fractions import Fraction
 
 from . import pipeline, serialize
-from .complexes import complement_complex, deleted_join, minimal_nonfaces, sort_labels
+from .complexes import complement_complex, deleted_join, minimal_nonfaces, sort_family
 from .errors import GaleprojError
 from .obstructions import nonembeddable
 from .polytopes import VPolytope, h_vertices, minkowski_sum_vertices, trivial_upper_bound
@@ -132,8 +132,7 @@ def _cmd_complex(args) -> int:
     elif args.op == "djn":
         out = serialize.complex_json(deleted_join(K))
     else:
-        nf = sorted(map(sort_labels, minimal_nonfaces(K)), key=lambda f: [str(x) for x in f])
-        out = {"minimal_nonfaces": nf}
+        out = {"minimal_nonfaces": sort_family(minimal_nonfaces(K))}
     if args.format == "json":
         print(_dump(out))
     else:

@@ -30,6 +30,11 @@ def sort_labels(labels: Iterable) -> list:
     return sorted(labels, key=_label_key)
 
 
+def sort_family(family: Iterable[Iterable]) -> list[list]:
+    """Each set as a sorted list, the lists in lexicographic label order."""
+    return sorted(map(sort_labels, family), key=lambda f: [_label_key(x) for x in f])
+
+
 def _antichain(sets: Iterable[Face]) -> frozenset[Face]:
     by_size = sorted(set(sets), key=len, reverse=True)
     kept: list[Face] = []
@@ -78,7 +83,7 @@ class Complex:
         return out
 
     def sorted_facets(self) -> list[list]:
-        return sorted((sort_labels(f) for f in self.facets), key=lambda f: [_label_key(x) for x in f])
+        return sort_family(self.facets)
 
     @cached_property
     def nonfaces(self) -> frozenset[Face]:

@@ -111,14 +111,6 @@ def positively_dependent(W) -> bool:
     return lp.cone_combination(vectors, neg_total) is not None
 
 
-def is_gale_transform(G: VectorConfig) -> bool:
-    """True iff every single-deletion subconfiguration positively spans.
-
-    The verdict is decided on the first query of G and kept (`G.is_gale`).
-    """
-    return G.is_gale
-
-
 def gale_face_test(G: VectorConfig, coface: Iterable[int]) -> bool:
     """Is conv{v_i : i in coface} a face of the polytope G encodes?
 

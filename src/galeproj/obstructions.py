@@ -10,9 +10,12 @@ Joins (`complexes.Join`) are handled from their factors and never
 materialised: minimal non-faces of a join are the tagged non-faces of
 the factors, the Kneser graph is the bipartite sum of the factor graphs,
 and chromatic numbers add over bipartite sums.  Each distinct factor is
-colored once, however often it occurs.  A factor with more non-faces
-than the exact cap is colored exactly, without building its graph, when
-they are all k-subsets of an n-set with n >= 2k (Lovasz's theorem).
+colored once, however often it occurs.
+
+Every chromatic number is exact.  Branch-and-bound colors graphs up to
+`EXACT_CAP` vertices; a factor with more non-faces is colored without
+building its graph when they are all k-subsets of an n-set with n >= 2k
+(Lovasz's theorem), and raises TooLargeForExact otherwise.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .complexes import Complex, Join, sort_labels
+from .complexes import Complex, Join, sort_family, sort_labels
 from .errors import OutOfTheoremRange, TooLargeForExact
 
 EXACT_CAP = 32
@@ -46,15 +49,13 @@ class Graph:
 def kneser_graph(family: Iterable[Iterable]) -> Graph:
     """Vertex per set, edge iff the sets are disjoint.
 
-    Vertices are labeled by the sorted tuple of the set's elements.
+    Vertices are labeled by the sorted tuple of the set's elements and
+    listed in `sort_family` order.
     """
-    sets = sorted(
-        {frozenset(f) for f in family},
-        key=lambda s: [str(x) for x in sort_labels(s)],
-    )
-    if not sets:
+    labels = [tuple(f) for f in sort_family({frozenset(f) for f in family})]
+    if not labels:
         raise ValueError("kneser_graph needs a nonempty family")
-    labels = [tuple(sort_labels(s)) for s in sets]
+    sets = [frozenset(f) for f in labels]
     edges = [
         frozenset([labels[i], labels[j]])
         for i, j in itertools.combinations(range(len(sets)), 2)
@@ -129,33 +130,26 @@ def _k_colorable(adj: Sequence[set[int]], k: int, clique: Sequence[int]) -> bool
     return extend(len(clique))
 
 
-def chromatic_number(G: Graph, mode: str = "exact") -> tuple[int, bool]:
-    """Chromatic number with an exactness flag.
+def chromatic_number(G: Graph) -> int:
+    """Exact chromatic number by branch-and-bound.
 
-    Exact mode runs branch-and-bound (greedy clique seed, saturation-first
-    branching, canonical color introduction) and is capped at `EXACT_CAP`
-    vertices; over the cap it raises TooLargeForExact.  Greedy mode
-    returns the largest-degree-first bound, flagged inexact; an upper
-    bound still yields valid index lower bounds downstream.
+    A greedy clique is the lower bound and a largest-degree-first greedy
+    coloring the upper bound; between them the search branches on the
+    most saturated vertex and introduces colors canonically.  Graphs with
+    more than `EXACT_CAP` vertices raise TooLargeForExact.
     """
-    if mode not in ("exact", "greedy_upper"):
-        raise ValueError(f"unknown mode {mode!r}")
     n = len(G.vertices)
     if n == 0:
-        return 0, True
-    if mode == "exact" and n > EXACT_CAP:
-        raise TooLargeForExact(
-            f"{n} vertices exceed the exact cap {EXACT_CAP}; use mode='greedy_upper'"
-        )
+        return 0
+    if n > EXACT_CAP:
+        raise TooLargeForExact(f"{n} vertices exceed the exact cap {EXACT_CAP}")
     adj = _adjacency(G)
     ub = _greedy_coloring(adj)
-    if mode == "greedy_upper":
-        return ub, False
     clique = _greedy_clique(adj)
     for k in range(len(clique), ub):
         if _k_colorable(adj, k, clique):
-            return k, True
-    return ub, True
+            return k
+    return ub
 
 
 def lovasz_kneser_chi(n: int, k: int) -> int:
@@ -202,58 +196,44 @@ def certified_kneser_chi(family: Iterable[Iterable]) -> int | None:
 class ObstructionVerdict:
     complex_size: int
     chi_used: int
-    chi_is_exact: bool
     sarkaria_lower: int
     djn_dim_upper: int
-    target_sphere: int | None
+    target_sphere: int
     embeddable: str  # "no" | "unknown"
 
     def __post_init__(self):
         if self.sarkaria_lower != self.complex_size - self.chi_used - 1:
             raise ValueError("lower bound must equal n - chi - 1")
-        if self.chi_is_exact and self.sarkaria_lower > self.djn_dim_upper:
-            raise ValueError("exact lower bound exceeds the dimension upper bound")
-        want = "unknown"
-        if self.target_sphere is not None and self.sarkaria_lower > self.target_sphere:
-            want = "no"
+        if self.sarkaria_lower > self.djn_dim_upper:
+            raise ValueError("lower bound exceeds the dimension upper bound")
+        want = "no" if self.sarkaria_lower > self.target_sphere else "unknown"
         if self.embeddable != want:
             raise ValueError("verdict inconsistent with the bounds")
 
 
-def _verdict(K: Complex, chi: int, exact: bool, target: int | None) -> ObstructionVerdict:
-    n = len(K.vertices)
-    lower = n - chi - 1
-    upper = djn_dim_upper(K)
-    embeddable = "no" if target is not None and lower > target else "unknown"
-    return ObstructionVerdict(n, chi, exact, lower, upper, target, embeddable)
-
-
-def nonface_kneser_chi(K: Complex, mode: str = "exact") -> tuple[int, bool]:
+def nonface_kneser_chi(K: Complex) -> int:
     """Chromatic number of the Kneser graph of K's minimal non-faces.
 
     Joins are decomposed factor by factor: the full Kneser graph is the
     bipartite sum of the factor graphs, so the chromatic numbers add.
     Each distinct factor is colored once and counted with its multiplicity.
-    In exact mode a factor with more than `EXACT_CAP` non-faces is read
-    off the family by `certified_kneser_chi`, and no graph is built.
+    A factor with more than `EXACT_CAP` non-faces is read off the family
+    by `certified_kneser_chi`, and no graph is built.
     """
     if isinstance(K, Join):
-        total, exact = 0, True
-        for factor, times in K.distinct_factors():
-            chi, ex = nonface_kneser_chi(factor, mode)
-            total += times * chi
-            exact = exact and ex
-        return total, exact
+        return sum(times * nonface_kneser_chi(factor) for factor, times in K.distinct_factors())
     nf = K.nonfaces
     if not nf:
-        return 0, True
-    if mode == "exact" and len(nf) > EXACT_CAP:
+        return 0
+    if len(nf) > EXACT_CAP:
         chi = certified_kneser_chi(nf)
         if chi is None:
-            msg = f"{len(nf)} non-faces exceed the exact cap {EXACT_CAP}; use mode='greedy_upper'"
-            raise TooLargeForExact(msg)
-        return chi, True
-    return chromatic_number(kneser_graph(nf), mode)
+            raise TooLargeForExact(
+                f"{len(nf)} non-faces exceed the exact cap {EXACT_CAP}"
+                " and are not all k-subsets of an n-set with n >= 2k"
+            )
+        return chi
+    return chromatic_number(kneser_graph(nf))
 
 
 def djn_dim_upper(K: Complex) -> int:
@@ -273,9 +253,11 @@ def djn_dim_upper(K: Complex) -> int:
     return best - 1 if best >= 0 else -1
 
 
-def nonembeddable(K: Complex, d: int, chi_mode: str = "exact") -> ObstructionVerdict:
-    """Verdict "no" iff the index lower bound exceeds d; else "unknown"."""
+def nonembeddable(K: Complex, d: int) -> ObstructionVerdict:
+    """Verdict "no" iff the index lower bound n - chi - 1 exceeds d; else "unknown"."""
     if d < 0:
         raise ValueError("sphere dimension must be >= 0")
-    chi, exact = nonface_kneser_chi(K, chi_mode)
-    return _verdict(K, chi, exact, d)
+    n = len(K.vertices)
+    chi = nonface_kneser_chi(K)
+    lower = n - chi - 1
+    return ObstructionVerdict(n, chi, lower, djn_dim_upper(K), d, "no" if lower > d else "unknown")

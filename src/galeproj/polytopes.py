@@ -77,7 +77,7 @@ class VPolytope:
 @dataclass(frozen=True)
 class FaceRecord:
     tight_facets: frozenset[int]
-    vertex_coords: Vec | None = None
+    vertex_coords: Vec
 
 
 @dataclass(frozen=True)

@@ -186,6 +186,23 @@ def graph(vertices, edges) -> Graph:
     return Graph(tuple(vertices), frozenset(frozenset(e) for e in edges))
 
 
+def brute_chromatic_number(G: Graph) -> int:
+    """Least k with a proper k-coloring, by trying every assignment.
+
+    The reference for `obstructions.chromatic_number`; at most 6 vertices.
+    """
+    n = len(G.vertices)
+    if n > 6:
+        raise ValueError("brute_chromatic_number is for graphs with at most 6 vertices")
+    index = {v: i for i, v in enumerate(G.vertices)}
+    edges = [tuple(index[v] for v in e) for e in G.edges]
+    for k in range(n + 1):
+        for colors in itertools.product(range(k), repeat=n):
+            if all(colors[a] != colors[b] for a, b in edges):
+                return k
+    raise AssertionError("n colors always suffice")
+
+
 def bipartite_sum(G: Graph, H: Graph) -> Graph:
     """Disjoint union plus all cross edges; vertices tagged ("1", v), ("2", v).
 

@@ -158,7 +158,6 @@ def test_experiment_with_too_few_vertices_samples_nothing(monkeypatch, capsys):
 EMBED_TEXT = """\
 complex_size: 4
 chi_used: 1
-chi_is_exact: True
 sarkaria_lower: 2
 djn_dim_upper: 2
 target_sphere: 1
@@ -167,7 +166,6 @@ embeddable: no
 
 EMBED_JSON = """\
 {
-  "chi_is_exact": true,
   "chi_used": 1,
   "complex_size": 4,
   "djn_dim_upper": 2,
@@ -189,7 +187,7 @@ def test_embed_certifies_a_kneser_factor_past_the_cap(tmp_path, capsys):
     doc = {"vertices": list(range(1, 10)), "facets": [[v] for v in range(1, 10)]}
     assert main(["embed", "--input", _write(tmp_path, doc), "--sphere", "3", "--format", "json"]) == 0
     verdict = json.loads(capsys.readouterr().out)
-    assert verdict["chi_used"] == 7 and verdict["chi_is_exact"] is True
+    assert verdict["chi_used"] == 7
 
 
 def test_embed_past_the_cap_needs_a_whole_kneser_family(tmp_path, capsys):
@@ -198,4 +196,17 @@ def test_embed_past_the_cap_needs_a_whole_kneser_family(tmp_path, capsys):
     assert main(["embed", "--input", _write(tmp_path, doc), "--sphere", "3", "--format", "json"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and f"exact cap {EXACT_CAP}" in captured.err
+    assert "greedy" not in captured.err
     assert captured.out == ""
+
+
+def test_nf_orders_labels_as_values(tmp_path, capsys):
+    # twelve isolated points: every pair is a minimal non-face, [1, 2] before [1, 10]
+    doc = {"vertices": list(range(1, 13)), "facets": [[v] for v in range(1, 13)]}
+    assert main(["complex", "nf", "--input", _write(tmp_path, doc), "--format", "json"]) == 0
+    nf = json.loads(capsys.readouterr().out)["minimal_nonfaces"]
+    assert nf[0] == [1, 2] and nf == [[a, b] for a in range(1, 13) for b in range(a + 1, 13)]
+    # ints before strings, whatever the hash seed
+    doc = {"vertices": [1, "1", 2, "x"], "facets": [[2]]}
+    assert main(["complex", "nf", "--input", _write(tmp_path, doc), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["minimal_nonfaces"] == [[1], ["1"], ["x"]]

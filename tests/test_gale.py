@@ -12,7 +12,6 @@ from galeproj.gale import (
     gale_face_test,
     gale_faces_of_card,
     general_position,
-    is_gale_transform,
     positively_dependent,
     positively_spanning,
 )
@@ -111,13 +110,13 @@ class TestPositivelyDependent:
 
 class TestGaleTransform:
     def test_four_signs_on_line(self):
-        assert is_gale_transform(VectorConfig([(1,), (1,), (-1,), (-1,)]))
+        assert VectorConfig([(1,), (1,), (-1,), (-1,)]).is_gale
 
     def test_coupling_matrix_at_one(self):
-        assert is_gale_transform(coupling_config(1))
+        assert coupling_config(1).is_gale
 
     def test_coupling_matrix_at_zero_fails(self):
-        assert not is_gale_transform(coupling_config(0))
+        assert not coupling_config(0).is_gale
 
 
 class TestCachedVerdict:
@@ -135,7 +134,7 @@ class TestCachedVerdict:
             loop = all(
                 positively_spanning(G.vectors[:i] + G.vectors[i + 1:]) for i in range(len(G))
             )
-            assert is_gale_transform(G) == G.is_gale == loop
+            assert G.is_gale == loop
             seen.add(loop)
         assert seen == {True, False}
 
@@ -149,14 +148,14 @@ class TestCachedVerdict:
 
         monkeypatch.setattr(lp, "lp_feasible", counting)
         G = coupling_config(Fraction(1, 4))
-        assert is_gale_transform(G)
+        assert G.is_gale
         assert len(calls) == 6  # 6 deletions, one strict system each
-        assert is_gale_transform(G) and G.is_gale
+        assert G.is_gale
         gale_faces_of_card(G, 2)
         gale_face_test(G, {1, 3})
         assert len(calls) == 6
         # the verdict lives on the instance: an equal, fresh one decides again
-        assert is_gale_transform(coupling_config(Fraction(1, 4)))
+        assert coupling_config(Fraction(1, 4)).is_gale
         assert len(calls) == 12
 
     def test_verdict_leaves_eq_and_hash_unchanged(self):
@@ -209,7 +208,7 @@ class TestFaceEnumeration:
     def test_cross_polytope_diagram_matches_direct_hull(self):
         a, b, c = (1, 0), (0, 1), (-1, -1)
         diagram = VectorConfig([a, a, b, b, c, c])
-        assert is_gale_transform(diagram)
+        assert diagram.is_gale
         counts = [len(gale_faces_of_card(diagram, k)) for k in (1, 2, 3)]
         assert counts == [6, 12, 8]
         # direct face oracle on the standard cross-polytope
@@ -256,8 +255,8 @@ class TestInvariance:
             assert positively_spanning(vectors) == positively_spanning(mapped)
             assert positively_dependent(vectors) == positively_dependent(mapped)
             g1, g2 = VectorConfig(vectors), VectorConfig(mapped)
-            assert is_gale_transform(g1) == is_gale_transform(g2)
-            if is_gale_transform(g1):
+            assert g1.is_gale == g2.is_gale
+            if g1.is_gale:
                 coface = frozenset(rng.sample(range(1, m + 1), rng.randint(0, m)))
                 assert gale_face_test(g1, coface) == gale_face_test(g2, coface)
 

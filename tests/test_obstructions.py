@@ -21,7 +21,7 @@ from galeproj.obstructions import (
     nonembeddable,
     nonface_kneser_chi,
 )
-from helpers import bipartite_sum, full_simplex, graph, simplex_boundary
+from helpers import bipartite_sum, brute_chromatic_number, full_simplex, graph, simplex_boundary
 
 
 def kg(n, k):
@@ -48,8 +48,7 @@ class TestKneserGraph:
         g = kneser_graph(minimal_nonfaces(K))
         assert len(g.vertices) == 6 and len(g.edges) == 9
         assert all(degree(g, v) == 3 for v in g.vertices)
-        chi, exact = chromatic_number(g)
-        assert (chi, exact) == (2, True)
+        assert chromatic_number(g) == 2
 
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError):
@@ -61,7 +60,7 @@ class TestBipartiteSum:
         e3 = graph([1, 2, 3], [])
         g = bipartite_sum(e3, e3)
         assert len(g.vertices) == 6 and len(g.edges) == 9
-        assert chromatic_number(g) == (2, True)
+        assert chromatic_number(g) == 2
 
     def test_single_vertices_give_edge(self):
         k1 = graph(["v"], [])
@@ -88,10 +87,7 @@ class TestBipartiteSum:
                 return graph(vs, es)
 
             g, h = rnd_graph(), rnd_graph()
-            cg, _ = chromatic_number(g)
-            ch, _ = chromatic_number(h)
-            cs, exact = chromatic_number(bipartite_sum(g, h))
-            assert exact and cs == cg + ch
+            assert chromatic_number(bipartite_sum(g, h)) == chromatic_number(g) + chromatic_number(h)
 
     def test_kneser_of_join_nonfaces_is_bipartite_sum(self):
         K, L = points_complex(3), points_complex(4)
@@ -112,40 +108,32 @@ class TestBipartiteSum:
 
 class TestChromaticNumber:
     def test_bipartite(self):
-        assert chromatic_number(kneser_graph(complete_bipartite((1, 2, 3), (4, 5, 6)).facets))[0] >= 1
+        assert chromatic_number(kneser_graph(complete_bipartite((1, 2, 3), (4, 5, 6)).facets)) >= 1
         g = graph([1, 2, 3, 4, 5, 6], [(i, j) for i in (1, 2, 3) for j in (4, 5, 6)])
-        assert chromatic_number(g) == (2, True)
+        assert chromatic_number(g) == 2
 
     def test_odd_cycle(self):
         c5 = graph(range(5), [(i, (i + 1) % 5) for i in range(5)])
-        assert chromatic_number(c5) == (3, True)
+        assert chromatic_number(c5) == 3
 
     def test_petersen(self):
-        assert chromatic_number(kg(5, 2)) == (3, True)
+        assert chromatic_number(kg(5, 2)) == 3
 
     def test_exact_cap(self):
-        big = graph(range(40), [])
         with pytest.raises(TooLargeForExact):
-            chromatic_number(big)
-        value, exact = chromatic_number(big, mode="greedy_upper")
-        assert value == 1 and exact is False
+            chromatic_number(graph(range(40), []))
 
-    def test_greedy_upper_bounds_exact(self):
+    def test_matches_brute_force_on_random_graphs(self):
         rng = random.Random(82)
-        for _ in range(20):
-            n = rng.randint(2, 9)
-            es = [
-                (i, j)
-                for i, j in itertools.combinations(range(n), 2)
-                if rng.random() < 0.5
-            ]
+        for _ in range(30):
+            n = rng.randint(1, 6)
+            p = rng.choice((0.3, 0.5, 0.8))
+            es = [(i, j) for i, j in itertools.combinations(range(n), 2) if rng.random() < p]
             g = graph(range(n), es)
-            greedy, flag = chromatic_number(g, mode="greedy_upper")
-            exact, _ = chromatic_number(g)
-            assert flag is False and greedy >= exact
+            assert chromatic_number(g) == brute_chromatic_number(g), es
 
     def test_empty_graph(self):
-        assert chromatic_number(graph([], [])) == (0, True)
+        assert chromatic_number(graph([], [])) == 0
 
 
 class TestLovaszKneser:
@@ -155,7 +143,7 @@ class TestLovaszKneser:
         for d in range(3, 8):
             assert lovasz_kneser_chi(d + 1, 2) == d - 1
         # d = 2 lies below the theorem's range n >= 2k: KG(3,2) is edgeless.
-        assert chromatic_number(kg(3, 2)) == (1, True)
+        assert chromatic_number(kg(3, 2)) == 1
 
     def test_out_of_range(self):
         with pytest.raises(OutOfTheoremRange):
@@ -175,8 +163,7 @@ class TestLovaszKneser:
     def test_agreement_with_exact_solver(self):
         cases = [(4, 2), (5, 2), (6, 2), (7, 2), (8, 2), (6, 3)] + [(n, 1) for n in range(2, 7)]
         for n, k in cases:
-            chi, exact = chromatic_number(kg(n, k))
-            assert exact and chi == lovasz_kneser_chi(n, k), (n, k)
+            assert chromatic_number(kg(n, k)) == lovasz_kneser_chi(n, k), (n, k)
 
 
 class TestSarkaria:
@@ -184,7 +171,7 @@ class TestSarkaria:
         K = power_join(points_complex(3), 2)
         v = nonembeddable(K, 0)
         assert v.complex_size == 6 and v.chi_used == 2 and v.sarkaria_lower == 3
-        assert v.chi_is_exact and v.djn_dim_upper == 3
+        assert v.djn_dim_upper == 3
 
     def test_triple_join_of_four_points(self):
         K = power_join(points_complex(4), 3)
@@ -209,15 +196,6 @@ class TestSarkaria:
             K = power_join(points_complex(d + 1), d)
             v = nonembeddable(K, 0)
             assert v.sarkaria_lower == v.djn_dim_upper == 2 * d - 1
-
-    def test_greedy_mode_stays_sound(self):
-        K = power_join(points_complex(3), 2)
-        v = nonembeddable(K, 2, chi_mode="greedy_upper")
-        exact = nonembeddable(K, 2)
-        assert not v.chi_is_exact
-        assert v.sarkaria_lower <= exact.sarkaria_lower
-        if v.embeddable == "no":
-            assert exact.embeddable == "no"
 
 
 class TestDeletedJoinDim:
@@ -259,7 +237,12 @@ class TestNonembeddable:
 
 
 def test_verdict_invariants_enforced():
-    with pytest.raises(ValueError):
-        ObstructionVerdict(6, 2, True, 4, 3, None, "unknown")
-    with pytest.raises(ValueError):
-        ObstructionVerdict(6, 2, True, 3, 3, 2, "unknown")
+    assert ObstructionVerdict(6, 2, 3, 3, 2, "no").embeddable == "no"
+    with pytest.raises(ValueError, match="n - chi - 1"):
+        ObstructionVerdict(6, 2, 4, 4, 2, "no")
+    with pytest.raises(ValueError, match="upper bound"):
+        ObstructionVerdict(6, 2, 3, 2, 2, "no")
+    with pytest.raises(ValueError, match="inconsistent"):
+        ObstructionVerdict(6, 2, 3, 3, 2, "unknown")
+    with pytest.raises(ValueError, match="inconsistent"):
+        ObstructionVerdict(6, 2, 3, 3, 3, "no")

@@ -13,7 +13,14 @@ elsewhere.  Re-exporting from `__init__` alone does not count.  The scan
 reads the syntax tree, so a name that appears only inside a string (a
 report's scenario name, say) is not mistaken for a use.
 
-`KEEP` names the definitions kept without a use, each with its reason.
+The same holds for parameters: every parameter with a default, of a
+public function, method or class constructor, is passed somewhere, by
+position or by keyword.  A call counts when it names the callee as a
+definition use does; a method is called as an attribute, and a call
+with `*args` or `**kwargs` counts as passing every parameter it could.
+
+`KEEP` names the definitions kept without a use and the parameters kept
+without a caller that passes them, each with its reason.
 """
 
 import ast
@@ -28,6 +35,7 @@ KEEP = {
     "polytopes.sum_as_projection": "the projected-product route to the vertex bound (ROADMAP direction 2) calls it",
     "polytopes.recentre": "the projected-product route (ROADMAP direction 2) recentres the product before make_setup",
     "lp.eq": "part of the strict-system layer that deleting lp_feasible (ROADMAP direction 1) removes whole",
+    "lp.lp_feasible.dim": "the test oracles in tests/helpers.py pass it; it goes with lp_feasible (ROADMAP direction 1)",
 }
 
 
@@ -57,6 +65,62 @@ def public_members():
             if isinstance(cls, ast.ClassDef):
                 for node in _public(cls.body):
                     out[f"{stem}.{cls.name}.{node.name}"] = node.name
+    return out
+
+
+def _defaulted(args: ast.arguments, skip: int):
+    """(name, call position or None, keyword) of each parameter with a
+    default; `skip` leading parameters (`self`) are not passed in the call."""
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for i, arg in enumerate(positional):
+        if i >= max(first, skip):
+            yield arg.arg, i - skip, arg.arg
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None, arg.arg
+
+
+def _outside_init(value) -> bool:
+    """A dataclass field declared with `field(..., init=False)`."""
+    return isinstance(value, ast.Call) and any(
+        k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False for k in value.keywords
+    )
+
+
+def _constructor(cls: ast.ClassDef):
+    """The class's own `__init__` parameters, or else its dataclass fields."""
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef) and node.name == "__init__":
+            yield from _defaulted(node.args, 1)
+            return
+    fields = [
+        n
+        for n in cls.body
+        if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name) and not _outside_init(n.value)
+    ]
+    for i, node in enumerate(fields):
+        if node.value is not None:
+            yield node.target.id, i, node.target.id
+
+
+def public_parameters():
+    """(callee name, is a method, position, keyword) of each defaulted
+    parameter of a public function, method or constructor, by qualified name."""
+    out = {}
+    for stem in sorted(MODULES):
+        for node in _public(_tree(PACKAGE / f"{stem}.py").body):
+            prefix = f"{stem}.{node.name}"
+            if isinstance(node, ast.ClassDef):
+                params = [(prefix, node.name, False, p) for p in _constructor(node)]
+                for method in _public(node.body):
+                    if isinstance(method, ast.FunctionDef):
+                        qual = f"{prefix}.{method.name}"
+                        params += [(qual, method.name, True, p) for p in _defaulted(method.args, 1)]
+            else:
+                params = [(prefix, node.name, False, p) for p in _defaulted(node.args, 0)]
+            for qual, name, is_method, (param, position, keyword) in params:
+                out[f"{qual}.{param}"] = (name, is_method, position, keyword)
     return out
 
 
@@ -90,11 +154,37 @@ def attributes_used():
     return {node.attr for node in _uses() if isinstance(node, ast.Attribute)}
 
 
+def _calls(call, name, is_method):
+    """Does `call` name the callee as a definition or member use would?"""
+    f = call.func
+    if isinstance(f, ast.Attribute):
+        return f.attr == name and (is_method or _is_module(f.value))
+    return isinstance(f, ast.Name) and f.id == name and not is_method
+
+
+def _passes(call, position, keyword):
+    if position is not None and (len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)):
+        return True
+    return any(k.arg in (None, keyword) for k in call.keywords)
+
+
+def parameters_unpassed():
+    calls = [node for node in _uses() if isinstance(node, ast.Call)]
+    return sorted(
+        qual
+        for qual, (name, is_method, position, keyword) in public_parameters().items()
+        if not any(_passes(call, position, keyword) for call in calls if _calls(call, name, is_method))
+    )
+
+
 def test_the_scan_sees_the_package():
     defs = public_definitions()
     assert {"gale.VectorConfig", "gale.gale_face_test", "projections.make_setup", "cli.main"} <= defs.keys()
     members = public_members()
     assert {"gale.VectorConfig.vector", "polytopes.HPolytope.dim", "polytopes.VPolytope.differences"} <= members.keys()
+    params = public_parameters()
+    assert {"gale.VectorConfig.labels", "pipeline.Check.detail", "pipeline.PipelineReport.check.detail"} <= params.keys()
+    assert params["polytopes.HPolytope.facet_labels"] == ("HPolytope", False, 2, "facet_labels")
 
 
 def test_every_public_definition_is_reached():
@@ -110,9 +200,16 @@ def test_every_public_member_is_reached():
 
 
 def test_keep_lists_only_unused_definitions():
-    defs = public_definitions()
-    missing = sorted(q for q in KEEP if q not in defs)
-    assert not missing, f"KEEP names definitions that do not exist: {missing}"
+    defs, params = public_definitions(), public_parameters()
+    missing = sorted(q for q in KEEP if q not in defs and q not in params)
+    assert not missing, f"KEEP names definitions or parameters that do not exist: {missing}"
     used = names_used()
-    reached = sorted(q for q in KEEP if defs[q] in used)
+    reached = sorted(q for q in KEEP if q in defs and defs[q] in used)
     assert not reached, f"KEEP names definitions the program or bench already uses: {reached}"
+    unpassed = parameters_unpassed()
+    passed = sorted(q for q in KEEP if q in params and q not in unpassed)
+    assert not passed, f"KEEP names parameters the program or bench already passes: {passed}"
+
+def test_every_defaulted_parameter_is_passed():
+    unpassed = [q for q in parameters_unpassed() if q not in KEEP]
+    assert not unpassed, f"defaulted parameters no caller passes: {unpassed}"
