@@ -176,7 +176,7 @@ EMBED_JSON = """\
 """
 
 
-@pytest.mark.parametrize("fmt, expected", [("text", EMBED_TEXT), ("json", EMBED_JSON)])
+@pytest.mark.parametrize("fmt, expected", [("text", EMBED_TEXT), ("json", EMBED_JSON)], ids=["text", "json"])
 def test_embed_output_is_pinned(fmt, expected, files, capsys):
     assert main(["embed", "--input", files["complex"], "--sphere", "1", "--format", fmt]) == 0
     assert capsys.readouterr().out == expected

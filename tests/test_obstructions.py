@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from galeproj import obstructions
 from galeproj.complexes import (
     Join,
     complete_bipartite,
@@ -131,6 +132,15 @@ class TestChromaticNumber:
             es = [(i, j) for i, j in itertools.combinations(range(n), 2) if rng.random() < p]
             g = graph(range(n), es)
             assert chromatic_number(g) == brute_chromatic_number(g), es
+
+    def test_greedy_upper_bounds_exact(self):
+        # the greedy colouring is the search's upper bound
+        rng = random.Random(82)
+        for _ in range(20):
+            n = rng.randint(2, 9)
+            es = [(i, j) for i, j in itertools.combinations(range(n), 2) if rng.random() < 0.5]
+            g = graph(range(n), es)
+            assert obstructions._greedy_coloring(obstructions._adjacency(g)) >= chromatic_number(g)
 
     def test_empty_graph(self):
         assert chromatic_number(graph([], [])) == 0
