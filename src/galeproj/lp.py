@@ -12,10 +12,11 @@ The tableau is integer over one common denominator D > 0 and pivots by
 the fraction-free update of Edmonds (1967), as Avis's lrs (2000) does:
 each division is exact and no gcd is taken while pivoting.  Rationals
 occur only where rows come in, each scaled to integers once by
-`integer_row`, and where the witness goes out.
+`integer_row`, and where the witness goes out; ints pass as they are.
 The tableau differs from the rational one only by positive scalings of
 rows and of slack/artificial columns, which keep every sign Bland's rule
-reads, so the pivots are those of a rational simplex (see `_solve_nonneg`).
+reads, and stores no artificial column, as none may enter; so the pivots
+are those of a rational simplex (see `_solve_nonneg`).
 """
 
 from __future__ import annotations
@@ -78,7 +79,6 @@ class FeasibilityResult:
 INFEASIBLE = FeasibilityResult("infeasible")
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _pivot(T, basis, Z, D, r, c):
@@ -134,15 +134,15 @@ def _solve_nonneg(rows, nvars):
     cost by a positive number, and each ratio test is scaled by one
     positive factor, ties included, so Bland's rule picks the pivots of the
     rational tableau.  An artificial still basic at the end has value 0
-    and is not read.
+    and is not read.  No artificial column is stored, as none may enter:
+    the k-th artificial is basic under its virtual index art_start + k,
+    the index Bland's tie-break compares in the rational tableau.
     """
-    nslack = sum(1 for _, _, rel in rows if rel == LE)
-    art_start = nvars + nslack
-    width = art_start + sum(1 for ints, _, rel in rows if rel != LE or ints[-1] < 0)
+    art_start = nvars + sum(1 for _, _, rel in rows if rel == LE)
     T, basis, arts = [], [], []
     s_at = nvars
     for ints, lam, rel in rows:
-        row = ints[:-1] + [0] * (width - nvars) + ints[-1:]
+        row = ints[:-1] + [0] * (art_start - nvars) + ints[-1:]
         if rel == LE:
             row[s_at] = 1
             s_at += 1
@@ -152,7 +152,6 @@ def _solve_nonneg(rows, nvars):
             basis.append(s_at - 1)
         else:
             basis.append(art_start + len(arts))
-            row[basis[-1]] = 1
             arts.append((row, lam))
         T.append(row)
 
@@ -160,8 +159,7 @@ def _solve_nonneg(rows, nvars):
     if arts:
         # D times the reduced costs of -sum (L / lam_i) a'_i at the identity basis
         L = lcm(*(lam for _, lam in arts))
-        Z = [sum(L // lam * row[j] for row, lam in arts) for j in range(width + 1)]
-        Z[art_start:width] = [0] * len(arts)
+        Z = [sum(L // lam * row[j] for row, lam in arts) for j in range(art_start + 1)]
         D = _simplex_max(T, basis, Z, D, range(art_start))
         if Z[-1] > 0:
             return None
@@ -196,9 +194,10 @@ def nonneg_combination(eq_rows: list[tuple[list, Fraction]], nvars: int) -> list
 
 
 def _membership_rows(vectors, target, kind):
-    """Equality rows sum(lam_i * v_i) = target, one per coordinate."""
-    vectors = [vec(v) for v in vectors]
-    target = vec(target)
+    """Equality rows sum(lam_i * v_i) = target, one per coordinate.
+
+    Entries are ints or Fractions, kept as they are for `nonneg_combination`.
+    """
     if any(len(v) != len(target) for v in vectors):
         raise DimensionMismatch(f"{kind} membership with mixed dimensions")
     return [([v[r] for v in vectors], target[r]) for r in range(len(target))]
@@ -213,7 +212,7 @@ def cone_combination(vectors, target) -> list[Fraction] | None:
 def convex_combination(points, target) -> list[Fraction] | None:
     """Coefficients of target as a convex combination of points, or None."""
     points = list(points)
-    eq_rows = _membership_rows(points, target, "convex") + [([_ONE] * len(points), _ONE)]
+    eq_rows = _membership_rows(points, target, "convex") + [([1] * len(points), 1)]
     return nonneg_combination(eq_rows, len(points))
 
 

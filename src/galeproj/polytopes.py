@@ -13,7 +13,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import lp
@@ -64,14 +65,19 @@ class VPolytope:
         object.__setattr__(self, "dim", n)
 
     @cached_property
-    def differences(self) -> tuple[tuple[Vec, ...], ...]:
+    def differences(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """For each point v, the differences w - v over the other points w.
 
+        The points are scaled to integers once, by the lcm of their
+        denominators: a positive scaling keeps every normal cone, so the
+        Gordan verdicts stay, and no tuple's LP coerces anything.
         Built on first read and kept on the instance, like
         `HPolytope.vertex_records`, so `==` and `hash` still compare only
         the fields.
         """
-        return tuple(tuple(vsub(w, v) for w in self.points if w != v) for v in self.points)
+        L = lcm(*(x.denominator for p in self.points for x in p))
+        pts = [tuple(x.numerator * (L // x.denominator) for x in p) for p in self.points]
+        return tuple(tuple(vsub(w, v) for w in pts if w != v) for v in pts)
 
 
 @dataclass(frozen=True)
@@ -110,9 +116,6 @@ class HPolytope:
     def num_facets(self) -> int:
         return len(self.A)
 
-    def contains(self, x: Vec) -> bool:
-        return all(vdot(a, x) <= bi for a, bi in zip(self.A, self.b))
-
     @cached_property
     def vertex_records(self) -> tuple[FaceRecord, ...]:
         """Vertex records, enumerated on first read and kept on the instance.
@@ -121,17 +124,23 @@ class HPolytope:
         duplicates and recomputes tightness against every row, so non-simple
         vertices come out with |I(v)| > n.  Ordered by coordinates.  Like
         `VectorConfig.is_gale`, the value lives in the instance dict, so
-        `==` and `hash` still compare only the fields.
+        `==` and `hash` still compare only the fields.  Each row [a | b] is
+        scaled to integers once; with x = num / L, the slack b' * L - a'.num
+        is b - a.x times a positive number, so its sign gives feasibility
+        and tightness.
         """
         m, n = self.num_facets, self.dim
+        rows = [integer_row((*a, bi))[0] for a, bi in zip(self.A, self.b)]
         found: dict[Vec, frozenset[int]] = {}
-        for rows in itertools.combinations(range(m), n):
-            x = solve_square(tuple(self.A[i] for i in rows), tuple(self.b[i] for i in rows))
-            if x is None or x in found or not self.contains(x):
+        for subset in itertools.combinations(range(m), n):
+            x = solve_square(tuple(self.A[i] for i in subset), tuple(self.b[i] for i in subset))
+            if x is None or x in found:
                 continue
-            found[x] = frozenset(
-                self.facet_labels[i] for i in range(m) if vdot(self.A[i], x) == self.b[i]
-            )
+            num, L = integer_row(x)
+            # num has one entry per coordinate, so map leaves b' out of the sum
+            slacks = [row[-1] * L - sum(map(mul, row, num)) for row in rows]
+            if min(slacks) >= 0:
+                found[x] = frozenset(label for label, s in zip(self.facet_labels, slacks) if s == 0)
         return tuple(FaceRecord(found[x], x) for x in sorted(found))
 
     def _validate(self) -> None:

@@ -98,6 +98,13 @@ def separation_hull_vertices(points: list[Vec]) -> set[int]:
     return out
 
 
+def fraction_slacks(P, x) -> list[Fraction]:
+    """The slack b_i - a_i.x of every row of the H-polytope P, in `Fraction`
+    arithmetic: x lies in P iff none is negative, and a row is tight iff its
+    slack is 0 (test oracle for `HPolytope.vertex_records`)."""
+    return [bi - sum((Fraction(ai) * xi for ai, xi in zip(a, x)), Fraction(0)) for a, bi in zip(P.A, P.b)]
+
+
 def normal_cone_oracle(choice, polys) -> bool:
     """Minkowski vertex test by the direct strict-separation LP.
 

@@ -13,14 +13,23 @@ Each LP row is scaled to integers once, where it enters `lp.py`:
 `_solve_nonneg` takes integer rows and scales none itself, and
 `polytopes.py` reaches phase 1 only through the cone, convex-hull and
 spanning tests, never by building `nonneg_combination` rows by hand.
+The Gordan rows of the Minkowski vertex test reach `nonneg_combination`
+as ints: each summand's differences are scaled to integers once, so no
+`Fraction` is coerced per vertex tuple.
 The `Fraction` simplex and eliminations live on only as test oracles in
 `helpers.py`.
 """
 
 import ast
+import random
 from pathlib import Path
 
+import pytest
+
 import helpers
+from galeproj import lp
+from galeproj.polytopes import VPolytope, minkowski_sum_vertices
+from test_polytopes import lifted_lattice_summands
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "galeproj"
@@ -151,3 +160,26 @@ def test_kernel_and_solve_build_fractions_from_two_integers():
     for name in ("kernel_basis", "solve_square"):
         calls = _fraction_calls(functions[name])
         assert calls and all(len(c.args) == 2 for c in calls), name
+
+
+def fraction_summands():
+    rng = random.Random(4711)
+    polys = [VPolytope(helpers.random_points(rng, 3, 4)) for _ in range(3)]
+    assert all(any(x.denominator > 1 for p in Q.points for x in p) for Q in polys)
+    return polys
+
+
+@pytest.mark.parametrize("summands", [lifted_lattice_summands, fraction_summands])
+def test_gordan_rows_reach_the_lp_as_ints(monkeypatch, summands):
+    polys = summands()
+    seen = []
+    original = lp.nonneg_combination
+
+    def checked(eq_rows, nvars):
+        seen.append(eq_rows)
+        return original(eq_rows, nvars)
+
+    monkeypatch.setattr(lp, "nonneg_combination", checked)
+    minkowski_sum_vertices(polys)
+    assert len(seen) == len(polys[0].points) * len(polys[1].points) * len(polys[2].points)
+    assert all(type(x) is int for rows in seen for coeffs, rhs in rows for x in (*coeffs, rhs))

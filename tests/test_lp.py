@@ -144,15 +144,19 @@ def oracle_checked(monkeypatch):
 
     Each solve must make the oracle's pivots, (entering, leaving) column
     by column, and return the same point or None.  The pivot loop must see
-    only ints over a positive denominator and pivot on a positive entry.
+    only ints over a positive denominator and pivot on a positive entry,
+    and the tableau must store no artificial column: every row and Z hold
+    the variables, the slacks of the LE rows and the rhs.
     Returns the counts of solves, pivots and covered cases.
     """
     events = Counter()
     integer_log = []
+    width = []
     pivot, solve = lp._pivot, lp._solve_nonneg
 
     def checked_pivot(T, basis, Z, D, r, c):
         assert type(D) is int and D > 0
+        assert all(len(row) == width[0] for row in T) and len(Z) == width[0]
         assert all(type(x) is int for row in T for x in row + Z)
         assert T[r][c] > 0
         integer_log.append((c, basis[r]))
@@ -165,6 +169,7 @@ def oracle_checked(monkeypatch):
         ]
         oracle_log = []
         expected = fraction_solve_nonneg(raw_rows, nvars, oracle_log, events)
+        width[:] = [nvars + sum(rel == lp.LE for _, _, rel in rows) + 1]
         integer_log.clear()
         got = solve(rows, nvars)
         assert integer_log == oracle_log

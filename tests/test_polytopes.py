@@ -15,7 +15,7 @@ from galeproj.errors import (
     UnboundedPolytope,
 )
 from galeproj import lp, polytopes
-from galeproj.linalg import mat_vec, rank, vec, vsub
+from galeproj.linalg import affine_rank, mat_vec, rank, vec, vsub
 from galeproj.polytopes import (
     HPolytope,
     VPolytope,
@@ -33,6 +33,7 @@ from galeproj.polytopes import (
     trivial_upper_bound,
 )
 from helpers import (
+    fraction_slacks,
     lcm_gcd_canonical_row,
     normal_cone_oracle,
     random_points,
@@ -184,6 +185,48 @@ class TestVertexRecordsCached:
         assert P == Q and hash(P) == hash(Q) == before
         assert repr(P) == repr(Q) == text
         assert P != coupled_triangles(Fraction(1, 2))
+
+
+class TestVertexRecordsOracle:
+    """Integer slacks in `vertex_records` against the hull and `Fraction` rows.
+
+    A full-dimensional V-polytope goes through `facet_description` and
+    `h_vertices`; its vertices must be the points `hull_vertex_indices`
+    keeps, and each tight set must be the rows a `Fraction` evaluation
+    finds tight.
+    """
+
+    @staticmethod
+    def check_round_trip(pts):
+        P = facet_description(VPolytope(pts))
+        records = h_vertices(P)
+        assert [r.vertex_coords for r in records] == sorted(pts[i] for i in hull_vertex_indices(pts))
+        for r in records:
+            slacks = fraction_slacks(P, r.vertex_coords)
+            assert min(slacks) >= 0
+            assert r.tight_facets == {label for label, s in zip(P.facet_labels, slacks) if s == 0}
+        return records
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_random_vpolytopes(self, d):
+        rng = random.Random(1000 + d)
+        tested = nonsimple = 0
+        while tested < 12:
+            pts = [vec(p) for p in random_points(rng, d, rng.randint(d + 1, d + 4))]
+            if affine_rank(pts) != d:
+                continue
+            records = self.check_round_trip(pts)
+            nonsimple += sum(len(r.tight_facets) > d for r in records)
+            tested += 1
+        assert d == 2 or nonsimple > 0
+
+    def test_pyramid_apex(self):
+        h = Fraction(3, 7)
+        base = [vec([x, y, 0]) for x in (Fraction(-1, 2), Fraction(1, 2)) for y in (Fraction(-1, 3), 1)]
+        # an interior point of the base must not be reported
+        records = self.check_round_trip(base + [vec([0, 0, h]), vec([0, Fraction(1, 3), 0])])
+        apex = [r for r in records if r.vertex_coords == vec([0, 0, h])]
+        assert len(apex) == 1 and len(apex[0].tight_facets) == 4
 
 
 class TestHull:
@@ -515,6 +558,22 @@ class TestDifferencesCached:
         assert all(len(diffs) == 3 for diffs in P.differences)
         assert P == Q and hash(P) == hash(Q) == before
         assert repr(P) == repr(Q) == text
+
+    def test_positive_scaling_of_a_summand_keeps_every_verdict(self):
+        # the differences are built from each summand scaled to integers,
+        # which is sound because a positive scaling keeps every normal cone
+        rng = random.Random(3711)
+        scales = (Fraction(3, 7), Fraction(5), Fraction(11, 2))
+        for _ in range(4):
+            d = rng.randint(2, 3)
+            polys = [VPolytope(random_points(rng, d, rng.randint(2, 5))) for _ in range(3)]
+            scaled = [VPolytope([tuple(s * x for x in p) for p in Q.points]) for s, Q in zip(scales, polys)]
+            for Q in polys + scaled:
+                assert all(type(x) is int for diffs in Q.differences for u in diffs for x in u)
+            choices = [choice for choice, _ in minkowski_sum_vertices(polys)]
+            assert [choice for choice, _ in minkowski_sum_vertices(scaled)] == choices
+            for choice in all_choices(polys):
+                assert (choice in choices) == normal_cone_oracle(choice, polys) == normal_cone_oracle(choice, scaled)
 
     def test_lifted_lattice_instance_work(self, monkeypatch):
         # one phase 1 per tuple and no strict system: 125 solves, 875 pivots
