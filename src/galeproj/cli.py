@@ -77,7 +77,9 @@ def _cmd_example(args) -> int:
 def _cmd_minksum(args) -> int:
     polys = [_as_vpolytope(_load_json(path)) for path in args.input]
     sums = minkowski_sum_vertices(polys)
-    bound = trivial_upper_bound([len(P.points) for P in polys])
+    # f0(P_i) is read off the vertex tuples: every vertex of P_i lies in
+    # some tuple, and a point that is not a vertex lies in none
+    bound = trivial_upper_bound([len({choice[i] for choice, _ in sums}) for i in range(len(polys))])
     report = pipeline.PipelineReport(
         "minkowski_sum",
         {"inputs": list(args.input)},

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from . import lp
 from .errors import DimensionMismatch, DuplicateLabels, NotGale, UnknownLabel
-from .linalg import Vec, mat, rank, vec
+from .linalg import Vec, rank, vec
 
 FACE_CARD_CAP = 8
 
@@ -71,14 +71,11 @@ class VectorConfig:
         )
 
 
-def _as_vectors(W) -> list[Vec]:
-    if isinstance(W, VectorConfig):
-        return list(W.vectors)
-    return [vec(w) for w in W]
-
-
-def positively_spanning(W) -> bool:
+def positively_spanning(W: Sequence[Sequence]) -> bool:
     """True iff the nonnegative combinations of W fill the whole space.
+
+    W is a sequence of vectors with int or Fraction entries, taken as
+    given: the constructors made them exact, so nothing is coerced here.
 
     Davis (1954), via Farkas: W positively spans R^e iff rank W = e and
     no c has <c, w> <= 0 for all w and <c, sum W> < 0.  Only if: W spans,
@@ -87,23 +84,25 @@ def positively_spanning(W) -> bool:
     w; as W spans, some <c, w> < 0, so <c, sum W> < 0.  One rank and one
     strict system settle it.
     """
-    vectors = _as_vectors(W)
+    vectors = list(W)
     if not vectors:
         raise DimensionMismatch("empty set cannot span")
     e = len(vectors[0])
-    if rank(mat(vectors)) < e:
+    if rank(vectors) < e:
         return False
     total = [sum(w[j] for w in vectors) for j in range(e)]
     return not lp.lp_feasible([lp.le(w, 0) for w in vectors] + [lp.lt(total, 0)]).feasible
 
 
-def positively_dependent(W) -> bool:
+def positively_dependent(W: Sequence[Sequence]) -> bool:
     """True iff some strictly positive combination of W is zero.
 
-    Normalizing the coefficients to lam >= 1 makes this an exact cone
-    query: lam = 1 + mu with mu >= 0 turns it into -sum(W) in cone(W).
+    W is a sequence of vectors with int or Fraction entries, taken as
+    given, as in `positively_spanning`.  Normalizing the coefficients to
+    lam >= 1 makes this an exact cone query: lam = 1 + mu with mu >= 0
+    turns it into -sum(W) in cone(W).
     """
-    vectors = _as_vectors(W)
+    vectors = list(W)
     if not vectors:
         raise DimensionMismatch("empty set cannot be positively dependent")
     e = len(vectors[0])
@@ -156,6 +155,4 @@ def general_position(G: VectorConfig) -> bool:
     This is the condition under which the encoded polytope is simplicial.
     """
     e = G.dim
-    return all(
-        rank(mat(sub)) == e for sub in itertools.combinations(G.vectors, e)
-    )
+    return all(rank(sub) == e for sub in itertools.combinations(G.vectors, e))

@@ -25,11 +25,10 @@ from .errors import (
     EmptyPolytope,
     IndexOutOfRange,
     NotFullDimensional,
-    OriginNotInterior,
     RedundantRow,
     UnboundedPolytope,
 )
-from .gale import VectorConfig, positively_spanning
+from .gale import positively_spanning
 from .linalg import (
     Mat,
     Vec,
@@ -219,18 +218,6 @@ def recentre(P: HPolytope) -> HPolytope:
     x0 = tuple(sum(column) / len(coords) for column in zip(*coords))
     b = tuple(bi - vdot(a, x0) for a, bi in zip(P.A, P.b))
     return HPolytope(P.A, b, P.facet_labels)
-
-
-def dual_generators(P: HPolytope) -> VectorConfig:
-    """Vertices ell_i = a_i / b_i of the polar dual, labeled by facets.
-
-    Requires 0 in the interior (all b_i > 0); row irredundancy guarantees
-    that every ell_i really is a vertex of the dual.
-    """
-    if any(bi <= 0 for bi in P.b):
-        raise OriginNotInterior("dualization needs 0 strictly inside, i.e. b > 0")
-    vectors = tuple(tuple(x / bi for x in a) for a, bi in zip(P.A, P.b))
-    return VectorConfig(vectors, P.facet_labels)
 
 
 def minkowski_vertex_test(choice: Sequence[int], polys: Sequence[VPolytope]) -> bool:

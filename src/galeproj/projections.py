@@ -1,9 +1,10 @@
 """Face preservation under linear projections of polytopes.
 
 A projection setup packages a polytope with 0 interior, a full-rank
-projection, a kernel basis, and the projected dual vertices g_i.  Whether
-a face survives the projection is read off the g-vectors indexed by its
-tight facets: containing 0 in the convex hull / positively spanning
+projection, and the projected dual vertices g_i.  It stores no kernel
+basis: `make_setup` uses one to map the dual vertices down, once.
+Whether a face survives the projection is read off the g-vectors indexed
+by its tight facets: containing 0 in the convex hull / positively spanning
 correspond to preserved / strictly preserved.  An independent census
 computed from images and fibers cross-validates the whole classification.
 """
@@ -26,17 +27,15 @@ from .linalg import (
     matmul,
     rank,
     transpose,
-    vec,
     vsub,
 )
-from .polytopes import HPolytope, dual_generators, h_vertices, hull_vertex_indices
+from .polytopes import HPolytope, h_vertices, hull_vertex_indices
 
 
 @dataclass(frozen=True)
 class ProjectionSetup:
     polytope: HPolytope
     proj: Mat
-    kernel: Mat
     g_images: VectorConfig
 
     @property
@@ -62,9 +61,10 @@ class SurvivalReport:
 def make_setup(P: HPolytope, proj: Iterable[Iterable]) -> ProjectionSetup:
     """Assemble the projection data for (P, proj).
 
-    The kernel is a computed basis of ker(proj); the g-vectors are the
-    dual vertices composed with the kernel inclusion, i.e.
-    kernel^T (a_i / b_i).
+    The g-vectors are kernel^T (a_i / b_i), labeled by P's facets, for
+    kernel a computed basis of ker(proj).  With 0 strictly inside P
+    (b > 0), the a_i / b_i are the vertices of the polar dual: row
+    irredundancy makes each one a vertex.
     """
     proj = mat(proj)
     n = P.dim
@@ -81,31 +81,21 @@ def make_setup(P: HPolytope, proj: Iterable[Iterable]) -> ProjectionSetup:
     if any(any(x != 0 for x in row) for row in matmul(proj, kern)):
         raise AssertionError("kernel_basis returned columns the projection does not annihilate")
     kern_t = transpose(kern)
-    ells = dual_generators(P)
-    g = VectorConfig([mat_vec(kern_t, ell) for ell in ells.vectors], ells.labels)
-    return ProjectionSetup(P, proj, kern, g)
-
-
-def _g_subset(s: ProjectionSetup, labels: Iterable[int]) -> list[Vec]:
-    labels = list(labels)
-    unknown = set(labels) - set(s.g_images.labels)
-    if unknown:
-        raise UnknownLabel(sorted(unknown)[0])
-    return s.g_images.subset(labels)
+    g = [mat_vec(kern_t, tuple(x / bi for x in a)) for a, bi in zip(P.A, P.b)]
+    return ProjectionSetup(P, proj, VectorConfig(g, P.facet_labels))
 
 
 def face_preserved(s: ProjectionSetup, tight: Iterable[int]) -> bool:
     """Image of the face is a face of the image: 0 in conv of its g-vectors."""
-    g = _g_subset(s, tight)
+    g = s.g_images.subset(tight)
     if not g:
         return False
-    zero = vec([0] * s.kernel_dim)
-    return lp.convex_combination(g, zero) is not None
+    return lp.convex_combination(g, (0,) * s.kernel_dim) is not None
 
 
 def face_strictly_preserved(s: ProjectionSetup, tight: Iterable[int]) -> bool:
     """Strict survival: the g-vectors positively span the kernel space."""
-    g = _g_subset(s, tight)
+    g = s.g_images.subset(tight)
     if not g:
         return False
     return positively_spanning(g)

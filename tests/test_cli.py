@@ -135,6 +135,20 @@ def test_missing_field_is_named(name, tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_minksum_bound_counts_summand_vertices_not_points(tmp_path, capsys):
+    # a square with its centre point (5 points, 4 vertices) plus a triangle
+    square = {"type": "V", "dim": 2, "points": [[0, 0], [2, 0], [0, 2], [2, 2], [1, 1]]}
+    paths = []
+    for name, doc in (("square", square), ("triangle", TRIANGLE_V)):
+        paths += ["--input", str(tmp_path / f"{name}.json")]
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    assert main(["minksum", *paths, "--format", "json"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["f0_sum"] == 5
+    assert results["trivial_bound"] == 4 * 3
+    assert all(choice[0] != 4 for choice in results["choices"])
+
+
 @pytest.mark.parametrize("trials", ["0", "-2"])
 def test_experiment_needs_a_trial(trials, capsys):
     argv = ["experiment", "--d", "2", "--r", "2", "--f0", "3,3", "--trials", trials, "--seed", "5"]

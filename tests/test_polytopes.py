@@ -10,7 +10,6 @@ from galeproj.errors import (
     EmptyPolytope,
     IndexOutOfRange,
     NotFullDimensional,
-    OriginNotInterior,
     RedundantRow,
     UnboundedPolytope,
 )
@@ -20,7 +19,6 @@ from galeproj.polytopes import (
     HPolytope,
     VPolytope,
     dual_boundary_complex,
-    dual_generators,
     facet_description,
     h_vertices,
     hull_vertex_indices,
@@ -331,28 +329,6 @@ class TestRecentre:
         assert all(bi > 0 for bi in moved.b)
         # 0 is strictly inside the translated copy
         assert all(mat_vec(moved.A, zero)[i] < moved.b[i] for i in range(3))
-
-
-class TestDualGenerators:
-    def test_square(self):
-        g = dual_generators(UNIT_SQUARE)
-        assert set(g.vectors) == {vec([1, 0]), vec([-1, 0]), vec([0, 1]), vec([0, -1])}
-
-    def test_rows_divided_by_rhs(self):
-        P = coupled_triangles(Fraction(1, 2))
-        g = dual_generators(P)
-        assert g.vectors == P.A  # b = 1 everywhere
-        assert g.labels == P.facet_labels
-
-    def test_scale_invariance(self):
-        a = HPolytope([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 1, 1, 1])
-        b = HPolytope([[2, 0], [-1, 0], [0, 1], [0, -1]], [2, 1, 1, 1])
-        assert dual_generators(a).vectors == dual_generators(b).vectors
-
-    def test_origin_must_be_interior(self):
-        shifted = HPolytope([[1], [-1]], [3, -1])  # [1, 3]
-        with pytest.raises(OriginNotInterior):
-            dual_generators(shifted)
 
 
 class TestMinkowski:

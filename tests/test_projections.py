@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
 from galeproj.complexes import closure_from_facets, complete_bipartite
 from galeproj.errors import NotGale, OriginNotInterior, RankDeficient, UnknownLabel
+from galeproj.linalg import kernel_basis, mat_vec, transpose
 from galeproj.pipeline import TRIANGLE_PRODUCT_PROJECTION, coupling_g_matrix, deformed_triangle_product
 from galeproj.polytopes import HPolytope
 from galeproj.projections import (
@@ -17,6 +20,8 @@ CUBE = HPolytope(
     [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]], [1] * 6
 )
 AXIS_PLANE = [[1, 0, 0], [0, 1, 0]]
+# -2 <= x <= 1, -4 <= y <= 3, -6 <= z <= 5, with facet labels that are not 1..6
+BOX = HPolytope(CUBE.A, [1, 2, 3, 4, 5, 6], [11, 12, 13, 14, 15, 16])
 EPSILONS_BELOW_ONE = ("1/5", "1/4", "1/3", "1/2", "2/3", "3/4", "4/5")
 
 
@@ -46,6 +51,42 @@ class TestMakeSetup:
         shifted = HPolytope(CUBE.A, [2, 0, 1, 1, 1, 1])  # 0 <= x <= 2
         with pytest.raises(OriginNotInterior):
             make_setup(shifted, AXIS_PLANE)
+
+    def test_origin_outside_refused(self):
+        shifted = HPolytope(CUBE.A, [3, -1, 1, 1, 1, 1])  # 1 <= x <= 3, so some b_i < 0
+        with pytest.raises(OriginNotInterior):
+            make_setup(shifted, AXIS_PLANE)
+
+    def test_g_vectors_of_a_box_by_hand(self):
+        # ker(AXIS_PLANE) is the z-axis, so g_i is the z-entry of a_i / b_i
+        s = make_setup(BOX, AXIS_PLANE)
+        assert s.g_images.vectors == ((0,), (0,), (0,), (0,), (Fraction(1, 5),), (Fraction(-1, 6),))
+        assert s.g_images.labels == (11, 12, 13, 14, 15, 16)
+
+    def test_g_vectors_are_the_dual_vertices_in_the_kernel(self):
+        cases = [
+            (BOX, [[1, 0, 2], [0, 1, 3]]),
+            (BOX, [[1, 1, 1]]),
+            (deformed_triangle_product("1/3"), TRIANGLE_PRODUCT_PROJECTION),
+        ]
+        for P, proj in cases:
+            kern = kernel_basis(proj)
+            expected = tuple(mat_vec(transpose(kern), tuple(x / bi for x in a)) for a, bi in zip(P.A, P.b))
+            s = make_setup(P, proj)
+            assert s.g_images.vectors == expected
+            assert s.g_images.labels == P.facet_labels
+            assert s.kernel_dim == len(kern[0])
+
+    def test_scaling_a_row_keeps_the_g_vectors(self):
+        # (a_i, b_i) and (c a_i, c b_i) with c > 0 are the same facet and the same a_i / b_i
+        factors = [Fraction(2), Fraction(1, 3), 1, Fraction(7, 2), 5, Fraction(3, 4)]
+        scaled = HPolytope(
+            [[c * x for x in a] for c, a in zip(factors, BOX.A)],
+            [c * bi for c, bi in zip(factors, BOX.b)],
+            BOX.facet_labels,
+        )
+        for proj in (AXIS_PLANE, [[1, 0, 2], [0, 1, 3]], [[1, 1, 1]]):
+            assert make_setup(scaled, proj).g_images == make_setup(BOX, proj).g_images
 
 
 class TestCensus:
@@ -77,6 +118,13 @@ class TestCensus:
         for s in (two_triangle_setup("1/4"), make_setup(CUBE, AXIS_PLANE)):
             assert face_preserved(s, []) is False
             assert face_strictly_preserved(s, []) is False
+
+    @pytest.mark.parametrize("test", [face_preserved, face_strictly_preserved], ids=lambda f: f.__name__)
+    def test_foreign_label_refused(self, test):
+        s = two_triangle_setup("1/4")
+        for tight in ([7], [1, 2, 7], [0]):
+            with pytest.raises(UnknownLabel):
+                test(s, tight)
 
 
 class TestVerifyRealized:

@@ -9,9 +9,10 @@ name, as an import alias, or as an attribute of a galeproj module name
 (`lp.cone_combination`); `itertools.product` and `"".join` do not count
 for `polytopes.product` or a `join`.  A method or property counts only
 as an attribute (`P.dim`), since its bare name is often a local variable
-elsewhere.  Re-exporting from `__init__` alone does not count.  The scan
-reads the syntax tree, so a name that appears only inside a string (a
-report's scenario name, say) is not mistaken for a use.
+elsewhere.  `__init__.py` itself imports nothing and binds no public
+name, so it cannot re-export a definition and hide that nothing uses
+it.  The scan reads the syntax tree, so a name that appears only inside
+a string (a report's scenario name, say) is not mistaken for a use.
 
 The same holds for parameters: every parameter with a default, of a
 public function, method or class constructor, is passed somewhere, by
@@ -185,6 +186,17 @@ def test_the_scan_sees_the_package():
     params = public_parameters()
     assert {"gale.VectorConfig.labels", "pipeline.Check.detail", "pipeline.PipelineReport.check.detail"} <= params.keys()
     assert params["polytopes.HPolytope.facet_labels"] == ("HPolytope", False, 2, "facet_labels")
+
+
+def test_the_package_root_re_exports_nothing():
+    # callers import the submodules; a facade in __init__ would hide unused names
+    tree = _tree(PACKAGE / "__init__.py")
+    imports = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not imports, f"galeproj/__init__.py imports: {imports}"
+    names = [node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)]
+    names += [node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    public = sorted(name for name in names if not name.startswith("_"))
+    assert not public, f"galeproj/__init__.py binds public names: {public}"
 
 
 def test_every_public_definition_is_reached():
