@@ -1,5 +1,10 @@
 """Command-line interface.
 
+A subcommand parses its arguments, reads its files, makes one call and
+prints the answer: the report subcommands call one `pipeline` builder,
+`complex` and `embed` the complex and obstruction layers.  What a report
+holds is decided in `pipeline`; here it is only printed.
+
 Exit codes: 0 when every check passes, 1 when an assertion fails, 2 on
 input errors (bad arguments, malformed files, violated preconditions).
 """
@@ -16,7 +21,6 @@ from . import pipeline, serialize
 from .complexes import complement_complex, deleted_join, minimal_nonfaces, sort_family
 from .errors import GaleprojError
 from .obstructions import nonembeddable
-from .polytopes import VPolytope, h_vertices, minkowski_sum_vertices, trivial_upper_bound
 
 
 def _dump(data: dict) -> str:
@@ -56,13 +60,6 @@ def _parse_d_range(text: str) -> list[int]:
     return [int(text)]
 
 
-def _as_vpolytope(data: dict) -> VPolytope:
-    P = serialize.parse_polytope(data)
-    if isinstance(P, VPolytope):
-        return P
-    return VPolytope([r.vertex_coords for r in h_vertices(P)])
-
-
 def _cmd_obstruction(args) -> int:
     code = 0
     for d in _parse_d_range(args.d):
@@ -75,50 +72,13 @@ def _cmd_example(args) -> int:
 
 
 def _cmd_minksum(args) -> int:
-    polys = [_as_vpolytope(_load_json(path)) for path in args.input]
-    sums = minkowski_sum_vertices(polys)
-    # f0(P_i) is read off the vertex tuples: every vertex of P_i lies in
-    # some tuple, and a point that is not a vertex lies in none
-    bound = trivial_upper_bound([len({choice[i] for choice, _ in sums}) for i in range(len(polys))])
-    report = pipeline.PipelineReport(
-        "minkowski_sum",
-        {"inputs": list(args.input)},
-        results={
-            "f0_sum": len(sums),
-            "trivial_bound": bound,
-            "vertices": [serialize.vec_json(pt) for _, pt in sums],
-            "choices": [list(choice) for choice, _ in sums],
-        },
-    )
-    report.check(
-        "the sum has at most prod f0(P_i) vertices",
-        len(sums) <= bound,
-        f"{len(sums)} <= {bound}",
-    )
-    return _print_report(report, args.format)
+    polys = [serialize.parse_polytope(_load_json(path)) for path in args.input]
+    return _print_report(pipeline.minkowski_sum_report(polys, args.input), args.format)
 
 
 def _cmd_bound(args) -> int:
     f0s = [int(x) for x in args.f0.split(",")]
-    value = pipeline.minkowski_vertex_bound(args.d, args.r, f0s)
-    counting = pipeline.pigeonhole_lower_bound(args.d, args.r, f0s)
-    report = pipeline.PipelineReport(
-        "vertex_bounds",
-        {"d": args.d, "r": args.r, "f0s": f0s},
-        results={
-            "trivial_bound": trivial_upper_bound(f0s),
-            "sharpened_bound": serialize.rat_str(value),
-            "failing_sums_at_least": serialize.rat_str(counting.failures_lower),
-            "simplex_subset_choices": counting.subset_choices,
-            "subsums_per_tuple": counting.subsums_per_tuple,
-        },
-    )
-    report.check(
-        "the sharpened bound improves on the trivial bound",
-        value < trivial_upper_bound(f0s),
-        f"{serialize.rat_str(value)} < {trivial_upper_bound(f0s)}",
-    )
-    return _print_report(report, args.format)
+    return _print_report(pipeline.vertex_bounds(args.d, args.r, f0s), args.format)
 
 
 def _cmd_experiment(args) -> int:

@@ -176,11 +176,12 @@ def minimal_nonfaces(K: Complex) -> frozenset[Face]:
     """Inclusion-minimal non-faces of K.
 
     Any minimal non-face has all proper subsets among the faces, so its
-    size is at most dim(K) + 2; the sweep stops there.
+    size is at most dim(K) + 2; the sweep stops there.  It starts at the
+    empty set, the one minimal non-face of a complex with no faces.
     """
     out: set[Face] = set()
     verts = sort_labels(K.vertices)
-    for size in range(1, K.dim + 3):
+    for size in range(K.dim + 3):
         for cand in itertools.combinations(verts, size):
             c = frozenset(cand)
             if K.is_face(c):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .complexes import Complex, Join, sort_family, sort_labels
-from .errors import OutOfTheoremRange, TooLargeForExact
+from .errors import HypothesisViolated, OutOfTheoremRange, TooLargeForExact
 
 EXACT_CAP = 32
 
@@ -254,9 +254,15 @@ def djn_dim_upper(K: Complex) -> int:
 
 
 def nonembeddable(K: Complex, d: int) -> ObstructionVerdict:
-    """Verdict "no" iff the index lower bound n - chi - 1 exceeds d; else "unknown"."""
+    """Verdict "no" iff the index lower bound n - chi - 1 exceeds d; else "unknown".
+
+    Sarkaria's bound needs the empty face, so a complex without faces (a
+    join with a void factor, say) is refused.
+    """
     if d < 0:
         raise ValueError("sphere dimension must be >= 0")
+    if not K.is_face(()):
+        raise HypothesisViolated("the complex has no faces, not even the empty one")
     n = len(K.vertices)
     chi = nonface_kneser_chi(K)
     lower = n - chi - 1

@@ -179,17 +179,17 @@ def hull_vertex_indices(points: Sequence[Vec]) -> set[int]:
     a vertex unambiguously).  A unique point is decided by the Gordan test
     of `minkowski_vertex_test`, run on one summand: the V-polytope of the
     distinct values, whose cached `differences` it reads.  No input gives
-    the empty set.
+    the empty set.  The points are int or `Fraction` tuples, which hash
+    and compare alike; that V-polytope is the one place they are coerced.
     """
-    pts = [vec(p) for p in points]
-    if not pts:
+    if not points:
         return set()
-    counts = Counter(pts)
+    counts = Counter(points)
     hull = VPolytope(counts)  # the distinct values, in order of first occurrence
     vertices = {
         p for k, p in enumerate(hull.points) if counts[p] == 1 and minkowski_vertex_test((k,), (hull,))
     }
-    return {i for i, p in enumerate(pts) if p in vertices}
+    return {i for i, p in enumerate(points) if p in vertices}
 
 
 def is_simple(P: HPolytope) -> bool:

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import lp
-from .complexes import Complex
-from .errors import NotGale, OriginNotInterior, RankDeficient, UnknownLabel
-from .gale import VectorConfig, gale_face_test, positively_spanning
+from .errors import OriginNotInterior, RankDeficient
+from .gale import VectorConfig, positively_spanning
 from .linalg import (
     Mat,
     Vec,
@@ -159,19 +158,3 @@ def oracle_survival(s: ProjectionSetup) -> SurvivalReport:
         image_vertex_count=len(hull_values),
     )
 
-
-def verify_cc_realized(s: ProjectionSetup, K: Complex) -> bool:
-    """Does every facet of K appear as a face of the associated polytope?
-
-    K must live on the facet labels of P.  With full vertex survival this
-    checks that the whole complement complex of the dual boundary sits in
-    the boundary of the associated polytope.  Each facet is a query to
-    `gale_face_test` on the g-vectors.
-    """
-    labels = set(s.g_images.labels)
-    alien = set(K.vertices) - labels
-    if alien:
-        raise UnknownLabel(sorted(alien, key=str)[0])
-    if not s.g_images.is_gale:
-        raise NotGale("realization check needs the g-vectors to be a Gale transform")
-    return all(gale_face_test(s.g_images, f) for f in K.facets)

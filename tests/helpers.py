@@ -152,7 +152,7 @@ def brute_minimal_nonfaces(K: Complex) -> set[frozenset]:
     """Reference implementation scanning every vertex subset."""
     verts = list(K.vertices)
     out = set()
-    for size in range(1, len(verts) + 1):
+    for size in range(len(verts) + 1):
         for cand in itertools.combinations(verts, size):
             c = frozenset(cand)
             if K.is_face(c):

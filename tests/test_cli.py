@@ -224,3 +224,18 @@ def test_nf_orders_labels_as_values(tmp_path, capsys):
     doc = {"vertices": [1, "1", 2, "x"], "facets": [[2]]}
     assert main(["complex", "nf", "--input", _write(tmp_path, doc), "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["minimal_nonfaces"] == [[1], ["1"], ["x"]]
+
+
+VOID = {"vertices": [4], "facets": []}
+
+
+def test_nf_of_a_complex_without_faces_is_the_empty_set(tmp_path, capsys):
+    assert main(["complex", "nf", "--input", _write(tmp_path, VOID), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["minimal_nonfaces"] == [[]]
+
+
+def test_embed_refuses_a_complex_without_faces(tmp_path, capsys):
+    assert main(["embed", "--input", _write(tmp_path, VOID), "--sphere", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: the complex has no faces, not even the empty one\n"
+    assert captured.out == ""

@@ -204,6 +204,12 @@ class TestMinimalNonfaces:
     def test_full_simplex_has_none(self):
         assert minimal_nonfaces(full_simplex(4)) == set()
 
+    def test_a_complex_without_faces_has_the_empty_non_face(self):
+        void = Complex((4,), frozenset())
+        assert minimal_nonfaces(void) == brute_minimal_nonfaces(void) == {frozenset()}
+        # with the empty face alone, every vertex is a minimal non-face
+        assert minimal_nonfaces(closure_from_facets([1, 2], [[]])) == {frozenset({1}), frozenset({2})}
+
     def test_join_lemma_concrete(self):
         K = power_join(points_complex(3), 2)
         got = minimal_nonfaces(K)

@@ -5,6 +5,7 @@ import pytest
 
 from galeproj import obstructions
 from galeproj.complexes import (
+    Complex,
     Join,
     complete_bipartite,
     minimal_nonfaces,
@@ -12,7 +13,7 @@ from galeproj.complexes import (
     power_join,
     deleted_join,
 )
-from galeproj.errors import OutOfTheoremRange, TooLargeForExact
+from galeproj.errors import HypothesisViolated, OutOfTheoremRange, TooLargeForExact
 from galeproj.obstructions import (
     ObstructionVerdict,
     chromatic_number,
@@ -244,6 +245,13 @@ class TestNonembeddable:
     def test_negative_sphere_rejected(self):
         with pytest.raises(ValueError):
             nonembeddable(simplex_boundary(3), -1)
+
+    def test_a_complex_without_faces_refused(self):
+        # Sarkaria's bound needs the empty face; a void factor leaves a join none
+        void = Complex((4,), frozenset())
+        for K in (void, Join((("1", points_complex(3)), ("2", void)))):
+            with pytest.raises(HypothesisViolated, match="no faces"):
+                nonembeddable(K, 0)
 
 
 def test_verdict_invariants_enforced():

@@ -13,11 +13,12 @@ from galeproj.cli import main
 from galeproj.errors import HypothesisViolated, TooLargeForExact
 from galeproj.obstructions import EXACT_CAP, certified_kneser_chi, chromatic_number, kneser_graph
 from galeproj.pipeline import (
+    minkowski_sum_report,
     minkowski_vertex_bound,
     obstruction_pipeline,
-    pigeonhole_lower_bound,
     random_experiment,
     two_triangle_example,
+    vertex_bounds,
 )
 
 
@@ -153,9 +154,17 @@ class TestBounds:
         assert minkowski_vertex_bound(3, 3, [5, 5, 5]) == Fraction(7875, 64)
 
     def test_pigeonhole_count_at_d3_r3(self):
-        count = pigeonhole_lower_bound(3, 3, [5, 5, 5])
-        assert (count.subset_choices, count.subsums_per_tuple) == (125, 64)
-        assert count.ratio == count.failures_lower == Fraction(125, 64)
+        report = vertex_bounds(3, 3, [5, 5, 5])
+        assert report.passed
+        res = report.results
+        assert (res["sharpened_bound"], res["failing_sums_at_least"]) == ("7875/64", "125/64")
+        assert (res["simplex_subset_choices"], res["subsums_per_tuple"]) == (125, 64)
+
+    def test_more_summands_than_dimensions(self):
+        # r = 3 > d = 2 triangles: one simplex choice per summand, one failing sum
+        report = vertex_bounds(2, 3, [3, 3, 3])
+        assert report.passed
+        assert list(report.results.values()) == [27, "26", "1", 1, 1]
 
     @pytest.mark.parametrize(
         "d, r, f0s",
@@ -163,10 +172,19 @@ class TestBounds:
         ids=["d below 1", "segment at d 1", "r below d", "wrong f0 count", "f0 equal to d", "f0 below d"],
     )
     def test_hypotheses_enforced(self, d, r, f0s):
-        for bound in (minkowski_vertex_bound, pigeonhole_lower_bound):
+        for bound in (minkowski_vertex_bound, vertex_bounds):
             with pytest.raises(HypothesisViolated):
                 bound(d, r, f0s)
 
+    def test_minkowski_sum_of_an_h_and_a_v_summand(self):
+        # the H square enters by its 4 vertices: 4 * 3 tuples, 5 sum vertices
+        square = polytopes.HPolytope([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 1, 1, 1])
+        triangle = polytopes.VPolytope([(0, 0), (1, 0), (0, 1)])
+        report = minkowski_sum_report([square, triangle], ["square", "triangle"])
+        assert report.passed and report.inputs == {"inputs": ["square", "triangle"]}
+        res = report.results
+        assert (res["f0_sum"], res["trivial_bound"]) == (5, 12)
+        assert sorted(res["vertices"]) == [["-1", "-1"], ["-1", "2"], ["1", "2"], ["2", "-1"], ["2", "1"]]
 
 class TestTwoTriangleOpCounts:
     def test_lp_calls_at_one_quarter(self, monkeypatch):
@@ -193,7 +211,9 @@ class TestTwoTriangleOpCounts:
         # and 2e strict systems per spanning test made 74 lp_feasible calls.
         # Boundedness is one spanning test per H-polytope, not 2n cone
         # LPs, which made 25 lp_feasible and 91 nonneg_combination calls.
-        assert counts == {"lp_feasible": 26, "feasible": 10, "nonneg_combination": 83}
+        # The realization checks read the edge list; asking the 9 face
+        # questions again made 83 nonneg_combination calls.
+        assert counts == {"lp_feasible": 26, "feasible": 10, "nonneg_combination": 74}
 
     def test_pivots_at_one_quarter(self, monkeypatch):
         pivots = []
@@ -207,9 +227,10 @@ class TestTwoTriangleOpCounts:
         assert two_triangle_example("1/4").passed
         # One phase 1 per system and one strict system per spanning test;
         # the strict-margin LP's phase 2 and its pivot-outs of leftover
-        # artificials made 408 pivots, 2e systems per spanning test 330, and
-        # 2n cone LPs per boundedness check 257.
-        assert len(pivots) == 215
+        # artificials made 408 pivots, 2e systems per spanning test 330,
+        # 2n cone LPs per boundedness check 257, and the face questions
+        # asked again by the realization checks 215.
+        assert len(pivots) == 199
 
     def test_one_vertex_enumeration(self, monkeypatch):
         # h_vertices runs 5 times on the product polytope (directly, and in

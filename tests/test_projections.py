@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from galeproj.complexes import closure_from_facets, complete_bipartite
+from galeproj.complexes import complete_bipartite
 from galeproj.errors import NotGale, OriginNotInterior, RankDeficient, UnknownLabel
+from galeproj.gale import gale_faces_of_card
 from galeproj.linalg import kernel_basis, mat_vec, transpose
 from galeproj.pipeline import TRIANGLE_PRODUCT_PROJECTION, coupling_g_matrix, deformed_triangle_product
 from galeproj.polytopes import HPolytope
@@ -12,7 +13,6 @@ from galeproj.projections import (
     face_strictly_preserved,
     make_setup,
     oracle_survival,
-    verify_cc_realized,
     vertex_survival_census,
 )
 
@@ -129,21 +129,14 @@ class TestCensus:
 
 class TestVerifyRealized:
     def test_two_triangle_graph(self):
+        # K33 minus the edge {3, 4} is realized in the boundary; K33 is not
         s = two_triangle_setup("1/4")
         k33 = complete_bipartite((1, 2, 3), (4, 5, 6))
-        assert not verify_cc_realized(s, k33)
-        assert verify_cc_realized(s, closure_from_facets(k33.vertices, []))
-
-    def test_foreign_label_refused(self):
-        s = two_triangle_setup("1/4")
-        with pytest.raises(UnknownLabel):
-            verify_cc_realized(s, complete_bipartite((1, 2, 3), (4, 5, 7)))
+        assert k33.facets - set(gale_faces_of_card(s.g_images, 2)) == {frozenset({3, 4})}
 
     def test_cube_g_vectors_are_not_gale(self):
         # one kernel dimension: four zero vectors and the pair +1, -1
         s = make_setup(CUBE, AXIS_PLANE)
         assert not s.g_images.is_gale
         with pytest.raises(NotGale):
-            verify_cc_realized(s, complete_bipartite((1, 2), (3, 4)))
-        with pytest.raises(NotGale):
-            verify_cc_realized(s, closure_from_facets([1, 2], []))
+            gale_faces_of_card(s.g_images, 2)

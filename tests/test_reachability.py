@@ -22,6 +22,9 @@ with `*args` or `**kwargs` counts as passing every parameter it could.
 
 `KEEP` names the definitions kept without a use and the parameters kept
 without a caller that passes them, each with its reason.
+
+Last, `cli.py` neither constructs a `PipelineReport` nor adds a check to
+one: what a report holds is decided in `pipeline` alone.
 """
 
 import ast
@@ -197,6 +200,13 @@ def test_the_package_root_re_exports_nothing():
     names += [node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
     public = sorted(name for name in names if not name.startswith("_"))
     assert not public, f"galeproj/__init__.py binds public names: {public}"
+
+
+def test_the_cli_builds_no_report():
+    calls = [node for node in ast.walk(_tree(PACKAGE / "cli.py")) if isinstance(node, ast.Call)]
+    names = [c.func.attr if isinstance(c.func, ast.Attribute) else getattr(c.func, "id", None) for c in calls]
+    built = [ast.unparse(c) for c, name in zip(calls, names) if name in ("PipelineReport", "check")]
+    assert not built, f"cli.py builds report parts: {built}"
 
 
 def test_every_public_definition_is_reached():
