@@ -1,0 +1,42 @@
+"""Golden CLI output: the full stdout and exit code of a few report calls.
+
+Each file under `tests/golden/` holds the exact bytes a call prints.  A
+change that should not alter what the CLI prints (a refactor, a faster
+kernel) must keep every one of them; a change that alters output on
+purpose rewrites the file and says so.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from galeproj.cli import main
+from test_cli import COMPLEX
+
+GOLDEN = Path(__file__).with_name("golden")
+
+# golden file -> (argv, exit code); "{complex}" is the COMPLEX fixture's path
+CALLS = {
+    "example-quarter.txt": (["example", "--epsilon", "1/4"], 0),
+    "example-quarter.json": (["example", "--epsilon", "1/4", "--format", "json"], 0),
+    "example-one.txt": (["example", "--epsilon", "1"], 0),
+    "obstruction-d2-4.json": (["obstruction", "--d", "2..4", "--format", "json"], 0),
+    "bound-d3-r3.txt": (["bound", "--d", "3", "--r", "3", "--f0", "5,5,5"], 0),
+    "complex-djn.txt": (["complex", "djn", "--input", "{complex}"], 0),
+}
+
+
+def test_every_golden_file_is_checked():
+    assert {p.name for p in GOLDEN.iterdir()} == set(CALLS)
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_stdout_and_exit_code_are_pinned(name, tmp_path, capsys):
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(COMPLEX))
+    argv, code = CALLS[name]
+    assert main([arg.format(complex=path) for arg in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == (GOLDEN / name).read_text(encoding="utf-8")
+    assert captured.err == ""
