@@ -36,11 +36,12 @@ def sort_family(family: Iterable[Iterable]) -> list[list]:
 
 
 def _antichain(sets: Iterable[Face]) -> frozenset[Face]:
-    by_size = sorted(set(sets), key=len, reverse=True)
+    """The inclusion-maximal sets; a set is compared only with the kept
+    sets that are strictly larger, the only ones that can contain it."""
     kept: list[Face] = []
-    for s in by_size:
-        if not any(s < t or s == t for t in kept):
-            kept.append(s)
+    for _, same_size in itertools.groupby(sorted(set(sets), key=len, reverse=True), key=len):
+        larger = tuple(kept)
+        kept.extend(s for s in same_size if not any(s < t for t in larger))
     return frozenset(kept)
 
 

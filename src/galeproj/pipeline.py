@@ -41,7 +41,7 @@ from .polytopes import (
     trivial_upper_bound,
 )
 from .projections import make_setup, oracle_survival, vertex_survival_census
-from .serialize import rat_str, vec_json
+from .serialize import vec_json
 
 
 @dataclass(frozen=True)
@@ -123,8 +123,8 @@ def vertex_bounds(d: int, r: int, f0s: Sequence[int]) -> PipelineReport:
         {"d": d, "r": r, "f0s": list(f0s)},
         results={
             "trivial_bound": trivial,
-            "sharpened_bound": rat_str(value),
-            "failing_sums_at_least": rat_str(failures),
+            "sharpened_bound": str(value),
+            "failing_sums_at_least": str(failures),
             "simplex_subset_choices": choices,
             "subsums_per_tuple": per_tuple,
         },
@@ -132,7 +132,7 @@ def vertex_bounds(d: int, r: int, f0s: Sequence[int]) -> PipelineReport:
     report.check(
         "the sharpened bound improves on the trivial bound",
         value < trivial,
-        f"{rat_str(value)} < {trivial}",
+        f"{value} < {trivial}",
     )
     return report
 
@@ -237,7 +237,7 @@ def two_triangle_example(eps) -> PipelineReport:
     e = frac(eps)
     if not 0 < e <= 1:
         raise EpsilonOutOfRange(f"need 0 < eps <= 1, got {e}")
-    report = PipelineReport("two_triangle_example", {"epsilon": rat_str(e)})
+    report = PipelineReport("two_triangle_example", {"epsilon": str(e)})
     G = coupling_g_matrix(e)
 
     if e == 1:
@@ -273,25 +273,25 @@ def two_triangle_example(eps) -> PipelineReport:
 
     census = vertex_survival_census(setup)
     oracle = oracle_survival(setup)
-    report.results["surviving"] = census.surviving
-    report.results["image_vertex_count"] = census.image_vertex_count
+    surviving = sum(r.strictly_preserved for r in census)
+    report.results["surviving"] = surviving
+    report.results["image_vertex_count"] = oracle.image_vertex_count
     report.check(
         "exactly 8 of the 9 vertices are strictly preserved",
-        (census.total, census.surviving) == (9, 8),
-        f"surviving {census.surviving} of {census.total}",
+        (len(census), surviving) == (9, 8),
+        f"surviving {surviving} of {len(census)}",
     )
     report.check(
         "the shadow is an 8-gon",
-        census.image_vertex_count == 8,
-        f"image has {census.image_vertex_count} vertices",
+        oracle.image_vertex_count == 8,
+        f"image has {oracle.image_vertex_count} vertices",
     )
     report.check(
         "the g-vector census equals the image/fiber oracle vertex-for-vertex",
-        census.records == oracle.records
-        and census.image_vertex_count == oracle.image_vertex_count,
+        census == oracle.records,
     )
 
-    failing = [r.tight_facets for r in census.records if not r.strictly_preserved]
+    failing = [r.tight_facets for r in census if not r.strictly_preserved]
     all_labels = frozenset(P.facet_labels)
     missing_edges = [all_labels - f for f in failing]
     report.results["failing_vertices"] = [sort_labels(f) for f in failing]
@@ -470,11 +470,11 @@ def random_experiment(d: int, r: int, f0s: Sequence[int], trials: int, seed: int
         f"max {max_count} <= {trivial}",
     )
     if bound is not None:
-        report.results["sharpened_bound"] = rat_str(bound)
+        report.results["sharpened_bound"] = str(bound)
         report.check(
             "no trial exceeded the sharpened bound (1 - 1/(d+1)^r) * product",
             all(Fraction(c) <= bound for c in counts),
-            f"max {max_count} <= {rat_str(bound)}",
+            f"max {max_count} <= {bound}",
         )
     else:
         report.notes.append(

@@ -5,8 +5,11 @@ projection, and the projected dual vertices g_i.  It stores no kernel
 basis: `make_setup` uses one to map the dual vertices down, once.
 Whether a face survives the projection is read off the g-vectors indexed
 by its tight facets: containing 0 in the convex hull / positively spanning
-correspond to preserved / strictly preserved.  An independent census
-computed from images and fibers cross-validates the whole classification.
+correspond to preserved / strictly preserved; `vertex_survival_census`
+applies them to every vertex and never projects one.  `oracle_survival`
+is the independent census from images and fibers: it alone projects the
+vertices and takes the hull of their images, so it also reports how many
+vertices the shadow has.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from .errors import OriginNotInterior, RankDeficient
 from .gale import VectorConfig, positively_spanning
 from .linalg import (
     Mat,
-    Vec,
     kernel_basis,
     mat,
     mat_vec,
@@ -37,10 +39,6 @@ class ProjectionSetup:
     proj: Mat
     g_images: VectorConfig
 
-    @property
-    def kernel_dim(self) -> int:
-        return self.polytope.dim - len(self.proj)
-
 
 @dataclass(frozen=True)
 class VertexRecord:
@@ -52,8 +50,6 @@ class VertexRecord:
 @dataclass(frozen=True)
 class SurvivalReport:
     records: tuple[VertexRecord, ...]
-    total: int
-    surviving: int
     image_vertex_count: int
 
 
@@ -89,7 +85,7 @@ def face_preserved(s: ProjectionSetup, tight: Iterable[int]) -> bool:
     g = s.g_images.subset(tight)
     if not g:
         return False
-    return lp.convex_combination(g, (0,) * s.kernel_dim) is not None
+    return lp.convex_combination(g, (0,) * s.g_images.dim) is not None
 
 
 def face_strictly_preserved(s: ProjectionSetup, tight: Iterable[int]) -> bool:
@@ -100,33 +96,19 @@ def face_strictly_preserved(s: ProjectionSetup, tight: Iterable[int]) -> bool:
     return positively_spanning(g)
 
 
-def _image_points(s: ProjectionSetup, records) -> list[Vec]:
-    return [mat_vec(s.proj, r.vertex_coords) for r in records]
+def vertex_survival_census(s: ProjectionSetup) -> tuple[VertexRecord, ...]:
+    """Classify every vertex of the polytope by the g-vector criteria.
 
-
-def vertex_survival_census(s: ProjectionSetup) -> SurvivalReport:
-    """Classify every vertex via the g-vector criteria.
-
-    The image vertex count comes from the hull of the distinct projected
-    vertices (the image polytope is the hull of the vertex images).
+    Reads only the polytope and the g-vectors: no vertex is projected, so
+    the image side stays with `oracle_survival`.
     """
-    records = h_vertices(s.polytope)
-    images = _image_points(s, records)
-    classified = tuple(
+    return tuple(
         VertexRecord(
             r.tight_facets,
             face_strictly_preserved(s, r.tight_facets),
             face_preserved(s, r.tight_facets),
         )
-        for r in records
-    )
-    distinct = sorted(set(images))
-    image_count = len(hull_vertex_indices(distinct))
-    return SurvivalReport(
-        classified,
-        total=len(records),
-        surviving=sum(1 for c in classified if c.strictly_preserved),
-        image_vertex_count=image_count,
+        for r in h_vertices(s.polytope)
     )
 
 
@@ -139,10 +121,11 @@ def oracle_survival(s: ProjectionSetup) -> SurvivalReport:
     can land mid-edge, which keeps its image in a proper face without
     making it a vertex of the image).  No g-vector machinery is involved,
     which makes this the cross-validation oracle for
-    `vertex_survival_census`.
+    `vertex_survival_census`.  The report also counts the vertices of
+    the shadow, the hull of the distinct images.
     """
     records = h_vertices(s.polytope)
-    images = _image_points(s, records)
+    images = [mat_vec(s.proj, r.vertex_coords) for r in records]
     distinct = sorted(set(images))
     hull_values = {distinct[i] for i in hull_vertex_indices(distinct)}
     classified = []
@@ -151,10 +134,5 @@ def oracle_survival(s: ProjectionSetup) -> SurvivalReport:
         shifted = [vsub(w, img) for w in distinct if w != img]
         on_boundary = not shifted or not positively_spanning(shifted)
         classified.append(VertexRecord(r.tight_facets, strict, on_boundary))
-    return SurvivalReport(
-        tuple(classified),
-        total=len(records),
-        surviving=sum(1 for c in classified if c.strictly_preserved),
-        image_vertex_count=len(hull_values),
-    )
+    return SurvivalReport(tuple(classified), len(hull_values))
 

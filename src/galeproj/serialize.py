@@ -14,10 +14,6 @@ from .linalg import Vec
 from .polytopes import HPolytope, VPolytope
 
 
-def rat_str(x: Fraction) -> str:
-    return str(x)
-
-
 def _array(value, field: str) -> list:
     if not isinstance(value, list):
         raise ValueError(f"{field!r} must be an array, got {type(value).__name__}")
@@ -56,7 +52,7 @@ def parse_rat(s) -> Fraction:
 
 
 def vec_json(v: Vec) -> list[str]:
-    return [rat_str(x) for x in v]
+    return [str(x) for x in v]
 
 
 def parse_vec(entries) -> tuple[Fraction, ...]:

@@ -162,6 +162,19 @@ def brute_minimal_nonfaces(K: Complex) -> set[frozenset]:
     return out
 
 
+def pairwise_antichain(sets) -> frozenset:
+    """Inclusion-maximal sets by comparing each with every kept set.
+
+    The loop `complexes._antichain` ran before it skipped the kept sets
+    of the same size, kept as its oracle.
+    """
+    kept = []
+    for s in sorted(set(sets), key=len, reverse=True):
+        if not any(s < t or s == t for t in kept):
+            kept.append(s)
+    return frozenset(kept)
+
+
 def materialised_join(factors) -> Complex:
     """Join as a plain Complex: every union of one tagged facet per factor.
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -19,6 +20,7 @@ from helpers import (
     brute_minimal_nonfaces,
     full_simplex,
     materialised_join,
+    pairwise_antichain,
     random_complex,
     random_pure_complex,
     simplex_boundary,
@@ -43,6 +45,24 @@ class TestClosure:
     def test_alien_label_rejected(self):
         with pytest.raises(LabelOutsideVertexSet):
             closure_from_facets([1, 2], [{1, 3}])
+
+    def test_reduction_agrees_with_the_pairwise_loop(self):
+        rng = random.Random(1717)
+        seen = Counter()
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            family = [frozenset(rng.sample(range(n), rng.randint(0, n))) for _ in range(rng.randint(0, 10))]
+            if family and rng.random() < 0.5:
+                family += rng.choices(family, k=rng.randint(1, 4))  # repeats
+            if rng.random() < 0.2:
+                family.append(frozenset())
+            expected = pairwise_antichain(family)
+            assert closure_from_facets(range(n), family).facets == expected
+            seen["empty set"] += frozenset() in family
+            seen["repeat"] += len(set(family)) < len(family)
+            seen["reduced"] += len(expected) < len(set(family))
+            seen["void"] += expected == {frozenset()}
+        assert min(seen[case] for case in ("empty set", "repeat", "reduced", "void")) > 10, seen
 
 
 class TestJoin:
@@ -257,6 +277,10 @@ class TestDeletedJoin:
     def test_full_simplex_dimension(self):
         for n in (1, 2, 3, 4):
             assert deleted_join(full_simplex(n)).dim == n - 1
+
+    def test_full_simplex_has_every_split(self):
+        # 2^14 facets (sigma, G - sigma) of one size: none is compared with another
+        assert len(deleted_join(full_simplex(14)).facets) == 2**14
 
     def test_power_join_dimension(self):
         for d in (1, 2):

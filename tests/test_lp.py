@@ -240,7 +240,7 @@ class TestIntegerPivotsMatchFractionSimplex:
 
     def test_two_triangle_example_solves(self, oracle_checked):
         assert two_triangle_example("1/4").passed
-        assert oracle_checked["solves"] == 26 + 74
+        assert oracle_checked["solves"] == 26 + 65
 
 
 # systems at the edge of strictness: name -> (constraints, feasible)

@@ -8,7 +8,7 @@ from math import comb
 
 import pytest
 
-from galeproj import complexes, lp, obstructions, pipeline, polytopes
+from galeproj import complexes, lp, obstructions, pipeline, polytopes, projections
 from galeproj.cli import main
 from galeproj.errors import HypothesisViolated, TooLargeForExact
 from galeproj.obstructions import EXACT_CAP, certified_kneser_chi, chromatic_number, kneser_graph
@@ -212,8 +212,10 @@ class TestTwoTriangleOpCounts:
         # Boundedness is one spanning test per H-polytope, not 2n cone
         # LPs, which made 25 lp_feasible and 91 nonneg_combination calls.
         # The realization checks read the edge list; asking the 9 face
-        # questions again made 83 nonneg_combination calls.
-        assert counts == {"lp_feasible": 26, "feasible": 10, "nonneg_combination": 74}
+        # questions again made 83 nonneg_combination calls.  The g-vector
+        # census projects nothing; taking the image hull there as well as
+        # in the oracle made 74.
+        assert counts == {"lp_feasible": 26, "feasible": 10, "nonneg_combination": 65}
 
     def test_pivots_at_one_quarter(self, monkeypatch):
         pivots = []
@@ -228,9 +230,24 @@ class TestTwoTriangleOpCounts:
         # One phase 1 per system and one strict system per spanning test;
         # the strict-margin LP's phase 2 and its pivot-outs of leftover
         # artificials made 408 pivots, 2e systems per spanning test 330,
-        # 2n cone LPs per boundedness check 257, and the face questions
-        # asked again by the realization checks 215.
-        assert len(pivots) == 199
+        # 2n cone LPs per boundedness check 257, the face questions
+        # asked again by the realization checks 215, and a second image
+        # hull in the g-vector census 199.
+        assert len(pivots) == 176
+
+    def test_one_image_hull(self, monkeypatch):
+        # only the oracle projects the vertices and takes their hull
+        calls = []
+        original = polytopes.hull_vertex_indices
+
+        def counting(points):
+            calls.append(len(points))
+            return original(points)
+
+        for module in (polytopes, projections, pipeline):
+            monkeypatch.setattr(module, "hull_vertex_indices", counting)
+        assert two_triangle_example("1/4").passed
+        assert calls == [9]
 
     def test_one_vertex_enumeration(self, monkeypatch):
         # h_vertices runs 5 times on the product polytope (directly, and in

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,9 @@ from galeproj.errors import NotGale, OriginNotInterior, RankDeficient, UnknownLa
 from galeproj.gale import gale_faces_of_card
 from galeproj.linalg import kernel_basis, mat_vec, transpose
 from galeproj.pipeline import TRIANGLE_PRODUCT_PROJECTION, coupling_g_matrix, deformed_triangle_product
-from galeproj.polytopes import HPolytope
+from galeproj.polytopes import HPolytope, h_vertices
 from galeproj.projections import (
+    VertexRecord,
     face_preserved,
     face_strictly_preserved,
     make_setup,
@@ -33,7 +35,7 @@ class TestMakeSetup:
     def test_g_vectors_are_the_coupling_matrix(self):
         s = two_triangle_setup("1/4")
         assert s.g_images == coupling_g_matrix("1/4")
-        assert s.kernel_dim == 2
+        assert s.g_images.dim == 2
 
     @pytest.mark.parametrize(
         "proj",
@@ -75,7 +77,7 @@ class TestMakeSetup:
             s = make_setup(P, proj)
             assert s.g_images.vectors == expected
             assert s.g_images.labels == P.facet_labels
-            assert s.kernel_dim == len(kern[0])
+            assert s.g_images.dim == len(kern[0])
 
     def test_scaling_a_row_keeps_the_g_vectors(self):
         # (a_i, b_i) and (c a_i, c b_i) with c > 0 are the same facet and the same a_i / b_i
@@ -94,9 +96,9 @@ class TestCensus:
     def test_two_triangle_census_equals_oracle(self, eps):
         s = two_triangle_setup(eps)
         census, oracle = vertex_survival_census(s), oracle_survival(s)
-        assert census.records == oracle.records
-        assert (census.total, census.surviving) == (oracle.total, oracle.surviving) == (9, 8)
-        assert census.image_vertex_count == oracle.image_vertex_count == 8
+        assert census == oracle.records
+        assert (len(census), sum(r.strictly_preserved for r in census)) == (9, 8)
+        assert oracle.image_vertex_count == 8
 
     @pytest.mark.parametrize(
         "proj, surviving, image_vertices, preserved",
@@ -109,10 +111,22 @@ class TestCensus:
     def test_cube_census_equals_oracle(self, proj, surviving, image_vertices, preserved):
         s = make_setup(CUBE, proj)
         census, oracle = vertex_survival_census(s), oracle_survival(s)
-        assert census.records == oracle.records
-        assert census.image_vertex_count == oracle.image_vertex_count == image_vertices
-        assert (census.total, census.surviving) == (8, surviving)
-        assert sum(r.preserved for r in census.records) == preserved
+        assert census == oracle.records
+        assert oracle.image_vertex_count == image_vertices
+        assert (len(census), sum(r.strictly_preserved for r in census)) == (8, surviving)
+        assert sum(r.preserved for r in census) == preserved
+
+    def test_census_reads_no_projection(self):
+        # the g-vectors decide every vertex; the matrix that made them is not read
+        s = replace(two_triangle_setup("1/4"), proj=None)
+        failing = frozenset({1, 2, 5, 6})
+        assert vertex_survival_census(s) == tuple(
+            VertexRecord(r.tight_facets, r.tight_facets != failing, r.tight_facets != failing)
+            for r in h_vertices(s.polytope)
+        )
+        cube = replace(make_setup(CUBE, [[1, 1, 1]]), proj=None)
+        strict = [r.strictly_preserved for r in vertex_survival_census(cube)]
+        assert strict == [True, False, False, False, False, False, False, True]
 
     def test_empty_label_set_is_not_preserved(self):
         for s in (two_triangle_setup("1/4"), make_setup(CUBE, AXIS_PLANE)):
