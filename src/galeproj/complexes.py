@@ -31,8 +31,13 @@ def sort_labels(labels: Iterable) -> list:
 
 
 def sort_family(family: Iterable[Iterable]) -> list[list]:
-    """Each set as a sorted list, the lists in lexicographic label order."""
-    return sorted(map(sort_labels, family), key=lambda f: [_label_key(x) for x in f])
+    """Each set as a sorted list, the lists in lexicographic label order.
+
+    The key of each distinct label is computed once and serves both sorts.
+    """
+    family = [tuple(f) for f in family]
+    key = {x: _label_key(x) for x in set().union(*family)}.__getitem__
+    return sorted((sorted(f, key=key) for f in family), key=lambda f: list(map(key, f)))
 
 
 def _antichain(sets: Iterable[Face]) -> frozenset[Face]:

@@ -10,12 +10,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import lp
 from .errors import DimensionMismatch, DuplicateLabels, NotGale, UnknownLabel
-from .linalg import Vec, rank, vec
+from .linalg import Vec, integer_row, rank, vec
 
 FACE_CARD_CAP = 8
 
@@ -27,6 +26,13 @@ class VectorConfig:
     Whether it is a Gale transform (`is_gale`) is decided on first use and
     kept on the instance; the configuration is immutable, so the verdict
     cannot go stale, and `==` and `hash` compare only the fields.
+
+    The LP and rank questions read an integer copy of the vectors, made
+    once on first use and kept the same way: each vector scaled by the lcm
+    of its own denominators.  That is a positive scaling of each vector,
+    which changes no cone, so no spanning, dependence, convex-hull-of-0 or
+    rank verdict; `vectors` stays rational, so `==` and `hash` still tell
+    configurations apart that differ only by such a scaling.
     """
 
     vectors: tuple[Vec, ...]
@@ -52,23 +58,26 @@ class VectorConfig:
     def __len__(self) -> int:
         return len(self.vectors)
 
-    def vector(self, label: int) -> Vec:
+    @cached_property
+    def _integers(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(integer_row(v)[0]) for v in self.vectors)
+
+    def vector(self, label: int) -> tuple[int, ...]:
+        """The vector labelled `label`, from the integer copy: a positive
+        multiple of the rational one, fit for every verdict but not for `==`."""
         try:
-            return self.vectors[self.labels.index(label)]
+            return self._integers[self.labels.index(label)]
         except ValueError:
             raise UnknownLabel(label) from None
 
-    def subset(self, labels: Iterable[int]) -> list[Vec]:
+    def subset(self, labels: Iterable[int]) -> list[tuple[int, ...]]:
         return [self.vector(l) for l in labels]
 
     @cached_property
     def is_gale(self) -> bool:
         """True iff every single-deletion subconfiguration positively spans."""
-        n = len(self.vectors)
-        return all(
-            positively_spanning([self.vectors[j] for j in range(n) if j != i])
-            for i in range(n)
-        )
+        ints = self._integers
+        return all(positively_spanning(ints[:i] + ints[i + 1:]) for i in range(len(ints)))
 
 
 def positively_spanning(W: Sequence[Sequence]) -> bool:
@@ -106,7 +115,7 @@ def positively_dependent(W: Sequence[Sequence]) -> bool:
     if not vectors:
         raise DimensionMismatch("empty set cannot be positively dependent")
     e = len(vectors[0])
-    neg_total = tuple(-sum((w[j] for w in vectors), Fraction(0)) for j in range(e))
+    neg_total = tuple(-sum(w[j] for w in vectors) for j in range(e))
     return lp.cone_combination(vectors, neg_total) is not None
 
 
@@ -115,7 +124,10 @@ def gale_face_test(G: VectorConfig, coface: Iterable[int]) -> bool:
 
     Holds iff the complementary vectors are positively dependent.  Refuses
     to answer for configurations that are not Gale transforms, where the
-    correspondence is meaningless.
+    correspondence is meaningless.  A one-label coface needs no LP: in a
+    Gale transform its complement, a single deletion, positively spans,
+    and a positively spanning W is positively dependent (-sum W lies in
+    cone W, so sum (1 + mu_i) w_i = 0 with mu >= 0).
     """
     if not G.is_gale:
         raise NotGale("face queries need a Gale transform")
@@ -124,8 +136,8 @@ def gale_face_test(G: VectorConfig, coface: Iterable[int]) -> bool:
     if unknown:
         raise UnknownLabel(sorted(unknown)[0])
     complement = [l for l in G.labels if l not in coface]
-    if not complement:
-        return True  # improper face: the whole vertex set
+    if not complement or len(coface) == 1:
+        return True  # the whole vertex set, or a vertex (see above)
     return positively_dependent(G.subset(complement))
 
 
@@ -155,4 +167,4 @@ def general_position(G: VectorConfig) -> bool:
     This is the condition under which the encoded polytope is simplicial.
     """
     e = G.dim
-    return all(rank(sub) == e for sub in itertools.combinations(G.vectors, e))
+    return all(rank(sub) == e for sub in itertools.combinations(G._integers, e))

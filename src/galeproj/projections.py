@@ -10,6 +10,15 @@ applies them to every vertex and never projects one.  `oracle_survival`
 is the independent census from images and fibers: it alone projects the
 vertices and takes the hull of their images, so it also reports how many
 vertices the shadow has.
+
+Neither census asks an LP whose answer it already holds.  Strictly
+preserved implies preserved: a positively spanning W is positively
+dependent, and a strictly positive combination summing to 0, rescaled to
+sum 1, puts 0 in conv W.  A hull vertex of the images lies on the
+boundary of the shadow: a functional c that is larger at it than at every
+other image is <= 0 on all the shifted images, so they do not positively
+span.  The g-vector tests read the integer copy that `VectorConfig` keeps,
+a positive scaling of each g-vector, which changes none of these verdicts.
 """
 
 from __future__ import annotations
@@ -100,16 +109,15 @@ def vertex_survival_census(s: ProjectionSetup) -> tuple[VertexRecord, ...]:
     """Classify every vertex of the polytope by the g-vector criteria.
 
     Reads only the polytope and the g-vectors: no vertex is projected, so
-    the image side stays with `oracle_survival`.
+    the image side stays with `oracle_survival`.  `face_preserved` runs
+    only for the vertices that are not strictly preserved, since strict
+    preservation implies preservation (see the module docstring).
     """
-    return tuple(
-        VertexRecord(
-            r.tight_facets,
-            face_strictly_preserved(s, r.tight_facets),
-            face_preserved(s, r.tight_facets),
-        )
-        for r in h_vertices(s.polytope)
-    )
+    out = []
+    for r in h_vertices(s.polytope):
+        strict = face_strictly_preserved(s, r.tight_facets)
+        out.append(VertexRecord(r.tight_facets, strict, strict or face_preserved(s, r.tight_facets)))
+    return tuple(out)
 
 
 def oracle_survival(s: ProjectionSetup) -> SurvivalReport:
@@ -122,7 +130,9 @@ def oracle_survival(s: ProjectionSetup) -> SurvivalReport:
     making it a vertex of the image).  No g-vector machinery is involved,
     which makes this the cross-validation oracle for
     `vertex_survival_census`.  The report also counts the vertices of
-    the shadow, the hull of the distinct images.
+    the shadow, the hull of the distinct images.  A hull vertex is on the
+    boundary, so only the other images run the spanning test on the
+    shifted images (see the module docstring).
     """
     records = h_vertices(s.polytope)
     images = [mat_vec(s.proj, r.vertex_coords) for r in records]
@@ -130,9 +140,9 @@ def oracle_survival(s: ProjectionSetup) -> SurvivalReport:
     hull_values = {distinct[i] for i in hull_vertex_indices(distinct)}
     classified = []
     for r, img in zip(records, images):
-        strict = img in hull_values and images.count(img) == 1
-        shifted = [vsub(w, img) for w in distinct if w != img]
-        on_boundary = not shifted or not positively_spanning(shifted)
+        hull_vertex = img in hull_values  # always so for a lone image
+        strict = hull_vertex and images.count(img) == 1
+        on_boundary = hull_vertex or not positively_spanning([vsub(w, img) for w in distinct if w != img])
         classified.append(VertexRecord(r.tight_facets, strict, on_boundary))
     return SurvivalReport(tuple(classified), len(hull_values))
 

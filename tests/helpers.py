@@ -9,8 +9,11 @@ from fractions import Fraction
 
 from galeproj import lp
 from galeproj.complexes import Complex, closure_from_facets
-from galeproj.linalg import Vec, mat, rank, vsub
+from galeproj.gale import positively_spanning
+from galeproj.linalg import Vec, mat, mat_vec, rank, vsub
 from galeproj.obstructions import Graph
+from galeproj.polytopes import h_vertices
+from galeproj.projections import VertexRecord
 
 
 def rnd_frac(rng: random.Random, span: int = 100, den: int = 10) -> Fraction:
@@ -96,6 +99,36 @@ def separation_hull_vertices(points: list[Vec]) -> set[int]:
         if lp.lp_feasible(cons, dim=len(p)).feasible:
             out.add(i)
     return out
+
+
+def full_survival_census(s) -> tuple[tuple[VertexRecord, ...], tuple[VertexRecord, ...]]:
+    """Both vertex censuses of a projection setup, every question asked.
+
+    The g-vector side asks the spanning and the convex-hull question of
+    every vertex, on the rational g-vectors; the image side takes the hull
+    of the distinct images by `separation_hull_vertices` and runs the
+    spanning test on the shifted images of every vertex, hull vertex or
+    not.  Test oracle for the shortcuts of `vertex_survival_census` and
+    `oracle_survival`, which the two sides must equal record for record.
+    """
+    records = h_vertices(s.polytope)
+    g = dict(zip(s.g_images.labels, s.g_images.vectors))
+    origin = (0,) * s.g_images.dim
+    g_side = []
+    for r in records:
+        w = [g[label] for label in r.tight_facets]
+        strict = positively_spanning(w)
+        preserved = lp.convex_combination(w, origin) is not None
+        g_side.append(VertexRecord(r.tight_facets, strict, preserved))
+    images = [mat_vec(s.proj, r.vertex_coords) for r in records]
+    distinct = sorted(set(images))
+    hull_values = {distinct[i] for i in separation_hull_vertices(distinct)}
+    image_side = []
+    for r, img in zip(records, images):
+        strict = img in hull_values and images.count(img) == 1
+        shifted = [vsub(w, img) for w in distinct if w != img]
+        image_side.append(VertexRecord(r.tight_facets, strict, not shifted or not positively_spanning(shifted)))
+    return tuple(g_side), tuple(image_side)
 
 
 def fraction_slacks(P, x) -> list[Fraction]:

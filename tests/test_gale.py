@@ -8,6 +8,7 @@ import pytest
 from galeproj import gale, lp
 from galeproj.errors import DuplicateLabels, NotGale
 from galeproj.gale import (
+    FACE_CARD_CAP,
     VectorConfig,
     gale_face_test,
     gale_faces_of_card,
@@ -165,6 +166,73 @@ class TestCachedVerdict:
         assert G == H and hash(G) == hash(H) == before
         assert G != coupling_config(Fraction(1, 2))
         assert repr(G) == repr(H)
+
+
+def scaled_config(rng, G):
+    """G with each vector times a random positive rational, the first times 2."""
+    factors = [Fraction(2)] + [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(len(G) - 1)]
+    return VectorConfig([tuple(c * x for x in v) for c, v in zip(factors, G.vectors)], G.labels)
+
+
+class TestIntegerCopy:
+    """The verdicts read an integer copy of the vectors; it must not show."""
+
+    @staticmethod
+    def configs():
+        rng = random.Random(67)
+        gale_configs = [coupling_config(Fraction(1, 4)), coupling_config(1)]
+        other = [coupling_config(0)]
+        for e in (1, 2, 3):
+            found = {True: 0, False: 0}
+            while min(found.values()) < 2:
+                vectors = []
+                for _ in range(rng.randint(e + 3, 7)):
+                    v = (0,) * e
+                    while not any(v):
+                        v = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(e))
+                    vectors.append(v)
+                G = VectorConfig(vectors)
+                if found[G.is_gale] < 2:
+                    found[G.is_gale] += 1
+                    (gale_configs if G.is_gale else other).append(G)
+        return rng, gale_configs, other
+
+    def test_positive_scaling_keeps_every_verdict(self):
+        rng, gale_configs, other = self.configs()
+        for G in gale_configs + other:
+            S = scaled_config(rng, G)
+            assert S != G and S.vectors != G.vectors
+            assert S.is_gale == G.is_gale
+            assert general_position(S) == general_position(G)
+            for k in range(1, min(FACE_CARD_CAP, len(G)) + 1):
+                if G.is_gale:
+                    assert gale_faces_of_card(S, k) == gale_faces_of_card(G, k), k
+                else:
+                    for H in (G, S):
+                        with pytest.raises(NotGale):
+                            gale_faces_of_card(H, k)
+
+    def test_vectors_are_positive_integer_multiples(self):
+        rng, gale_configs, other = self.configs()
+        for G in gale_configs + other:
+            for label, v in zip(G.labels, G.vectors):
+                w = G.vector(label)
+                assert all(type(x) is int for x in w)
+                c = next(wj / vj for wj, vj in zip(w, v) if vj)
+                assert c > 0 and w == tuple(c * x for x in v)
+
+    def test_single_labels_match_the_deletion_answers(self):
+        rng, gale_configs, other = self.configs()
+        for G in gale_configs:
+            deletions = [
+                frozenset({G.labels[i]})
+                for i in range(len(G))
+                if positively_dependent(G.vectors[:i] + G.vectors[i + 1:])
+            ]
+            assert gale_faces_of_card(G, 1) == deletions == [frozenset({l}) for l in G.labels]
+        for G in other:
+            with pytest.raises(NotGale):
+                gale_faces_of_card(G, 1)
 
 
 class TestFaceTest:

@@ -240,7 +240,9 @@ class TestIntegerPivotsMatchFractionSimplex:
 
     def test_two_triangle_example_solves(self, oracle_checked):
         assert two_triangle_example("1/4").passed
-        assert oracle_checked["solves"] == 26 + 65
+        # 26 + 65 before the census, the oracle and the face test stopped
+        # solving LPs whose answers they already held
+        assert oracle_checked["solves"] == 18 + 51
 
 
 # systems at the edge of strictness: name -> (constraints, feasible)

@@ -214,8 +214,11 @@ class TestTwoTriangleOpCounts:
         # The realization checks read the edge list; asking the 9 face
         # questions again made 83 nonneg_combination calls.  The g-vector
         # census projects nothing; taking the image hull there as well as
-        # in the oracle made 74.
-        assert counts == {"lp_feasible": 26, "feasible": 10, "nonneg_combination": 65}
+        # in the oracle made 74.  Asking the convex-hull question of the
+        # strictly preserved vertices, the spanning question of the hull
+        # vertices' images and the face question of single labels made 26
+        # lp_feasible calls (10 feasible) and 65 nonneg_combination calls.
+        assert counts == {"lp_feasible": 18, "feasible": 2, "nonneg_combination": 51}
 
     def test_pivots_at_one_quarter(self, monkeypatch):
         pivots = []
@@ -231,9 +234,10 @@ class TestTwoTriangleOpCounts:
         # the strict-margin LP's phase 2 and its pivot-outs of leftover
         # artificials made 408 pivots, 2e systems per spanning test 330,
         # 2n cone LPs per boundedness check 257, the face questions
-        # asked again by the realization checks 215, and a second image
-        # hull in the g-vector census 199.
-        assert len(pivots) == 176
+        # asked again by the realization checks 215, a second image
+        # hull in the g-vector census 199, and the LPs whose answers the
+        # census, the oracle and the face test already held 176.
+        assert len(pivots) == 127
 
     def test_one_image_hull(self, monkeypatch):
         # only the oracle projects the vertices and takes their hull

@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -6,7 +8,7 @@ import pytest
 from galeproj.complexes import complete_bipartite
 from galeproj.errors import NotGale, OriginNotInterior, RankDeficient, UnknownLabel
 from galeproj.gale import gale_faces_of_card
-from galeproj.linalg import kernel_basis, mat_vec, transpose
+from galeproj.linalg import kernel_basis, mat_vec, rank, transpose
 from galeproj.pipeline import TRIANGLE_PRODUCT_PROJECTION, coupling_g_matrix, deformed_triangle_product
 from galeproj.polytopes import HPolytope, h_vertices
 from galeproj.projections import (
@@ -17,6 +19,7 @@ from galeproj.projections import (
     oracle_survival,
     vertex_survival_census,
 )
+from helpers import full_survival_census
 
 CUBE = HPolytope(
     [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]], [1] * 6
@@ -25,6 +28,8 @@ AXIS_PLANE = [[1, 0, 0], [0, 1, 0]]
 # -2 <= x <= 1, -4 <= y <= 3, -6 <= z <= 5, with facet labels that are not 1..6
 BOX = HPolytope(CUBE.A, [1, 2, 3, 4, 5, 6], [11, 12, 13, 14, 15, 16])
 EPSILONS_BELOW_ONE = ("1/5", "1/4", "1/3", "1/2", "2/3", "3/4", "4/5")
+# few distinct small entries, so that images often coincide or land mid-edge
+PROJECTION_ENTRIES = (-1, 0, 0, 1, 1, 2, Fraction(1, 2), Fraction(-2, 3))
 
 
 def two_triangle_setup(eps):
@@ -139,6 +144,33 @@ class TestCensus:
         for tight in ([7], [1, 2, 7], [0]):
             with pytest.raises(UnknownLabel):
                 test(s, tight)
+
+
+def random_projection(rng, rows, cols):
+    while True:
+        proj = [[rng.choice(PROJECTION_ENTRIES) for _ in range(cols)] for _ in range(rows)]
+        if rank(proj) == rows:
+            return proj
+
+
+class TestShortcutsMatchFullEvaluation:
+    def test_random_rational_projections(self):
+        # the census skips the convex-hull question of strictly preserved
+        # vertices, and the oracle the spanning test of hull vertices
+        rng = random.Random(1818)
+        cases = [(deformed_triangle_product(Fraction(rng.randint(1, 99), 100)), 2, 4) for _ in range(8)]
+        cases += [(BOX, rows, 3) for rows in (1, 2) for _ in range(8)]
+        kinds = Counter()
+        for P, rows, cols in cases:
+            s = make_setup(P, random_projection(rng, rows, cols))
+            g_side, image_side = full_survival_census(s)
+            assert vertex_survival_census(s) == g_side
+            assert oracle_survival(s).records == image_side
+            assert g_side == image_side
+            kinds.update((r.strictly_preserved, r.preserved) for r in g_side)
+        # preserved but not strictly: a vertex whose image is shared or mid-edge
+        assert kinds[(False, True)] and kinds[(True, True)] and kinds[(False, False)]
+        assert not kinds[(True, False)]
 
 
 class TestVerifyRealized:
