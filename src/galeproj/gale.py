@@ -90,8 +90,9 @@ def positively_spanning(W: Sequence[Sequence]) -> bool:
     no c has <c, w> <= 0 for all w and <c, sum W> < 0.  Only if: W spans,
     and such a c is <= 0 on cone W = R^e, so c = 0 and <c, sum W> = 0.
     If: were cone W != R^e, Farkas gives c != 0 with <c, w> <= 0 for all
-    w; as W spans, some <c, w> < 0, so <c, sum W> < 0.  One rank and one
-    strict system settle it.
+    w; as W spans, some <c, w> < 0, so <c, sum W> < 0.  The system is
+    homogeneous in c, so a positive multiple of c turns <c, sum W> < 0
+    into <c, sum W> <= -1: one rank and one `lp_feasible` system settle it.
     """
     vectors = list(W)
     if not vectors:
@@ -100,7 +101,7 @@ def positively_spanning(W: Sequence[Sequence]) -> bool:
     if rank(vectors) < e:
         return False
     total = [sum(w[j] for w in vectors) for j in range(e)]
-    return not lp.lp_feasible([lp.le(w, 0) for w in vectors] + [lp.lt(total, 0)]).feasible
+    return not lp.lp_feasible([(w, 0) for w in vectors] + [(total, -1)]).feasible
 
 
 def positively_dependent(W: Sequence[Sequence]) -> bool:

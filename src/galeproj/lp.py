@@ -2,11 +2,10 @@
 
 Phase 1 of a simplex (Bland's rule, hence terminating) is the only
 algorithm: it finds a point of {x >= 0, rows} or proves there is none.
-Systems of ``<=``, ``=`` and strict ``<`` constraints on free, unbounded
-variables reduce to it by homogenisation (see `lp_feasible`).  Every
-feasible verdict carries a witness re-checked against the input rows,
-never the tableau: `nonneg_combination` checks it in integers, over the
-witness's common denominator.
+`lp_feasible` decides one relation, {x : Ax <= b} on free, unbounded
+variables, by splitting x = u - w with u, w >= 0.  Every feasible verdict
+carries a witness re-checked in integers against the input rows, never
+the tableau, over the witness's common denominator.
 
 The tableau is integer over one common denominator D > 0 and pivots by
 the fraction-free update of Edmonds (1967), as Avis's lrs (2000) does:
@@ -25,58 +24,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Iterable
+from typing import Sequence
 
 from .errors import DimensionMismatch
-from .linalg import Vec, frac, integer_row, vdot, vec
+from .linalg import Vec, integer_row
 
 LE = "<="
 EQ = "="
-LT = "<"
-
-
-@dataclass(frozen=True)
-class LinConstraint:
-    coeffs: Vec
-    relation: str
-    rhs: Fraction
-
-    def __post_init__(self):
-        if self.relation not in (LE, EQ, LT):
-            raise ValueError(f"unknown relation {self.relation!r}")
-
-    def holds(self, x: Vec) -> bool:
-        lhs = vdot(self.coeffs, x)
-        if self.relation == LE:
-            return lhs <= self.rhs
-        if self.relation == EQ:
-            return lhs == self.rhs
-        return lhs < self.rhs
-
-
-def le(coeffs: Iterable, rhs) -> LinConstraint:
-    return LinConstraint(vec(coeffs), LE, frac(rhs))
-
-
-def eq(coeffs: Iterable, rhs) -> LinConstraint:
-    return LinConstraint(vec(coeffs), EQ, frac(rhs))
-
-
-def lt(coeffs: Iterable, rhs) -> LinConstraint:
-    return LinConstraint(vec(coeffs), LT, frac(rhs))
 
 
 @dataclass(frozen=True)
 class FeasibilityResult:
-    status: str  # "feasible" | "infeasible"
-    witness: Vec | None = None
+    witness: Vec | None
 
     @property
     def feasible(self) -> bool:
-        return self.status == "feasible"
+        return self.witness is not None
 
-
-INFEASIBLE = FeasibilityResult("infeasible")
 
 _ZERO = Fraction(0)
 
@@ -216,36 +180,26 @@ def convex_combination(points, target) -> list[Fraction] | None:
     return nonneg_combination(eq_rows, len(points))
 
 
-def lp_feasible(constraints: Iterable[LinConstraint], dim: int | None = None) -> FeasibilityResult:
-    """Exact feasibility verdict for a finite system of linear constraints.
+def lp_feasible(constraints: list[tuple[Sequence, int | Fraction]]) -> FeasibilityResult:
+    """A point of {x : a.x <= b for every row (a, b)}, x free, or none.
 
-    The system is homogenised onto one phase 1: x = y / lam with y = u - w
-    free and lam = 1 + mu >= 1, where u, w, mu >= 0.  A row a.x <= b (or
-    = b) becomes a.y - b*mu <= b (or = b), and a strict row a.x < b becomes
-    a.y - b*mu <= b - 1, so a.x <= b - 1/lam < b.  Conversely a point x
-    with strict slack delta > 0 gives lam = max(1, 1/delta) and y = lam x.
+    Entries are ints or Fractions.  One phase 1 over x = u - w, u, w >= 0:
+    each row becomes a.u - a.w <= b, scaled once by `integer_row` to
+    a'.u - a'.w <= b', for the tableau and for the witness re-check.  As
+    in `nonneg_combination`, the re-check reads those input rows and the
+    returned point: x = num / L, and each row must hold as a'.num <= b' * L.
     """
-    cons = list(constraints)
-    dims = {len(c.coeffs) for c in cons}
-    if len(dims) > 1:
-        raise DimensionMismatch(f"mixed constraint dimensions {sorted(dims)}")
-    k = dims.pop() if dims else dim
-    if k is None:
-        raise DimensionMismatch("empty system with no declared dimension")
-    if dim is not None and dim != k:
-        raise DimensionMismatch(f"declared dim {dim} != constraint dim {k}")
-
-    # variables: u_1..u_k, w_1..w_k, mu
-    rows = []
-    for c in cons:
-        rhs = c.rhs - 1 if c.relation == LT else c.rhs
-        ints, lam = integer_row([*c.coeffs, *(-a for a in c.coeffs), -c.rhs, rhs])
-        rows.append((ints, lam, EQ if c.relation == EQ else LE))
-    y = _solve_nonneg(rows, 2 * k + 1)
+    dims = {len(a) for a, _ in constraints}
+    if len(dims) != 1:
+        raise DimensionMismatch(f"need rows of one dimension, got dimensions {sorted(dims)}")
+    k = dims.pop()
+    rows = [integer_row([*a, *(-x for x in a), b]) for a, b in constraints]
+    y = _solve_nonneg([(ints, lam, LE) for ints, lam in rows], 2 * k)
     if y is None:
-        return INFEASIBLE
-    lam = 1 + y[-1]
-    witness = tuple((y[j] - y[k + j]) / lam for j in range(k))
-    if not all(c.holds(witness) for c in cons):
+        return FeasibilityResult(None)
+    witness = tuple(y[j] - y[k + j] for j in range(k))
+    num, L = integer_row(witness)
+    # num has one entry per coordinate, so map reads only a' of [a', -a', b']
+    if any(sum(map(mul, a, num)) > a[-1] * L for a, _ in rows):
         raise AssertionError("simplex returned an invalid witness")
-    return FeasibilityResult("feasible", witness)
+    return FeasibilityResult(witness)

@@ -144,10 +144,14 @@ class HPolytope:
 
     def _validate(self) -> None:
         m, n = self.num_facets, self.dim
-        interior = lp.lp_feasible([lp.lt(a, bi) for a, bi in zip(self.A, self.b)])
+        # Ax < b has a point iff some (y, mu), mu >= 0, has a.y - b*mu <= b - 1
+        # on every row: x = y / (1 + mu) then has a.x <= b - 1/(1 + mu) < b, and
+        # a point x with least slack delta > 0 gives 1 + mu = max(1, 1/delta),
+        # y = (1 + mu) x
+        rows = [((*a, -bi), bi - 1) for a, bi in zip(self.A, self.b)]
+        interior = lp.lp_feasible(rows + [((0,) * n + (-1,), 0)])
         if not interior.feasible:
-            relaxed = lp.lp_feasible([lp.le(a, bi) for a, bi in zip(self.A, self.b)])
-            if not relaxed.feasible:
+            if not lp.lp_feasible(list(zip(self.A, self.b))).feasible:
                 raise EmptyPolytope("the inequality system has no solution")
             raise NotFullDimensional("the solution set has empty interior")
         # bounded iff the recession cone {Ax <= 0} is {0}, that is iff the

@@ -65,6 +65,9 @@ def parse_mat(rows) -> tuple[tuple[Fraction, ...], ...]:
 
 def parse_polytope(data: dict) -> VPolytope | HPolytope:
     kind = _object(data, "polytope").get("type")
+    dim = data.get("dim")
+    if "dim" in data and (isinstance(dim, bool) or not isinstance(dim, int)):
+        raise ValueError(f"'dim' holds {dim!r}; a dimension is an int")
     if kind == "V":
         P = VPolytope(parse_mat(_matrix(_field(data, "points", "V-polytope"), "points")))
     elif kind == "H":

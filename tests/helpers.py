@@ -5,15 +5,92 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from galeproj import lp
 from galeproj.complexes import Complex, closure_from_facets
+from galeproj.errors import DimensionMismatch
 from galeproj.gale import positively_spanning
-from galeproj.linalg import Vec, mat, mat_vec, rank, vsub
+from galeproj.linalg import Vec, frac, integer_row, mat, mat_vec, rank, vdot, vec, vsub
 from galeproj.obstructions import Graph
 from galeproj.polytopes import h_vertices
 from galeproj.projections import VertexRecord
+
+
+# Systems of rows a.x <= b, a.x = b and a.x < b on free variables, the
+# reference the strict-separation oracles below rest on.  It calls
+# `lp._solve_nonneg` through the module, so a test that patches the phase 1
+# patches it here too.
+
+LT = "<"
+
+
+@dataclass(frozen=True)
+class LinConstraint:
+    coeffs: Vec
+    relation: str
+    rhs: Fraction
+
+    def __post_init__(self):
+        if self.relation not in (lp.LE, lp.EQ, LT):
+            raise ValueError(f"unknown relation {self.relation!r}")
+
+    def holds(self, x: Vec) -> bool:
+        lhs = vdot(self.coeffs, x)
+        if self.relation == lp.LE:
+            return lhs <= self.rhs
+        if self.relation == lp.EQ:
+            return lhs == self.rhs
+        return lhs < self.rhs
+
+
+def le(coeffs: Iterable, rhs) -> LinConstraint:
+    return LinConstraint(vec(coeffs), lp.LE, frac(rhs))
+
+
+def eq(coeffs: Iterable, rhs) -> LinConstraint:
+    return LinConstraint(vec(coeffs), lp.EQ, frac(rhs))
+
+
+def lt(coeffs: Iterable, rhs) -> LinConstraint:
+    return LinConstraint(vec(coeffs), LT, frac(rhs))
+
+
+def strict_lp_feasible(constraints: Iterable[LinConstraint], dim: int | None = None) -> lp.FeasibilityResult:
+    """Exact feasibility verdict for a finite system of linear constraints.
+
+    The system is homogenised onto one phase 1: x = y / lam with y = u - w
+    free and lam = 1 + mu >= 1, where u, w, mu >= 0.  A row a.x <= b (or
+    = b) becomes a.y - b*mu <= b (or = b), and a strict row a.x < b becomes
+    a.y - b*mu <= b - 1, so a.x <= b - 1/lam < b.  Conversely a point x
+    with strict slack delta > 0 gives lam = max(1, 1/delta) and y = lam x.
+    """
+    cons = list(constraints)
+    dims = {len(c.coeffs) for c in cons}
+    if len(dims) > 1:
+        raise DimensionMismatch(f"mixed constraint dimensions {sorted(dims)}")
+    k = dims.pop() if dims else dim
+    if k is None:
+        raise DimensionMismatch("empty system with no declared dimension")
+    if dim is not None and dim != k:
+        raise DimensionMismatch(f"declared dim {dim} != constraint dim {k}")
+
+    # variables: u_1..u_k, w_1..w_k, mu
+    rows = []
+    for c in cons:
+        rhs = c.rhs - 1 if c.relation == LT else c.rhs
+        ints, lam = integer_row([*c.coeffs, *(-a for a in c.coeffs), -c.rhs, rhs])
+        rows.append((ints, lam, lp.EQ if c.relation == lp.EQ else lp.LE))
+    y = lp._solve_nonneg(rows, 2 * k + 1)
+    if y is None:
+        return lp.FeasibilityResult(None)
+    lam = 1 + y[-1]
+    witness = tuple((y[j] - y[k + j]) / lam for j in range(k))
+    if not all(c.holds(witness) for c in cons):
+        raise AssertionError("simplex returned an invalid witness")
+    return lp.FeasibilityResult(witness)
 
 
 def rnd_frac(rng: random.Random, span: int = 100, den: int = 10) -> Fraction:
@@ -79,10 +156,10 @@ def vpoly_face_oracle(points: list[Vec], subset: set[int]) -> bool:
         if i in subset:
             if first is None:
                 first = row
-            cons.append(lp.eq(row, 0))
+            cons.append(eq(row, 0))
         else:
-            cons.append(lp.lt(row, 0))
-    return lp.lp_feasible(cons, dim=d + 1).feasible
+            cons.append(lt(row, 0))
+    return strict_lp_feasible(cons, dim=d + 1).feasible
 
 
 def separation_hull_vertices(points: list[Vec]) -> set[int]:
@@ -95,8 +172,8 @@ def separation_hull_vertices(points: list[Vec]) -> set[int]:
         if not others:
             out.add(i)
             continue
-        cons = [lp.lt(vsub(q, p), 0) for q in others]
-        if lp.lp_feasible(cons, dim=len(p)).feasible:
+        cons = [lt(vsub(q, p), 0) for q in others]
+        if strict_lp_feasible(cons, dim=len(p)).feasible:
             out.add(i)
     return out
 
@@ -148,8 +225,8 @@ def normal_cone_oracle(choice, polys) -> bool:
     cons = []
     for idx, Q in zip(choice, polys):
         v = Q.points[idx]
-        cons.extend(lp.lt(vsub(w, v), 0) for w in Q.points if w != v)
-    return lp.lp_feasible(cons, dim=polys[0].dim).feasible
+        cons.extend(lt(vsub(w, v), 0) for w in Q.points if w != v)
+    return strict_lp_feasible(cons, dim=polys[0].dim).feasible
 
 
 def spans_positively_primal(vectors) -> bool:
@@ -171,12 +248,12 @@ def signed_systems_spanning(vectors) -> bool:
     coordinate settles it.
     """
     e = len(vectors[0])
-    base = [lp.le(w, 0) for w in vectors]
+    base = [le(w, 0) for w in vectors]
     for j in range(e):
         for s in (1, -1):
             direction = [Fraction(0)] * e
             direction[j] = Fraction(-s)
-            if lp.lp_feasible(base + [lp.lt(direction, 0)]).feasible:
+            if strict_lp_feasible(base + [lt(direction, 0)]).feasible:
                 return False
     return True
 
@@ -274,7 +351,7 @@ def bipartite_sum(G: Graph, H: Graph) -> Graph:
 # tableau became integer and lost its phase 2.  It serves two oracles:
 # `fraction_solve_nonneg`, its phase 1 alone, must make the pivots of the
 # integer phase 1; `margin_lp_feasible`, the strict-margin LP that
-# `lp.lp_feasible` solved before it homogenised strict rows, must give the
+# `strict_lp_feasible` solved before it homogenised strict rows, must give the
 # same verdicts.  It is the old code with two additions: `log` receives
 # (entering column, leaving column) for every pivot, and `events` counts
 # the cases the oracle tests must cover (ratio ties, and artificials left
@@ -403,20 +480,20 @@ def fraction_solve_nonneg(raw_rows, nvars, log, events):
 
 
 def margin_lp_feasible(constraints) -> bool:
-    """Verdict of the strict-margin LP that `lp.lp_feasible` once solved.
+    """Verdict of the strict-margin LP that `strict_lp_feasible` once solved.
 
     The free x = u - w; strict rows share a slack t, maximized subject to
     t <= 1, and the system is feasible iff phase 1 succeeds and t > 0.
     """
     cons = list(constraints)
     k = len(cons[0].coeffs)
-    has_strict = any(c.relation == lp.LT for c in cons)
+    has_strict = any(c.relation == LT for c in cons)
     nvars = 2 * k + has_strict
     rows = []
     for c in cons:
         coeffs = [*c.coeffs, *(-a for a in c.coeffs)]
         if has_strict:
-            coeffs.append(_ONE if c.relation == lp.LT else _ZERO)
+            coeffs.append(_ONE if c.relation == LT else _ZERO)
         rows.append((coeffs, lp.EQ if c.relation == lp.EQ else lp.LE, c.rhs))
     objective = None
     if has_strict:

@@ -10,6 +10,7 @@ from galeproj.obstructions import EXACT_CAP
 
 SQUARE_H = {"type": "H", "dim": 2, "A": [[1, 0], [-1, 0], [0, 1], [0, -1]], "b": [1, 1, 1, 1]}
 TRIANGLE_V = {"type": "V", "dim": 2, "points": [["0", "0"], ["1", "0"], ["0", "1"]]}
+SEGMENT_V = {"type": "V", "points": [["0"], ["1"]]}
 # the boundary of a triangle plus an isolated vertex
 COMPLEX = {"vertices": [1, 2, 3, 4], "facets": [[1, 2], [2, 3], [1, 3], [4]]}
 
@@ -87,6 +88,10 @@ MALFORMED = {
     "A number": ("minksum", {**SQUARE_H, "A": 5}, "'A'"),
     "b number": ("minksum", {**SQUARE_H, "b": 5}, "'b'"),
     "labels number": ("minksum", {**SQUARE_H, "labels": 5}, "'labels'"),
+    # a segment has dimension 1, which true and 1.0 equal but are not
+    "dim bool": ("minksum", {**SEGMENT_V, "dim": True}, "'dim'"),
+    "dim float": ("minksum", {**SEGMENT_V, "dim": 1.0}, "'dim'"),
+    "dim string": ("minksum", {**SEGMENT_V, "dim": "1"}, "'dim'"),
     "complex array": ("complex", [COMPLEX], "JSON object"),
     "facets entry number": ("complex", {**COMPLEX, "facets": [1]}, "'facets[0]'"),
     "vertices number": ("embed", {**COMPLEX, "vertices": 5}, "'vertices'"),

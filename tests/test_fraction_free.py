@@ -7,8 +7,9 @@ goes out, as one two-argument `Fraction(numerator, denominator)` per
 value.  The pivot loops (`lp._pivot`, every loop of `lp.py` that calls
 it, `_gauss_jordan`, and the body of `solve_square`) name no `Fraction`
 and use no true division `/`, and `_gauss_jordan` is the only function
-of `linalg.py` with a Bareiss row update.  `nonneg_combination`
-re-checks its witness in integers, with no `Fraction` and no `vdot`.
+of `linalg.py` with a Bareiss row update.  `nonneg_combination` and
+`lp_feasible` re-check their witnesses in integers, with no `Fraction`
+and no `vdot`.
 Each LP row is scaled to integers once, where it enters `lp.py`:
 `_solve_nonneg` takes integer rows and scales none itself, and
 `polytopes.py` reaches phase 1 only through the cone, convex-hull and
@@ -78,9 +79,10 @@ def test_lp_builds_fractions_only_for_input_and_output():
 def test_witness_recheck_is_integer():
     # the body, not the annotations, which name the Fraction type of the result
     _, functions = _functions(PACKAGE / "lp.py")
-    body = functions["nonneg_combination"].body
-    names = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
-    assert not names & {"vdot", "Fraction"}, names & {"vdot", "Fraction"}
+    for name in ("nonneg_combination", "lp_feasible"):
+        body = functions[name].body
+        names = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        assert not names & {"vdot", "Fraction"}, (name, names & {"vdot", "Fraction"})
 
 
 def _names(node):

@@ -7,63 +7,55 @@ import pytest
 
 from galeproj import lp
 from galeproj.errors import DimensionMismatch
-from galeproj.lp import (
-    FeasibilityResult,
-    convex_combination,
-    cone_combination,
-    eq,
-    le,
-    lp_feasible,
-    lt,
-)
+from galeproj.lp import FeasibilityResult, convex_combination, cone_combination, lp_feasible
 from galeproj.pipeline import two_triangle_example
-from helpers import fraction_solve_nonneg, margin_lp_feasible
+from helpers import eq, fraction_solve_nonneg, le, lt, margin_lp_feasible, strict_lp_feasible
 
 
 def test_unit_interval_feasible():
-    r = lp_feasible([le([-1], 0), le([1], 1)])
+    r = lp_feasible([([-1], 0), ([1], 1)])
     assert r.feasible
     assert 0 <= r.witness[0] <= 1
 
 
 def test_strict_contradiction_infeasible():
-    r = lp_feasible([lt([1], 0), lt([-1], 0)])
+    r = strict_lp_feasible([lt([1], 0), lt([-1], 0)])
     assert not r.feasible
     assert r.witness is None
 
 
 def test_gordan_system_for_spanning_triple():
     # {(1,0),(0,1),(-1,-1)} positively spans, so no nonzero c has all
-    # inner products <= 0: every signed-coordinate strict system is dry.
+    # inner products <= 0: every signed-coordinate system is dry, its strict
+    # row c_j * s > 0 scaled to <= -1 as the system is homogeneous.
     w = [(1, 0), (0, 1), (-1, -1)]
     for j in range(2):
         for s in (1, -1):
             direction = [0, 0]
             direction[j] = -s
-            cons = [le(v, 0) for v in w] + [lt(direction, 0)]
-            assert not lp_feasible(cons).feasible
+            assert not lp_feasible([(v, 0) for v in w] + [(direction, -1)]).feasible
 
 
 def test_strict_box_witness_is_inside():
-    r = lp_feasible([lt([1, 0], 1), lt([0, 1], 1), le([-1, 0], 0), le([0, -1], 0)])
+    r = strict_lp_feasible([lt([1, 0], 1), lt([0, 1], 1), le([-1, 0], 0), le([0, -1], 0)])
     assert r.feasible
     assert r.witness[0] < 1 and r.witness[1] < 1
 
 
 def test_equality_rows():
-    r = lp_feasible([eq([1, 1], 2), eq([1, -1], 0)])
+    r = strict_lp_feasible([eq([1, 1], 2), eq([1, -1], 0)])
     assert r.feasible and r.witness == (Fraction(1), Fraction(1))
 
 
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        lp_feasible([le([1, 0], 1), le([1], 0)])
+        lp_feasible([([1, 0], 1), ([1], 0)])
     with pytest.raises(DimensionMismatch):
         lp_feasible([])
 
 
 def test_determinism():
-    cons = [le([1, 2], 3), le([-1, 1], 1), lt([0, -1], 0)]
+    cons = [([1, 2], 3), ([-1, 1], 1), ([0, -1], -1)]
     a = lp_feasible(cons)
     b = lp_feasible(cons)
     assert a == b
@@ -80,7 +72,7 @@ def test_witnesses_recheck_on_random_systems():
             rel = rng.choice(["<=", "=", "<"])
             rhs = Fraction(rng.randint(-4, 4))
             cons.append({"<=": le, "=": eq, "<": lt}[rel](coeffs, rhs))
-        r = lp_feasible(cons)
+        r = strict_lp_feasible(cons)
         if r.feasible:
             feasible_seen += 1
             assert all(c.holds(r.witness) for c in cons)
@@ -91,7 +83,7 @@ def test_witnesses_recheck_on_random_systems():
 
 
 def test_infeasible_relaxation_detected():
-    r = lp_feasible([le([1], 0), le([-1], -1)])
+    r = lp_feasible([([1], 0), ([-1], -1)])
     assert not r.feasible
 
 
@@ -105,19 +97,20 @@ def test_cone_and_convex_combinations_certify():
 
 
 def test_feasibility_result_shape():
-    r = FeasibilityResult("infeasible")
+    r = FeasibilityResult(None)
     assert not r.feasible and r.witness is None
-    assert [f.name for f in fields(FeasibilityResult)] == ["status", "witness"]
+    assert FeasibilityResult((Fraction(0),)).feasible
+    assert [f.name for f in fields(FeasibilityResult)] == ["witness"]
 
 
 def test_answers_do_not_depend_on_magnitude():
     # feasible points lie only beyond |x| = 3*10^6; no variable is bounded
-    for cons in ([le([1], -3 * 10**6)], [lt([1], -3 * 10**6)]):
-        r = lp_feasible(cons)
-        assert r.feasible
-        assert all(c.holds(r.witness) for c in cons)
+    r = lp_feasible([([1], -3 * 10**6)])
+    assert r.feasible and r.witness[0] <= -3 * 10**6
+    r = strict_lp_feasible([lt([1], -3 * 10**6)])
+    assert r.feasible and r.witness[0] < -3 * 10**6
     far = [lt([1], -3 * 10**6), lt([-1], 3 * 10**6 + 5)]
-    r = lp_feasible(far)
+    r = strict_lp_feasible(far)
     assert r.feasible and -3 * 10**6 - 5 < r.witness[0] < -3 * 10**6
 
 
@@ -131,7 +124,7 @@ def test_witnesses_recheck_on_random_strict_systems():
             coeffs = [Fraction(rng.randint(-4, 4)) for _ in range(k)]
             rel = rng.choice([le, eq, lt])
             cons.append(rel(coeffs, Fraction(rng.randint(-50, 50))))
-        r = lp_feasible(cons)
+        r = strict_lp_feasible(cons)
         if r.feasible:
             seen += 1
             assert all(c.holds(r.witness) for c in cons)
@@ -212,18 +205,18 @@ class TestIntegerPivotsMatchFractionSimplex:
                 c = rng.choice(cons)
                 scale = Fraction(rng.randint(1, 4), rng.randint(1, 3)) if c.relation == "=" else 1
                 cons.append(eq([scale * x for x in c.coeffs], scale * c.rhs))
-            lp_feasible(cons)
+            strict_lp_feasible(cons)
         assert oracle_checked["solves"] == 300
         for case in ("tie", "artificial left basic"):
             assert oracle_checked[case] > 0, case
 
     def test_hand_made_cases(self, oracle_checked):
         # a negative right-hand side, a redundant pair, parallel rows
-        assert lp_feasible([le([1], -3), lt([-1], 10**7)]).feasible
-        assert lp_feasible([eq([1, 1], 2), eq([2, 2], 4), le([1, -1], 0), lt([0, -1], 0)]).feasible
-        assert not lp_feasible([eq([Fraction(1, 3), 1], 1), eq([1, 3], 4)]).feasible
+        assert strict_lp_feasible([le([1], -3), lt([-1], 10**7)]).feasible
+        assert strict_lp_feasible([eq([1, 1], 2), eq([2, 2], 4), le([1, -1], 0), lt([0, -1], 0)]).feasible
+        assert not strict_lp_feasible([eq([Fraction(1, 3), 1], 1), eq([1, 3], 4)]).feasible
         cons = [le([1, 1], 0), le([1, -1], 0), lt([-1, 0], 1)]
-        r = lp_feasible(cons)
+        r = strict_lp_feasible(cons)
         assert r.feasible and all(c.holds(r.witness) for c in cons)
         assert oracle_checked["solves"] == 4
 
@@ -261,14 +254,14 @@ STRICTNESS_EDGES = {
 
 
 class TestHomogenisedVerdicts:
-    """`lp_feasible` decides by one phase 1 what the margin LP decided by two."""
+    """`strict_lp_feasible` decides by one phase 1 what the margin LP decided by two."""
 
     def test_verdicts_match_the_margin_lp(self):
         rng = random.Random(9090)
         verdicts = Counter()
         for _ in range(300):
             cons = random_mixed_system(rng)
-            r = lp_feasible(cons)
+            r = strict_lp_feasible(cons)
             assert r.feasible == margin_lp_feasible(cons), cons
             if r.feasible:
                 assert all(c.holds(r.witness) for c in cons)
@@ -279,10 +272,50 @@ class TestHomogenisedVerdicts:
     def test_edges_of_strictness(self, name):
         cons, feasible = STRICTNESS_EDGES[name]
         assert margin_lp_feasible(cons) == feasible
-        r = lp_feasible(cons)
+        r = strict_lp_feasible(cons)
         assert r.feasible == feasible
         if feasible:
             assert all(c.holds(r.witness) for c in cons)
+
+
+def random_le_system(rng):
+    """1 to 6 rows (a, b), meaning a.x <= b, in 1 to 3 variables, entries
+    from `oracle_entry`."""
+    k = rng.randint(1, 3)
+    return [([oracle_entry(rng) for _ in range(k)], oracle_entry(rng)) for _ in range(rng.randint(1, 6))]
+
+
+class TestLeSystems:
+    """`lp_feasible` decides {x : Ax <= b}, x free, with a re-checked witness."""
+
+    def test_verdicts_match_the_margin_lp(self, oracle_checked):
+        rng = random.Random(4040)
+        verdicts = Counter()
+        for _ in range(300):
+            rows = random_le_system(rng)
+            r = lp_feasible(rows)
+            assert r.feasible == margin_lp_feasible([le(a, b) for a, b in rows]), rows
+            if r.feasible:
+                assert all(sum(ai * xi for ai, xi in zip(a, r.witness)) <= b for a, b in rows)
+            else:
+                assert r.witness is None
+            verdicts[r.feasible] += 1
+        assert oracle_checked["solves"] == 300
+        assert verdicts[True] > 50 and verdicts[False] > 50
+
+    @pytest.mark.parametrize(
+        "rows, bad",
+        [
+            # x <= 0, and the point u - w = 1
+            ([([1], 0)], [Fraction(1), Fraction(0)]),
+            # x + y <= 1 and -x <= 0, and the point (-1, 3)
+            ([([1, 1], 1), ([-1, 0], 0)], [Fraction(0), Fraction(3), Fraction(1), Fraction(0)]),
+        ],
+    )
+    def test_a_bad_witness_raises(self, rows, bad, monkeypatch):
+        monkeypatch.setattr(lp, "_solve_nonneg", lambda int_rows, nvars: list(bad))
+        with pytest.raises(AssertionError, match="invalid witness"):
+            lp_feasible(rows)
 
 
 # points 0, 1, 2 on a line and the target 1; both bad points below satisfy

@@ -33,6 +33,9 @@ from galeproj.polytopes import (
 from helpers import (
     fraction_slacks,
     lcm_gcd_canonical_row,
+    le,
+    lt,
+    margin_lp_feasible,
     normal_cone_oracle,
     random_points,
     separation_hull_vertices,
@@ -113,6 +116,67 @@ class TestConstruction:
             seen.add(("bounded", bounded))
             seen.add(("rank deficient", rank(A) < n))
         assert seen == {(k, v) for k in ("bounded", "rank deficient") for v in (False, True)}
+
+
+def interior_verdict(A, b):
+    """EmptyPolytope, NotFullDimensional or None: what `HPolytope` raises
+    about {Ax <= b} and its interior; boundedness and redundancy aside."""
+    try:
+        HPolytope(A, b)
+    except (EmptyPolytope, NotFullDimensional) as err:
+        return type(err)
+    except (UnboundedPolytope, RedundantRow):
+        pass
+    return None
+
+
+def margin_verdict(A, b):
+    """The same verdict from the margin LP on the strict and the relaxed system."""
+    if margin_lp_feasible([lt(a, bi) for a, bi in zip(A, b)]):
+        return None
+    if margin_lp_feasible([le(a, bi) for a, bi in zip(A, b)]):
+        return NotFullDimensional
+    return EmptyPolytope
+
+
+# name -> (A, b, the verdict)
+VALIDATION_CASES = {
+    "far interval": ([[1], [-1]], [2000001, -2000000], None),
+    "the point 0": ([[1], [-1]], [0, 0], NotFullDimensional),
+    "empty interval": ([[1], [-1]], [0, -1], EmptyPolytope),
+    "flat square in R^3": (
+        [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
+        [1, 1, 1, 1, 0, 0],
+        NotFullDimensional,
+    ),
+}
+
+
+class TestValidationOracle:
+    """`HPolytope` finds empty and flat systems as the margin LP does."""
+
+    @pytest.mark.parametrize("name", sorted(VALIDATION_CASES))
+    def test_hand_cases(self, name):
+        A, b, verdict = VALIDATION_CASES[name]
+        assert margin_verdict(A, b) is verdict
+        assert interior_verdict(A, b) is verdict
+
+    def test_random_systems(self):
+        rng = random.Random(1967)
+        seen = set()
+        for _ in range(240):
+            n = rng.randint(1, 3)
+            A = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, 2 * n + 1))]
+            b = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in A]
+            if rng.random() < 0.4:
+                # the opposite of a row, so a hyperplane the system may lie in
+                i = rng.randrange(len(A))
+                A.append([-x for x in A[i]])
+                b.append(-b[i])
+            verdict = margin_verdict(A, b)
+            assert interior_verdict(A, b) is verdict, (A, b)
+            seen.add(verdict)
+        assert seen == {None, EmptyPolytope, NotFullDimensional}
 
 
 class TestVertexEnumeration:

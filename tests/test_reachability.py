@@ -38,8 +38,6 @@ MODULES = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
 KEEP = {
     "polytopes.sum_as_projection": "the projected-product route to the vertex bound (ROADMAP direction 6) calls it",
     "polytopes.recentre": "the projected-product route (ROADMAP direction 6) recentres the product before make_setup",
-    "lp.eq": "part of the strict-system layer that deleting lp_feasible (ROADMAP direction 1) removes whole",
-    "lp.lp_feasible.dim": "the test oracles in tests/helpers.py pass it; it goes with lp_feasible (ROADMAP direction 1)",
 }
 
 
