@@ -184,7 +184,10 @@ class TestIntegerCopy:
         other = [coupling_config(0)]
         for e in (1, 2, 3):
             found = {True: 0, False: 0}
-            while min(found.values()) < 2:
+            # seed 67 needs 9, 9 and 29 draws; a wrong spanning test must fail, not hang
+            for _ in range(100):
+                if min(found.values()) == 2:
+                    break
                 vectors = []
                 for _ in range(rng.randint(e + 3, 7)):
                     v = (0,) * e
@@ -195,6 +198,7 @@ class TestIntegerCopy:
                 if found[G.is_gale] < 2:
                     found[G.is_gale] += 1
                     (gale_configs if G.is_gale else other).append(G)
+            assert min(found.values()) == 2, f"100 draws in R^{e} gave too few of one verdict: {found}"
         return rng, gale_configs, other
 
     def test_positive_scaling_keeps_every_verdict(self):
