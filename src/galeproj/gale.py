@@ -93,6 +93,10 @@ def positively_spanning(W: Sequence[Sequence]) -> bool:
     w; as W spans, some <c, w> < 0, so <c, sum W> < 0.  The system is
     homogeneous in c, so a positive multiple of c turns <c, sum W> < 0
     into <c, sum W> <= -1: one rank and one `lp_feasible` system settle it.
+    A "spans" verdict is that system's infeasible one, so it is certified:
+    the Farkas y >= 0 that `lp_feasible` re-checks has y_0 = 1 on the
+    sum row and makes sum (1 + y_w) w = 0, a strictly positive
+    combination of W that is zero.
     """
     vectors = list(W)
     if not vectors:

@@ -1,19 +1,19 @@
 """Exact linear feasibility with certificates.
 
-Phase 1 of a simplex (Bland's rule, hence terminating) is the only
-algorithm: it finds a point of {x >= 0, rows} or proves there is none.
-`lp_feasible` decides one relation, {x : Ax <= b} on free, unbounded
-variables, by splitting x = u - w with u, w >= 0.  Every feasible verdict
-carries a witness re-checked in integers against the input rows, never
-the tableau, over the witness's common denominator.
+Phase 1 of a simplex (Bland's rule, hence terminating) on equality rows
+over nonnegative variables is the only algorithm: `nonneg_combination`
+finds a point of {x >= 0, Ax = b} or proves there is none, and re-checks
+the point in integers against the input rows, never the tableau.
+`lp_feasible` decides {x : Ax <= b}, x free, by the Farkas system
+{y >= 0, yA = 0, yb = -1}, so each "empty" verdict has a re-checked y.
 
 The tableau is integer over one common denominator D > 0 and pivots by
 the fraction-free update of Edmonds (1967), as Avis's lrs (2000) does:
 each division is exact and no gcd is taken while pivoting.  Rationals
 occur only where rows come in, each scaled to integers once by
-`integer_row`, and where the witness goes out; ints pass as they are.
+`integer_row`, and where the point goes out; ints pass as they are.
 The tableau differs from the rational one only by positive scalings of
-rows and of slack/artificial columns, which keep every sign Bland's rule
+rows and of artificial columns, which keep every sign Bland's rule
 reads, and stores no artificial column, as none may enter; so the pivots
 are those of a rational simplex (see `_solve_nonneg`).
 """
@@ -27,19 +27,12 @@ from operator import mul
 from typing import Sequence
 
 from .errors import DimensionMismatch
-from .linalg import Vec, integer_row
-
-LE = "<="
-EQ = "="
+from .linalg import integer_row
 
 
 @dataclass(frozen=True)
 class FeasibilityResult:
-    witness: Vec | None
-
-    @property
-    def feasible(self) -> bool:
-        return self.witness is not None
+    feasible: bool
 
 
 _ZERO = Fraction(0)
@@ -89,45 +82,27 @@ def _simplex_max(T, basis, Z, D, allowed):
 def _solve_nonneg(rows, nvars):
     """A point of {x >= 0, rows} by phase 1, or None.
 
-    Rows arrive already integer, as (ints, lam, rel) from `integer_row`:
-    ints = lam * [coeffs, rhs] with lam the lcm of the row's denominators,
-    and rel one of LE, EQ.  Each row's slack or artificial gets entry 1,
-    so the first basis is the identity and D = 1.  The phase-1 objective
-    -sum a_i reads -sum (L / lam_i) a'_i in the scaled artificials
-    a'_i = lam_i a_i, L the lcm of the lam_i.  That multiplies each reduced
-    cost by a positive number, and each ratio test is scaled by one
-    positive factor, ties included, so Bland's rule picks the pivots of the
-    rational tableau.  An artificial still basic at the end has value 0
-    and is not read.  No artificial column is stored, as none may enter:
-    the k-th artificial is basic under its virtual index art_start + k,
-    the index Bland's tie-break compares in the rational tableau.
+    Rows arrive already integer, as (ints, lam) from `integer_row`: ints =
+    lam * [coeffs, rhs] with lam the lcm of the row's denominators, each
+    meaning coeffs.x = rhs.  Each row's artificial gets entry 1, so the
+    first basis is the identity and D = 1.  The phase-1 objective -sum a_i
+    reads -sum (L / lam_i) a'_i in the scaled artificials a'_i = lam_i a_i,
+    L the lcm of the lam_i.  That multiplies each reduced cost by a
+    positive number, and each ratio test is scaled by one positive factor,
+    ties included, so Bland's rule picks the pivots of the rational
+    tableau.  An artificial still basic at the end has value 0 and is not
+    read.  No artificial column is stored, as none may enter: the i-th
+    artificial is basic under its virtual index nvars + i, the index
+    Bland's tie-break compares in the rational tableau.
     """
-    art_start = nvars + sum(1 for _, _, rel in rows if rel == LE)
-    T, basis, arts = [], [], []
-    s_at = nvars
-    for ints, lam, rel in rows:
-        row = ints[:-1] + [0] * (art_start - nvars) + ints[-1:]
-        if rel == LE:
-            row[s_at] = 1
-            s_at += 1
-        if ints[-1] < 0:
-            row = [-x for x in row]
-        if rel == LE and ints[-1] >= 0:
-            basis.append(s_at - 1)
-        else:
-            basis.append(art_start + len(arts))
-            arts.append((row, lam))
-        T.append(row)
-
-    D = 1
-    if arts:
-        # D times the reduced costs of -sum (L / lam_i) a'_i at the identity basis
-        L = lcm(*(lam for _, lam in arts))
-        Z = [sum(L // lam * row[j] for row, lam in arts) for j in range(art_start + 1)]
-        D = _simplex_max(T, basis, Z, D, range(art_start))
-        if Z[-1] > 0:
-            return None
-
+    T = [ints if ints[-1] >= 0 else [-x for x in ints] for ints, _ in rows]
+    basis = list(range(nvars, nvars + len(T)))
+    # D times the reduced costs of -sum (L / lam_i) a'_i at the identity basis
+    L = lcm(*(lam for _, lam in rows))
+    Z = [sum(L // lam * row[j] for row, (_, lam) in zip(T, rows)) for j in range(nvars + 1)]
+    D = _simplex_max(T, basis, Z, 1, range(nvars))
+    if Z[-1] > 0:
+        return None
     x = [_ZERO] * nvars
     for row, b in zip(T, basis):
         if b < nvars:
@@ -136,18 +111,17 @@ def _solve_nonneg(rows, nvars):
 
 
 def nonneg_combination(eq_rows: list[tuple[list, Fraction]], nvars: int) -> list[Fraction] | None:
-    """Solve {x >= 0, equality rows} by phase 1; a re-checked witness or None.
+    """Solve {x >= 0, equality rows} by phase 1; a re-checked point or None.
 
-    Entries are ints or Fractions.  Cheaper than `lp_feasible` for cone and
-    convex-hull membership because the sign constraints are native to the
-    simplex variables.  Each row a.x = b is scaled once by `integer_row`
-    to integers a'.x = b', for the tableau and for the witness re-check.
-    The re-check reads those input rows and the returned point, not the
-    tableau: x = num / L, and each row must hold as a'.num = b' * L, with
-    num >= 0.
+    Entries are ints or Fractions.  This is the one entry to phase 1: the
+    cone and convex-hull tests and `lp_feasible`'s Farkas system all come
+    through here.  Each row a.x = b is scaled once by `integer_row` to
+    integers a'.x = b', for the tableau and for the re-check.  The re-check
+    reads those input rows and the returned point, not the tableau:
+    x = num / L, and each row must hold as a'.num = b' * L, with num >= 0.
     """
     rows = [integer_row([*coeffs, rhs]) for coeffs, rhs in eq_rows]
-    x = _solve_nonneg([(ints, lam, EQ) for ints, lam in rows], nvars)
+    x = _solve_nonneg(rows, nvars)
     if x is None:
         return None
     num, L = integer_row(x)
@@ -181,25 +155,17 @@ def convex_combination(points, target) -> list[Fraction] | None:
 
 
 def lp_feasible(constraints: list[tuple[Sequence, int | Fraction]]) -> FeasibilityResult:
-    """A point of {x : a.x <= b for every row (a, b)}, x free, or none.
+    """Whether {x : a.x <= b for every row (a, b)}, x free, has a point.
 
-    Entries are ints or Fractions.  One phase 1 over x = u - w, u, w >= 0:
-    each row becomes a.u - a.w <= b, scaled once by `integer_row` to
-    a'.u - a'.w <= b', for the tableau and for the witness re-check.  As
-    in `nonneg_combination`, the re-check reads those input rows and the
-    returned point: x = num / L, and each row must hold as a'.num <= b' * L.
+    Entries are ints or Fractions.  Farkas: the set is empty iff some
+    y >= 0, one entry per row, has sum y_i a_i = 0 and sum y_i b_i = -1.
+    For m rows in k variables that is one `nonneg_combination` system of
+    k + 1 equality rows over m variables, so an infeasible verdict rests
+    on a y re-checked in integers there.  A feasible one carries no point.
     """
     dims = {len(a) for a, _ in constraints}
     if len(dims) != 1:
         raise DimensionMismatch(f"need rows of one dimension, got dimensions {sorted(dims)}")
     k = dims.pop()
-    rows = [integer_row([*a, *(-x for x in a), b]) for a, b in constraints]
-    y = _solve_nonneg([(ints, lam, LE) for ints, lam in rows], 2 * k)
-    if y is None:
-        return FeasibilityResult(None)
-    witness = tuple(y[j] - y[k + j] for j in range(k))
-    num, L = integer_row(witness)
-    # num has one entry per coordinate, so map reads only a' of [a', -a', b']
-    if any(sum(map(mul, a, num)) > a[-1] * L for a, _ in rows):
-        raise AssertionError("simplex returned an invalid witness")
-    return FeasibilityResult(witness)
+    farkas = [([a[j] for a, _ in constraints], 0) for j in range(k)] + [([b for _, b in constraints], -1)]
+    return FeasibilityResult(nonneg_combination(farkas, len(constraints)) is None)

@@ -24,6 +24,8 @@ from galeproj.projections import VertexRecord
 # `lp._solve_nonneg` through the module, so a test that patches the phase 1
 # patches it here too.
 
+LE = "<="
+EQ = "="
 LT = "<"
 
 
@@ -34,38 +36,49 @@ class LinConstraint:
     rhs: Fraction
 
     def __post_init__(self):
-        if self.relation not in (lp.LE, lp.EQ, LT):
+        if self.relation not in (LE, EQ, LT):
             raise ValueError(f"unknown relation {self.relation!r}")
 
     def holds(self, x: Vec) -> bool:
         lhs = vdot(self.coeffs, x)
-        if self.relation == lp.LE:
+        if self.relation == LE:
             return lhs <= self.rhs
-        if self.relation == lp.EQ:
+        if self.relation == EQ:
             return lhs == self.rhs
         return lhs < self.rhs
 
 
 def le(coeffs: Iterable, rhs) -> LinConstraint:
-    return LinConstraint(vec(coeffs), lp.LE, frac(rhs))
+    return LinConstraint(vec(coeffs), LE, frac(rhs))
 
 
 def eq(coeffs: Iterable, rhs) -> LinConstraint:
-    return LinConstraint(vec(coeffs), lp.EQ, frac(rhs))
+    return LinConstraint(vec(coeffs), EQ, frac(rhs))
 
 
 def lt(coeffs: Iterable, rhs) -> LinConstraint:
     return LinConstraint(vec(coeffs), LT, frac(rhs))
 
 
-def strict_lp_feasible(constraints: Iterable[LinConstraint], dim: int | None = None) -> lp.FeasibilityResult:
-    """Exact feasibility verdict for a finite system of linear constraints.
+@dataclass(frozen=True)
+class StrictResult:
+    witness: Vec | None
+
+    @property
+    def feasible(self) -> bool:
+        return self.witness is not None
+
+
+def strict_lp_feasible(constraints: Iterable[LinConstraint], dim: int | None = None) -> StrictResult:
+    """Exact feasibility verdict, with a re-checked point, for a finite system.
 
     The system is homogenised onto one phase 1: x = y / lam with y = u - w
     free and lam = 1 + mu >= 1, where u, w, mu >= 0.  A row a.x <= b (or
     = b) becomes a.y - b*mu <= b (or = b), and a strict row a.x < b becomes
     a.y - b*mu <= b - 1, so a.x <= b - 1/lam < b.  Conversely a point x
     with strict slack delta > 0 gives lam = max(1, 1/delta) and y = lam x.
+    Phase 1 takes equality rows only, so each <= row gets a slack s >= 0
+    of its own: a.y - b*mu + s = b (or b - 1).
     """
     cons = list(constraints)
     dims = {len(c.coeffs) for c in cons}
@@ -77,20 +90,21 @@ def strict_lp_feasible(constraints: Iterable[LinConstraint], dim: int | None = N
     if dim is not None and dim != k:
         raise DimensionMismatch(f"declared dim {dim} != constraint dim {k}")
 
-    # variables: u_1..u_k, w_1..w_k, mu
+    # variables: u_1..u_k, w_1..w_k, mu, then one slack per <= or < row
+    slacked = [i for i, c in enumerate(cons) if c.relation != EQ]
     rows = []
-    for c in cons:
+    for i, c in enumerate(cons):
         rhs = c.rhs - 1 if c.relation == LT else c.rhs
-        ints, lam = integer_row([*c.coeffs, *(-a for a in c.coeffs), -c.rhs, rhs])
-        rows.append((ints, lam, lp.EQ if c.relation == lp.EQ else lp.LE))
-    y = lp._solve_nonneg(rows, 2 * k + 1)
+        slacks = [int(i == s) for s in slacked]
+        rows.append(integer_row([*c.coeffs, *(-a for a in c.coeffs), -c.rhs, *slacks, rhs]))
+    y = lp._solve_nonneg(rows, 2 * k + 1 + len(slacked))
     if y is None:
-        return lp.FeasibilityResult(None)
-    lam = 1 + y[-1]
+        return StrictResult(None)
+    lam = 1 + y[2 * k]
     witness = tuple((y[j] - y[k + j]) / lam for j in range(k))
     if not all(c.holds(witness) for c in cons):
         raise AssertionError("simplex returned an invalid witness")
-    return lp.FeasibilityResult(witness)
+    return StrictResult(witness)
 
 
 def rnd_frac(rng: random.Random, span: int = 100, den: int = 10) -> Fraction:
@@ -414,13 +428,13 @@ def _fraction_simplex(raw_rows, nvars, objective, log, events):
 
     Returns (feasible, x, value); with no objective it stops after phase 1.
     """
-    nslack = sum(1 for _, rel, _ in raw_rows if rel == lp.LE)
+    nslack = sum(1 for _, rel, _ in raw_rows if rel == LE)
     prepared = []
     s_at = nvars
     for coeffs, rel, rhs in raw_rows:
         row = list(coeffs) + [_ZERO] * nslack + [rhs]
         slack_col = None
-        if rel == lp.LE:
+        if rel == LE:
             row[s_at] = _ONE
             slack_col = s_at
             s_at += 1
@@ -494,11 +508,11 @@ def margin_lp_feasible(constraints) -> bool:
         coeffs = [*c.coeffs, *(-a for a in c.coeffs)]
         if has_strict:
             coeffs.append(_ONE if c.relation == LT else _ZERO)
-        rows.append((coeffs, lp.EQ if c.relation == lp.EQ else lp.LE, c.rhs))
+        rows.append((coeffs, EQ if c.relation == EQ else LE, c.rhs))
     objective = None
     if has_strict:
         objective = [_ZERO] * (nvars - 1) + [_ONE]
-        rows.append((objective, lp.LE, _ONE))
+        rows.append((objective, LE, _ONE))
     feasible, _, value = _fraction_simplex(rows, nvars, objective, [], Counter())
     return feasible and (not has_strict or value > 0)
 

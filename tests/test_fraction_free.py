@@ -7,9 +7,10 @@ goes out, as one two-argument `Fraction(numerator, denominator)` per
 value.  The pivot loops (`lp._pivot`, every loop of `lp.py` that calls
 it, `_gauss_jordan`, and the body of `solve_square`) name no `Fraction`
 and use no true division `/`, and `_gauss_jordan` is the only function
-of `linalg.py` with a Bareiss row update.  `nonneg_combination` and
-`lp_feasible` re-check their witnesses in integers, with no `Fraction`
-and no `vdot`.
+of `linalg.py` with a Bareiss row update.  `nonneg_combination`
+re-checks its points in integers, with no `Fraction` and no `vdot`.
+`lp_feasible` re-checks nothing itself: it makes one `nonneg_combination`
+call on its Farkas system, so its certificates pass that same re-check.
 Each LP row is scaled to integers once, where it enters `lp.py`:
 `_solve_nonneg` takes integer rows and scales none itself, and
 `polytopes.py` reaches phase 1 only through the cone, convex-hull and
@@ -79,10 +80,15 @@ def test_lp_builds_fractions_only_for_input_and_output():
 def test_witness_recheck_is_integer():
     # the body, not the annotations, which name the Fraction type of the result
     _, functions = _functions(PACKAGE / "lp.py")
-    for name in ("nonneg_combination", "lp_feasible"):
-        body = functions[name].body
-        names = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
-        assert not names & {"vdot", "Fraction"}, (name, names & {"vdot", "Fraction"})
+    body = functions["nonneg_combination"].body
+    names = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+    assert not names & {"vdot", "Fraction"}, names & {"vdot", "Fraction"}
+    calls = [
+        n.func.id for n in ast.walk(functions["lp_feasible"])
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+    ]
+    assert calls.count("nonneg_combination") == 1
+    assert not {"_solve_nonneg", "integer_row"} & set(calls), calls
 
 
 def _names(node):

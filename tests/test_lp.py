@@ -9,13 +9,11 @@ from galeproj import lp
 from galeproj.errors import DimensionMismatch
 from galeproj.lp import FeasibilityResult, convex_combination, cone_combination, lp_feasible
 from galeproj.pipeline import two_triangle_example
-from helpers import eq, fraction_solve_nonneg, le, lt, margin_lp_feasible, strict_lp_feasible
+from helpers import EQ, eq, fraction_solve_nonneg, le, lt, margin_lp_feasible, strict_lp_feasible
 
 
 def test_unit_interval_feasible():
-    r = lp_feasible([([-1], 0), ([1], 1)])
-    assert r.feasible
-    assert 0 <= r.witness[0] <= 1
+    assert lp_feasible([([-1], 0), ([1], 1)]) == FeasibilityResult(True)
 
 
 def test_strict_contradiction_infeasible():
@@ -97,16 +95,17 @@ def test_cone_and_convex_combinations_certify():
 
 
 def test_feasibility_result_shape():
-    r = FeasibilityResult(None)
-    assert not r.feasible and r.witness is None
-    assert FeasibilityResult((Fraction(0),)).feasible
-    assert [f.name for f in fields(FeasibilityResult)] == ["witness"]
+    # the verdict alone: an infeasible one is certified inside
+    # `nonneg_combination`, and a feasible one carries no point
+    assert [f.name for f in fields(FeasibilityResult)] == ["feasible"]
+    assert FeasibilityResult(True).feasible and not FeasibilityResult(False).feasible
 
 
 def test_answers_do_not_depend_on_magnitude():
     # feasible points lie only beyond |x| = 3*10^6; no variable is bounded
-    r = lp_feasible([([1], -3 * 10**6)])
-    assert r.feasible and r.witness[0] <= -3 * 10**6
+    assert lp_feasible([([1], -3 * 10**6)]).feasible
+    # and the far interval [-3*10^6 + 1, -3*10^6] is empty
+    assert not lp_feasible([([1], -3 * 10**6), ([-1], 3 * 10**6 - 1)]).feasible
     r = strict_lp_feasible([lt([1], -3 * 10**6)])
     assert r.feasible and r.witness[0] < -3 * 10**6
     far = [lt([1], -3 * 10**6), lt([-1], 3 * 10**6 + 5)]
@@ -139,7 +138,7 @@ def oracle_checked(monkeypatch):
     by column, and return the same point or None.  The pivot loop must see
     only ints over a positive denominator and pivot on a positive entry,
     and the tableau must store no artificial column: every row and Z hold
-    the variables, the slacks of the LE rows and the rhs.
+    the variables and the rhs.
     Returns the counts of solves, pivots and covered cases.
     """
     events = Counter()
@@ -157,12 +156,10 @@ def oracle_checked(monkeypatch):
 
     def checked_solve(rows, nvars):
         # the rows arrive scaled to integers; the oracle reads them as Fractions
-        raw_rows = [
-            ([Fraction(a, lam) for a in ints[:-1]], rel, Fraction(ints[-1], lam)) for ints, lam, rel in rows
-        ]
+        raw_rows = [([Fraction(a, lam) for a in ints[:-1]], EQ, Fraction(ints[-1], lam)) for ints, lam in rows]
         oracle_log = []
         expected = fraction_solve_nonneg(raw_rows, nvars, oracle_log, events)
-        width[:] = [nvars + sum(rel == lp.LE for _, _, rel in rows) + 1]
+        width[:] = [nvars + 1]
         integer_log.clear()
         got = solve(rows, nvars)
         assert integer_log == oracle_log
@@ -286,33 +283,32 @@ def random_le_system(rng):
 
 
 class TestLeSystems:
-    """`lp_feasible` decides {x : Ax <= b}, x free, with a re-checked witness."""
+    """`lp_feasible` decides {x : Ax <= b}, x free, through its Farkas system."""
 
     def test_verdicts_match_the_margin_lp(self, oracle_checked):
         rng = random.Random(4040)
         verdicts = Counter()
         for _ in range(300):
             rows = random_le_system(rng)
-            r = lp_feasible(rows)
-            assert r.feasible == margin_lp_feasible([le(a, b) for a, b in rows]), rows
-            if r.feasible:
-                assert all(sum(ai * xi for ai, xi in zip(a, r.witness)) <= b for a, b in rows)
-            else:
-                assert r.witness is None
-            verdicts[r.feasible] += 1
+            feasible = lp_feasible(rows).feasible
+            assert feasible == margin_lp_feasible([le(a, b) for a, b in rows]), rows
+            verdicts[feasible] += 1
         assert oracle_checked["solves"] == 300
         assert verdicts[True] > 50 and verdicts[False] > 50
 
     @pytest.mark.parametrize(
         "rows, bad",
         [
-            # x <= 0, and the point u - w = 1
-            ([([1], 0)], [Fraction(1), Fraction(0)]),
-            # x + y <= 1 and -x <= 0, and the point (-1, 3)
-            ([([1, 1], 1), ([-1, 0], 0)], [Fraction(0), Fraction(3), Fraction(1), Fraction(0)]),
+            # x <= 0 and -x <= -1, and y = (0, 1) off the row y1 - y2 = 0
+            ([([1], 0), ([-1], -1)], [Fraction(0), Fraction(1)]),
+            # x <= 0, -x <= -1 and x <= 1, and y = (1, 0, -1) on both rows
+            # y1 - y2 + y3 = 0 and -y2 + y3 = -1, but with y3 < 0
+            ([([1], 0), ([-1], -1), ([1], 1)], [Fraction(1), Fraction(0), Fraction(-1)]),
         ],
     )
     def test_a_bad_witness_raises(self, rows, bad, monkeypatch):
+        # the systems are empty; a bad Farkas certificate y must not pass
+        assert not lp_feasible(rows).feasible
         monkeypatch.setattr(lp, "_solve_nonneg", lambda int_rows, nvars: list(bad))
         with pytest.raises(AssertionError, match="invalid witness"):
             lp_feasible(rows)
@@ -346,6 +342,6 @@ class TestWitnessRecheck:
     @pytest.mark.parametrize("bad", sorted(BAD_WITNESSES))
     @pytest.mark.parametrize("call", sorted(MEMBERSHIP_CALLS))
     def test_a_bad_witness_raises(self, call, bad, monkeypatch):
-        monkeypatch.setattr(lp, "_solve_nonneg", lambda raw_rows, nvars: list(BAD_WITNESSES[bad]))
+        monkeypatch.setattr(lp, "_solve_nonneg", lambda int_rows, nvars: list(BAD_WITNESSES[bad]))
         with pytest.raises(AssertionError, match="invalid witness"):
             MEMBERSHIP_CALLS[call]()
