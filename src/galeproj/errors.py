@@ -54,7 +54,7 @@ class NotGale(GaleprojError, ValueError):
 
 
 class TooLargeForExact(GaleprojError, ValueError):
-    """Graph exceeds the size cap of the exact coloring solver."""
+    """Input exceeds the size cap of an exact layer (coloring, experiment)."""
 
 
 class OutOfTheoremRange(GaleprojError, ValueError):
@@ -68,10 +68,3 @@ class HypothesisViolated(GaleprojError, ValueError):
 class EpsilonOutOfRange(GaleprojError, ValueError):
     """The deformation parameter must satisfy 0 < eps <= 1."""
 
-
-class WrongDimension(GaleprojError, ValueError):
-    """Operation restricted to a specific ambient dimension."""
-
-
-class RetriesExhausted(GaleprojError, RuntimeError):
-    """Seeded perturbation failed to reach its target within the retry cap."""

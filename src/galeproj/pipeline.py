@@ -26,7 +26,7 @@ from .complexes import (
     sort_family,
     sort_labels,
 )
-from .errors import EpsilonOutOfRange, HypothesisViolated, RetriesExhausted, WrongDimension
+from .errors import EpsilonOutOfRange, HypothesisViolated, TooLargeForExact
 from .gale import VectorConfig, general_position, gale_faces_of_card
 from .linalg import Mat, affine_rank, frac, mat
 from .obstructions import lovasz_kneser_chi, nonembeddable
@@ -35,7 +35,6 @@ from .polytopes import (
     VPolytope,
     dual_boundary_complex,
     h_vertices,
-    hull_vertex_indices,
     is_simple,
     minkowski_sum_vertices,
     trivial_upper_bound,
@@ -89,18 +88,17 @@ def _require_summands(d: int, r: int, f0s: Sequence[int]) -> None:
 
 
 def minkowski_vertex_bound(d: int, r: int, f0s: Sequence[int]) -> Fraction:
-    """Upper bound (1 - 1/(d+1)^r) * prod f0_i on the sum's vertex count.
+    """Upper bound (1 - 1/(d+1)^d) * prod f0_i on the sum's vertex count.
 
-    Valid for d >= 2 and r >= d summands, each with at least d+1 vertices;
-    at d = 1 a segment has 2 vertices, not 1.
+    Valid for d >= 2 and r >= d summands, each with at least d+1 vertices
+    (`vertex_bounds` derives r > d); at d = 1 a segment has 2 vertices.
     """
     if d < 2:
         raise HypothesisViolated(f"need d >= 2, got {d}")
     if r < d:
         raise HypothesisViolated(f"need r >= d, got r={r} < d={d}")
     _require_summands(d, r, f0s)
-    total = Fraction(trivial_upper_bound(f0s))
-    return (1 - Fraction(1, (d + 1) ** r)) * total
+    return (1 - Fraction(1, (d + 1) ** d)) * trivial_upper_bound(f0s)
 
 
 def vertex_bounds(d: int, r: int, f0s: Sequence[int]) -> PipelineReport:
@@ -109,14 +107,15 @@ def vertex_bounds(d: int, r: int, f0s: Sequence[int]) -> PipelineReport:
     Counting argument: every (d+1)-subset choice from each summand yields
     a simplex sum that misses the trivial bound; each vertex tuple occurs
     in prod C(f0_i-1, d) of those subsums, and the ratio of the two counts
-    telescopes to prod(f0_i) / (d+1)^r, the vertex sums that must fail.
+    telescopes to prod(f0_i) / (d+1)^r.  At r = d that many vertex sums
+    must fail; for r > d the count over any d of the summands forces
+    prod(f0_i) / (d+1)^d, since a vertex tuple restricts to one of them.
     """
     value = minkowski_vertex_bound(d, r, f0s)
     trivial = trivial_upper_bound(f0s)
     choices = prod(comb(f, d + 1) for f in f0s)
     per_tuple = prod(comb(f - 1, d) for f in f0s)
-    failures = Fraction(trivial, (d + 1) ** r)
-    if Fraction(choices, per_tuple) != failures:
+    if Fraction(choices, per_tuple) != Fraction(trivial, (d + 1) ** r):
         raise AssertionError("binomial ratio identity failed")
     report = PipelineReport(
         "vertex_bounds",
@@ -124,7 +123,7 @@ def vertex_bounds(d: int, r: int, f0s: Sequence[int]) -> PipelineReport:
         results={
             "trivial_bound": trivial,
             "sharpened_bound": str(value),
-            "failing_sums_at_least": str(failures),
+            "failing_sums_at_least": str(Fraction(trivial, (d + 1) ** d)),
             "simplex_subset_choices": choices,
             "subsums_per_tuple": per_tuple,
         },
@@ -411,59 +410,60 @@ def obstruction_pipeline(d: int) -> PipelineReport:
 # seeded random experiments
 
 
-def _child_seed(seed: int, index: int) -> int:
-    return seed * 1_000_003 + index
-
-
-SAMPLE_TRIES = 5000
+# units of random_experiment's work; one took 0.5-2.9 us in measured runs,
+# so a call at the cap takes up to about a minute on a 2-core host
+EXPERIMENT_CAP = 20_000_000
 
 
 def sample_vpolytope(rng: random.Random, d: int, f0: int) -> VPolytope:
-    """Random rational polytope with exactly f0 vertices, all in convex
-    position: integer coordinates in [-100, 100] scaled by 1/10, rejected
-    until full-dimensional and redundancy-free, at most SAMPLE_TRIES times.
+    """f0 random rational points of S^{d-1}, each a vertex of their hull.
+
+    Inverse stereographic projection u -> (2u, |u|^2 - 1) / (|u|^2 + 1) is
+    injective, so f0 distinct u in Z^{d-1}, with distinct first coordinates
+    from [-s, s], s = max(f0, 50), give f0 vertices of the strictly convex
+    ball.  A flat sample (d >= 3: on one (d-2)-sphere) is drawn again.
     """
-    for _ in range(SAMPLE_TRIES):
-        pts: list[tuple] = []
-        while len(pts) < f0:
-            p = tuple(Fraction(rng.randint(-100, 100), 10) for _ in range(d))
-            if p not in pts:
-                pts.append(p)
-        if affine_rank(pts) != d:
-            continue
-        if len(hull_vertex_indices(pts)) == f0:
+    if not 2 <= d < f0:
+        raise HypothesisViolated(f"need 2 <= d < f0, got d={d}, f0={f0}")
+    s = max(f0, 50)
+    while True:
+        pts = []
+        for first in rng.sample(range(-s, s + 1), f0):
+            u = (first, *(rng.randint(-s, s) for _ in range(d - 2)))
+            n = sum(x * x for x in u)
+            pts.append(tuple(Fraction(2 * x, n + 1) for x in u) + (Fraction(n - 1, n + 1),))
+        if affine_rank(pts) == d:
             return VPolytope(pts)
-    raise RetriesExhausted(f"no convex-position sample after {SAMPLE_TRIES} tries")
 
 
 def random_experiment(d: int, r: int, f0s: Sequence[int], trials: int, seed: int) -> PipelineReport:
     """Empirical probe of the vertex-count bounds on random instances.
 
-    Deterministic per seed; trial i is reproducible in isolation from the
-    derived seed.  For r >= d the sharpened bound is enforced; for r < d
-    only the trivial bound applies and attainment is possible, so no
-    pass/fail is attached to it.
+    For r >= d the sharpened bound is enforced; for r < d only the trivial
+    bound applies and attainment is possible, so no pass/fail is attached
+    to it.  Calls past `EXPERIMENT_CAP` of trials x prod f0_i x
+    sum (f0_i - 1) x (d+1)^2 raise TooLargeForExact unsampled.
     """
-    if d not in (2, 3):
-        raise WrongDimension("experiments are desk-scale: d must be 2 or 3")
     _require_summands(d, r, f0s)
     if trials < 1:
         raise HypothesisViolated(f"need at least one trial, got {trials}")
-    report = PipelineReport(
-        "random_experiment",
-        {"d": d, "r": r, "f0s": list(f0s), "trials": trials, "seed": seed},
-    )
-    trivial = trivial_upper_bound(f0s)
+    trivial, columns = trivial_upper_bound(f0s), sum(f0s) - r
+    work = trials * trivial * columns * (d + 1) ** 2
+    if work > EXPERIMENT_CAP:
+        size = f"{trials} trials x {trivial} tuples x {columns} LP columns x (d+1)^2 = {work}"
+        raise TooLargeForExact(f"experiment of {size} exceeds the cap {EXPERIMENT_CAP}")
     bound = minkowski_vertex_bound(d, r, f0s) if r >= d else None
     counts = []
     for t in range(trials):
-        rng = random.Random(_child_seed(seed, t))
+        rng = random.Random(seed * 1_000_003 + t)
         polys = [sample_vpolytope(rng, d, f) for f in f0s]
         counts.append(len(minkowski_sum_vertices(polys)))
     max_count = max(counts)
-    report.results["counts"] = counts
-    report.results["max_observed"] = max_count
-    report.results["trivial_bound"] = trivial
+    report = PipelineReport(
+        "random_experiment",
+        {"d": d, "r": r, "f0s": list(f0s), "trials": trials, "seed": seed},
+        results={"counts": counts, "max_observed": max_count, "trivial_bound": trivial},
+    )
     report.check(
         "no trial exceeded the trivial bound (product of vertex counts)",
         all(c <= trivial for c in counts),
@@ -472,7 +472,7 @@ def random_experiment(d: int, r: int, f0s: Sequence[int], trials: int, seed: int
     if bound is not None:
         report.results["sharpened_bound"] = str(bound)
         report.check(
-            "no trial exceeded the sharpened bound (1 - 1/(d+1)^r) * product",
+            "no trial exceeded the sharpened bound (1 - 1/(d+1)^d) * product",
             all(Fraction(c) <= bound for c in counts),
             f"max {max_count} <= {bound}",
         )
@@ -481,10 +481,11 @@ def random_experiment(d: int, r: int, f0s: Sequence[int], trials: int, seed: int
             "r < d: attainment of the trivial bound is possible in principle; "
             "observed maximum reported without pass/fail"
         )
-    if d == 2 and r == 2:
+    if d == 2:
+        # every edge of a sum of polygons is parallel to an edge of a summand
         f0_bound = sum(f0s)
         report.check(
-            "planar two-summand sums stayed within f0(P) + f0(Q)",
+            "planar sums stayed within the sum of the summands' vertex counts",
             all(c <= f0_bound for c in counts),
             f"max {max_count} <= {f0_bound}",
         )

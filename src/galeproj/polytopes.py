@@ -67,16 +67,21 @@ class VPolytope:
     def differences(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """For each point v, the differences w - v over the other points w.
 
-        The points are scaled to integers once, by the lcm of their
-        denominators: a positive scaling keeps every normal cone, so the
-        Gordan verdicts stay, and no tuple's LP coerces anything.
-        Built on first read and kept on the instance, like
-        `HPolytope.vertex_records`, so `==` and `hash` still compare only
-        the fields.
+        Each is the primitive integer vector on its ray: the points are
+        scaled by the lcm of their denominators, which grows with their
+        number, and each difference is divided by its gcd.  Positive
+        scalings keep the Gordan verdicts.  Built on first read and kept on
+        the instance, like `HPolytope.vertex_records`, so `==` and `hash`
+        still compare only the fields.
         """
         L = lcm(*(x.denominator for p in self.points for x in p))
         pts = [tuple(x.numerator * (L // x.denominator) for x in p) for p in self.points]
-        return tuple(tuple(vsub(w, v) for w in pts if w != v) for v in pts)
+        return tuple(tuple(_primitive(vsub(w, v)) for w in pts if w != v) for v in pts)
+
+
+def _primitive(v: Sequence[int]) -> tuple[int, ...]:
+    g = gcd(*v) or 1
+    return tuple(x // g for x in v)
 
 
 @dataclass(frozen=True)
@@ -304,9 +309,8 @@ def facet_description(S: VPolytope) -> HPolytope:
 
 def _canonical_row(a: Vec, beta: Fraction) -> tuple[Vec, Fraction]:
     """Scale (a, beta) by a positive rational to coprime integer form."""
-    ints, _ = integer_row(a + (beta,))
-    g = gcd(*ints) or 1
-    return tuple(Fraction(v // g) for v in ints[:-1]), Fraction(ints[-1] // g)
+    *normal, rhs = _primitive(integer_row(a + (beta,))[0])
+    return tuple(map(Fraction, normal)), Fraction(rhs)
 
 
 def sum_as_projection(P: VPolytope, Q: VPolytope) -> tuple[HPolytope, Mat]:

@@ -32,6 +32,9 @@ PASSING = {
     "minksum": ["minksum", "--input", "{triangle}", "--input", "{square}", "--format", "json"],
     "bound": ["bound", "--d", "2", "--r", "2", "--f0", "3,4"],
     "experiment": ["experiment", "--d", "2", "--r", "2", "--f0", "3,3", "--trials", "1", "--seed", "5"],
+    # rejection sampling of grid points found no 10 points in convex position
+    "experiment ten-gon": ["experiment", "--d", "2", "--r", "2", "--f0", "10,3", "--trials", "1", "--seed", "1"],
+    "experiment d4": ["experiment", "--d", "4", "--r", "4", "--f0", "5,5,5,5", "--trials", "1", "--seed", "5"],
     "complex cc": ["complex", "cc", "--input", "{complex}"],
     "complex nf": ["complex", "nf", "--input", "{complex}", "--format", "json"],
     "complex djn": ["complex", "djn", "--input", "{complex}"],
@@ -43,7 +46,7 @@ BAD_INPUT = {
     "example": ["example", "--epsilon", "0"],
     "minksum": ["minksum", "--input", "{missing}"],
     "bound": ["bound", "--d", "3", "--r", "2", "--f0", "4,4"],
-    "experiment": ["experiment", "--d", "4", "--r", "4", "--f0", "5,5,5,5", "--trials", "1", "--seed", "5"],
+    "experiment": ["experiment", "--d", "3", "--r", "3", "--f0", "100,100,100", "--trials", "1", "--seed", "5"],
     "complex": ["complex", "cc", "--input", "{broken}"],
     "embed": ["embed", "--input", "{complex}", "--sphere", "-1"],
     "obstruction": ["obstruction", "--d", "5..2"],
@@ -171,6 +174,19 @@ def test_experiment_with_too_few_vertices_samples_nothing(monkeypatch, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: every summand needs at least d+1=4 vertices, got [3]\n"
+    assert captured.out == "" and sampled == []
+
+
+def test_experiment_over_the_work_cap_samples_nothing(monkeypatch, capsys):
+    sampled = []
+    monkeypatch.setattr(pipeline, "sample_vpolytope", lambda *args: sampled.append(args))
+    assert main(BAD_INPUT["experiment"]) == 2
+    captured = capsys.readouterr()
+    cap = pipeline.EXPERIMENT_CAP
+    assert captured.err == (
+        "error: experiment of 1 trials x 1000000 tuples x 297 LP columns "
+        f"x (d+1)^2 = 4752000000 exceeds the cap {cap}\n"
+    )
     assert captured.out == "" and sampled == []
 
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -7,16 +8,19 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from helpers import normal_cone_oracle, separation_hull_vertices
 
 from galeproj import complexes, lp, obstructions, pipeline, polytopes, projections
 from galeproj.cli import main
 from galeproj.errors import HypothesisViolated, TooLargeForExact
+from galeproj.linalg import affine_rank
 from galeproj.obstructions import EXACT_CAP, certified_kneser_chi, chromatic_number, kneser_graph
 from galeproj.pipeline import (
     minkowski_sum_report,
     minkowski_vertex_bound,
     obstruction_pipeline,
     random_experiment,
+    sample_vpolytope,
     two_triangle_example,
     vertex_bounds,
 )
@@ -161,10 +165,12 @@ class TestBounds:
         assert (res["simplex_subset_choices"], res["subsums_per_tuple"]) == (125, 64)
 
     def test_more_summands_than_dimensions(self):
-        # r = 3 > d = 2 triangles: one simplex choice per summand, one failing sum
+        # r = 3 > d = 2 triangles: one simplex choice per summand, so the
+        # count over all three summands forces 27/27 = 1 failing sum, and
+        # restricted to any two of them it forces 27/9 = 3
         report = vertex_bounds(2, 3, [3, 3, 3])
         assert report.passed
-        assert list(report.results.values()) == [27, "26", "1", 1, 1]
+        assert list(report.results.values()) == [27, "24", "3", 1, 1]
 
     @pytest.mark.parametrize(
         "d, r, f0s",
@@ -242,8 +248,9 @@ class TestTwoTriangleOpCounts:
         # census, the oracle and the face test already held 176.  Solving
         # each lp_feasible system in its primal form, x = u - w with LE
         # slack columns, made 127; its Farkas system takes more pivots on a
-        # narrower tableau.
-        assert len(pivots) == 155
+        # narrower tableau.  The image hull's Gordan systems, on differences
+        # that kept the common factors of their entries, made 155.
+        assert len(pivots) == 151
 
     def test_one_image_hull(self, monkeypatch):
         # only the oracle projects the vertices and takes their hull
@@ -255,7 +262,8 @@ class TestTwoTriangleOpCounts:
             return original(points)
 
         for module in (polytopes, projections, pipeline):
-            monkeypatch.setattr(module, "hull_vertex_indices", counting)
+            if hasattr(module, "hull_vertex_indices"):
+                monkeypatch.setattr(module, "hull_vertex_indices", counting)
         assert two_triangle_example("1/4").passed
         assert calls == [9]
 
@@ -276,10 +284,93 @@ class TestTwoTriangleOpCounts:
 
 
 def test_random_experiment_counts_at_r_equal_d():
-    # the vertex-test verdicts of 250 Gordan phase-1 solves in the r = d regime
+    # the vertex-test verdicts of 250 Gordan phase-1 solves in the r = d
+    # regime, each one equal to the direct strict-separation LP's
     report = random_experiment(3, 3, [5, 5, 5], 2, 7)
     assert report.passed
-    assert report.results["counts"] == [38, 37]
+    counts = []
+    for t in range(2):
+        rng = random.Random(7 * 1_000_003 + t)  # trial t's seed
+        polys = [sample_vpolytope(rng, 3, 5) for _ in range(3)]
+        found = {choice for choice, _ in polytopes.minkowski_sum_vertices(polys)}
+        oracle = {c for c in itertools.product(range(5), repeat=3) if normal_cone_oracle(c, polys)}
+        assert found == oracle
+        counts.append(len(oracle))
+    assert report.results["counts"] == counts == [39, 40]
+
+
+class ScriptedRandom(random.Random):
+    """Answers the first `sample` and the first `randint` calls from a script."""
+
+    def __init__(self, firsts, rest):
+        super().__init__(5)
+        self.firsts, self.rest = firsts, list(rest)
+        self.samples = 0
+
+    def sample(self, population, k):
+        self.samples += 1
+        return self.firsts if self.samples == 1 else super().sample(population, k)
+
+    def randint(self, a, b):
+        return self.rest.pop(0) if self.rest else super().randint(a, b)
+
+
+class TestSphereSampler:
+    @pytest.mark.parametrize("d, f0", [(2, 3), (2, 40), (3, 4), (3, 12), (4, 8)])
+    def test_every_point_is_a_vertex(self, d, f0):
+        points = list(sample_vpolytope(random.Random(11), d, f0).points)
+        assert len(set(points)) == len(points) == f0
+        assert all(sum(x * x for x in p) == 1 for p in points)
+        assert affine_rank(points) == d
+        assert separation_hull_vertices(points) == set(range(f0))
+
+    def test_same_seed_same_sample(self):
+        first, again, other = (sample_vpolytope(random.Random(seed), 3, 6) for seed in (3, 3, 4))
+        assert first == again != other
+
+    def test_a_cospherical_draw_is_redrawn(self, monkeypatch):
+        # u = (5, 0), (3, 4), (-3, 4), (0, -5) lie on one circle |u| = 5,
+        # so their images share the last coordinate 12/13: a flat sample
+        ranks = []
+
+        def recording(points):
+            ranks.append(affine_rank(points))
+            return ranks[-1]
+
+        monkeypatch.setattr(pipeline, "affine_rank", recording)
+        rng = ScriptedRandom([5, 3, -3, 0], [0, 4, 4, -5])
+        points = sample_vpolytope(rng, 3, 4).points
+        assert ranks == [2, 3] and rng.samples == 2
+        assert len({p[-1] for p in points}) > 1
+
+    @pytest.mark.parametrize("d, f0", [(1, 3), (3, 3)])
+    def test_needs_a_simplex_on_the_sphere(self, d, f0):
+        with pytest.raises(HypothesisViolated):
+            sample_vpolytope(random.Random(1), d, f0)
+
+    def test_work_cap_boundary(self, monkeypatch):
+        class Sampled(Exception):
+            pass
+
+        def sampling(*args):
+            raise Sampled
+
+        monkeypatch.setattr(pipeline, "sample_vpolytope", sampling)
+        # the least f0 that puts d = r = 3, one trial, over the cap
+        f0 = 4
+        while f0**3 * (3 * f0 - 3) * 4**2 <= pipeline.EXPERIMENT_CAP:
+            f0 += 1
+        with pytest.raises(TooLargeForExact, match=f"experiment of 1 trials x {f0**3} tuples"):
+            random_experiment(3, 3, [f0] * 3, 1, 1)
+        with pytest.raises(Sampled):
+            random_experiment(3, 3, [f0 - 1] * 3, 1, 1)
+
+    def test_planar_sum_reaches_the_edge_count(self):
+        # polygons on the circle in general orientation: the sum has one
+        # edge per summand edge, and the planar check holds at r = 3
+        report = random_experiment(2, 3, [10, 10, 10], 1, 1)
+        assert report.passed
+        assert report.results["counts"] == [30]
 
 
 class TestKneserFactorBuiltOnce:

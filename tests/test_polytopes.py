@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -615,8 +616,24 @@ class TestDifferencesCached:
             for choice in all_choices(polys):
                 assert (choice in choices) == normal_cone_oracle(choice, polys) == normal_cone_oracle(choice, scaled)
 
+    def test_each_difference_is_the_primitive_vector_on_its_ray(self):
+        # a positive multiple of w - v with coprime entries; so a summand and
+        # its positive scalings share their differences
+        rng = random.Random(3712)
+        for _ in range(10):
+            P = VPolytope(random_points(rng, rng.randint(2, 4), rng.randint(2, 8)))
+            for v, diffs in zip(P.points, P.differences):
+                for w, u in zip([w for w in P.points if w != v], diffs):
+                    exact = vsub(w, v)
+                    assert gcd(*u) == 1 and all((x == 0) == (y == 0) for x, y in zip(u, exact))
+                    ratios = {x / y for x, y in zip(u, exact) if y}
+                    assert len(ratios) == 1 and ratios.pop() > 0
+            scaled = VPolytope([tuple(Fraction(7, 3) * x for x in p) for p in P.points])
+            assert scaled.differences == P.differences
+
     def test_lifted_lattice_instance_work(self, monkeypatch):
-        # one phase 1 per tuple and no strict system: 125 solves, 875 pivots
+        # one phase 1 per tuple and no strict system: 125 solves, 863 pivots
+        # (875 while the differences kept the common factors of their entries)
         calls = {"nonneg_combination": 0, "lp_feasible": 0, "_pivot": 0}
 
         def counting(name):
@@ -631,7 +648,7 @@ class TestDifferencesCached:
         for name in calls:
             monkeypatch.setattr(lp, name, counting(name))
         assert len(minkowski_sum_vertices(lifted_lattice_summands())) == 41
-        assert calls == {"nonneg_combination": 125, "lp_feasible": 0, "_pivot": 875}
+        assert calls == {"nonneg_combination": 125, "lp_feasible": 0, "_pivot": 863}
 
 
 class TestTrivialBound:
