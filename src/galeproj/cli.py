@@ -5,6 +5,9 @@ prints the answer: the report subcommands call one `pipeline` builder,
 `complex` and `embed` the complex and obstruction layers.  What a report
 holds is decided in `pipeline`; here it is only printed.
 
+A call builds the parser of the one subcommand it names, as building all
+seven is most of a short call's fixed cost; `--help` or a typo builds all.
+
 Exit codes: 0 when every check passes, 1 when an assertion fails, 2 on
 input errors (bad arguments, malformed files, violated preconditions).
 """
@@ -117,7 +120,44 @@ def _cmd_embed(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# name -> (help, handler, arguments); every option is required, and all take --format
+_COMMANDS = {
+    "obstruction": (
+        "index bounds for products of simplices", _cmd_obstruction, {"--d": {"help": "dimension, or a range like 3..6"}}
+    ),
+    "example": (
+        "the deformed two-triangle projection", _cmd_example, {"--epsilon": {"help": "rational deformation, e.g. 1/4"}}
+    ),
+    "minksum": (
+        "vertices of a Minkowski sum",
+        _cmd_minksum,
+        {"--input": {"action": "append", "help": "polytope JSON file (repeatable)"}},
+    ),
+    "bound": (
+        "vertex-count bounds for given parameters",
+        _cmd_bound,
+        {"--d": {"type": int}, "--r": {"type": int}, "--f0": {"help": "comma-separated vertex counts"}},
+    ),
+    "experiment": (
+        "seeded random bound checks",
+        _cmd_experiment,
+        {"--d": {"type": int}, "--r": {"type": int}, "--f0": {}, "--trials": {"type": int}, "--seed": {"type": int}},
+    ),
+    "complex": (
+        "complement complex, non-faces, deleted join",
+        _cmd_complex,
+        {"op": {"choices": ("cc", "nf", "djn")}, "--input": {"help": "complex JSON file"}},
+    ),
+    "embed": (
+        "embeddability verdict for a complex",
+        _cmd_embed,
+        {"--input": {"help": "complex JSON file"}, "--sphere": {"type": int, "help": "target sphere dimension"}},
+    ),
+}
+
+
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand, or with the subcommand `only` alone."""
     parser = argparse.ArgumentParser(
         prog="galeproj",
         description=(
@@ -126,60 +166,23 @@ def _build_parser() -> argparse.ArgumentParser:
             "and embeddability obstructions."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p):
-        p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p = sub.add_parser("obstruction", help="index bounds for products of simplices")
-    p.add_argument("--d", required=True, help="dimension, or a range like 3..6")
-    add_format(p)
-    p.set_defaults(func=_cmd_obstruction)
-
-    p = sub.add_parser("example", help="the deformed two-triangle projection")
-    p.add_argument("--epsilon", required=True, help="rational deformation, e.g. 1/4")
-    add_format(p)
-    p.set_defaults(func=_cmd_example)
-
-    p = sub.add_parser("minksum", help="vertices of a Minkowski sum")
-    p.add_argument("--input", action="append", required=True, help="polytope JSON file (repeatable)")
-    add_format(p)
-    p.set_defaults(func=_cmd_minksum)
-
-    p = sub.add_parser("bound", help="vertex-count bounds for given parameters")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--f0", required=True, help="comma-separated vertex counts")
-    add_format(p)
-    p.set_defaults(func=_cmd_bound)
-
-    p = sub.add_parser("experiment", help="seeded random bound checks")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--f0", required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    add_format(p)
-    p.set_defaults(func=_cmd_experiment)
-
-    p = sub.add_parser("complex", help="complement complex, non-faces, deleted join")
-    p.add_argument("op", choices=("cc", "nf", "djn"))
-    p.add_argument("--input", required=True, help="complex JSON file")
-    add_format(p)
-    p.set_defaults(func=_cmd_complex)
-
-    p = sub.add_parser("embed", help="embeddability verdict for a complex")
-    p.add_argument("--input", required=True, help="complex JSON file")
-    p.add_argument("--sphere", type=int, required=True, help="target sphere dimension")
-    add_format(p)
-    p.set_defaults(func=_cmd_embed)
-
+    # a lone subcommand keeps the usage line of the full build; in the full build a
+    # metavar would rename the command in `invalid choice` errors
+    metavar = None if only is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, func, arguments) in _COMMANDS.items():
+        if only in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            for flag, kwargs in arguments.items():
+                p.add_argument(flag, **kwargs, **({"required": True} if flag.startswith("--") else {}))
+            p.add_argument("--format", choices=("text", "json"), default="text")
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
     except (GaleprojError, OSError, ValueError, KeyError, ZeroDivisionError) as exc:

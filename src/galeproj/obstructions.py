@@ -96,38 +96,46 @@ def _greedy_coloring(adj: Sequence[set[int]]) -> int:
 
 
 def _k_colorable(adj: Sequence[set[int]], k: int, clique: Sequence[int]) -> bool:
-    n = len(adj)
+    """Whether the graph has a proper k-coloring extending clique[i] -> i.
+
+    DSATUR (Brelaz 1979): branch on the uncolored vertex of most distinct
+    neighbour colors, then largest degree, then least index.  Invariant:
+    for every uncolored vertex u, bit c of `sat[u]` is set iff some colored
+    neighbour of u has color c.  Coloring v with c sets bit c on the
+    uncolored neighbours that lacked it and records them; undoing the
+    color clears bit c on exactly those, so no node rescans a neighbourhood.
+    """
     if len(clique) > k:
         return False
-    colors = [-1] * n
-    for i, v in enumerate(clique):
-        colors[v] = i
+    sat = [0] * len(adj)
+    deg = [len(nbrs) for nbrs in adj]
+    uncolored = set(range(len(adj))) - set(clique)
+    for c, v in enumerate(clique):
+        for u in adj[v]:
+            sat[u] |= 1 << c
 
-    def extend(num_colored: int) -> bool:
-        if num_colored == n:
+    def extend(highest: int) -> bool:
+        if not uncolored:
             return True
-        best_key = None
-        best_v = -1
-        for v in range(n):
-            if colors[v] == -1:
-                sat = len({colors[u] for u in adj[v] if colors[u] != -1})
-                key = (sat, len(adj[v]), -v)
-                if best_key is None or key > best_key:
-                    best_key, best_v = key, v
-        v = best_v
-        used = {colors[u] for u in adj[v] if colors[u] != -1}
-        if len(used) >= k:
+        v = max(uncolored, key=lambda u: (sat[u].bit_count(), deg[u], -u))
+        used = sat[v]
+        if used.bit_count() >= k:
             return False
-        highest = max(colors)
+        uncolored.remove(v)
         for c in range(min(k - 1, highest + 1) + 1):
-            if c not in used:
-                colors[v] = c
-                if extend(num_colored + 1):
+            bit = 1 << c
+            if not used & bit:
+                gained = [u for u in adj[v] if u in uncolored and not sat[u] & bit]
+                for u in gained:
+                    sat[u] |= bit
+                if extend(max(highest, c)):
                     return True
-                colors[v] = -1
+                for u in gained:
+                    sat[u] ^= bit
+        uncolored.add(v)
         return False
 
-    return extend(len(clique))
+    return extend(len(clique) - 1)
 
 
 def chromatic_number(G: Graph) -> int:

@@ -104,30 +104,33 @@ def minkowski_vertex_bound(d: int, r: int, f0s: Sequence[int]) -> Fraction:
 def vertex_bounds(d: int, r: int, f0s: Sequence[int]) -> PipelineReport:
     """The trivial and the sharpened vertex bound, with the count behind it.
 
-    Counting argument: every (d+1)-subset choice from each summand yields
-    a simplex sum that misses the trivial bound; each vertex tuple occurs
-    in prod C(f0_i-1, d) of those subsums, and the ratio of the two counts
-    telescopes to prod(f0_i) / (d+1)^r.  At r = d that many vertex sums
-    must fail; for r > d the count over any d of the summands forces
-    prod(f0_i) / (d+1)^d, since a vertex tuple restricts to one of them.
+    Counting argument over the first d summands: every (d+1)-subset choice
+    from each yields a simplex sum that misses the trivial bound; each
+    vertex tuple occurs in prod C(f0_i-1, d) of those subsums, and the
+    ratio of the two counts telescopes to prod(f0_i) / (d+1)^d over those
+    summands.  For r > d a vertex tuple of the sum restricts to one of the
+    first d summands, so each failing restricted tuple fails with every one
+    of the `other_summand_tuples` choices from the rest: prod(f0_i) /
+    (d+1)^d over all r.
     """
     value = minkowski_vertex_bound(d, r, f0s)
     trivial = trivial_upper_bound(f0s)
-    choices = prod(comb(f, d + 1) for f in f0s)
-    per_tuple = prod(comb(f - 1, d) for f in f0s)
-    if Fraction(choices, per_tuple) != Fraction(trivial, (d + 1) ** r):
+    failing = Fraction(trivial, (d + 1) ** d)
+    choices = prod(comb(f, d + 1) for f in f0s[:d])
+    per_tuple = prod(comb(f - 1, d) for f in f0s[:d])
+    other = prod(f0s[d:])
+    results = {
+        "trivial_bound": trivial,
+        "sharpened_bound": str(value),
+        "failing_sums_at_least": str(failing),
+        "simplex_subset_choices": choices,
+        "subsums_per_tuple": per_tuple,
+    }
+    if r > d:
+        results["other_summand_tuples"] = other
+    if Fraction(choices, per_tuple) * other != failing:
         raise AssertionError("binomial ratio identity failed")
-    report = PipelineReport(
-        "vertex_bounds",
-        {"d": d, "r": r, "f0s": list(f0s)},
-        results={
-            "trivial_bound": trivial,
-            "sharpened_bound": str(value),
-            "failing_sums_at_least": str(Fraction(trivial, (d + 1) ** d)),
-            "simplex_subset_choices": choices,
-            "subsums_per_tuple": per_tuple,
-        },
-    )
+    report = PipelineReport("vertex_bounds", {"d": d, "r": r, "f0s": list(f0s)}, results=results)
     report.check(
         "the sharpened bound improves on the trivial bound",
         value < trivial,

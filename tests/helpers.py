@@ -347,6 +347,35 @@ def brute_chromatic_number(G: Graph) -> int:
     raise AssertionError("n colors always suffice")
 
 
+def inclusion_exclusion_chromatic_number(G: Graph) -> int:
+    """Least k such that k independent sets cover G, by inclusion-exclusion.
+
+    Bjorklund-Husfeldt-Koivisto: with i(X) the number of independent sets
+    inside X (the empty one included), sum over X of (-1)^|V - X| i(X)^k
+    counts the k-tuples of independent sets covering V, which is positive
+    iff chi <= k.  The reference for `obstructions.chromatic_number` on
+    graphs of up to 12 vertices.
+    """
+    n = len(G.vertices)
+    if n > 12:
+        raise ValueError("inclusion_exclusion_chromatic_number is for graphs with at most 12 vertices")
+    index = {v: i for i, v in enumerate(G.vertices)}
+    closed = [1 << i for i in range(n)]  # closed neighbourhoods as bitmasks
+    for e in G.edges:
+        a, b = (index[v] for v in e)
+        closed[a] |= 1 << b
+        closed[b] |= 1 << a
+    # i(X) = i(X - v) + i(X - N[v]) for the lowest vertex v of X
+    indep = [1] * (1 << n)
+    for X in range(1, 1 << n):
+        v = (X & -X).bit_length() - 1
+        indep[X] = indep[X & ~(1 << v)] + indep[X & ~closed[v]]
+    for k in range(n + 1):
+        if sum((-1) ** (n - X.bit_count()) * indep[X] ** k for X in range(1 << n)) > 0:
+            return k
+    raise AssertionError("n colors always suffice")
+
+
 def bipartite_sum(G: Graph, H: Graph) -> Graph:
     """Disjoint union plus all cross edges; vertices tagged ("1", v), ("2", v).
 

@@ -1,11 +1,15 @@
 """Exit codes of every `galeproj` subcommand: 0 on a passing call, 2 on bad input."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from galeproj import pipeline
-from galeproj.cli import main
+from galeproj import cli, pipeline
+from galeproj.cli import _COMMANDS, _build_parser, main
 from galeproj.obstructions import EXACT_CAP
 
 SQUARE_H = {"type": "H", "dim": 2, "A": [[1, 0], [-1, 0], [0, 1], [0, -1]], "b": [1, 1, 1, 1]}
@@ -260,3 +264,64 @@ def test_embed_refuses_a_complex_without_faces(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: the complex has no faces, not even the empty one\n"
     assert captured.out == ""
+
+
+# argv that argparse itself ends: help, and usage errors before or after the command
+PARSER_EXITS = {
+    **{f"{name} --help": [name, "--help"] for name in _COMMANDS},
+    "missing option": ["bound", "--d", "2", "--r", "2"],
+    "unknown option": ["obstruction", "--d", "3", "--nope"],
+    "extra argument": ["embed", "--input", "x.json", "--sphere", "1", "extra"],
+    "format xml": ["example", "--epsilon", "1/4", "--format", "xml"],
+    "complex zz": ["complex", "zz", "--input", "x.json"],
+    "unknown command": ["nope", "--d", "3"],
+    "no arguments": [],
+    "top-level help": ["--help"],
+}
+
+
+def _exit(call, capsys) -> tuple:
+    with pytest.raises(SystemExit) as info:
+        call()
+    captured = capsys.readouterr()
+    return info.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("name", sorted(PARSER_EXITS))
+def test_one_subcommand_parser_prints_what_the_full_parser_prints(name, capsys):
+    # the oracle runs in the same process, so both see one terminal width
+    argv = PARSER_EXITS[name]
+    got = _exit(lambda: main(argv), capsys)
+    assert got == _exit(lambda: _build_parser().parse_args(argv), capsys)
+    assert got[0] == (0 if "help" in name else 2)
+
+
+def test_main_builds_the_named_subcommand_alone(monkeypatch, capsys):
+    built = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda only=None: built.append(only) or build(only))
+    assert main(["bound", "--d", "2", "--r", "2", "--f0", "3,4"]) == 0
+    _exit(lambda: main(["nope"]), capsys)
+    assert built == ["bound", None]
+    sub = next(a for a in build("bound")._actions if isinstance(a, cli.argparse._SubParsersAction))
+    assert list(sub.choices) == ["bound"]
+
+
+def test_fresh_process_reads_sys_argv():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    run = [sys.executable, "-m", "galeproj.cli"]
+    done = subprocess.run(
+        [*run, "obstruction", "--d", "2..3", "--format", "json"], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0 and done.stderr == ""
+    # one JSON document per d
+    decoder, text, docs = json.JSONDecoder(), done.stdout, []
+    while text.strip():
+        doc, end = decoder.raw_decode(text.lstrip())
+        docs.append(doc)
+        text = text.lstrip()[end:]
+    assert [doc["inputs"] for doc in docs] == [{"d": 2}, {"d": 3}]
+    done = subprocess.run([*run, "nope"], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2 and done.stdout == ""
+    # a metavar on the full build would read "argument {obstruction,...}:"
+    assert "argument command: invalid choice: 'nope'" in done.stderr

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -23,7 +24,15 @@ from galeproj.obstructions import (
     nonembeddable,
     nonface_kneser_chi,
 )
-from helpers import bipartite_sum, brute_chromatic_number, full_simplex, graph, simplex_boundary
+from galeproj.pipeline import obstruction_pipeline
+from helpers import (
+    bipartite_sum,
+    brute_chromatic_number,
+    full_simplex,
+    graph,
+    inclusion_exclusion_chromatic_number,
+    simplex_boundary,
+)
 
 
 def kg(n, k):
@@ -133,6 +142,41 @@ class TestChromaticNumber:
             es = [(i, j) for i, j in itertools.combinations(range(n), 2) if rng.random() < p]
             g = graph(range(n), es)
             assert chromatic_number(g) == brute_chromatic_number(g), es
+
+    def test_matches_inclusion_exclusion_on_random_graphs(self):
+        rng = random.Random(2207)
+        for _ in range(60):
+            n = rng.randint(7, 12)
+            p = rng.choice((0.2, 0.4, 0.6, 0.8))
+            es = [(i, j) for i, j in itertools.combinations(range(n), 2) if rng.random() < p]
+            g = graph(range(n), es)
+            assert chromatic_number(g) == inclusion_exclusion_chromatic_number(g), es
+
+    def test_inclusion_exclusion_oracle(self):
+        # it agrees with the brute force where that runs, and on known values
+        rng = random.Random(5)
+        for _ in range(20):
+            n = rng.randint(0, 6)
+            es = [(i, j) for i, j in itertools.combinations(range(n), 2) if rng.random() < 0.5]
+            g = graph(range(n), es)
+            assert inclusion_exclusion_chromatic_number(g) == brute_chromatic_number(g), es
+        assert inclusion_exclusion_chromatic_number(kg(5, 2)) == 3
+        assert inclusion_exclusion_chromatic_number(graph(range(12), itertools.combinations(range(12), 2))) == 12
+        with pytest.raises(ValueError):
+            inclusion_exclusion_chromatic_number(graph(range(13), []))
+
+    @pytest.mark.parametrize("d, nodes", [(4, 3), (5, 7), (6, 33), (7, 273)])
+    def test_search_nodes_of_the_obstruction_pipeline(self, d, nodes):
+        # colouring branch nodes, an op count: the calls of the recursive search
+        search = next(c for c in obstructions._k_colorable.__code__.co_consts if getattr(c, "co_name", "") == "extend")
+        calls = []
+        sys.setprofile(lambda frame, event, arg: event == "call" and frame.f_code is search and calls.append(1))
+        try:
+            report = obstruction_pipeline(d)
+        finally:
+            sys.setprofile(None)
+        assert report.passed and report.results["chi_factor"] == d - 1
+        assert len(calls) == nodes
 
     def test_greedy_upper_bounds_exact(self):
         # the greedy colouring is the search's upper bound

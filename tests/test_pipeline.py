@@ -5,7 +5,7 @@ import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 from helpers import normal_cone_oracle, separation_hull_vertices
@@ -167,10 +167,22 @@ class TestBounds:
     def test_more_summands_than_dimensions(self):
         # r = 3 > d = 2 triangles: one simplex choice per summand, so the
         # count over all three summands forces 27/27 = 1 failing sum, and
-        # restricted to any two of them it forces 27/9 = 3
+        # restricted to the first two it forces 9/9 = 1, which each of the
+        # 3 vertices of the third extends: 3 failing sums
         report = vertex_bounds(2, 3, [3, 3, 3])
         assert report.passed
-        assert list(report.results.values()) == [27, "24", "3", 1, 1]
+        assert list(report.results.values()) == [27, "24", "3", 1, 1, 3]
+
+    @pytest.mark.parametrize("d, r, f0s", [(2, 4, [4, 4, 4, 4]), (2, 3, [5, 3, 4]), (3, 5, [4, 6, 5, 7, 4])])
+    def test_restricted_count_gives_the_failing_sums(self, d, r, f0s):
+        res = vertex_bounds(d, r, f0s).results
+        ratio = Fraction(res["simplex_subset_choices"], res["subsums_per_tuple"])
+        assert ratio * res["other_summand_tuples"] == Fraction(res["failing_sums_at_least"])
+        assert res["simplex_subset_choices"] == prod(comb(f, d + 1) for f in f0s[:d])
+        assert res["other_summand_tuples"] == prod(f0s[d:])
+
+    def test_no_other_summands_at_r_equal_d(self):
+        assert "other_summand_tuples" not in vertex_bounds(2, 2, [4, 5]).results
 
     @pytest.mark.parametrize(
         "d, r, f0s",
