@@ -3,6 +3,21 @@
 A Gale transform encodes a polytope's face lattice through positive
 dependences of complementary vector subsets; the face oracle here is the
 combinatorial side of that correspondence.
+
+A configuration answers "do the vectors with these labels positively
+span?" and "are they positively dependent?" once per set of rays: the
+verdicts are kept on the instance, keyed by the question and the sorted
+set of distinct primitive rays of those vectors, and a new question runs
+its LP on that set.  Neither verdict can change.  Both ask about the cone
+of the vectors, or a strictly positive combination of them that is zero,
+and those depend only on the set of rays: coefficients on copies of one
+ray add up to one positive coefficient on it, and a positive coefficient
+on a ray splits back among its copies.  A positive scaling of a vector
+keeps its ray, so the rational vectors and their primitive integer rays
+give the same verdicts; each "spans" verdict stays certified by the
+Farkas y that `lp_feasible` re-checks on the ray set.  A Gale transform
+with repeated vectors, like the one the deformed two-triangle product
+projects to, repeats its ray sets across deletions and complements.
 """
 
 from __future__ import annotations
@@ -10,11 +25,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import lp
 from .errors import DimensionMismatch, DuplicateLabels, NotGale, UnknownLabel
-from .linalg import Vec, integer_row, rank, vec
+from .linalg import Vec, integer_row, primitive, rank, vec
 
 FACE_CARD_CAP = 8
 
@@ -23,16 +38,19 @@ FACE_CARD_CAP = 8
 class VectorConfig:
     """Ordered, labeled configuration of vectors in a common space.
 
-    Whether it is a Gale transform (`is_gale`) is decided on first use and
-    kept on the instance; the configuration is immutable, so the verdict
-    cannot go stale, and `==` and `hash` compare only the fields.
+    The LP and rank questions read the primitive integer ray of each
+    vector, made once on first use and kept on the instance: the vector
+    scaled by the lcm of its denominators and divided by the gcd of the
+    result.  That is a positive scaling of each vector, which changes no
+    cone, so no spanning, dependence, convex-hull-of-0 or rank verdict;
+    `vectors` stays rational, so `==` and `hash` still tell configurations
+    apart that differ only by such a scaling.
 
-    The LP and rank questions read an integer copy of the vectors, made
-    once on first use and kept the same way: each vector scaled by the lcm
-    of its own denominators.  That is a positive scaling of each vector,
-    which changes no cone, so no spanning, dependence, convex-hull-of-0 or
-    rank verdict; `vectors` stays rational, so `==` and `hash` still tell
-    configurations apart that differ only by such a scaling.
+    Whether it is a Gale transform (`is_gale`), and the spanning and
+    dependence verdicts of label sets (`spans`, `dependent`, see the
+    module docstring), are decided on first use and kept the same way.
+    The configuration is immutable, so no verdict can go stale, and none
+    outlives the instance: an equal, fresh one decides again.
     """
 
     vectors: tuple[Vec, ...]
@@ -59,25 +77,49 @@ class VectorConfig:
         return len(self.vectors)
 
     @cached_property
-    def _integers(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(integer_row(v)[0]) for v in self.vectors)
+    def _rays(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(primitive(integer_row(v)[0]) for v in self.vectors)
+
+    @cached_property
+    def _index(self) -> dict[int, int]:
+        return {label: i for i, label in enumerate(self.labels)}
+
+    @cached_property
+    def _verdicts(self) -> dict[tuple[str, tuple[tuple[int, ...], ...]], bool]:
+        return {}
 
     def vector(self, label: int) -> tuple[int, ...]:
-        """The vector labelled `label`, from the integer copy: a positive
-        multiple of the rational one, fit for every verdict but not for `==`."""
+        """The primitive ray of the vector labelled `label`: a positive
+        multiple of the rational vector, fit for every verdict but not for `==`."""
         try:
-            return self._integers[self.labels.index(label)]
-        except ValueError:
+            return self._rays[self._index[label]]
+        except KeyError:
             raise UnknownLabel(label) from None
 
     def subset(self, labels: Iterable[int]) -> list[tuple[int, ...]]:
         return [self.vector(l) for l in labels]
 
+    def spans(self, labels: Iterable[int]) -> bool:
+        """Do the vectors labelled `labels` positively span?  See `positively_spanning`."""
+        return self._ask(positively_spanning, labels)
+
+    def dependent(self, labels: Iterable[int]) -> bool:
+        """Are the vectors labelled `labels` positively dependent?  See `positively_dependent`."""
+        return self._ask(positively_dependent, labels)
+
+    def _ask(self, question: Callable[[Sequence[Sequence]], bool], labels: Iterable[int]) -> bool:
+        rays = tuple(sorted({self.vector(l) for l in labels}))
+        key = (question.__name__, rays)
+        verdicts = self._verdicts
+        if key not in verdicts:
+            verdicts[key] = question(rays)
+        return verdicts[key]
+
     @cached_property
     def is_gale(self) -> bool:
         """True iff every single-deletion subconfiguration positively spans."""
-        ints = self._integers
-        return all(positively_spanning(ints[:i] + ints[i + 1:]) for i in range(len(ints)))
+        labels = self.labels
+        return all(self.spans(labels[:i] + labels[i + 1:]) for i in range(len(labels)))
 
 
 def positively_spanning(W: Sequence[Sequence]) -> bool:
@@ -143,7 +185,7 @@ def gale_face_test(G: VectorConfig, coface: Iterable[int]) -> bool:
     complement = [l for l in G.labels if l not in coface]
     if not complement or len(coface) == 1:
         return True  # the whole vertex set, or a vertex (see above)
-    return positively_dependent(G.subset(complement))
+    return G.dependent(complement)
 
 
 def gale_faces_of_card(G: VectorConfig, k: int) -> list[frozenset[int]]:
@@ -172,4 +214,4 @@ def general_position(G: VectorConfig) -> bool:
     This is the condition under which the encoded polytope is simplicial.
     """
     e = G.dim
-    return all(rank(sub) == e for sub in itertools.combinations(G._integers, e))
+    return all(rank(sub) == e for sub in itertools.combinations(G._rays, e))

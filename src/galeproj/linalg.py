@@ -9,7 +9,7 @@ elimination on integer rows and build Fractions only for their results.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, RankDeficient
@@ -65,7 +65,16 @@ def integer_row(row: Iterable) -> tuple[list[int], int]:
     """(lam * row, lam) for lam the lcm of the row's denominators."""
     row = list(row)
     lam = lcm(*(x.denominator for x in row))
+    if lam == 1:
+        return [x.numerator for x in row], 1
     return [x.numerator * (lam // x.denominator) for x in row], lam
+
+
+def primitive(v: Sequence[int]) -> tuple[int, ...]:
+    """The integer vector divided by the gcd of its entries: the primitive
+    vector on its ray (the zero vector stays as it is)."""
+    g = gcd(*v) or 1
+    return tuple(x // g for x in v)
 
 
 def _gauss_jordan(m: Iterable[Iterable]) -> tuple[list[list[int]], list[int]]:

@@ -99,7 +99,8 @@ def _solve_nonneg(rows, nvars):
     basis = list(range(nvars, nvars + len(T)))
     # D times the reduced costs of -sum (L / lam_i) a'_i at the identity basis
     L = lcm(*(lam for _, lam in rows))
-    Z = [sum(L // lam * row[j] for row, (_, lam) in zip(T, rows)) for j in range(nvars + 1)]
+    weights = [L // lam for _, lam in rows]
+    Z = [sum(map(mul, weights, col)) for col in zip(*T)] if T else [0] * (nvars + 1)
     D = _simplex_max(T, basis, Z, 1, range(nvars))
     if Z[-1] > 0:
         return None

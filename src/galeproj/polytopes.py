@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import lcm, prod
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -36,6 +36,7 @@ from .linalg import (
     integer_row,
     kernel_basis,
     mat,
+    primitive,
     rank,
     solve_square,
     vdot,
@@ -76,12 +77,7 @@ class VPolytope:
         """
         L = lcm(*(x.denominator for p in self.points for x in p))
         pts = [tuple(x.numerator * (L // x.denominator) for x in p) for p in self.points]
-        return tuple(tuple(_primitive(vsub(w, v)) for w in pts if w != v) for v in pts)
-
-
-def _primitive(v: Sequence[int]) -> tuple[int, ...]:
-    g = gcd(*v) or 1
-    return tuple(x // g for x in v)
+        return tuple(tuple(primitive(vsub(w, v)) for w in pts if w != v) for v in pts)
 
 
 @dataclass(frozen=True)
@@ -129,15 +125,16 @@ class HPolytope:
         vertices come out with |I(v)| > n.  Ordered by coordinates.  Like
         `VectorConfig.is_gale`, the value lives in the instance dict, so
         `==` and `hash` still compare only the fields.  Each row [a | b] is
-        scaled to integers once; with x = num / L, the slack b' * L - a'.num
-        is b - a.x times a positive number, so its sign gives feasibility
-        and tightness.
+        scaled to integers once, and the square solves read those rows: a
+        positive scaling of a row keeps the point where it is tight.  With
+        x = num / L, the slack b' * L - a'.num is b - a.x times a positive
+        number, so its sign gives feasibility and tightness.
         """
         m, n = self.num_facets, self.dim
         rows = [integer_row((*a, bi))[0] for a, bi in zip(self.A, self.b)]
         found: dict[Vec, frozenset[int]] = {}
         for subset in itertools.combinations(range(m), n):
-            x = solve_square(tuple(self.A[i] for i in subset), tuple(self.b[i] for i in subset))
+            x = solve_square([rows[i][:-1] for i in subset], [rows[i][-1] for i in subset])
             if x is None or x in found:
                 continue
             num, L = integer_row(x)
@@ -309,7 +306,7 @@ def facet_description(S: VPolytope) -> HPolytope:
 
 def _canonical_row(a: Vec, beta: Fraction) -> tuple[Vec, Fraction]:
     """Scale (a, beta) by a positive rational to coprime integer form."""
-    *normal, rhs = _primitive(integer_row(a + (beta,))[0])
+    *normal, rhs = primitive(integer_row(a + (beta,))[0])
     return tuple(map(Fraction, normal)), Fraction(rhs)
 
 

@@ -17,8 +17,12 @@ dependent, and a strictly positive combination summing to 0, rescaled to
 sum 1, puts 0 in conv W.  A hull vertex of the images lies on the
 boundary of the shadow: a functional c that is larger at it than at every
 other image is <= 0 on all the shifted images, so they do not positively
-span.  The g-vector tests read the integer copy that `VectorConfig` keeps,
-a positive scaling of each g-vector, which changes none of these verdicts.
+span.  The g-vector tests read the primitive integer rays that
+`VectorConfig` keeps, a positive scaling of each g-vector, which changes
+none of these verdicts.  The spanning test goes through the ray-set memo
+of `VectorConfig` (see `gale`): vertices whose tight facets carry the same
+set of rays share one LP, and so does a deletion whose rays the Gale
+property of the same configuration already tested.
 """
 
 from __future__ import annotations
@@ -99,10 +103,8 @@ def face_preserved(s: ProjectionSetup, tight: Iterable[int]) -> bool:
 
 def face_strictly_preserved(s: ProjectionSetup, tight: Iterable[int]) -> bool:
     """Strict survival: the g-vectors positively span the kernel space."""
-    g = s.g_images.subset(tight)
-    if not g:
-        return False
-    return positively_spanning(g)
+    tight = list(tight)
+    return bool(tight) and s.g_images.spans(tight)
 
 
 def vertex_survival_census(s: ProjectionSetup) -> tuple[VertexRecord, ...]:

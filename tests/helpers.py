@@ -272,6 +272,15 @@ def signed_systems_spanning(vectors) -> bool:
     return True
 
 
+def strictly_positive_dependence(vectors) -> bool:
+    """Oracle for `gale.positively_dependent`: some lam with every lam_i > 0
+    has sum lam_i w_i = 0, decided as one strict system in lam."""
+    m = len(vectors)
+    cons = [eq([w[r] for w in vectors], 0) for r in range(len(vectors[0]))]
+    cons += [lt([-int(i == j) for j in range(m)], 0) for i in range(m)]
+    return strict_lp_feasible(cons).feasible
+
+
 def brute_minimal_nonfaces(K: Complex) -> set[frozenset]:
     """Reference implementation scanning every vertex subset."""
     verts = list(K.vertices)

@@ -18,7 +18,13 @@ from galeproj.gale import (
 )
 from galeproj.linalg import mat_vec, vec
 from galeproj.polytopes import hull_vertex_indices
-from helpers import signed_systems_spanning, spans_positively_primal, unimodular_matrix, vpoly_face_oracle
+from helpers import (
+    signed_systems_spanning,
+    spans_positively_primal,
+    strictly_positive_dependence,
+    unimodular_matrix,
+    vpoly_face_oracle,
+)
 from test_lp import oracle_entry
 
 
@@ -150,14 +156,16 @@ class TestCachedVerdict:
         monkeypatch.setattr(lp, "lp_feasible", counting)
         G = coupling_config(Fraction(1, 4))
         assert G.is_gale
-        assert len(calls) == 6  # 6 deletions, one strict system each
+        # 6 deletions leave 3 distinct ray sets, one strict system each; one
+        # system per deletion made 6
+        assert len(calls) == 3
         assert G.is_gale
         gale_faces_of_card(G, 2)
         gale_face_test(G, {1, 3})
-        assert len(calls) == 6
+        assert len(calls) == 3
         # the verdict lives on the instance: an equal, fresh one decides again
         assert coupling_config(Fraction(1, 4)).is_gale
-        assert len(calls) == 12
+        assert len(calls) == 6
 
     def test_verdict_leaves_eq_and_hash_unchanged(self):
         G, H = coupling_config(Fraction(1, 4)), coupling_config(Fraction(1, 4))
@@ -166,6 +174,69 @@ class TestCachedVerdict:
         assert G == H and hash(G) == hash(H) == before
         assert G != coupling_config(Fraction(1, 2))
         assert repr(G) == repr(H)
+
+
+def ray_multisets(seed, count):
+    """Seeded configurations whose vectors repeat rays: each drawn vector
+    comes back as one to three positive rational multiples, sometimes equal
+    to it, in shuffled order; a drawn vector may be the negative of an
+    earlier one, and now and then a zero vector joins."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        e = rng.randint(1, 3)
+        vectors = []
+        for _ in range(rng.randint(1, 4)):
+            if vectors and rng.random() < 0.3:
+                v = tuple(-x for x in rng.choice(vectors))
+            else:
+                v = tuple(oracle_entry(rng) for _ in range(e))
+            for _ in range(rng.randint(1, 3)):
+                c = rng.choice([Fraction(1), Fraction(rng.randint(1, 9), rng.randint(1, 9))])
+                vectors.append(tuple(c * x for x in v))
+        if rng.random() < 0.15:
+            vectors.append((0,) * e)
+        rng.shuffle(vectors)
+        yield rng, VectorConfig(vectors)
+
+
+class TestRaySetMemo:
+    """Spanning and dependence verdicts kept per ray set equal those on the raw vectors."""
+
+    def test_verdicts_equal_the_raw_answers(self):
+        verdicts = Counter()
+        for rng, G in ray_multisets(2323, 150):
+            labels = list(G.labels)
+            for labs in (labels, rng.sample(labels, rng.randint(1, len(labels)))):
+                raw = [G.vectors[G.labels.index(l)] for l in labs]
+                spans, dependent = G.spans(labs), G.dependent(labs)
+                assert spans == positively_spanning(raw) == signed_systems_spanning(raw), raw
+                assert dependent == positively_dependent(raw) == strictly_positive_dependence(raw), raw
+                verdicts[spans, dependent] += 1
+        assert verdicts[True, True] > 20 and verdicts[False, True] > 20 and verdicts[False, False] > 20
+        assert not verdicts[True, False]  # a positively spanning set is positively dependent
+
+    def test_a_known_ray_set_runs_no_lp(self, monkeypatch):
+        calls = []
+        original = lp.nonneg_combination
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(lp, "nonneg_combination", counting)
+        checked = 0
+        for _, G in ray_multisets(2424, 60):
+            rays = [G.vector(l) for l in G.labels]
+            first = {}
+            for label, ray in zip(G.labels, rays):
+                first.setdefault(ray, label)
+            # one label per ray: the same ray set as all labels
+            spans, dependent = G.spans(G.labels), G.dependent(G.labels)
+            before = len(calls)
+            assert (G.spans(first.values()), G.dependent(first.values())) == (spans, dependent)
+            assert len(calls) == before
+            checked += len(first) < len(G)
+        assert checked > 40
 
 
 def scaled_config(rng, G):

@@ -204,24 +204,30 @@ class TestBounds:
         assert (res["f0_sum"], res["trivial_bound"]) == (5, 12)
         assert sorted(res["vertices"]) == [["-1", "-1"], ["-1", "2"], ["1", "2"], ["2", "-1"], ["2", "1"]]
 
+def count_lp_calls(monkeypatch) -> Counter:
+    """Count lp_feasible calls, their feasible verdicts, and nonneg_combination calls."""
+    counts = Counter()
+
+    def count(name):
+        original = getattr(lp, name)
+
+        def counting(*args, **kwargs):
+            result = original(*args, **kwargs)
+            counts[name] += 1
+            if name == "lp_feasible":
+                counts["feasible"] += result.feasible
+            return result
+
+        monkeypatch.setattr(lp, name, counting)
+
+    count("lp_feasible")
+    count("nonneg_combination")
+    return counts
+
+
 class TestTwoTriangleOpCounts:
     def test_lp_calls_at_one_quarter(self, monkeypatch):
-        counts = Counter()
-
-        def count(name):
-            original = getattr(lp, name)
-
-            def counting(*args, **kwargs):
-                result = original(*args, **kwargs)
-                counts[name] += 1
-                if name == "lp_feasible":
-                    counts["feasible"] += result.feasible
-                return result
-
-            monkeypatch.setattr(lp, name, counting)
-
-        count("lp_feasible")
-        count("nonneg_combination")
+        counts = count_lp_calls(monkeypatch)
         assert two_triangle_example("1/4").passed
         # The Gale property of the g-vectors is decided once (6 strict
         # systems, one per deletion); deciding it again in every face
@@ -237,9 +243,33 @@ class TestTwoTriangleOpCounts:
         # vertices' images and the face question of single labels made 26
         # lp_feasible calls (10 feasible) and 65 nonneg_combination calls.
         # Each lp_feasible call now solves its Farkas system through
-        # nonneg_combination, so 18 of the 69 calls are nested; the 51
-        # direct ones are unchanged.
-        assert counts == {"lp_feasible": 18, "feasible": 2, "nonneg_combination": 18 + 51}
+        # nonneg_combination, so 18 of the 69 calls were nested.  The
+        # g-vectors of labels 1, 2 and of labels 5, 6 are equal, and the
+        # spanning and dependence questions are asked once per set of
+        # rays: asking them once per label set made 18 lp_feasible calls
+        # (2 feasible) and 18 + 51 nonneg_combination calls.
+        assert counts == {"lp_feasible": 7, "feasible": 2, "nonneg_combination": 7 + 26}
+
+    def test_lp_calls_at_one(self, monkeypatch):
+        counts = count_lp_calls(monkeypatch)
+        assert two_triangle_example("1").passed
+        # Three distinct rays, each on two labels: every deletion leaves
+        # all three, so the Gale property is one spanning test, and the 15
+        # pair and 20 triple face questions ask about 4 ray sets.  Asking
+        # them once per label set made 6 lp_feasible and 41
+        # nonneg_combination calls.
+        assert counts == {"lp_feasible": 1, "feasible": 0, "nonneg_combination": 1 + 4}
+
+    def test_no_verdict_outlives_its_configuration(self, monkeypatch):
+        counts = count_lp_calls(monkeypatch)
+        runs = []
+        for _ in range(2):
+            counts.clear()
+            assert two_triangle_example("1/4").passed
+            runs.append(dict(counts))
+        # a verdict kept past its configuration would make the second call
+        # cheaper, or the first one after an earlier test
+        assert runs == [{"lp_feasible": 7, "feasible": 2, "nonneg_combination": 7 + 26}] * 2
 
     def test_pivots_at_one_quarter(self, monkeypatch):
         pivots = []
@@ -261,8 +291,10 @@ class TestTwoTriangleOpCounts:
         # each lp_feasible system in its primal form, x = u - w with LE
         # slack columns, made 127; its Farkas system takes more pivots on a
         # narrower tableau.  The image hull's Gordan systems, on differences
-        # that kept the common factors of their entries, made 155.
-        assert len(pivots) == 151
+        # that kept the common factors of their entries, made 155, and
+        # the spanning and dependence questions asked once per label set
+        # instead of once per set of distinct rays, 151.
+        assert len(pivots) == 76
 
     def test_one_image_hull(self, monkeypatch):
         # only the oracle projects the vertices and takes their hull
