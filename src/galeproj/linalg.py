@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, RankDeficient
@@ -41,9 +42,11 @@ def vsub(u: Vec, v: Vec) -> Vec:
 
 
 def vdot(u: Vec, v: Vec) -> Fraction:
+    """Exact inner product, summed in integers: one Fraction per call."""
     if len(u) != len(v):
         raise DimensionMismatch(f"vector dims {len(u)} != {len(v)}")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+    (nu, lu), (nv, lv) = integer_row(u), integer_row(v)
+    return Fraction(sum(map(mul, nu, nv)), lu * lv)
 
 
 def transpose(m: Mat) -> Mat:
@@ -62,8 +65,13 @@ def matmul(a: Mat, b: Mat) -> Mat:
 
 
 def integer_row(row: Iterable) -> tuple[list[int], int]:
-    """(lam * row, lam) for lam the lcm of the row's denominators."""
+    """(lam * row, lam) for lam the lcm of the row's denominators.
+
+    A row of ints comes back as it is, with lam = 1.
+    """
     row = list(row)
+    if all(type(x) is int for x in row):
+        return row, 1
     lam = lcm(*(x.denominator for x in row))
     if lam == 1:
         return [x.numerator for x in row], 1

@@ -1,11 +1,22 @@
 """Exact linear feasibility with certificates.
 
-Phase 1 of a simplex (Bland's rule, hence terminating) on equality rows
-over nonnegative variables is the only algorithm: `nonneg_combination`
-finds a point of {x >= 0, Ax = b} or proves there is none, and re-checks
-the point in integers against the input rows, never the tableau.
-`lp_feasible` decides {x : Ax <= b}, x free, by the Farkas system
-{y >= 0, yA = 0, yb = -1}, so each "empty" verdict has a re-checked y.
+Phase 1 of a simplex on equality rows over nonnegative variables is the
+only algorithm: `nonneg_combination` finds a point of {x >= 0, Ax = b}
+or proves there is none, and re-checks the point in integers against the
+input rows, never the tableau.  `lp_feasible` decides {x : Ax <= b}, x
+free, by the Farkas system {y >= 0, yA = 0, yb = -1}, so each "empty"
+verdict has a re-checked y.
+
+Pricing is Dantzig's rule (enter the column of largest reduced cost, the
+lowest index among ties) with a Bland fallback, which makes it
+terminating.  A degenerate pivot, on a row whose rhs is 0, leaves the
+point where it is; once a run of consecutive degenerate pivots grows past
+n, the number of columns that may enter, Bland's rule (enter the first
+improving column) prices until the next nondegenerate pivot.  A
+nondegenerate pivot strictly raises the objective, so no basis recurs
+across runs; within a run Dantzig's rule makes at most n + 1 pivots, and
+Bland's rule cannot cycle after them (Bland 1977).  The ratio test takes
+the lowest basic index among ties.
 
 The tableau is integer over one common denominator D > 0 and pivots by
 the fraction-free update of Edmonds (1967), as Avis's lrs (2000) does:
@@ -13,9 +24,10 @@ each division is exact and no gcd is taken while pivoting.  Rationals
 occur only where rows come in, each scaled to integers once by
 `integer_row`, and where the point goes out; ints pass as they are.
 The tableau differs from the rational one only by positive scalings of
-rows and of artificial columns, which keep every sign Bland's rule
-reads, and stores no artificial column, as none may enter; so the pivots
-are those of a rational simplex (see `_solve_nonneg`).
+rows and of artificial columns.  Those keep every sign and every argmax
+the pricing reads, and every ratio-test order, and no artificial column
+is stored, as none may enter; so the pivots are those of a rational
+simplex (see `_solve_nonneg`).
 """
 
 from __future__ import annotations
@@ -56,15 +68,25 @@ def _pivot(T, basis, Z, D, r, c):
 
 
 def _simplex_max(T, basis, Z, D, allowed):
-    """Maximize the phase-1 objective with Bland's rule; returns D.
+    """Maximize the objective by Dantzig's rule with a Bland fallback; returns D.
 
-    Z holds D times the reduced costs, and Z[-1] / D is -(value).  As
-    D > 0, the ratio test compares rhs_i / T[i][enter] cross-multiplied,
-    so every pivot element is positive.
+    Z holds D times the reduced costs, up to one positive factor shared by
+    every column, so its argmax and its signs are the rational tableau's,
+    and Z[-1] / D is -(value) up to that factor.  As D > 0, the ratio test
+    compares rhs_i / T[i][enter] cross-multiplied, so every pivot element
+    is positive.  `degenerate` counts consecutive pivots on a row with rhs
+    0, which leave the value where it is.  Once it passes len(allowed),
+    Bland's rule prices until a pivot raises the value: no basis left
+    before that pivot recurs after it, and Bland's rule cannot cycle, so
+    the loop ends.
     """
+    degenerate = 0
     while True:
-        enter = next((j for j in allowed if Z[j] > 0), None)
-        if enter is None:
+        if degenerate > len(allowed):
+            enter = next((j for j in allowed if Z[j] > 0), None)
+        else:
+            enter = max(allowed, key=Z.__getitem__, default=None)
+        if enter is None or Z[enter] <= 0:
             return D
         candidates = [i for i, row in enumerate(T) if row[enter] > 0]
         if not candidates:
@@ -76,6 +98,7 @@ def _simplex_max(T, basis, Z, D, allowed):
             lhs, rhs = T[i][-1] * T[best][enter], T[best][-1] * T[i][enter]
             if lhs < rhs or (lhs == rhs and basis[i] < basis[best]):
                 best = i
+        degenerate = degenerate + 1 if T[best][-1] == 0 else 0
         D = _pivot(T, basis, Z, D, best, enter)
 
 
@@ -87,13 +110,14 @@ def _solve_nonneg(rows, nvars):
     meaning coeffs.x = rhs.  Each row's artificial gets entry 1, so the
     first basis is the identity and D = 1.  The phase-1 objective -sum a_i
     reads -sum (L / lam_i) a'_i in the scaled artificials a'_i = lam_i a_i,
-    L the lcm of the lam_i.  That multiplies each reduced cost by a
-    positive number, and each ratio test is scaled by one positive factor,
-    ties included, so Bland's rule picks the pivots of the rational
-    tableau.  An artificial still basic at the end has value 0 and is not
-    read.  No artificial column is stored, as none may enter: the i-th
-    artificial is basic under its virtual index nvars + i, the index
-    Bland's tie-break compares in the rational tableau.
+    L the lcm of the lam_i.  That multiplies every reduced cost by the one
+    positive number L, and each ratio test is scaled by one positive
+    factor, ties included, so both pricing rules and the ratio test pick
+    the pivots of the rational tableau.  An artificial still basic at the
+    end has value 0 and is not read.  No artificial column is stored, as
+    none may enter: the i-th artificial is basic under its virtual index
+    nvars + i, the index the ratio test's tie-break compares in the
+    rational tableau.
     """
     T = [ints if ints[-1] >= 0 else [-x for x in ints] for ints, _ in rows]
     basis = list(range(nvars, nvars + len(T)))
@@ -119,15 +143,17 @@ def nonneg_combination(eq_rows: list[tuple[list, Fraction]], nvars: int) -> list
     through here.  Each row a.x = b is scaled once by `integer_row` to
     integers a'.x = b', for the tableau and for the re-check.  The re-check
     reads those input rows and the returned point, not the tableau:
-    x = num / L, and each row must hold as a'.num = b' * L, with num >= 0.
+    x = num / L on its nonzero entries, and each row must hold as
+    a'.num = b' * L, with num >= 0.
     """
     rows = [integer_row([*coeffs, rhs]) for coeffs, rhs in eq_rows]
     x = _solve_nonneg(rows, nvars)
     if x is None:
         return None
-    num, L = integer_row(x)
-    # num has one entry per variable, so map leaves the rhs b' out of the sum
-    if any(n < 0 for n in num) or any(sum(map(mul, a, num)) != a[-1] * L for a, _ in rows):
+    support = [(j, v) for j, v in enumerate(x) if v]
+    L = lcm(*(v.denominator for _, v in support))
+    num = [(j, v.numerator * (L // v.denominator)) for j, v in support]
+    if any(n < 0 for _, n in num) or any(sum(a[j] * n for j, n in num) != a[-1] * L for a, _ in rows):
         raise AssertionError("simplex returned an invalid witness")
     return x
 
@@ -136,10 +162,12 @@ def _membership_rows(vectors, target, kind):
     """Equality rows sum(lam_i * v_i) = target, one per coordinate.
 
     Entries are ints or Fractions, kept as they are for `nonneg_combination`.
+    With no vectors each row is 0 = target[r].
     """
     if any(len(v) != len(target) for v in vectors):
         raise DimensionMismatch(f"{kind} membership with mixed dimensions")
-    return [([v[r] for v in vectors], target[r]) for r in range(len(target))]
+    columns = zip(*vectors) if vectors else [()] * len(target)
+    return list(zip(columns, target))
 
 
 def cone_combination(vectors, target) -> list[Fraction] | None:

@@ -260,10 +260,9 @@ def minkowski_sum_vertices(polys: Sequence[VPolytope]) -> list[tuple[tuple[int, 
     out = []
     for choice in itertools.product(*(range(len(Q.points)) for Q in polys)):
         if minkowski_vertex_test(choice, polys):
-            point = tuple(
-                sum((Q.points[i][c] for i, Q in zip(choice, polys)), Fraction(0))
-                for c in range(polys[0].dim)
-            )
+            # each coordinate summed in integers over its lcm, into one Fraction
+            columns = zip(*(Q.points[i] for i, Q in zip(choice, polys)))
+            point = tuple(Fraction(sum(ints), lam) for ints, lam in map(integer_row, columns))
             out.append((choice, point))
     return out
 

@@ -404,10 +404,13 @@ def bipartite_sum(G: Graph, H: Graph) -> Graph:
 # `fraction_solve_nonneg`, its phase 1 alone, must make the pivots of the
 # integer phase 1; `margin_lp_feasible`, the strict-margin LP that
 # `strict_lp_feasible` solved before it homogenised strict rows, must give the
-# same verdicts.  It is the old code with two additions: `log` receives
+# same verdicts.  It is the old code priced as the integer kernel prices,
+# by Dantzig's rule with a Bland fallback after more than len(allowed)
+# consecutive degenerate pivots, with two additions: `log` receives
 # (entering column, leaving column) for every pivot, and `events` counts
-# the cases the oracle tests must cover (ratio ties, and artificials left
-# basic at value 0 after phase 1).
+# the cases the oracle tests must cover (ratio ties, entering ties where
+# several columns share the largest reduced cost, pivots priced by the
+# fallback, and artificials left basic at value 0 after phase 1).
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -437,11 +440,21 @@ def _fraction_reduce_objective(rows, basis, z):
 
 
 def _fraction_simplex_max(rows, basis, z, allowed, log, events):
-    """Maximize with Bland's rule; z[-1] holds -(objective value)."""
+    """Maximize by Dantzig's rule with a Bland fallback; z[-1] holds -(objective value)."""
+    degenerate = 0
     while True:
-        enter = next((j for j in allowed if z[j] > 0), None)
-        if enter is None:
+        improving = [j for j in allowed if z[j] > 0]
+        if not improving:
             return -z[-1]
+        if degenerate > len(allowed):
+            events["fallback"] += 1
+            enter = improving[0]
+        else:
+            top = max(z[j] for j in improving)
+            entering = [j for j in improving if z[j] == top]
+            if len(entering) > 1:
+                events["entering tie"] += 1
+            enter = entering[0]
         best_ratio = None
         best_row = -1
         for i, row in enumerate(rows):
@@ -458,6 +471,7 @@ def _fraction_simplex_max(rows, basis, z, allowed, log, events):
                     best_row = i
         if best_ratio is None:
             raise AssertionError("capped objective cannot be unbounded")
+        degenerate = degenerate + 1 if best_ratio == 0 else 0
         _fraction_pivot(rows, basis, z, best_row, enter, log)
 
 

@@ -9,7 +9,16 @@ from galeproj import lp
 from galeproj.errors import DimensionMismatch
 from galeproj.lp import FeasibilityResult, convex_combination, cone_combination, lp_feasible
 from galeproj.pipeline import two_triangle_example
-from helpers import EQ, eq, fraction_solve_nonneg, le, lt, margin_lp_feasible, strict_lp_feasible
+from helpers import (
+    EQ,
+    _fraction_simplex_max,
+    eq,
+    fraction_solve_nonneg,
+    le,
+    lt,
+    margin_lp_feasible,
+    strict_lp_feasible,
+)
 
 
 def test_unit_interval_feasible():
@@ -204,7 +213,7 @@ class TestIntegerPivotsMatchFractionSimplex:
                 cons.append(eq([scale * x for x in c.coeffs], scale * c.rhs))
             strict_lp_feasible(cons)
         assert oracle_checked["solves"] == 300
-        for case in ("tie", "artificial left basic"):
+        for case in ("tie", "entering tie", "artificial left basic"):
             assert oracle_checked[case] > 0, case
 
     def test_hand_made_cases(self, oracle_checked):
@@ -234,6 +243,59 @@ class TestIntegerPivotsMatchFractionSimplex:
         # solving LPs whose answers they already held, and 18 + 51 before
         # the spanning and dependence questions were asked once per ray set
         assert oracle_checked["solves"] == 7 + 26
+
+
+def test_no_variables():
+    # the only point of {x >= 0} in zero variables is the empty one, and a
+    # row 0 = b holds iff b = 0; nothing can enter
+    assert lp.nonneg_combination([([], 0)], 0) == []
+    assert lp.nonneg_combination([([], 1)], 0) is None
+    assert cone_combination([], (0, 0)) == [] and cone_combination([], (0, 1)) is None
+
+
+# Beale (1955): max 3/4 x4 - 20 x5 + 1/2 x6 - 6 x7 over x >= 0 with slacks
+# x1, x2, x3 (columns 0-6, then the rhs); Dantzig's rule cycles on it.
+BEALE_ROWS = [
+    [1, 0, 0, Fraction(1, 4), -8, -1, 9, 0],
+    [0, 1, 0, Fraction(1, 2), -12, Fraction(-1, 2), 3, 0],
+    [0, 0, 1, 0, 0, 1, 0, 1],
+]
+BEALE_COSTS = [0, 0, 0, Fraction(3, 4), -20, Fraction(1, 2), -6, 0]
+
+
+def test_fallback_breaks_beale_cycle(monkeypatch):
+    # rows scaled by 4, 2 and 1 and the objective by 4 make them integer;
+    # pivoting each slack in from a virtual basis gives the fraction-free
+    # start, with D = 8 and Z = 8 * 4 * costs
+    T = [[int(x * s) for x in row] for row, s in zip(BEALE_ROWS, (4, 2, 1))]
+    Z = [int(4 * x) for x in BEALE_COSTS]
+    basis, D = [7, 8, 9], 1
+    for r in range(3):
+        D = lp._pivot(T, basis, Z, D, r, r)
+    assert D == 8 and basis == [0, 1, 2]
+    log, bases = [], []
+    pivot = lp._pivot
+
+    def logging(T, basis, Z, D, r, c):
+        # a kernel that cycles fails here instead of running forever
+        assert len(log) < 100, "cycling"
+        log.append((c, basis[r]))
+        p = pivot(T, basis, Z, D, r, c)
+        bases.append(list(basis))
+        return p
+
+    monkeypatch.setattr(lp, "_pivot", logging)
+    D = lp._simplex_max(T, basis, Z, D, range(7))
+    assert Fraction(-Z[-1], 4 * D) == Fraction(5, 4)
+    rows = [[Fraction(x) for x in row] for row in BEALE_ROWS]
+    z = [Fraction(x) for x in BEALE_COSTS]
+    oracle_log, events = [], Counter()
+    assert _fraction_simplex_max(rows, [0, 1, 2], z, range(7), oracle_log, events) == Fraction(5, 4)
+    assert log == oracle_log and len(log) == 12
+    assert events["fallback"] > 0
+    # Dantzig's rule alone: six degenerate pivots lead back to the start
+    # basis, from which it would make the same six again
+    assert bases[5] == [0, 1, 2] and [0, 1, 2] not in bases[:5]
 
 
 # systems at the edge of strictness: name -> (constraints, feasible)

@@ -293,8 +293,9 @@ class TestTwoTriangleOpCounts:
         # narrower tableau.  The image hull's Gordan systems, on differences
         # that kept the common factors of their entries, made 155, and
         # the spanning and dependence questions asked once per label set
-        # instead of once per set of distinct rays, 151.
-        assert len(pivots) == 76
+        # instead of once per set of distinct rays, 151.  Bland's rule on
+        # every pivot made 76.
+        assert len(pivots) == 78
 
     def test_one_image_hull(self, monkeypatch):
         # only the oracle projects the vertices and takes their hull
@@ -325,6 +326,21 @@ class TestTwoTriangleOpCounts:
         monkeypatch.setattr(polytopes, "solve_square", counting)
         assert two_triangle_example("1/4").passed
         assert len(calls) == 15
+
+
+def test_random_experiment_pivots(monkeypatch):
+    # 512 vertex tests of one trial in the r = d regime; Bland's rule on
+    # every pivot made 4,104
+    pivots = []
+    original = lp._pivot
+
+    def counting(*args):
+        pivots.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(lp, "_pivot", counting)
+    assert random_experiment(3, 3, [8, 8, 8], 1, 7).results["counts"] == [70]
+    assert len(pivots) == 2814
 
 
 def test_random_experiment_counts_at_r_equal_d():

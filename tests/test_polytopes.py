@@ -632,8 +632,9 @@ class TestDifferencesCached:
             assert scaled.differences == P.differences
 
     def test_lifted_lattice_instance_work(self, monkeypatch):
-        # one phase 1 per tuple and no strict system: 125 solves, 863 pivots
-        # (875 while the differences kept the common factors of their entries)
+        # one phase 1 per tuple and no strict system: 125 solves, 646 pivots
+        # (875 while the differences kept the common factors of their entries,
+        # 863 while Bland's rule priced every pivot)
         calls = {"nonneg_combination": 0, "lp_feasible": 0, "_pivot": 0}
 
         def counting(name):
@@ -648,7 +649,7 @@ class TestDifferencesCached:
         for name in calls:
             monkeypatch.setattr(lp, name, counting(name))
         assert len(minkowski_sum_vertices(lifted_lattice_summands())) == 41
-        assert calls == {"nonneg_combination": 125, "lp_feasible": 0, "_pivot": 863}
+        assert calls == {"nonneg_combination": 125, "lp_feasible": 0, "_pivot": 646}
 
 
 class TestTrivialBound:
