@@ -62,7 +62,8 @@ class OutOfTheoremRange(GaleprojError, ValueError):
 
 
 class HypothesisViolated(GaleprojError, ValueError):
-    """Inputs violate the hypotheses of a bound (r < d or too few vertices)."""
+    """Inputs violate the hypotheses of a bound or construction (r < d, too
+    few vertices, a polytope that is not simple)."""
 
 
 class EpsilonOutOfRange(GaleprojError, ValueError):

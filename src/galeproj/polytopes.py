@@ -23,6 +23,7 @@ from .errors import (
     DimensionMismatch,
     DuplicateLabels,
     EmptyPolytope,
+    HypothesisViolated,
     IndexOutOfRange,
     NotFullDimensional,
     RedundantRow,
@@ -32,14 +33,10 @@ from .gale import positively_spanning
 from .linalg import (
     Mat,
     Vec,
-    affine_rank,
     integer_row,
-    kernel_basis,
     mat,
     primitive,
-    rank,
     solve_square,
-    vdot,
     vec,
     vsub,
 )
@@ -204,28 +201,6 @@ def is_simple(P: HPolytope) -> bool:
     return all(len(rec.tight_facets) == n for rec in h_vertices(P))
 
 
-def product(P: HPolytope, Q: HPolytope) -> HPolytope:
-    """Cartesian product as a block-diagonal system; P's facets first."""
-    n1, n2 = P.dim, Q.dim
-    zero1, zero2 = (Fraction(0),) * n1, (Fraction(0),) * n2
-    A = [tuple(a) + zero2 for a in P.A] + [zero1 + tuple(a) for a in Q.A]
-    b = tuple(P.b) + tuple(Q.b)
-    return HPolytope(A, b)
-
-
-def recentre(P: HPolytope) -> HPolytope:
-    """Translate so that 0 is strictly interior.
-
-    The new origin is the mean of P's vertices, read from the records kept
-    on P.  It is interior because P is validated bounded and
-    full-dimensional, so its vertices affinely span the space.
-    """
-    coords = [rec.vertex_coords for rec in P.vertex_records]
-    x0 = tuple(sum(column) / len(coords) for column in zip(*coords))
-    b = tuple(bi - vdot(a, x0) for a, bi in zip(P.A, P.b))
-    return HPolytope(P.A, b, P.facet_labels)
-
-
 def minkowski_vertex_test(choice: Sequence[int], polys: Sequence[VPolytope]) -> bool:
     """Does the chosen vertex tuple sum to a vertex of the Minkowski sum?
 
@@ -274,66 +249,12 @@ def trivial_upper_bound(f0s: Sequence[int]) -> int:
     return prod(f0s)
 
 
-def facet_description(S: VPolytope) -> HPolytope:
-    """Exact H-representation of a full-dimensional V-polytope.
-
-    Brute force over n-subsets spanning candidate hyperplanes; a candidate
-    survives if all points lie on one side.  Only intended for desk-scale
-    inputs (the package never needs more).
-    """
-    n = S.dim
-    if affine_rank(S.points) != n:
-        raise NotFullDimensional("V-polytope is lower-dimensional")
-    rows: set[tuple[Vec, Fraction]] = set()
-    for subset in itertools.combinations(S.points, n):
-        if n == 1:
-            normal: Vec = (Fraction(1),)
-        else:
-            diffs = mat([vsub(p, subset[0]) for p in subset[1:]])
-            if rank(diffs) != n - 1:
-                continue
-            normal = tuple(col[0] for col in kernel_basis(diffs))
-        beta = vdot(normal, subset[0])
-        values = [vdot(normal, p) for p in S.points]
-        if all(v <= beta for v in values):
-            rows.add(_canonical_row(normal, beta))
-        if all(v >= beta for v in values):
-            rows.add(_canonical_row(tuple(-x for x in normal), -beta))
-    ordered = sorted(rows)
-    return HPolytope([r[0] for r in ordered], [r[1] for r in ordered])
-
-
-def _canonical_row(a: Vec, beta: Fraction) -> tuple[Vec, Fraction]:
-    """Scale (a, beta) by a positive rational to coprime integer form."""
-    *normal, rhs = primitive(integer_row(a + (beta,))[0])
-    return tuple(map(Fraction, normal)), Fraction(rhs)
-
-
-def sum_as_projection(P: VPolytope, Q: VPolytope) -> tuple[HPolytope, Mat]:
-    """Product H-polytope and the summing projection [I_d | I_d].
-
-    The hull of the projected product vertices equals P + Q, so the
-    Minkowski sum is literally a shadow of the product.
-    """
-    if P.dim != Q.dim:
-        raise DimensionMismatch("summands must share an ambient dimension")
-    d = P.dim
-    prod_poly = product(facet_description(P), facet_description(Q))
-    proj = tuple(
-        tuple(Fraction(1 if (c == j or c == d + j) else 0) for c in range(2 * d))
-        for j in range(d)
-    )
-    return prod_poly, proj
-
-
 def dual_boundary_complex(P: HPolytope) -> Complex:
     """Boundary complex of the polar dual of a simple polytope.
 
     Vertices are the facet labels of P; the facets are the tight sets I(v)
     of the vertices of P.
     """
-    records = h_vertices(P)
-    n = P.dim
-    if any(len(r.tight_facets) != n for r in records):
-        raise ValueError("dual boundary complex needs a simple polytope")
-    return closure_from_facets(P.facet_labels, [r.tight_facets for r in records])
+    if not is_simple(P):
+        raise HypothesisViolated("dual boundary complex needs a simple polytope")
+    return closure_from_facets(P.facet_labels, [r.tight_facets for r in h_vertices(P)])

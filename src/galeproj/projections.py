@@ -84,7 +84,7 @@ def make_setup(P: HPolytope, proj: Iterable[Iterable]) -> ProjectionSetup:
     if rank(proj) != d:
         raise RankDeficient("projection must have full row rank")
     if any(bi <= 0 for bi in P.b):
-        raise OriginNotInterior("recentre the polytope first: need b > 0")
+        raise OriginNotInterior("translate P so that 0 is interior: need b > 0")
     kern = kernel_basis(proj)
     if any(any(x != 0 for x in row) for row in matmul(proj, kern)):
         raise AssertionError("kernel_basis returned columns the projection does not annihilate")

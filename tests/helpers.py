@@ -15,7 +15,7 @@ from galeproj.errors import DimensionMismatch
 from galeproj.gale import positively_spanning
 from galeproj.linalg import Vec, frac, integer_row, mat, mat_vec, rank, vdot, vec, vsub
 from galeproj.obstructions import Graph
-from galeproj.polytopes import h_vertices
+from galeproj.polytopes import HPolytope, h_vertices
 from galeproj.projections import VertexRecord
 
 
@@ -631,8 +631,8 @@ def rref_kernel(m):
 
 
 def lcm_gcd_canonical_row(a, beta):
-    """`polytopes._canonical_row` as written with its own lcm and gcd loops,
-    kept as the oracle for the version built on `linalg.integer_row`."""
+    """(a, beta) scaled by a positive rational to coprime integer form, by
+    its own lcm and gcd loops: the row form of `facet_description`."""
 
     def gcd(x, y):
         while y:
@@ -649,3 +649,29 @@ def lcm_gcd_canonical_row(a, beta):
     if g > 1:
         ints = [v // g for v in ints]
     return tuple(Fraction(v) for v in ints[:-1]), Fraction(ints[-1])
+
+
+def facet_description(points) -> HPolytope:
+    """Exact H-representation of the hull of a full-dimensional point set
+    in R^n, n >= 2.
+
+    Brute force over n-subsets spanning candidate hyperplanes, each normal
+    the `rref_kernel` of the differences; a candidate survives if all points
+    lie on one side.  Rows in `lcm_gcd_canonical_row` form, sorted, so the
+    labels follow the rows.  Only for desk-scale fixtures.
+    """
+    pts = [vec(p) for p in points]
+    rows = set()
+    for subset in itertools.combinations(pts, len(pts[0])):
+        kernel = rref_kernel([vsub(p, subset[0]) for p in subset[1:]])
+        if len(kernel) != 1:
+            continue
+        normal = kernel[0]
+        beta = vdot(normal, subset[0])
+        values = [vdot(normal, p) for p in pts]
+        if all(v <= beta for v in values):
+            rows.add(lcm_gcd_canonical_row(normal, beta))
+        if all(v >= beta for v in values):
+            rows.add(lcm_gcd_canonical_row(tuple(-x for x in normal), -beta))
+    ordered = sorted(rows)
+    return HPolytope([r[0] for r in ordered], [r[1] for r in ordered])

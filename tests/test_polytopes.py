@@ -9,31 +9,28 @@ from galeproj.errors import (
     DimensionMismatch,
     DuplicateLabels,
     EmptyPolytope,
+    HypothesisViolated,
     IndexOutOfRange,
     NotFullDimensional,
     RedundantRow,
     UnboundedPolytope,
 )
 from galeproj import lp, polytopes
-from galeproj.linalg import affine_rank, mat_vec, rank, vec, vsub
+from galeproj.linalg import affine_rank, rank, vec, vsub
 from galeproj.polytopes import (
     HPolytope,
     VPolytope,
     dual_boundary_complex,
-    facet_description,
     h_vertices,
     hull_vertex_indices,
     is_simple,
     minkowski_sum_vertices,
     minkowski_vertex_test,
-    product,
-    recentre,
-    sum_as_projection,
     trivial_upper_bound,
 )
 from helpers import (
+    facet_description,
     fraction_slacks,
-    lcm_gcd_canonical_row,
     le,
     lt,
     margin_lp_feasible,
@@ -89,7 +86,6 @@ class TestConstruction:
         # [2*10^6, 2*10^6 + 1]: no bound on the LP variables hides it
         far = HPolytope([[1], [-1]], [2000001, -2000000])
         assert [r.vertex_coords for r in h_vertices(far)] == [(2000000,), (2000001,)]
-        assert all(bi > 0 for bi in recentre(far).b)
 
     def test_vpolytope_distinct_points(self):
         with pytest.raises(DuplicateLabels):
@@ -253,15 +249,15 @@ class TestVertexRecordsCached:
 class TestVertexRecordsOracle:
     """Integer slacks in `vertex_records` against the hull and `Fraction` rows.
 
-    A full-dimensional V-polytope goes through `facet_description` and
-    `h_vertices`; its vertices must be the points `hull_vertex_indices`
-    keeps, and each tight set must be the rows a `Fraction` evaluation
-    finds tight.
+    The hull of a full-dimensional point set goes through
+    `helpers.facet_description` and `h_vertices`; its vertices must be the
+    points `hull_vertex_indices` keeps, and each tight set must be the rows
+    a `Fraction` evaluation finds tight.
     """
 
     @staticmethod
     def check_round_trip(pts):
-        P = facet_description(VPolytope(pts))
+        P = facet_description(pts)
         records = h_vertices(P)
         assert [r.vertex_coords for r in records] == sorted(pts[i] for i in hull_vertex_indices(pts))
         for r in records:
@@ -343,57 +339,6 @@ class TestSimple:
 
     def test_coupled_triangles_simple(self):
         assert is_simple(coupled_triangles(Fraction(1, 4)))
-
-
-class TestProduct:
-    def test_square_is_product_of_segments(self):
-        seg = HPolytope([[1], [-1]], [1, 1])
-        sq = product(seg, seg)
-        assert sq.num_facets == 4
-        assert len(h_vertices(sq)) == 4
-
-    def test_product_of_triangles(self):
-        tri = HPolytope([[1, 1], [-1, 1], [0, -1]], [1, 1, 1])
-        pp = product(tri, tri)
-        assert pp.num_facets == 6
-        assert len(h_vertices(pp)) == 9
-
-    def test_facet_counts_add_and_incidences_pair(self):
-        seg = HPolytope([[1], [-1]], [2, 0])
-        tri = HPolytope([[1, 1], [-1, 1], [0, -1]], [1, 1, 1])
-        pp = product(seg, tri)
-        assert pp.num_facets == seg.num_facets + tri.num_facets
-        seg_recs = h_vertices(seg)
-        tri_recs = h_vertices(tri)
-        expected = set()
-        for a in seg_recs:
-            for b in tri_recs:
-                shifted = frozenset(l + seg.num_facets for l in b.tight_facets)
-                expected.add(a.tight_facets | shifted)
-        assert {r.tight_facets for r in h_vertices(pp)} == expected
-        pairs = {a.vertex_coords + b.vertex_coords for a in seg_recs for b in tri_recs}
-        assert {r.vertex_coords for r in h_vertices(pp)} == pairs
-
-
-class TestRecentre:
-    def test_segment(self):
-        seg = HPolytope([[1], [-1]], [2, 0])  # [0, 2]
-        moved = recentre(seg)
-        assert all(bi > 0 for bi in moved.b)
-
-    def test_already_centred_system_stays_valid(self):
-        P = coupled_triangles(Fraction(1, 4))
-        assert all(bi > 0 for bi in P.b)
-        moved = recentre(P)
-        assert len(h_vertices(moved)) == 9
-
-    def test_simplex_shifted_interior(self):
-        simp = HPolytope([[-1, 0], [0, -1], [1, 1]], [0, 0, 1])
-        moved = recentre(simp)
-        zero = vec([0, 0])
-        assert all(bi > 0 for bi in moved.b)
-        # 0 is strictly inside the translated copy
-        assert all(mat_vec(moved.A, zero)[i] < moved.b[i] for i in range(3))
 
 
 class TestMinkowski:
@@ -663,118 +608,17 @@ class TestTrivialBound:
             trivial_upper_bound([])
 
 
-class TestSumAsProjection:
-    def test_two_segments(self):
-        s1 = VPolytope([(0,), (1,)])
-        s2 = VPolytope([(0,), (3,)])
-        prod_poly, proj = sum_as_projection(s1, s2)
-        assert prod_poly.dim == 2 and len(h_vertices(prod_poly)) == 4
-        images = {mat_vec(proj, r.vertex_coords) for r in h_vertices(prod_poly)}
-        assert images == {(Fraction(0),), (Fraction(1),), (Fraction(3),), (Fraction(4),)}
-
-    def test_two_triangles_project_to_sum(self):
-        neg = VPolytope([tuple(-x for x in p) for p in TRIANGLE.points])
-        prod_poly, proj = sum_as_projection(TRIANGLE, neg)
-        assert prod_poly.dim == 4
-        images = [mat_vec(proj, r.vertex_coords) for r in h_vertices(prod_poly)]
-        distinct = sorted(set(images))
-        hull = {distinct[i] for i in hull_vertex_indices(distinct)}
-        direct = {pt for _, pt in minkowski_sum_vertices([TRIANGLE, neg])}
-        assert hull == direct
-
-    def test_point_summand_is_lower_dimensional(self):
-        pt = VPolytope([(2, 3)])
-        with pytest.raises(NotFullDimensional):
-            sum_as_projection(TRIANGLE, pt)
-
-    def test_facet_description_roundtrip(self):
-        rng = random.Random(1234)
-        for _ in range(10):
-            pts = random_points(rng, 2, 5)
-            V = VPolytope(pts)
-            hull_idx = hull_vertex_indices(V.points)
-            H = facet_description(V)
-            assert {r.vertex_coords for r in h_vertices(H)} == {
-                V.points[i] for i in hull_idx
-            }
-
-
 def test_dual_boundary_complex_of_triangle_product():
-    tri = HPolytope([[1, 1], [-1, 1], [0, -1]], [1, 1, 1])
-    pp = product(tri, tri)
-    K = dual_boundary_complex(pp)
+    # at e = 0 the coupling vanishes: a product of two triangles
+    K = dual_boundary_complex(coupled_triangles(0))
     assert len(K.vertices) == 6
     assert all(len(f) == 4 for f in K.facets)
     assert len(K.facets) == 9
 
 
-class TestCanonicalRow:
-    def test_equals_the_lcm_gcd_oracle(self):
-        rng = random.Random(3131)
-        for trial in range(400):
-            n = rng.randint(1, 5)
-
-            def entry():
-                kind = trial % 4
-                if kind == 0:
-                    return Fraction(rng.randint(-6, 6))
-                if kind == 1:
-                    return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
-                if kind == 2:
-                    return Fraction(rng.choice([-1, 0, 1]) * 10**7 + rng.randint(-3, 3), rng.choice([1, 3, 10**5]))
-                return Fraction(rng.choice([0, 0, 2, -4, 6]), rng.choice([1, 2, 3]))
-
-            a, beta = tuple(entry() for _ in range(n)), entry()
-            assert polytopes._canonical_row(a, beta) == lcm_gcd_canonical_row(a, beta)
-
-    def test_hand_cases(self):
-        half = Fraction(1, 2)
-        assert polytopes._canonical_row((half, Fraction(3, 4)), Fraction(0)) == ((2, 3), 0)
-        assert polytopes._canonical_row((Fraction(-6), Fraction(4)), Fraction(10)) == ((-3, 2), 5)
-        assert polytopes._canonical_row((Fraction(0),), Fraction(0)) == ((0,), 0)
-
-
-def vertex_mean(P):
-    coords = [r.vertex_coords for r in h_vertices(P)]
-    return tuple(sum(column) / len(coords) for column in zip(*coords))
-
-
-class TestRecentreFromVertices:
-    @pytest.mark.parametrize(
-        "P",
-        [
-            HPolytope([[1], [-1]], [2000001, -2000000]),
-            HPolytope([[1], [-1]], [2, 0]),
-            HPolytope([[-1, 0], [0, -1], [1, 1]], [0, 0, 1]),
-            HPolytope([[1, 0], [-1, 0], [0, 1], [0, -1]], [7, -3, Fraction(1, 3), Fraction(1, 2)]),
-            coupled_triangles(Fraction(1, 4)),
-        ],
-        ids=["far-interval", "segment", "simplex", "box", "coupled-triangles"],
-    )
-    def test_vertex_mean_moves_to_the_origin(self, P):
-        moved = recentre(P)
-        assert moved.A == P.A and moved.facet_labels == P.facet_labels
-        assert all(bi > 0 for bi in moved.b)
-        assert vertex_mean(moved) == (0,) * P.dim
-        shift = vertex_mean(P)
-        assert [r.vertex_coords for r in h_vertices(moved)] == [vsub(r.vertex_coords, shift) for r in h_vertices(P)]
-
-    def test_far_interval_is_centred_at_its_midpoint(self):
-        moved = recentre(HPolytope([[1], [-1]], [2000001, -2000000]))
-        assert moved.b == (Fraction(1, 2), Fraction(1, 2))
-
-    def test_solves_no_lp_beyond_validating_the_result(self, monkeypatch):
-        P = coupled_triangles(Fraction(1, 4))
-        h_vertices(P)
-        calls = []
-        original = lp.lp_feasible
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(lp, "lp_feasible", counting)
-        moved = recentre(P)
-        in_recentre = len(calls)
-        HPolytope(moved.A, moved.b, moved.facet_labels)
-        assert in_recentre == len(calls) - in_recentre > 0
+def test_dual_boundary_complex_refuses_a_non_simple_polytope():
+    # the octahedron |x| + |y| + |z| <= 1: each vertex lies on 4 of the 8 facets
+    octahedron = HPolytope(list(itertools.product((1, -1), repeat=3)), [1] * 8)
+    assert not is_simple(octahedron)
+    with pytest.raises(HypothesisViolated):
+        dual_boundary_complex(octahedron)

@@ -1,24 +1,33 @@
 """Every public module-level function and class of `galeproj` is used by
 the program or the benchmark, and so is every public method and property
-of a public class.
+of a public class and every private module-level function.
 
 Uses are counted in the package outside `__init__.py` and in `bench/`,
 never in the tests: a definition only a test calls belongs in the tests.
 A top-level definition counts as used when its name occurs as a bare
-name, as an import alias, or as an attribute of a galeproj module name
-(`lp.cone_combination`); `itertools.product` and `"".join` do not count
-for `polytopes.product` or a `join`.  A method or property counts only
-as an attribute (`P.dim`), since its bare name is often a local variable
-elsewhere.  `__init__.py` itself imports nothing and binds no public
-name, so it cannot re-export a definition and hide that nothing uses
-it.  The scan reads the syntax tree, so a name that appears only inside
-a string (a report's scenario name, say) is not mistaken for a use.
+name or as an attribute of a galeproj module name (`lp.cone_combination`);
+`itertools.product` and `"".join` do not count for a `product` or a
+`join`, and an import is no use, only what uses the name it binds.  A
+method or property counts only as an attribute (`P.dim`), since its bare
+name is often a local variable elsewhere.  `__init__.py` itself imports
+nothing and binds no public name, so it cannot re-export a definition
+and hide that nothing uses it.  The scan reads the syntax tree, so a name
+that appears only inside a string (a report's scenario name, say) is not
+mistaken for a use.
+
+A use counts only in live code, so that a definition cannot hide behind
+a dead caller.  A module's top level and all of `bench/` are live; the
+body of a definition is live once that definition is itself used, by
+the same rule, and no definition around it is listed in `KEEP`.  A use
+inside the used definition's own body never counts, so recursion reaches
+nothing.  The reached set grows to a fixed point from the live roots.
 
 The same holds for parameters: every parameter with a default, of a
-public function, method or class constructor, is passed somewhere, by
-position or by keyword.  A call counts when it names the callee as a
-definition use does; a method is called as an attribute, and a call
-with `*args` or `**kwargs` counts as passing every parameter it could.
+public function, method or class constructor, is passed somewhere in
+live code outside the callee's own body, by position or by keyword.  A
+call counts when it names the callee as a definition use does; a method
+is called as an attribute, and a call with `*args` or `**kwargs` counts
+as passing every parameter it could.
 
 `KEEP` names the definitions kept without a use and the parameters kept
 without a caller that passes them, each with its reason.
@@ -28,6 +37,8 @@ one: what a report holds is decided in `pipeline` alone.
 """
 
 import ast
+from collections import defaultdict
+from functools import cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,10 +46,10 @@ PACKAGE = ROOT / "src" / "galeproj"
 BENCH = ROOT / "bench"
 MODULES = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
 
-KEEP = {
-    "polytopes.sum_as_projection": "the projected-product route to the vertex bound (ROADMAP direction 6) calls it",
-    "polytopes.recentre": "the projected-product route (ROADMAP direction 6) recentres the product before make_setup",
-}
+KEEP: dict[str, str] = {}
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _tree(path):
@@ -46,8 +57,7 @@ def _tree(path):
 
 
 def _public(nodes):
-    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    return [node for node in nodes if isinstance(node, kinds) and not node.name.startswith("_")]
+    return [node for node in nodes if isinstance(node, DEFINITIONS) and not node.name.startswith("_")]
 
 
 def public_definitions():
@@ -56,6 +66,16 @@ def public_definitions():
     for stem in sorted(MODULES):
         for node in _public(_tree(PACKAGE / f"{stem}.py").body):
             out[f"{stem}.{node.name}"] = node.name
+    return out
+
+
+def private_functions():
+    """Name of each private top-level function, by qualified name."""
+    out = {}
+    for stem in sorted(MODULES):
+        for node in _tree(PACKAGE / f"{stem}.py").body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.startswith("_"):
+                out[f"{stem}.{node.name}"] = node.name
     return out
 
 
@@ -126,11 +146,31 @@ def public_parameters():
     return out
 
 
-def _uses():
-    paths = [PACKAGE / f"{stem}.py" for stem in sorted(MODULES)]
-    paths += sorted(BENCH.glob("*.py"))
-    for path in paths:
-        yield from ast.walk(_tree(path))
+def _scoped(tree, stem):
+    """(owners, node) for each node below `tree`: owners are the qualified
+    names of the definitions the node lies in, outermost first."""
+    stack = [((), tree)]
+    while stack:
+        owners, node = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            inner = owners
+            if isinstance(child, DEFINITIONS):
+                inner = (*owners, f"{owners[-1] if owners else stem}.{child.name}")
+            yield inner, child
+            stack.append((inner, child))
+
+
+def _sources():
+    """(stem, tree) of each package module and each bench file.  The bench
+    stems start with `bench.`, so no bench definition is checked and all
+    of the bench is live."""
+    out = [(stem, _tree(PACKAGE / f"{stem}.py")) for stem in sorted(MODULES)]
+    return out + [(f"bench.{path.stem}", _tree(path)) for path in sorted(BENCH.glob("*.py"))]
+
+
+def _uses(sources):
+    for stem, tree in sources:
+        yield from _scoped(tree, stem)
 
 
 def _is_module(node):
@@ -140,20 +180,42 @@ def _is_module(node):
     return isinstance(node, ast.Attribute) and node.attr in MODULES
 
 
-def names_used():
-    used = set()
-    for node in _uses():
+def _live(owners, target, reached, checked, keep):
+    """Does a use with these owners count for `target`?"""
+    return target not in owners and all(o not in keep and (o in reached or o not in checked) for o in owners)
+
+
+def _reached(names, attributes, sources, keep):
+    """The qualified names in `names` (used by name) and `attributes` (used
+    as an attribute) that live code reaches, grown to a fixed point."""
+    by_name, by_attribute = defaultdict(list), defaultdict(list)
+    for owners, node in _uses(sources):
         if isinstance(node, ast.Name):
-            used.add(node.id)
-        elif isinstance(node, ast.Attribute) and _is_module(node.value):
-            used.add(node.attr)
-        elif isinstance(node, ast.alias):
-            used.add(node.name.split(".")[-1])
-    return used
+            by_name[node.id].append(owners)
+        elif isinstance(node, ast.Attribute):
+            by_attribute[node.attr].append(owners)
+            if _is_module(node.value):
+                by_name[node.attr].append(owners)
+    sites = {q: by_name[name] for q, name in names.items()}
+    sites |= {q: by_attribute[name] for q, name in attributes.items()}
+    reached = set()
+    while True:
+        new = {
+            q
+            for q, owners in sites.items()
+            if q not in reached and any(_live(o, q, reached, sites, keep) for o in owners)
+        }
+        if not new:
+            return reached
+        reached |= new
 
 
-def attributes_used():
-    return {node.attr for node in _uses() if isinstance(node, ast.Attribute)}
+@cache
+def reached():
+    """Qualified names of the definitions, private functions and members
+    the program or the bench reaches."""
+    names = {**public_definitions(), **private_functions()}
+    return frozenset(_reached(names, public_members(), _sources(), KEEP))
 
 
 def _calls(call, name, is_method):
@@ -171,11 +233,16 @@ def _passes(call, position, keyword):
 
 
 def parameters_unpassed():
-    calls = [node for node in _uses() if isinstance(node, ast.Call)]
+    live, checked = reached(), {**public_definitions(), **private_functions(), **public_members()}
+    calls = [(owners, node) for owners, node in _uses(_sources()) if isinstance(node, ast.Call)]
     return sorted(
         qual
         for qual, (name, is_method, position, keyword) in public_parameters().items()
-        if not any(_passes(call, position, keyword) for call in calls if _calls(call, name, is_method))
+        if not any(
+            _passes(call, position, keyword)
+            for owners, call in calls
+            if _calls(call, name, is_method) and _live(owners, qual.rsplit(".", 1)[0], live, checked, KEEP)
+        )
     )
 
 
@@ -207,28 +274,57 @@ def test_the_cli_builds_no_report():
     assert not built, f"cli.py builds report parts: {built}"
 
 
+def test_the_scan_sees_through_dead_callers():
+    source = """
+def main():
+    live()
+def live():
+    helper()
+def helper():
+    pass
+def recursive():
+    recursive()
+def dead():
+    hidden()
+def hidden():
+    dead()
+def kept():
+    behind_kept()
+def behind_kept():
+    pass
+main()
+"""
+    defined = ("main", "live", "helper", "recursive", "dead", "hidden", "kept", "behind_kept")
+    names = {f"m.{name}": name for name in defined}
+    got = _reached(names, {}, [("m", ast.parse(source))], {"m.kept": "kept without a use"})
+    assert got == {"m.main", "m.live", "m.helper"}
+
+
 def test_every_public_definition_is_reached():
-    used = names_used()
-    unreached = sorted(q for q, name in public_definitions().items() if name not in used and q not in KEEP)
-    assert not unreached, f"used only by tests, through __init__, or not at all: {unreached}"
+    unreached = sorted(q for q in public_definitions() if q not in reached() and q not in KEEP)
+    assert not unreached, f"used only by tests, by unreached code, or not at all: {unreached}"
+
+
+def test_every_private_function_is_reached():
+    unreached = sorted(q for q in private_functions() if q not in reached() and q not in KEEP)
+    assert not unreached, f"private functions used by no reached code: {unreached}"
 
 
 def test_every_public_member_is_reached():
-    used = attributes_used()
-    unreached = sorted(q for q, name in public_members().items() if name not in used)
-    assert not unreached, f"methods or properties never read as an attribute: {unreached}"
+    unreached = sorted(q for q in public_members() if q not in reached())
+    assert not unreached, f"methods or properties never read as an attribute in reached code: {unreached}"
 
 
 def test_keep_lists_only_unused_definitions():
-    defs, params = public_definitions(), public_parameters()
+    defs, params = {**public_definitions(), **private_functions()}, public_parameters()
     missing = sorted(q for q in KEEP if q not in defs and q not in params)
     assert not missing, f"KEEP names definitions or parameters that do not exist: {missing}"
-    used = names_used()
-    reached = sorted(q for q in KEEP if q in defs and defs[q] in used)
-    assert not reached, f"KEEP names definitions the program or bench already uses: {reached}"
+    used = sorted(q for q in KEEP if q in defs and q in reached())
+    assert not used, f"KEEP names definitions the program or bench already uses: {used}"
     unpassed = parameters_unpassed()
     passed = sorted(q for q in KEEP if q in params and q not in unpassed)
     assert not passed, f"KEEP names parameters the program or bench already passes: {passed}"
+
 
 def test_every_defaulted_parameter_is_passed():
     unpassed = [q for q in parameters_unpassed() if q not in KEEP]
