@@ -54,7 +54,8 @@ class NotGale(GaleprojError, ValueError):
 
 
 class TooLargeForExact(GaleprojError, ValueError):
-    """Input exceeds the size cap of an exact layer (coloring, experiment)."""
+    """Input exceeds the size cap of an exact layer (coloring, experiment,
+    Gale face enumeration)."""
 
 
 class OutOfTheoremRange(GaleprojError, ValueError):

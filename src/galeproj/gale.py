@@ -25,10 +25,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 from typing import Callable, Iterable, Sequence
 
 from . import lp
-from .errors import DimensionMismatch, DuplicateLabels, NotGale, UnknownLabel
+from .errors import DimensionMismatch, DuplicateLabels, NotGale, TooLargeForExact, UnknownLabel
 from .linalg import Vec, integer_row, primitive, rank, vec
 
 FACE_CARD_CAP = 8
@@ -192,12 +193,16 @@ def gale_faces_of_card(G: VectorConfig, k: int) -> list[frozenset[int]]:
     """All k-subsets of labels passing the face test, sorted.
 
     For a simplicial encoded polytope these are exactly its (k-1)-faces.
-    `FACE_CARD_CAP` bounds the cardinality, and so the C(m, k) sweep.
+    `FACE_CARD_CAP` bounds the cardinality, and so the C(m, k) sweep; a k
+    past it raises `TooLargeForExact` before any face test.
     """
-    if k > FACE_CARD_CAP:
-        raise ValueError(f"cardinality {k} exceeds the cap {FACE_CARD_CAP}")
     if k > len(G):
         raise ValueError(f"cardinality {k} exceeds configuration size {len(G)}")
+    if k > FACE_CARD_CAP:
+        raise TooLargeForExact(
+            f"Gale face enumeration of cardinality {k} (C({len(G)}, {k}) = {comb(len(G), k)}"
+            f" label sets) exceeds the cap {FACE_CARD_CAP} on the cardinality"
+        )
     if not G.is_gale:
         raise NotGale("face enumeration needs a Gale transform")
     out = [

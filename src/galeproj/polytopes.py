@@ -2,6 +2,10 @@
 
 H-polytopes are validated on construction: the solution set must be
 nonempty, bounded and full-dimensional, and every row must define a facet.
+One spanning test decides boundedness.  A bounded system's vertex records
+then decide the other three verdicts (see `HPolytope._validate`), so the
+constructor enumerates the vertices: C(m, n) square solves for m rows in
+R^n, which any cap on H-vertex enumeration must meet at construction.
 Vertex enumeration goes through all n-subsets of rows, which is the right
 trade-off at the scale this package targets (m up to ~20).
 """
@@ -69,7 +73,7 @@ class VPolytope:
         scaled by the lcm of their denominators, which grows with their
         number, and each difference is divided by its gcd.  Positive
         scalings keep the Gordan verdicts.  Built on first read and kept on
-        the instance, like `HPolytope.vertex_records`, so `==` and `hash`
+        the instance, as `HPolytope.vertex_records` is, so `==` and `hash`
         still compare only the fields.
         """
         L = lcm(*(x.denominator for p in self.points for x in p))
@@ -85,7 +89,19 @@ class FaceRecord:
 
 @dataclass(frozen=True)
 class HPolytope:
-    """Bounded full-dimensional {x : Ax <= b} with facet-defining rows."""
+    """Bounded full-dimensional {x : Ax <= b} with facet-defining rows.
+
+    The constructor checks all four properties and raises `EmptyPolytope`,
+    `NotFullDimensional`, `UnboundedPolytope` or `RedundantRow` (naming the
+    first row, in order, that defines no facet).  Boundedness is one
+    spanning test on the rows.  A bounded system is pointed, so its vertex
+    records are exact, and they decide the rest: no record means empty, a
+    row tight at every vertex means flat, and a row whose tight vertices
+    are none, or lie among another row's, defines no facet.  So
+    construction runs the C(m, n) square solves of `vertex_records`, and
+    the records are kept for every later read.  Only an unbounded system
+    asks LPs for emptiness and flatness.
+    """
 
     A: Mat
     b: Vec
@@ -115,7 +131,10 @@ class HPolytope:
 
     @cached_property
     def vertex_records(self) -> tuple[FaceRecord, ...]:
-        """Vertex records, enumerated on first read and kept on the instance.
+        """Vertex records, enumerated once and kept on the instance.
+
+        The first read is `_validate`'s, in the constructor, on a system
+        it has proved bounded.
 
         Enumerates n-subsets of rows, keeps feasible basic solutions, merges
         duplicates and recomputes tightness against every row, so non-simple
@@ -142,28 +161,64 @@ class HPolytope:
         return tuple(FaceRecord(found[x], x) for x in sorted(found))
 
     def _validate(self) -> None:
-        m, n = self.num_facets, self.dim
-        # Ax < b has a point iff some (y, mu), mu >= 0, has a.y - b*mu <= b - 1
-        # on every row: x = y / (1 + mu) then has a.x <= b - 1/(1 + mu) < b, and
-        # a point x with least slack delta > 0 gives 1 + mu = max(1, 1/delta),
-        # y = (1 + mu) x
-        rows = [((*a, -bi), bi - 1) for a, bi in zip(self.A, self.b)]
-        interior = lp.lp_feasible(rows + [((0,) * n + (-1,), 0)])
-        if not interior.feasible:
-            if not lp.lp_feasible(list(zip(self.A, self.b))).feasible:
-                raise EmptyPolytope("the inequality system has no solution")
-            raise NotFullDimensional("the solution set has empty interior")
-        # bounded iff the recession cone {Ax <= 0} is {0}, that is iff the
-        # rows positively span R^n: one rank and one strict system (Davis 1954)
+        """Raise EmptyPolytope, NotFullDimensional, UnboundedPolytope or
+        RedundantRow, the first that applies in that order.
+
+        Boundedness is tested first, by one spanning test: the recession cone
+        {Ax <= 0} is {0} iff the rows positively span R^n (Davis 1954).
+
+        A bounded system has rank n, so its solution set P is pointed: a
+        nonempty P has a vertex, its vertices are its feasible basic
+        solutions, and P is their hull.  `vertex_records` finds every one,
+        each with all the rows tight there.  So (Ziegler, *Lectures on
+        Polytopes*, Sec. 2.1):
+        - P is empty iff there is no record;
+        - P is lower-dimensional iff some row is tight on all of P, an
+          implicit equality, and a row is tight on P iff it is tight at
+          every vertex;
+        - for a full-dimensional P, let V_i be the vertices where row i is
+          tight, and F_i = conv V_i its face.  Dropping row i leaves P as
+          it is iff F_i is not a facet, or is a facet that another row
+          also defines.  That holds iff V_i is empty or V_i lies in some
+          V_j, j != i.  If F_i is a facet defined by row j too, V_i = V_j.
+          If F_i is a nonempty face but no facet, it lies in a facet, and
+          a row j != i defines that facet.  Conversely, if a nonempty V_i
+          lies in V_j, then F_i lies in F_j, a proper face as P is
+          full-dimensional; so F_i is no facet, or F_i = F_j.
+        The rows are scanned in order, so the label named is the first row
+        the Farkas test "row i is implied by the others" would flag.
+
+        An unbounded system may have no vertex at all, so its records say
+        nothing; there the emptiness and interior LPs decide, and only
+        then is it reported unbounded.
+        """
         if not positively_spanning(self.A):
+            n = self.dim
+            # Ax < b has a point iff some (y, mu), mu >= 0, has a.y - b*mu <= b - 1
+            # on every row: x = y / (1 + mu) then has a.x <= b - 1/(1 + mu) < b, and
+            # a point x with least slack delta > 0 gives 1 + mu = max(1, 1/delta),
+            # y = (1 + mu) x
+            rows = [((*a, -bi), bi - 1) for a, bi in zip(self.A, self.b)]
+            if not lp.lp_feasible(rows + [((0,) * n + (-1,), 0)]).feasible:
+                if not lp.lp_feasible(list(zip(self.A, self.b))).feasible:
+                    raise EmptyPolytope("the inequality system has no solution")
+                raise NotFullDimensional("the solution set has empty interior")
             raise UnboundedPolytope("the solution set is unbounded")
-        # Farkas in cone form: row i is implied by the others, so defines no
-        # facet, iff (a_i, b_i) lies in cone{(a_r, b_r) : r != i} + cone{(0, 1)}
-        lifted = [(*a, bi) for a, bi in zip(self.A, self.b)]
-        up = (Fraction(0),) * n + (Fraction(1),)
-        for i in range(m):
-            if lp.cone_combination([*lifted[:i], *lifted[i + 1:], up], lifted[i]) is not None:
-                raise RedundantRow(f"row with label {self.facet_labels[i]} defines no facet")
+        records = self.vertex_records
+        if not records:
+            raise EmptyPolytope("the inequality system has no solution")
+        # bit k of tight[label] is set iff the row is tight at vertex k
+        tight = dict.fromkeys(self.facet_labels, 0)
+        for k, rec in enumerate(records):
+            for label in rec.tight_facets:
+                tight[label] |= 1 << k
+        if (1 << len(records)) - 1 in tight.values():
+            raise NotFullDimensional("the solution set has empty interior")
+        # a bounded system has n + 1 >= 2 rows, and no tight vertex at all is
+        # a subset of every other row's
+        for label, mine in tight.items():
+            if any(mine | other == other for o, other in tight.items() if o != label):
+                raise RedundantRow(f"row with label {label} defines no facet")
 
 
 def h_vertices(P: HPolytope) -> tuple[FaceRecord, ...]:

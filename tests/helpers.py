@@ -11,7 +11,13 @@ from typing import Iterable
 
 from galeproj import lp
 from galeproj.complexes import Complex, closure_from_facets
-from galeproj.errors import DimensionMismatch
+from galeproj.errors import (
+    DimensionMismatch,
+    EmptyPolytope,
+    NotFullDimensional,
+    RedundantRow,
+    UnboundedPolytope,
+)
 from galeproj.gale import positively_spanning
 from galeproj.linalg import Vec, frac, integer_row, mat, mat_vec, rank, vdot, vec, vsub
 from galeproj.obstructions import Graph
@@ -675,3 +681,32 @@ def facet_description(points) -> HPolytope:
             rows.add(lcm_gcd_canonical_row(tuple(-x for x in normal), -beta))
     ordered = sorted(rows)
     return HPolytope([r[0] for r in ordered], [r[1] for r in ordered])
+
+
+def lp_validation(A, b, labels) -> None:
+    """The LP validation `HPolytope` ran before its vertex records decided.
+
+    Raises what `HPolytope(A, b, labels)` raises, with the same message,
+    from LPs alone: the (y, mu) interior system, the emptiness LP, the
+    spanning test and one cone-form Farkas LP per row.  Entries are ints
+    or Fractions; labels are distinct, one per row.
+    """
+    n = len(A[0])
+    # Ax < b has a point iff some (y, mu), mu >= 0, has a.y - b*mu <= b - 1
+    # on every row: x = y / (1 + mu) then has a.x <= b - 1/(1 + mu) < b, and
+    # a point x with least slack delta > 0 gives 1 + mu = max(1, 1/delta),
+    # y = (1 + mu) x
+    rows = [((*a, -bi), bi - 1) for a, bi in zip(A, b)]
+    if not lp.lp_feasible(rows + [((0,) * n + (-1,), 0)]).feasible:
+        if not lp.lp_feasible(list(zip(A, b))).feasible:
+            raise EmptyPolytope("the inequality system has no solution")
+        raise NotFullDimensional("the solution set has empty interior")
+    if not positively_spanning(A):
+        raise UnboundedPolytope("the solution set is unbounded")
+    # Farkas in cone form: row i is implied by the others, so defines no
+    # facet, iff (a_i, b_i) lies in cone{(a_r, b_r) : r != i} + cone{(0, 1)}
+    lifted = [(*a, bi) for a, bi in zip(A, b)]
+    up = (0,) * n + (1,)
+    for i, label in enumerate(labels):
+        if lp.cone_combination([*lifted[:i], *lifted[i + 1:], up], lifted[i]) is not None:
+            raise RedundantRow(f"row with label {label} defines no facet")

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from galeproj import gale, lp
-from galeproj.errors import DuplicateLabels, NotGale
+from galeproj.errors import DuplicateLabels, NotGale, TooLargeForExact
 from galeproj.gale import (
     FACE_CARD_CAP,
     VectorConfig,
@@ -347,6 +347,25 @@ class TestFaceEnumeration:
             gale_faces_of_card(coupling_config(1), 9)
         with pytest.raises(ValueError):
             gale_faces_of_card(coupling_config(1), 7)
+
+    def test_cardinality_cap_is_typed(self):
+        # ten vectors positively spanning R^2, so a k = 9 sweep would run
+        G = VectorConfig([(1, 0), (0, 1), (-1, -1)] * 3 + [(1, 1)])
+        with pytest.raises(TooLargeForExact) as err:
+            gale_faces_of_card(G, FACE_CARD_CAP + 1)
+        assert str(err.value) == (
+            "Gale face enumeration of cardinality 9 (C(10, 9) = 10 label sets)"
+            " exceeds the cap 8 on the cardinality"
+        )
+        # one less runs: the complement of an 8-set is two vectors, dependent
+        # iff they are (1, 1) and a copy of (-1, -1)
+        assert gale_faces_of_card(G, FACE_CARD_CAP) == [frozenset(range(1, 11)) - {i, 10} for i in (9, 6, 3)]
+        # a k past the configuration's size is a plain bad argument, under
+        # the cap or over it
+        for k in (7, FACE_CARD_CAP + 1):
+            with pytest.raises(ValueError) as err:
+                gale_faces_of_card(coupling_config(1), k)
+            assert type(err.value) is ValueError
 
     def test_cross_polytope_diagram_matches_direct_hull(self):
         a, b, c = (1, 0), (0, 1), (-1, -1)

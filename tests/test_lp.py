@@ -240,9 +240,10 @@ class TestIntegerPivotsMatchFractionSimplex:
     def test_two_triangle_example_solves(self, oracle_checked):
         assert two_triangle_example("1/4").passed
         # 26 + 65 before the census, the oracle and the face test stopped
-        # solving LPs whose answers they already held, and 18 + 51 before
-        # the spanning and dependence questions were asked once per ray set
-        assert oracle_checked["solves"] == 7 + 26
+        # solving LPs whose answers they already held, 18 + 51 before the
+        # spanning and dependence questions were asked once per ray set,
+        # and 7 + 26 before the vertex records validated the polytope
+        assert oracle_checked["solves"] == 6 + 20
 
 
 def test_no_variables():

@@ -247,8 +247,27 @@ class TestTwoTriangleOpCounts:
         # g-vectors of labels 1, 2 and of labels 5, 6 are equal, and the
         # spanning and dependence questions are asked once per set of
         # rays: asking them once per label set made 18 lp_feasible calls
-        # (2 feasible) and 18 + 51 nonneg_combination calls.
-        assert counts == {"lp_feasible": 7, "feasible": 2, "nonneg_combination": 7 + 26}
+        # (2 feasible) and 18 + 51 nonneg_combination calls.  The polytope's
+        # vertex records decide emptiness, flatness and redundancy; an
+        # interior LP and one Farkas cone LP per row made 7 lp_feasible
+        # calls (2 feasible) and 7 + 26 nonneg_combination calls.
+        assert counts == {"lp_feasible": 6, "feasible": 1, "nonneg_combination": 6 + 20}
+
+    def test_building_the_polytope(self, monkeypatch):
+        counts = count_lp_calls(monkeypatch)
+        solves = []
+        original = polytopes.solve_square
+
+        def counting(a, b):
+            solves.append(1)
+            return original(a, b)
+
+        monkeypatch.setattr(polytopes, "solve_square", counting)
+        pipeline.deformed_triangle_product("1/4")
+        # one spanning test proves it bounded, and the vertex records of its
+        # 15 row subsets, enumerated here and kept, decide the rest
+        assert counts == {"lp_feasible": 1, "feasible": 0, "nonneg_combination": 1}
+        assert len(solves) == 15
 
     def test_lp_calls_at_one(self, monkeypatch):
         counts = count_lp_calls(monkeypatch)
@@ -269,7 +288,7 @@ class TestTwoTriangleOpCounts:
             runs.append(dict(counts))
         # a verdict kept past its configuration would make the second call
         # cheaper, or the first one after an earlier test
-        assert runs == [{"lp_feasible": 7, "feasible": 2, "nonneg_combination": 7 + 26}] * 2
+        assert runs == [{"lp_feasible": 6, "feasible": 1, "nonneg_combination": 6 + 20}] * 2
 
     def test_pivots_at_one_quarter(self, monkeypatch):
         pivots = []
@@ -294,8 +313,10 @@ class TestTwoTriangleOpCounts:
         # that kept the common factors of their entries, made 155, and
         # the spanning and dependence questions asked once per label set
         # instead of once per set of distinct rays, 151.  Bland's rule on
-        # every pivot made 76.
-        assert len(pivots) == 78
+        # every pivot made 76, and validating the polytope by an interior
+        # LP and one Farkas cone LP per row instead of by its vertex
+        # records, 78.
+        assert len(pivots) == 54
 
     def test_one_image_hull(self, monkeypatch):
         # only the oracle projects the vertices and takes their hull

@@ -32,6 +32,7 @@ from helpers import (
     facet_description,
     fraction_slacks,
     le,
+    lp_validation,
     lt,
     margin_lp_feasible,
     normal_cone_oracle,
@@ -174,6 +175,92 @@ class TestValidationOracle:
             assert interior_verdict(A, b) is verdict, (A, b)
             seen.add(verdict)
         assert seen == {None, EmptyPolytope, NotFullDimensional}
+
+
+def verdict(build):
+    """The validation error `build()` raises, as (type, message), or None."""
+    try:
+        build()
+    except (EmptyPolytope, NotFullDimensional, UnboundedPolytope, RedundantRow) as err:
+        return type(err), str(err)
+    return None
+
+
+SQUARE_ROWS = [[1, 0], [-1, 0], [0, 1], [0, -1]]
+CUBE_ROWS = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
+
+# name -> (A, b, the verdict's type, the label it names or None)
+RECORD_CASES = {
+    "tight nowhere": (SQUARE_ROWS + [[1, 0]], [1, 1, 1, 1, 2], RedundantRow, 5),
+    "tight at one vertex": (SQUARE_ROWS + [[1, 1]], [1, 1, 1, 1, 2], RedundantRow, 5),
+    "tight along an edge in R^3": (CUBE_ROWS + [[1, 1, 0]], [1] * 6 + [2], RedundantRow, 7),
+    "duplicate row": (SQUARE_ROWS + [[1, 0]], [1, 1, 1, 1, 1], RedundantRow, 1),
+    "scaled duplicate row": (SQUARE_ROWS + [[0, 3]], [1, 1, 1, 1, 3], RedundantRow, 3),
+    "zero row, b = 0": (SQUARE_ROWS + [[0, 0]], [1, 1, 1, 1, 0], NotFullDimensional, None),
+    "zero row, b > 0": ([[0, 0]] + SQUARE_ROWS, [1, 1, 1, 1, 1], RedundantRow, 1),
+    "zero row, b < 0": (SQUARE_ROWS + [[0, 0]], [1, 1, 1, 1, -1], EmptyPolytope, None),
+    "segment in R^2": (SQUARE_ROWS + [[0, 1]], [1, 1, 1, 1, -1], NotFullDimensional, None),
+    "a point in R^2": (SQUARE_ROWS + [[1, 1]], [1, 1, 1, 1, -2], NotFullDimensional, None),
+    "square": (SQUARE_ROWS, [1, 1, 1, 1], None, None),
+}
+
+
+def random_bounded_system(rng):
+    """Rows in R^1 to R^3 that positively span, with rhs, and shuffled labels.
+
+    A simplex's normals make every system bounded.  Small integer rows and
+    rhs make ties, so rows tight nowhere, at one vertex or along a face;
+    duplicates, scaled duplicates, opposites and zero rows are added on
+    purpose.
+    """
+    n = rng.randint(1, 3)
+    A = [[-int(i == j) for j in range(n)] for i in range(n)] + [[1] * n]
+    A += [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(0, n + 1))]
+    b = [Fraction(rng.randint(-1, 4), rng.randint(1, 2)) for _ in A]
+    for _ in range(rng.randint(0, 2)):
+        i = rng.randrange(len(A))
+        extra = rng.random()
+        if extra < 0.3:  # a duplicate, or a scaled one
+            scale = rng.choice([1, 2, Fraction(1, 3)])
+            A.append([scale * x for x in A[i]])
+            b.append(scale * b[i])
+        elif extra < 0.6:  # the opposite, so a hyperplane the system may lie in
+            A.append([-x for x in A[i]])
+            b.append(-b[i])
+        elif extra < 0.8:  # a zero row, tight everywhere, nowhere or infeasible
+            A.append([0] * n)
+            b.append(rng.choice([-1, 0, 1]))
+        else:  # a shift of a row, often tight nowhere
+            A.append(list(A[i]))
+            b.append(b[i] + rng.choice([-1, 1]))
+    order = list(range(len(A)))
+    rng.shuffle(order)
+    labels = rng.sample(range(1, 100), len(A))
+    return [A[i] for i in order], [b[i] for i in order], labels
+
+
+class TestValidationFromRecords:
+    """`HPolytope`'s verdicts from vertex records against the LP validation."""
+
+    @pytest.mark.parametrize("name", sorted(RECORD_CASES))
+    def test_hand_cases(self, name):
+        A, b, kind, label = RECORD_CASES[name]
+        labels = list(range(1, len(A) + 1))
+        got = verdict(lambda: HPolytope(A, b))
+        assert got == verdict(lambda: lp_validation(A, b, labels))
+        assert (got and got[0]) is kind
+        if label is not None:
+            assert got[1] == f"row with label {label} defines no facet"
+
+    def test_random_bounded_systems(self):
+        rng = random.Random(2026)
+        seen = set()
+        for _ in range(300):
+            A, b, labels = random_bounded_system(rng)
+            got = verdict(lambda: HPolytope(A, b, labels))
+            assert got == verdict(lambda: lp_validation(A, b, labels)), (A, b, labels)
+            seen.add(got and got[0])
+        assert seen == {None, EmptyPolytope, NotFullDimensional, RedundantRow}
 
 
 class TestVertexEnumeration:
