@@ -109,7 +109,11 @@ class VectorConfig:
         return self._ask(positively_dependent, labels)
 
     def _ask(self, question: Callable[[Sequence[Sequence]], bool], labels: Iterable[int]) -> bool:
-        rays = tuple(sorted({self.vector(l) for l in labels}))
+        all_rays, index = self._rays, self._index
+        try:
+            rays = tuple(sorted({all_rays[index[l]] for l in labels}))
+        except KeyError as err:
+            raise UnknownLabel(err.args[0]) from None
         key = (question.__name__, rays)
         verdicts = self._verdicts
         if key not in verdicts:
@@ -147,7 +151,7 @@ def positively_spanning(W: Sequence[Sequence]) -> bool:
     e = len(vectors[0])
     if rank(vectors) < e:
         return False
-    total = [sum(w[j] for w in vectors) for j in range(e)]
+    total = [sum(column) for column in zip(*vectors)]
     return not lp.lp_feasible([(w, 0) for w in vectors] + [(total, -1)]).feasible
 
 
@@ -162,8 +166,7 @@ def positively_dependent(W: Sequence[Sequence]) -> bool:
     vectors = list(W)
     if not vectors:
         raise DimensionMismatch("empty set cannot be positively dependent")
-    e = len(vectors[0])
-    neg_total = tuple(-sum(w[j] for w in vectors) for j in range(e))
+    neg_total = tuple(-sum(column) for column in zip(*vectors))
     return lp.cone_combination(vectors, neg_total) is not None
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import mul, sub
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, RankDeficient
@@ -38,7 +38,7 @@ def mat(rows: Iterable[Iterable]) -> Mat:
 def vsub(u: Vec, v: Vec) -> Vec:
     if len(u) != len(v):
         raise DimensionMismatch(f"vector dims {len(u)} != {len(v)}")
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def vdot(u: Vec, v: Vec) -> Fraction:
@@ -56,7 +56,16 @@ def transpose(m: Mat) -> Mat:
 
 
 def mat_vec(m: Mat, x: Vec) -> Vec:
-    return tuple(vdot(row, x) for row in m)
+    """m x, each entry summed in integers as `vdot` sums it, but with x
+    scaled to integers once per call and each row once: one Fraction per entry."""
+    nx, lx = integer_row(x)
+    out = []
+    for row in m:
+        if len(row) != len(nx):
+            raise DimensionMismatch(f"vector dims {len(row)} != {len(nx)}")
+        nr, lr = integer_row(row)
+        out.append(Fraction(sum(map(mul, nr, nx)), lr * lx))
+    return tuple(out)
 
 
 def matmul(a: Mat, b: Mat) -> Mat:
@@ -67,15 +76,21 @@ def matmul(a: Mat, b: Mat) -> Mat:
 def integer_row(row: Iterable) -> tuple[list[int], int]:
     """(lam * row, lam) for lam the lcm of the row's denominators.
 
-    A row of ints comes back as it is, with lam = 1.
+    A row of ints comes back as it is, with lam = 1: the scan that decides
+    so stops at the first entry that is not an int (a bool is not, and
+    takes the scaled path).
     """
     row = list(row)
-    if all(type(x) is int for x in row):
+    for x in row:
+        if type(x) is not int:
+            break
+    else:
         return row, 1
-    lam = lcm(*(x.denominator for x in row))
+    dens = [x.denominator for x in row]
+    lam = lcm(*dens)
     if lam == 1:
         return [x.numerator for x in row], 1
-    return [x.numerator * (lam // x.denominator) for x in row], lam
+    return [x.numerator * (lam // d) for x, d in zip(row, dens)], lam
 
 
 def primitive(v: Sequence[int]) -> tuple[int, ...]:

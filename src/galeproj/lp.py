@@ -121,10 +121,16 @@ def _solve_nonneg(rows, nvars):
     """
     T = [ints if ints[-1] >= 0 else [-x for x in ints] for ints, _ in rows]
     basis = list(range(nvars, nvars + len(T)))
-    # D times the reduced costs of -sum (L / lam_i) a'_i at the identity basis
+    # D times the reduced costs of -sum (L / lam_i) a'_i at the identity basis;
+    # with L = 1 every weight is 1
     L = lcm(*(lam for _, lam in rows))
-    weights = [L // lam for _, lam in rows]
-    Z = [sum(map(mul, weights, col)) for col in zip(*T)] if T else [0] * (nvars + 1)
+    if not T:
+        Z = [0] * (nvars + 1)
+    elif L == 1:
+        Z = [sum(col) for col in zip(*T)]
+    else:
+        weights = [L // lam for _, lam in rows]
+        Z = [sum(map(mul, weights, col)) for col in zip(*T)]
     D = _simplex_max(T, basis, Z, 1, range(nvars))
     if Z[-1] > 0:
         return None
@@ -195,6 +201,6 @@ def lp_feasible(constraints: list[tuple[Sequence, int | Fraction]]) -> Feasibili
     dims = {len(a) for a, _ in constraints}
     if len(dims) != 1:
         raise DimensionMismatch(f"need rows of one dimension, got dimensions {sorted(dims)}")
-    k = dims.pop()
-    farkas = [([a[j] for a, _ in constraints], 0) for j in range(k)] + [([b for _, b in constraints], -1)]
+    a_rows, b = zip(*constraints)
+    farkas = [(column, 0) for column in zip(*a_rows)] + [(b, -1)]
     return FeasibilityResult(nonneg_combination(farkas, len(constraints)) is None)

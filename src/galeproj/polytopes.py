@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import lcm, prod
-from operator import mul
+from operator import attrgetter, mul
 from typing import Iterable, Sequence
 
 from . import lp
@@ -144,21 +144,29 @@ class HPolytope:
         scaled to integers once, and the square solves read those rows: a
         positive scaling of a row keeps the point where it is tight.  With
         x = num / L, the slack b' * L - a'.num is b - a.x times a positive
-        number, so its sign gives feasibility and tightness.
+        number, so its sign gives feasibility and tightness.  The pair
+        (num, L), L the lcm of the denominators of x, is x's own integer
+        form, so basic solutions are merged by it, not by the coordinates.
         """
         m, n = self.num_facets, self.dim
         rows = [integer_row((*a, bi))[0] for a, bi in zip(self.A, self.b)]
-        found: dict[Vec, frozenset[int]] = {}
+        seen: set[tuple[int, ...]] = set()
+        found: list[FaceRecord] = []
         for subset in itertools.combinations(range(m), n):
             x = solve_square([rows[i][:-1] for i in subset], [rows[i][-1] for i in subset])
-            if x is None or x in found:
+            if x is None:
                 continue
             num, L = integer_row(x)
+            key = (*num, L)
+            if key in seen:
+                continue
+            seen.add(key)
             # num has one entry per coordinate, so map leaves b' out of the sum
             slacks = [row[-1] * L - sum(map(mul, row, num)) for row in rows]
             if min(slacks) >= 0:
-                found[x] = frozenset(label for label, s in zip(self.facet_labels, slacks) if s == 0)
-        return tuple(FaceRecord(found[x], x) for x in sorted(found))
+                tight = frozenset(label for label, s in zip(self.facet_labels, slacks) if s == 0)
+                found.append(FaceRecord(tight, x))
+        return tuple(sorted(found, key=attrgetter("vertex_coords")))
 
     def _validate(self) -> None:
         """Raise EmptyPolytope, NotFullDimensional, UnboundedPolytope or
@@ -236,16 +244,17 @@ def hull_vertex_indices(points: Sequence[Vec]) -> set[int]:
     A point repeated in the input is never reported (its index cannot name
     a vertex unambiguously).  A unique point is decided by the Gordan test
     of `minkowski_vertex_test`, run on one summand: the V-polytope of the
-    distinct values, whose cached `differences` it reads.  No input gives
-    the empty set.  The points are int or `Fraction` tuples, which hash
-    and compare alike; that V-polytope is the one place they are coerced.
+    distinct values, whose cached `differences` it reads.  An empty input,
+    or one in which every point repeats, gives the empty set.  The points
+    are int or `Fraction` tuples, which hash and compare alike; that
+    V-polytope is the one place they are coerced.
     """
     if not points:
         return set()
     counts = Counter(points)
     hull = VPolytope(counts)  # the distinct values, in order of first occurrence
     vertices = {
-        p for k, p in enumerate(hull.points) if counts[p] == 1 and minkowski_vertex_test((k,), (hull,))
+        p for k, (p, c) in enumerate(counts.items()) if c == 1 and minkowski_vertex_test((k,), (hull,))
     }
     return {i for i, p in enumerate(points) if p in vertices}
 

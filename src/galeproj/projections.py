@@ -27,6 +27,7 @@ property of the same configuration already tested.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -89,7 +90,7 @@ def make_setup(P: HPolytope, proj: Iterable[Iterable]) -> ProjectionSetup:
     if any(any(x != 0 for x in row) for row in matmul(proj, kern)):
         raise AssertionError("kernel_basis returned columns the projection does not annihilate")
     kern_t = transpose(kern)
-    g = [mat_vec(kern_t, tuple(x / bi for x in a)) for a, bi in zip(P.A, P.b)]
+    g = [tuple(v / bi for v in mat_vec(kern_t, a)) for a, bi in zip(P.A, P.b)]
     return ProjectionSetup(P, proj, VectorConfig(g, P.facet_labels))
 
 
@@ -138,12 +139,13 @@ def oracle_survival(s: ProjectionSetup) -> SurvivalReport:
     """
     records = h_vertices(s.polytope)
     images = [mat_vec(s.proj, r.vertex_coords) for r in records]
-    distinct = sorted(set(images))
+    counts = Counter(images)
+    distinct = sorted(counts)
     hull_values = {distinct[i] for i in hull_vertex_indices(distinct)}
     classified = []
     for r, img in zip(records, images):
         hull_vertex = img in hull_values  # always so for a lone image
-        strict = hull_vertex and images.count(img) == 1
+        strict = hull_vertex and counts[img] == 1
         on_boundary = hull_vertex or not positively_spanning([vsub(w, img) for w in distinct if w != img])
         classified.append(VertexRecord(r.tight_facets, strict, on_boundary))
     return SurvivalReport(tuple(classified), len(hull_values))

@@ -7,6 +7,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from galeproj import lp
@@ -573,6 +574,26 @@ def margin_lp_feasible(constraints) -> bool:
         rows.append((objective, LE, _ONE))
     feasible, _, value = _fraction_simplex(rows, nvars, objective, [], Counter())
     return feasible and (not has_strict or value > 0)
+
+
+def generator_integer_row(row) -> tuple[list[int], int]:
+    """(lam * row, lam) for lam the lcm of the row's denominators.
+
+    `linalg.integer_row` as it decided the all-int pass-through before,
+    by one `all(...)` generator over the row, kept as its oracle.
+    """
+    row = list(row)
+    if all(type(x) is int for x in row):
+        return row, 1
+    lam = lcm(*(x.denominator for x in row))
+    if lam == 1:
+        return [x.numerator for x in row], 1
+    return [x.numerator * (lam // x.denominator) for x in row], lam
+
+
+def fraction_mat_vec(m, x) -> tuple[Fraction, ...]:
+    """m x summed entry by entry in `Fraction` arithmetic (oracle for `linalg.mat_vec`)."""
+    return tuple(sum((Fraction(a) * Fraction(b) for a, b in zip(row, x)), Fraction(0)) for row in m)
 
 
 def gauss_jordan_solve(a, b):

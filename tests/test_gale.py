@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from galeproj import gale, lp
-from galeproj.errors import DuplicateLabels, NotGale, TooLargeForExact
+from galeproj.errors import DuplicateLabels, NotGale, TooLargeForExact, UnknownLabel
 from galeproj.gale import (
     FACE_CARD_CAP,
     VectorConfig,
@@ -456,3 +456,11 @@ class TestInvariance:
 def test_duplicate_labels_rejected():
     with pytest.raises(DuplicateLabels):
         VectorConfig([(1, 0), (0, 1)], labels=[1, 1])
+
+
+@pytest.mark.parametrize("question", ["spans", "dependent"])
+def test_questions_name_the_unknown_label(question):
+    G = VectorConfig([(1, 0), (0, 1), (-1, -1)], labels=(4, 5, 6))
+    with pytest.raises(UnknownLabel) as info:
+        getattr(G, question)([4, 9, 5])
+    assert info.value.args == (9,)

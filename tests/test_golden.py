@@ -12,15 +12,25 @@ from pathlib import Path
 import pytest
 
 from galeproj.cli import main
-from test_cli import COMPLEX
+from test_cli import COMPLEX, TRIANGLE_V
 
 GOLDEN = Path(__file__).with_name("golden")
+
+# a square given by its 4 vertices and its centre, which is no vertex
+SQUARE_V = {"type": "V", "dim": 2, "points": [[0, 0], [2, 0], [0, 2], [2, 2], [1, 1]]}
+# input files written into the working directory of each call; the minksum
+# report prints its input paths, so the calls name them relatively
+INPUTS = {"triangle.json": TRIANGLE_V, "square.json": SQUARE_V}
 
 # golden file -> (argv, exit code); "{complex}" is the COMPLEX fixture's path
 CALLS = {
     "example-quarter.txt": (["example", "--epsilon", "1/4"], 0),
     "example-quarter.json": (["example", "--epsilon", "1/4", "--format", "json"], 0),
     "example-one.txt": (["example", "--epsilon", "1"], 0),
+    # the two ends of the benchmark's epsilon sweep
+    "example-fifth.json": (["example", "--epsilon", "1/5", "--format", "json"], 0),
+    "example-four-fifths.json": (["example", "--epsilon", "4/5", "--format", "json"], 0),
+    "minksum-triangle-square.txt": (["minksum", "--input", "triangle.json", "--input", "square.json"], 0),
     "obstruction-d2-4.json": (["obstruction", "--d", "2..4", "--format", "json"], 0),
     "bound-d3-r3.txt": (["bound", "--d", "3", "--r", "3", "--f0", "5,5,5"], 0),
     "complex-djn.txt": (["complex", "djn", "--input", "{complex}"], 0),
@@ -32,9 +42,12 @@ def test_every_golden_file_is_checked():
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))
-def test_stdout_and_exit_code_are_pinned(name, tmp_path, capsys):
+def test_stdout_and_exit_code_are_pinned(name, tmp_path, monkeypatch, capsys):
     path = tmp_path / "complex.json"
     path.write_text(json.dumps(COMPLEX))
+    for filename, doc in INPUTS.items():
+        (tmp_path / filename).write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
     argv, code = CALLS[name]
     assert main([arg.format(complex=path) for arg in argv]) == code
     captured = capsys.readouterr()

@@ -16,7 +16,7 @@ from galeproj.linalg import (
     transpose,
     vec,
 )
-from helpers import fraction_rref, gauss_jordan_solve, rref_kernel
+from helpers import fraction_mat_vec, fraction_rref, gauss_jordan_solve, generator_integer_row, rref_kernel
 
 
 def gauss_rank(rows):
@@ -294,3 +294,68 @@ class TestGaussJordan:
         for trial in range(200):
             m = structured_matrix(rng, trial)
             assert rank(m) == len(fraction_rref(m)[1]) == gauss_rank(m)
+
+
+def mixed_row(rng, length):
+    """A row of ints and Fractions, some with denominator 1."""
+    kinds = (
+        lambda: rng.randint(-9, 9),
+        lambda: Fraction(rng.randint(-9, 9)),
+        lambda: Fraction(rng.randint(-99, 99), rng.randint(1, 12)),
+    )
+    return [rng.choice(kinds)() for _ in range(length)]
+
+
+def test_integer_row_equals_the_generator_oracle():
+    rng = random.Random(2727)
+    rows = [
+        [],
+        [True, False, 3],
+        [True, True],
+        [False],
+        [1, 2, 3, Fraction(1, 2)],
+        [4, -5, 6, Fraction(7)],
+        [0] * 13,
+        (5, -6, 7),
+    ]
+    rows += [mixed_row(rng, rng.randint(1, 13)) for _ in range(300)]
+    rows += [[rng.randint(-9, 9) for _ in range(rng.randint(1, 13))] for _ in range(50)]
+    seen = {"int": 0, "scaled": 0}
+    for row in rows:
+        got = linalg.integer_row(row)
+        want = generator_integer_row(row)
+        assert got == want
+        assert [type(x) for x in got[0]] == [type(x) for x in want[0]] == [int] * len(row)
+        # a one-shot iterator gives the same answer
+        assert linalg.integer_row(iter(row)) == want
+        seen["scaled" if got[1] > 1 else "int"] += 1
+    assert seen["int"] > 50 and seen["scaled"] > 200
+
+
+def test_integer_row_returns_a_new_list():
+    row = [1, 2, 3]
+    ints, lam = linalg.integer_row(row)
+    assert (ints, lam) == ([1, 2, 3], 1) and ints is not row
+
+
+def test_mat_vec_equals_a_fraction_dot_product():
+    rng = random.Random(2828)
+    for _ in range(200):
+        n, k = rng.randint(1, 6), rng.randint(0, 6)
+        m = [mixed_row(rng, n) for _ in range(k)]
+        x = mixed_row(rng, n)
+        got = mat_vec(m, x)
+        assert got == fraction_mat_vec(m, x)
+        assert all(type(v) is Fraction for v in got)
+
+
+@pytest.mark.parametrize("m, x", [
+    ([[1, 2], [3, 4]], [1]),
+    ([[1, 2], [3, 4]], [1, 2, 3]),
+    ([[Fraction(1, 2), 2]], [Fraction(1, 3)]),
+    # one row of the wrong length
+    ([[1, 2], [3, 4, 5]], [1, 2]),
+])
+def test_mat_vec_rejects_mismatched_dimensions(m, x):
+    with pytest.raises(DimensionMismatch):
+        mat_vec(m, x)
