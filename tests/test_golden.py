@@ -34,6 +34,10 @@ CALLS = {
     "obstruction-d2-4.json": (["obstruction", "--d", "2..4", "--format", "json"], 0),
     "bound-d3-r3.txt": (["bound", "--d", "3", "--r", "3", "--f0", "5,5,5"], 0),
     "complex-djn.txt": (["complex", "djn", "--input", "{complex}"], 0),
+    "complex-nf.txt": (["complex", "nf", "--input", "{complex}"], 0),
+    # the verdict's fields in order; "no" at the 1-sphere, "unknown" at the 2-sphere
+    "embed-sphere1.json": (["embed", "--input", "{complex}", "--sphere", "1", "--format", "json"], 0),
+    "embed-sphere2.txt": (["embed", "--input", "{complex}", "--sphere", "2"], 0),
 }
 
 
