@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 
 from . import pipeline, serialize
@@ -111,7 +110,7 @@ def _cmd_complex(args) -> int:
 def _cmd_embed(args) -> int:
     K = serialize.parse_complex(_load_json(args.input))
     verdict = nonembeddable(K, args.sphere)
-    data = asdict(verdict)
+    data = verdict._asdict()
     if args.format == "json":
         print(_dump(data))
     else:

@@ -12,11 +12,10 @@ downstream obstruction computations work factor by factor.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable
 
-from .errors import LabelOutsideVertexSet
+from .errors import LabelOutsideVertexSet, Record
 
 Label = object  # ints or strings in practice
 Face = frozenset
@@ -50,20 +49,22 @@ def _antichain(sets: Iterable[Face]) -> frozenset[Face]:
     return frozenset(kept)
 
 
-@dataclass(frozen=True, eq=False)
-class Complex:
-    """Simplicial complex on ordered vertices, given by its facets."""
+class Complex(Record):
+    """Simplicial complex on ordered vertices, given by its facets.
 
-    vertices: tuple
-    facets: frozenset[Face]
+    `==` and `hash` read the vertex set, not the order of the vertices.
+    """
 
-    def __post_init__(self):
-        vs = set(self.vertices)
-        if len(vs) != len(self.vertices):
+    _fields = ("vertices", "facets")
+
+    def __init__(self, vertices: tuple, facets: frozenset[Face]):
+        vs = set(vertices)
+        if len(vs) != len(vertices):
             raise LabelOutsideVertexSet("duplicate vertex labels")
-        for f in self.facets:
+        for f in facets:
             if not f <= vs:
                 raise LabelOutsideVertexSet(f"facet {sorted(f, key=_label_key)} uses undeclared labels")
+        self.__dict__.update(vertices=vertices, facets=facets)
 
     def __eq__(self, other):
         if not isinstance(other, Complex):
@@ -95,8 +96,8 @@ class Complex:
     def nonfaces(self) -> frozenset[Face]:
         """`minimal_nonfaces` of the complex, listed on first read and kept.
 
-        The value lives in the instance dict, so `==` and `hash` still
-        compare only the vertices and facets.
+        The value lives in the instance dict, where `==` and `hash` do
+        not look: they compare the vertex set and the facets alone.
         """
         return minimal_nonfaces(self)
 
@@ -124,9 +125,7 @@ class Join(Complex):
         untag = {_tag(prefix, v): (i, v) for i, (prefix, K) in enumerate(factors) for v in K.vertices}
         if len(untag) != sum(len(K.vertices) for _, K in factors):
             raise LabelOutsideVertexSet("duplicate vertex labels")
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "vertices", tuple(untag))
-        object.__setattr__(self, "_untag", untag)
+        self.__dict__.update(factors=factors, vertices=tuple(untag), _untag=untag)
 
     def __repr__(self):
         return f"Join({self.factors!r})"

@@ -1,4 +1,38 @@
-"""Exception types shared across the package."""
+"""Exception types, and the base of the immutable records, shared across
+the package."""
+
+
+class Record:
+    """Base of the records that validate their fields or cache values.
+
+    A subclass names its fields in `_fields`, and its `__init__` stores
+    them in the instance dict.  `==`, `hash` and `repr` read those fields
+    in order; assigning or deleting an attribute raises AttributeError.
+    A `cached_property` value also lives in the instance dict, out of `==`
+    and `hash`.
+    """
+
+    _fields = ()
+
+    def _asdict(self) -> dict:
+        return {name: getattr(self, name) for name in self._fields}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._asdict() == other._asdict()
+
+    def __hash__(self):
+        return hash(tuple(self._asdict().values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
 
 class GaleprojError(Exception):

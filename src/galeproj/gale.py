@@ -23,20 +23,18 @@ projects to, repeats its ray sets across deletions and complements.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 from typing import Callable, Iterable, Sequence
 
 from . import lp
-from .errors import DimensionMismatch, DuplicateLabels, NotGale, TooLargeForExact, UnknownLabel
+from .errors import DimensionMismatch, DuplicateLabels, NotGale, Record, TooLargeForExact, UnknownLabel
 from .linalg import Vec, integer_row, primitive, rank, vec
 
 FACE_CARD_CAP = 8
 
 
-@dataclass(frozen=True)
-class VectorConfig:
+class VectorConfig(Record):
     """Ordered, labeled configuration of vectors in a common space.
 
     The LP and rank questions read the primitive integer ray of each
@@ -50,10 +48,13 @@ class VectorConfig:
     Whether it is a Gale transform (`is_gale`), and the spanning and
     dependence verdicts of label sets (`spans`, `dependent`, see the
     module docstring), are decided on first use and kept the same way.
-    The configuration is immutable, so no verdict can go stale, and none
+    The configuration is immutable: assigning or deleting an attribute
+    raises AttributeError, so no verdict can go stale.  The kept values
+    live in the instance dict, which `==` and `hash` do not read, and none
     outlives the instance: an equal, fresh one decides again.
     """
 
+    _fields = ("vectors", "labels")
     vectors: tuple[Vec, ...]
     labels: tuple[int, ...]
 
@@ -67,8 +68,7 @@ class VectorConfig:
         labs = tuple(labels) if labels is not None else tuple(range(1, len(vecs) + 1))
         if len(labs) != len(vecs) or len(set(labs)) != len(labs):
             raise DuplicateLabels("labels must be distinct, one per vector")
-        object.__setattr__(self, "vectors", vecs)
-        object.__setattr__(self, "labels", labs)
+        self.__dict__.update(vectors=vecs, labels=labs)
 
     @property
     def dim(self) -> int:

@@ -93,6 +93,14 @@ def integer_row(row: Iterable) -> tuple[list[int], int]:
     return [x.numerator * (lam // d) for x, d in zip(row, dens)], lam
 
 
+def integer_points(points: Sequence[Sequence]) -> list[tuple[int, ...]]:
+    """The points scaled by the lcm of all their denominators: one positive
+    scaling, which keeps equality, lexicographic order and the hull's
+    vertices, into int tuples that hash far faster than `Fraction` ones."""
+    L = lcm(*(x.denominator for p in points for x in p))
+    return [tuple(x.numerator * (L // x.denominator) for x in p) for p in points]
+
+
 def primitive(v: Sequence[int]) -> tuple[int, ...]:
     """The integer vector divided by the gcd of its entries: the primitive
     vector on its ray (the zero vector stays as it is)."""

@@ -32,18 +32,18 @@ simplex (see `_solve_nonneg`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatch
 from .linalg import integer_row
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
+class FeasibilityResult(NamedTuple):
+    """`lp_feasible`'s verdict; read `.feasible`, as a 1-tuple is always true."""
+
     feasible: bool
 
 

@@ -21,29 +21,27 @@ building its graph when they are all k-subsets of an n-set with n >= 2k
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .complexes import Complex, Join, sort_family, sort_labels
-from .errors import HypothesisViolated, OutOfTheoremRange, TooLargeForExact
+from .errors import HypothesisViolated, OutOfTheoremRange, Record, TooLargeForExact
 
 EXACT_CAP = 32
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Record):
     """Finite simple graph; edges are unordered pairs of declared labels."""
 
-    vertices: tuple
-    edges: frozenset[frozenset]
+    _fields = ("vertices", "edges")
 
-    def __post_init__(self):
-        vs = set(self.vertices)
-        for e in self.edges:
+    def __init__(self, vertices: tuple, edges: frozenset[frozenset]):
+        vs = set(vertices)
+        for e in edges:
             if len(e) != 2:
                 raise ValueError(f"not an edge: {sorted(e, key=repr)}")
             if not e <= vs:
                 raise ValueError("edge endpoint not among the vertices")
+        self.__dict__.update(vertices=vertices, edges=edges)
 
 
 def kneser_graph(family: Iterable[Iterable]) -> Graph:
@@ -200,23 +198,23 @@ def certified_kneser_chi(family: Iterable[Iterable]) -> int | None:
     return chi
 
 
-@dataclass(frozen=True)
-class ObstructionVerdict:
-    complex_size: int
-    chi_used: int
-    sarkaria_lower: int
-    djn_dim_upper: int
-    target_sphere: int
-    embeddable: str  # "no" | "unknown"
+class ObstructionVerdict(Record):
+    """The bounds `nonembeddable` compares, checked; `embeddable` is "no" or "unknown"."""
 
-    def __post_init__(self):
-        if self.sarkaria_lower != self.complex_size - self.chi_used - 1:
+    _fields = ("complex_size", "chi_used", "sarkaria_lower", "djn_dim_upper", "target_sphere", "embeddable")
+
+    def __init__(
+        self, complex_size: int, chi_used: int, sarkaria_lower: int, djn_dim_upper: int, target_sphere: int,
+        embeddable: str,
+    ):
+        if sarkaria_lower != complex_size - chi_used - 1:
             raise ValueError("lower bound must equal n - chi - 1")
-        if self.sarkaria_lower > self.djn_dim_upper:
+        if sarkaria_lower > djn_dim_upper:
             raise ValueError("lower bound exceeds the dimension upper bound")
-        want = "no" if self.sarkaria_lower > self.target_sphere else "unknown"
-        if self.embeddable != want:
+        if embeddable != ("no" if sarkaria_lower > target_sphere else "unknown"):
             raise ValueError("verdict inconsistent with the bounds")
+        values = (complex_size, chi_used, sarkaria_lower, djn_dim_upper, target_sphere, embeddable)
+        self.__dict__.update(zip(self._fields, values))
 
 
 def nonface_kneser_chi(K: Complex) -> int:

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, prod
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .complexes import (
     complete_bipartite,
@@ -26,7 +25,7 @@ from .complexes import (
     sort_family,
     sort_labels,
 )
-from .errors import EpsilonOutOfRange, HypothesisViolated, TooLargeForExact
+from .errors import EpsilonOutOfRange, HypothesisViolated, Record, TooLargeForExact
 from .gale import VectorConfig, general_position, gale_faces_of_card
 from .linalg import Mat, affine_rank, frac, mat
 from .obstructions import lovasz_kneser_chi, nonembeddable
@@ -43,23 +42,23 @@ from .projections import make_setup, oracle_survival, vertex_survival_census
 from .serialize import vec_json
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     claim: str
     passed: bool
     detail: str = ""
 
-    def as_dict(self) -> dict:
-        return {"claim": self.claim, "passed": self.passed, "detail": self.detail}
 
+class PipelineReport(Record):
+    """A scenario's inputs, results, checks and notes; its builder fills it in, so it is mutable."""
 
-@dataclass
-class PipelineReport:
-    scenario: str
-    inputs: dict
-    results: dict = field(default_factory=dict)
-    checks: list[Check] = field(default_factory=list, init=False)
-    notes: list[str] = field(default_factory=list, init=False)
+    _fields = ("scenario", "inputs", "results", "checks", "notes")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, scenario: str, inputs: dict, results: dict | None = None):
+        self.scenario, self.inputs = scenario, inputs
+        self.results = {} if results is None else results
+        self.checks: list[Check] = []
+        self.notes: list[str] = []
 
     @property
     def passed(self) -> bool:
@@ -73,7 +72,7 @@ class PipelineReport:
             "scenario": self.scenario,
             "inputs": self.inputs,
             "results": self.results,
-            "checks": [c.as_dict() for c in self.checks],
+            "checks": [c._asdict() for c in self.checks],
             "notes": self.notes,
             "passed": self.passed,
         }

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 from operator import attrgetter, mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import lp
 from .complexes import Complex, closure_from_facets
@@ -30,6 +29,7 @@ from .errors import (
     HypothesisViolated,
     IndexOutOfRange,
     NotFullDimensional,
+    Record,
     RedundantRow,
     UnboundedPolytope,
 )
@@ -37,6 +37,7 @@ from .gale import positively_spanning
 from .linalg import (
     Mat,
     Vec,
+    integer_points,
     integer_row,
     mat,
     primitive,
@@ -46,10 +47,10 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
-class VPolytope:
+class VPolytope(Record):
     """Convex hull of a finite point set (points need not all be vertices)."""
 
+    _fields = ("points", "dim")
     points: tuple[Vec, ...]
     dim: int
 
@@ -62,8 +63,7 @@ class VPolytope:
             raise DimensionMismatch("points with mixed dimensions")
         if len(set(pts)) != len(pts):
             raise DuplicateLabels("points must be pairwise distinct")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "dim", n)
+        self.__dict__.update(points=pts, dim=n)
 
     @cached_property
     def differences(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -72,23 +72,20 @@ class VPolytope:
         Each is the primitive integer vector on its ray: the points are
         scaled by the lcm of their denominators, which grows with their
         number, and each difference is divided by its gcd.  Positive
-        scalings keep the Gordan verdicts.  Built on first read and kept on
-        the instance, as `HPolytope.vertex_records` is, so `==` and `hash`
-        still compare only the fields.
+        scalings keep the Gordan verdicts.  Built on first read and kept in
+        the instance dict, as `HPolytope.vertex_records` is, where `==` and
+        `hash` do not look: they compare `points` and `dim` alone.
         """
-        L = lcm(*(x.denominator for p in self.points for x in p))
-        pts = [tuple(x.numerator * (L // x.denominator) for x in p) for p in self.points]
+        pts = integer_points(self.points)
         return tuple(tuple(primitive(vsub(w, v)) for w in pts if w != v) for v in pts)
 
 
-@dataclass(frozen=True)
-class FaceRecord:
+class FaceRecord(NamedTuple):
     tight_facets: frozenset[int]
     vertex_coords: Vec
 
 
-@dataclass(frozen=True)
-class HPolytope:
+class HPolytope(Record):
     """Bounded full-dimensional {x : Ax <= b} with facet-defining rows.
 
     The constructor checks all four properties and raises `EmptyPolytope`,
@@ -103,6 +100,7 @@ class HPolytope:
     asks LPs for emptiness and flatness.
     """
 
+    _fields = ("A", "b", "facet_labels")
     A: Mat
     b: Vec
     facet_labels: tuple[int, ...]
@@ -116,9 +114,7 @@ class HPolytope:
         labels = tuple(facet_labels) if facet_labels is not None else tuple(range(1, m + 1))
         if len(labels) != m or len(set(labels)) != m:
             raise DuplicateLabels("facet labels must be distinct, one per row")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "facet_labels", labels)
+        self.__dict__.update(A=A, b=b, facet_labels=labels)
         self._validate()
 
     @property
@@ -139,12 +135,13 @@ class HPolytope:
         Enumerates n-subsets of rows, keeps feasible basic solutions, merges
         duplicates and recomputes tightness against every row, so non-simple
         vertices come out with |I(v)| > n.  Ordered by coordinates.  Like
-        `VectorConfig.is_gale`, the value lives in the instance dict, so
-        `==` and `hash` still compare only the fields.  Each row [a | b] is
-        scaled to integers once, and the square solves read those rows: a
-        positive scaling of a row keeps the point where it is tight.  With
-        x = num / L, the slack b' * L - a'.num is b - a.x times a positive
-        number, so its sign gives feasibility and tightness.  The pair
+        `VectorConfig.is_gale`, the value lives in the instance dict, where
+        `==` and `hash` do not look: they compare `A`, `b` and
+        `facet_labels` alone.  Each row [a | b] is scaled to integers once,
+        and the square solves read those rows: a positive scaling of a row
+        keeps the point where it is tight.  With x = num / L, the slack
+        b' * L - a'.num is b - a.x times a positive number, so its sign
+        gives feasibility and tightness.  The pair
         (num, L), L the lcm of the denominators of x, is x's own integer
         form, so basic solutions are merged by it, not by the coordinates.
         """
@@ -246,17 +243,19 @@ def hull_vertex_indices(points: Sequence[Vec]) -> set[int]:
     of `minkowski_vertex_test`, run on one summand: the V-polytope of the
     distinct values, whose cached `differences` it reads.  An empty input,
     or one in which every point repeats, gives the empty set.  The points
-    are int or `Fraction` tuples, which hash and compare alike; that
-    V-polytope is the one place they are coerced.
+    are int or `Fraction` tuples; they are counted and looked up by
+    `integer_points`, which keeps every verdict, and `differences` makes
+    the same primitive rows of the scaled points as of the points.
     """
     if not points:
         return set()
-    counts = Counter(points)
+    keys = integer_points(points)
+    counts = Counter(keys)
     hull = VPolytope(counts)  # the distinct values, in order of first occurrence
     vertices = {
         p for k, (p, c) in enumerate(counts.items()) if c == 1 and minkowski_vertex_test((k,), (hull,))
     }
-    return {i for i, p in enumerate(points) if p in vertices}
+    return {i for i, p in enumerate(keys) if p in vertices}
 
 
 def is_simple(P: HPolytope) -> bool:

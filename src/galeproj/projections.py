@@ -28,14 +28,14 @@ property of the same configuration already tested.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import lp
 from .errors import OriginNotInterior, RankDeficient
 from .gale import VectorConfig, positively_spanning
 from .linalg import (
     Mat,
+    integer_points,
     kernel_basis,
     mat,
     mat_vec,
@@ -47,22 +47,19 @@ from .linalg import (
 from .polytopes import HPolytope, h_vertices, hull_vertex_indices
 
 
-@dataclass(frozen=True)
-class ProjectionSetup:
+class ProjectionSetup(NamedTuple):
     polytope: HPolytope
     proj: Mat
     g_images: VectorConfig
 
 
-@dataclass(frozen=True)
-class VertexRecord:
+class VertexRecord(NamedTuple):
     tight_facets: frozenset[int]
     strictly_preserved: bool
     preserved: bool
 
 
-@dataclass(frozen=True)
-class SurvivalReport:
+class SurvivalReport(NamedTuple):
     records: tuple[VertexRecord, ...]
     image_vertex_count: int
 
@@ -136,17 +133,23 @@ def oracle_survival(s: ProjectionSetup) -> SurvivalReport:
     the shadow, the hull of the distinct images.  A hull vertex is on the
     boundary, so only the other images run the spanning test on the
     shifted images (see the module docstring).
+
+    The images are counted, sorted and looked up by `integer_points` keys;
+    the spanning test reads the rational images, as phase 1 prices rows
+    as given.
     """
     records = h_vertices(s.polytope)
     images = [mat_vec(s.proj, r.vertex_coords) for r in records]
-    counts = Counter(images)
+    keys = integer_points(images)
+    image_of = dict(zip(keys, images))
+    counts = Counter(keys)
     distinct = sorted(counts)
-    hull_values = {distinct[i] for i in hull_vertex_indices(distinct)}
+    hull_keys = {distinct[i] for i in hull_vertex_indices(distinct)}
     classified = []
-    for r, img in zip(records, images):
-        hull_vertex = img in hull_values  # always so for a lone image
-        strict = hull_vertex and counts[img] == 1
-        on_boundary = hull_vertex or not positively_spanning([vsub(w, img) for w in distinct if w != img])
+    for r, key, img in zip(records, keys, images):
+        hull_vertex = key in hull_keys  # always so for a lone image
+        strict = hull_vertex and counts[key] == 1
+        on_boundary = hull_vertex or not positively_spanning([vsub(image_of[w], img) for w in distinct if w != key])
         classified.append(VertexRecord(r.tight_facets, strict, on_boundary))
-    return SurvivalReport(tuple(classified), len(hull_values))
+    return SurvivalReport(tuple(classified), len(hull_keys))
 

@@ -325,3 +325,13 @@ def test_fresh_process_reads_sys_argv():
     assert done.returncode == 2 and done.stdout == ""
     # a metavar on the full build would read "argument {obstruction,...}:"
     assert "argument command: invalid choice: 'nope'" in done.stderr
+
+
+def test_import_loads_no_dataclasses():
+    # `dataclasses` imports `inspect`, `ast`, `dis` and `tokenize`, which
+    # nothing else a call needs loads: about 10 ms of each call's start-up
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    code = "import sys, galeproj.cli; print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout == "[]\n"

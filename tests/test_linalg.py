@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -336,6 +337,25 @@ def test_integer_row_returns_a_new_list():
     row = [1, 2, 3]
     ints, lam = linalg.integer_row(row)
     assert (ints, lam) == ([1, 2, 3], 1) and ints is not row
+
+
+def test_integer_points_scale_the_whole_set_once():
+    rng = random.Random(2929)
+    for _ in range(100):
+        n = rng.randint(1, 4)
+        pts = [tuple(mixed_row(rng, n)) for _ in range(rng.randint(1, 8))]
+        pts += rng.sample(pts, rng.randint(0, len(pts)))  # repeated points
+        keys = linalg.integer_points(pts)
+        assert all(type(x) is int for key in keys for x in key)
+        # one positive factor for every entry: the lcm of all denominators
+        L = lcm(*(Fraction(x).denominator for p in pts for x in p))
+        assert keys == [tuple(int(x * L) for x in p) for p in pts]
+        # so equality and the lexicographic order are those of the points
+        order = range(len(pts))
+        assert sorted(order, key=keys.__getitem__) == sorted(order, key=pts.__getitem__)
+        assert [[a == b for b in keys] for a in keys] == [[p == q for q in pts] for p in pts]
+    assert linalg.integer_points([]) == []
+    assert linalg.integer_points([(1, 2), (3, 4)]) == [(1, 2), (3, 4)]
 
 
 def test_mat_vec_equals_a_fraction_dot_product():

@@ -1,6 +1,5 @@
 import random
 from collections import Counter
-from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -106,7 +105,7 @@ def test_cone_and_convex_combinations_certify():
 def test_feasibility_result_shape():
     # the verdict alone: an infeasible one is certified inside
     # `nonneg_combination`, and a feasible one carries no point
-    assert [f.name for f in fields(FeasibilityResult)] == ["feasible"]
+    assert list(FeasibilityResult._fields) == ["feasible"]
     assert FeasibilityResult(True).feasible and not FeasibilityResult(False).feasible
 
 

@@ -3,7 +3,6 @@ import json
 import random
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from math import comb, prod
 
@@ -481,7 +480,8 @@ class TestKneserFactorBuiltOnce:
 
         def one_more_color(K, d):
             v = original(K, d)
-            return replace(v, chi_used=v.chi_used + 1, sarkaria_lower=v.sarkaria_lower - 1, embeddable="unknown")
+            changed = dict(chi_used=v.chi_used + 1, sarkaria_lower=v.sarkaria_lower - 1, embeddable="unknown")
+            return type(v)(**v._asdict() | changed)
 
         monkeypatch.setattr(pipeline, "nonembeddable", one_more_color)
         report = obstruction_pipeline(4)

@@ -1,6 +1,5 @@
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -123,13 +122,13 @@ class TestCensus:
 
     def test_census_reads_no_projection(self):
         # the g-vectors decide every vertex; the matrix that made them is not read
-        s = replace(two_triangle_setup("1/4"), proj=None)
+        s = two_triangle_setup("1/4")._replace(proj=None)
         failing = frozenset({1, 2, 5, 6})
         assert vertex_survival_census(s) == tuple(
             VertexRecord(r.tight_facets, r.tight_facets != failing, r.tight_facets != failing)
             for r in h_vertices(s.polytope)
         )
-        cube = replace(make_setup(CUBE, [[1, 1, 1]]), proj=None)
+        cube = make_setup(CUBE, [[1, 1, 1]])._replace(proj=None)
         strict = [r.strictly_preserved for r in vertex_survival_census(cube)]
         assert strict == [True, False, False, False, False, False, False, True]
 

@@ -103,24 +103,13 @@ def _defaulted(args: ast.arguments, skip: int):
             yield arg.arg, None, arg.arg
 
 
-def _outside_init(value) -> bool:
-    """A dataclass field declared with `field(..., init=False)`."""
-    return isinstance(value, ast.Call) and any(
-        k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False for k in value.keywords
-    )
-
-
 def _constructor(cls: ast.ClassDef):
-    """The class's own `__init__` parameters, or else its dataclass fields."""
+    """The class's own `__init__` parameters, or else its `NamedTuple` fields."""
     for node in cls.body:
         if isinstance(node, ast.FunctionDef) and node.name == "__init__":
             yield from _defaulted(node.args, 1)
             return
-    fields = [
-        n
-        for n in cls.body
-        if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name) and not _outside_init(n.value)
-    ]
+    fields = [n for n in cls.body if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)]
     for i, node in enumerate(fields):
         if node.value is not None:
             yield node.target.id, i, node.target.id
