@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import pipeline, serialize
 from .complexes import complement_complex, deleted_join, minimal_nonfaces, sort_family
@@ -70,7 +69,7 @@ def _cmd_obstruction(args) -> int:
 
 
 def _cmd_example(args) -> int:
-    return _print_report(pipeline.two_triangle_example(Fraction(args.epsilon)), args.format)
+    return _print_report(pipeline.two_triangle_example(serialize.parse_rat(args.epsilon)), args.format)
 
 
 def _cmd_minksum(args) -> int:

@@ -41,23 +41,9 @@ def vsub(u: Vec, v: Vec) -> Vec:
     return tuple(map(sub, u, v))
 
 
-def vdot(u: Vec, v: Vec) -> Fraction:
-    """Exact inner product, summed in integers: one Fraction per call."""
-    if len(u) != len(v):
-        raise DimensionMismatch(f"vector dims {len(u)} != {len(v)}")
-    (nu, lu), (nv, lv) = integer_row(u), integer_row(v)
-    return Fraction(sum(map(mul, nu, nv)), lu * lv)
-
-
-def transpose(m: Mat) -> Mat:
-    if not m:
-        return ()
-    return tuple(zip(*m))
-
-
 def mat_vec(m: Mat, x: Vec) -> Vec:
-    """m x, each entry summed in integers as `vdot` sums it, but with x
-    scaled to integers once per call and each row once: one Fraction per entry."""
+    """m x, each entry summed in integers: x is scaled to integers once per
+    call and each row once, and each entry is one Fraction."""
     nx, lx = integer_row(x)
     out = []
     for row in m:
@@ -66,11 +52,6 @@ def mat_vec(m: Mat, x: Vec) -> Vec:
         nr, lr = integer_row(row)
         out.append(Fraction(sum(map(mul, nr, nx)), lr * lx))
     return tuple(out)
-
-
-def matmul(a: Mat, b: Mat) -> Mat:
-    bt = transpose(b)
-    return tuple(tuple(vdot(row, col) for col in bt) for row in a)
 
 
 def integer_row(row: Iterable) -> tuple[list[int], int]:
@@ -149,7 +130,7 @@ def rank(m: Mat) -> int:
 def kernel_basis(m: Mat) -> Mat:
     """Rational basis of the null space of a full-row-rank d x n matrix.
 
-    Returns an n x (n-d) matrix whose columns span ker(m).  Each free
+    Returns the n - d basis vectors of ker(m) as rows.  Each free
     column f of the reduced rows gives one basis vector, read off without
     back-substitution: 1 at f and -row[f] / det at the pivot column of
     each row, where det is the common pivot entry.
@@ -161,15 +142,14 @@ def kernel_basis(m: Mat) -> Mat:
     if len(pivots) < len(m):
         raise RankDeficient(f"row rank {len(pivots)} < {len(m)} rows")
     det = rows[0][pivots[0]]
-    cols: list[Vec] = []
+    basis: list[Vec] = []
     for f in [c for c in range(n) if c not in pivots]:
         x = [0] * n
         x[f] = det
         for row, p in zip(rows, pivots):
             x[p] = -row[f]
-        cols.append(tuple(Fraction(v, det) for v in x))
-    # columns-as-rows transposed into an n x (n-d) matrix
-    return transpose(tuple(cols))
+        basis.append(tuple(Fraction(v, det) for v in x))
+    return tuple(basis)
 
 
 def solve_square(a: Mat, b: Vec) -> Vec | None:

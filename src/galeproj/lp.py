@@ -23,18 +23,14 @@ the fraction-free update of Edmonds (1967), as Avis's lrs (2000) does:
 each division is exact and no gcd is taken while pivoting.  Rationals
 occur only where rows come in, each scaled to integers once by
 `integer_row`, and where the point goes out; ints pass as they are.
-The tableau differs from the rational one only by positive scalings of
-rows and of artificial columns.  Those keep every sign and every argmax
-the pricing reads, and every ratio-test order, and no artificial column
-is stored, as none may enter; so the pivots are those of a rational
-simplex (see `_solve_nonneg`).
+Phase 1 runs on those integer rows, so the integer tableau is the
+rational simplex on the integer rows, times D (see `_solve_nonneg`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatch
@@ -105,32 +101,19 @@ def _simplex_max(T, basis, Z, D, allowed):
 def _solve_nonneg(rows, nvars):
     """A point of {x >= 0, rows} by phase 1, or None.
 
-    Rows arrive already integer, as (ints, lam) from `integer_row`: ints =
-    lam * [coeffs, rhs] with lam the lcm of the row's denominators, each
-    meaning coeffs.x = rhs.  Each row's artificial gets entry 1, so the
-    first basis is the identity and D = 1.  The phase-1 objective -sum a_i
-    reads -sum (L / lam_i) a'_i in the scaled artificials a'_i = lam_i a_i,
-    L the lcm of the lam_i.  That multiplies every reduced cost by the one
-    positive number L, and each ratio test is scaled by one positive
-    factor, ties included, so both pricing rules and the ratio test pick
-    the pivots of the rational tableau.  An artificial still basic at the
-    end has value 0 and is not read.  No artificial column is stored, as
-    none may enter: the i-th artificial is basic under its virtual index
-    nvars + i, the index the ratio test's tie-break compares in the
-    rational tableau.
+    Each row is a list of ints [coeffs, rhs], meaning coeffs.x = rhs.
+    Each row's artificial gets entry 1, so the first basis is the identity,
+    D = 1, and Z, the reduced costs of -(sum of the artificials), is the
+    column sums.  From there T / D and Z / D are the rational tableau of
+    these rows, so pricing and the ratio test pick its pivots.  An
+    artificial still basic at the end has value 0 and is not read.  No
+    artificial column is stored, as none may enter: the i-th artificial is
+    basic under its virtual index nvars + i, the index the ratio test's
+    tie-break compares in the rational tableau.
     """
-    T = [ints if ints[-1] >= 0 else [-x for x in ints] for ints, _ in rows]
+    T = [row if row[-1] >= 0 else [-x for x in row] for row in rows]
     basis = list(range(nvars, nvars + len(T)))
-    # D times the reduced costs of -sum (L / lam_i) a'_i at the identity basis;
-    # with L = 1 every weight is 1
-    L = lcm(*(lam for _, lam in rows))
-    if not T:
-        Z = [0] * (nvars + 1)
-    elif L == 1:
-        Z = [sum(col) for col in zip(*T)]
-    else:
-        weights = [L // lam for _, lam in rows]
-        Z = [sum(map(mul, weights, col)) for col in zip(*T)]
+    Z = [sum(col) for col in zip(*T)] if T else [0] * (nvars + 1)
     D = _simplex_max(T, basis, Z, 1, range(nvars))
     if Z[-1] > 0:
         return None
@@ -152,14 +135,14 @@ def nonneg_combination(eq_rows: list[tuple[list, Fraction]], nvars: int) -> list
     x = num / L on its nonzero entries, and each row must hold as
     a'.num = b' * L, with num >= 0.
     """
-    rows = [integer_row([*coeffs, rhs]) for coeffs, rhs in eq_rows]
+    rows = [integer_row([*coeffs, rhs])[0] for coeffs, rhs in eq_rows]
     x = _solve_nonneg(rows, nvars)
     if x is None:
         return None
     support = [(j, v) for j, v in enumerate(x) if v]
     L = lcm(*(v.denominator for _, v in support))
     num = [(j, v.numerator * (L // v.denominator)) for j, v in support]
-    if any(n < 0 for _, n in num) or any(sum(a[j] * n for j, n in num) != a[-1] * L for a, _ in rows):
+    if any(n < 0 for _, n in num) or any(sum(a[j] * n for j, n in num) != a[-1] * L for a in rows):
         raise AssertionError("simplex returned an invalid witness")
     return x
 

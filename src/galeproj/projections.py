@@ -33,17 +33,7 @@ from typing import Iterable, NamedTuple
 from . import lp
 from .errors import OriginNotInterior, RankDeficient
 from .gale import VectorConfig, positively_spanning
-from .linalg import (
-    Mat,
-    integer_points,
-    kernel_basis,
-    mat,
-    mat_vec,
-    matmul,
-    rank,
-    transpose,
-    vsub,
-)
+from .linalg import Mat, integer_points, kernel_basis, mat, mat_vec, rank, vsub
 from .polytopes import HPolytope, h_vertices, hull_vertex_indices
 
 
@@ -67,8 +57,8 @@ class SurvivalReport(NamedTuple):
 def make_setup(P: HPolytope, proj: Iterable[Iterable]) -> ProjectionSetup:
     """Assemble the projection data for (P, proj).
 
-    The g-vectors are kernel^T (a_i / b_i), labeled by P's facets, for
-    kernel a computed basis of ker(proj).  With 0 strictly inside P
+    The g-vectors are K (a_i / b_i), labeled by P's facets, for K the
+    rows of a computed basis of ker(proj).  With 0 strictly inside P
     (b > 0), the a_i / b_i are the vertices of the polar dual: row
     irredundancy makes each one a vertex.
     """
@@ -84,10 +74,9 @@ def make_setup(P: HPolytope, proj: Iterable[Iterable]) -> ProjectionSetup:
     if any(bi <= 0 for bi in P.b):
         raise OriginNotInterior("translate P so that 0 is interior: need b > 0")
     kern = kernel_basis(proj)
-    if any(any(x != 0 for x in row) for row in matmul(proj, kern)):
-        raise AssertionError("kernel_basis returned columns the projection does not annihilate")
-    kern_t = transpose(kern)
-    g = [tuple(v / bi for v in mat_vec(kern_t, a)) for a, bi in zip(P.A, P.b)]
+    if any(any(mat_vec(proj, k)) for k in kern):
+        raise AssertionError("kernel_basis returned vectors the projection does not annihilate")
+    g = [tuple(v / bi for v in mat_vec(kern, a)) for a, bi in zip(P.A, P.b)]
     return ProjectionSetup(P, proj, VectorConfig(g, P.facet_labels))
 
 
@@ -134,22 +123,21 @@ def oracle_survival(s: ProjectionSetup) -> SurvivalReport:
     boundary, so only the other images run the spanning test on the
     shifted images (see the module docstring).
 
-    The images are counted, sorted and looked up by `integer_points` keys;
-    the spanning test reads the rational images, as phase 1 prices rows
-    as given.
+    Everything reads the `integer_points` keys of the images, one positive
+    scaling of them all, which changes no hull vertex, no multiplicity and
+    no spanning verdict.
     """
     records = h_vertices(s.polytope)
     images = [mat_vec(s.proj, r.vertex_coords) for r in records]
     keys = integer_points(images)
-    image_of = dict(zip(keys, images))
     counts = Counter(keys)
     distinct = sorted(counts)
     hull_keys = {distinct[i] for i in hull_vertex_indices(distinct)}
     classified = []
-    for r, key, img in zip(records, keys, images):
+    for r, key in zip(records, keys):
         hull_vertex = key in hull_keys  # always so for a lone image
         strict = hull_vertex and counts[key] == 1
-        on_boundary = hull_vertex or not positively_spanning([vsub(image_of[w], img) for w in distinct if w != key])
+        on_boundary = hull_vertex or not positively_spanning([vsub(w, key) for w in distinct if w != key])
         classified.append(VertexRecord(r.tight_facets, strict, on_boundary))
     return SurvivalReport(tuple(classified), len(hull_keys))
 

@@ -48,7 +48,10 @@ def _field(data: dict, field: str, what: str):
 def parse_rat(s) -> Fraction:
     if isinstance(s, bool) or not isinstance(s, (str, int)):
         raise ValueError(f"expected a rational string or int, got {s!r}")
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"{s!r} has a zero denominator") from None
 
 
 def vec_json(v: Vec) -> list[str]:
@@ -88,8 +91,13 @@ def complex_json(K: Complex) -> dict:
 
 
 def parse_complex(data: dict) -> Complex:
+    """A complex from its JSON form; two vertex labels that print alike,
+    like 1 and "1", are refused, as no output could tell them apart."""
     facets = _array(_field(_object(data, "complex"), "facets", "complex"), "facets")
-    return closure_from_facets(
-        _labels(_field(data, "vertices", "complex"), "vertices"),
-        [frozenset(_labels(f, f"facets[{i}]")) for i, f in enumerate(facets)],
-    )
+    vertices = _labels(_field(data, "vertices", "complex"), "vertices")
+    printed = {}
+    for v in vertices:
+        u = printed.setdefault(str(v), v)
+        if u != v:
+            raise ValueError(f"vertex labels {u!r} and {v!r} both print as {str(v)!r}")
+    return closure_from_facets(vertices, [frozenset(_labels(f, f"facets[{i}]")) for i, f in enumerate(facets)])

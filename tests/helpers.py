@@ -20,7 +20,7 @@ from galeproj.errors import (
     UnboundedPolytope,
 )
 from galeproj.gale import positively_spanning
-from galeproj.linalg import Vec, frac, integer_row, mat, mat_vec, rank, vdot, vec, vsub
+from galeproj.linalg import Vec, frac, integer_row, mat, rank, vec, vsub
 from galeproj.obstructions import Graph
 from galeproj.polytopes import HPolytope, h_vertices
 from galeproj.projections import VertexRecord
@@ -47,7 +47,7 @@ class LinConstraint:
             raise ValueError(f"unknown relation {self.relation!r}")
 
     def holds(self, x: Vec) -> bool:
-        lhs = vdot(self.coeffs, x)
+        lhs = fraction_dot(self.coeffs, x)
         if self.relation == LE:
             return lhs <= self.rhs
         if self.relation == EQ:
@@ -103,7 +103,7 @@ def strict_lp_feasible(constraints: Iterable[LinConstraint], dim: int | None = N
     for i, c in enumerate(cons):
         rhs = c.rhs - 1 if c.relation == LT else c.rhs
         slacks = [int(i == s) for s in slacked]
-        rows.append(integer_row([*c.coeffs, *(-a for a in c.coeffs), -c.rhs, *slacks, rhs]))
+        rows.append(integer_row([*c.coeffs, *(-a for a in c.coeffs), -c.rhs, *slacks, rhs])[0])
     y = lp._solve_nonneg(rows, 2 * k + 1 + len(slacked))
     if y is None:
         return StrictResult(None)
@@ -218,7 +218,7 @@ def full_survival_census(s) -> tuple[tuple[VertexRecord, ...], tuple[VertexRecor
         strict = positively_spanning(w)
         preserved = lp.convex_combination(w, origin) is not None
         g_side.append(VertexRecord(r.tight_facets, strict, preserved))
-    images = [mat_vec(s.proj, r.vertex_coords) for r in records]
+    images = [fraction_mat_vec(s.proj, r.vertex_coords) for r in records]
     distinct = sorted(set(images))
     hull_values = {distinct[i] for i in separation_hull_vertices(distinct)}
     image_side = []
@@ -591,9 +591,14 @@ def generator_integer_row(row) -> tuple[list[int], int]:
     return [x.numerator * (lam // x.denominator) for x in row], lam
 
 
+def fraction_dot(u, v) -> Fraction:
+    """u . v summed term by term in `Fraction` arithmetic."""
+    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
+
+
 def fraction_mat_vec(m, x) -> tuple[Fraction, ...]:
     """m x summed entry by entry in `Fraction` arithmetic (oracle for `linalg.mat_vec`)."""
-    return tuple(sum((Fraction(a) * Fraction(b) for a, b in zip(row, x)), Fraction(0)) for row in m)
+    return tuple(fraction_dot(row, x) for row in m)
 
 
 def gauss_jordan_solve(a, b):
@@ -694,8 +699,8 @@ def facet_description(points) -> HPolytope:
         if len(kernel) != 1:
             continue
         normal = kernel[0]
-        beta = vdot(normal, subset[0])
-        values = [vdot(normal, p) for p in pts]
+        beta = fraction_dot(normal, subset[0])
+        values = [fraction_dot(normal, p) for p in pts]
         if all(v <= beta for v in values):
             rows.add(lcm_gcd_canonical_row(normal, beta))
         if all(v >= beta for v in values):

@@ -103,6 +103,8 @@ MALFORMED = {
     "facets entry number": ("complex", {**COMPLEX, "facets": [1]}, "'facets[0]'"),
     "vertices number": ("embed", {**COMPLEX, "vertices": 5}, "'vertices'"),
     "facet label list": ("embed", {**COMPLEX, "facets": [[[1]]]}, "'facets[0]'"),
+    # distinct labels that every output would print as 1
+    "labels printing alike": ("complex", {"vertices": [1, "1"], "facets": [[1], ["1"]]}, "1 and '1' both print as '1'"),
 }
 
 
@@ -144,6 +146,18 @@ def test_missing_field_is_named(name, tmp_path, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: the {kind} has no {field!r} field\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("via", ["epsilon", "file"])
+def test_zero_denominator_is_named(via, tmp_path, capsys):
+    argv = {
+        "epsilon": ["example", "--epsilon", "1/0"],
+        "file": ["minksum", "--input", _write(tmp_path, {**SQUARE_H, "b": [1, "1/0", 1, 1]})],
+    }[via]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: '1/0' has a zero denominator\n"
     assert captured.out == ""
 
 
@@ -245,10 +259,10 @@ def test_nf_orders_labels_as_values(tmp_path, capsys):
     assert main(["complex", "nf", "--input", _write(tmp_path, doc), "--format", "json"]) == 0
     nf = json.loads(capsys.readouterr().out)["minimal_nonfaces"]
     assert nf[0] == [1, 2] and nf == [[a, b] for a in range(1, 13) for b in range(a + 1, 13)]
-    # ints before strings, whatever the hash seed
-    doc = {"vertices": [1, "1", 2, "x"], "facets": [[2]]}
+    # ints before strings, whatever the hash seed ("0" sorts before 1 as text)
+    doc = {"vertices": [1, "0", 2, "x"], "facets": [[2]]}
     assert main(["complex", "nf", "--input", _write(tmp_path, doc), "--format", "json"]) == 0
-    assert json.loads(capsys.readouterr().out)["minimal_nonfaces"] == [[1], ["1"], ["x"]]
+    assert json.loads(capsys.readouterr().out)["minimal_nonfaces"] == [[1], ["0"], ["x"]]
 
 
 VOID = {"vertices": [4], "facets": []}

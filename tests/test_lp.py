@@ -6,6 +6,7 @@ import pytest
 
 from galeproj import lp
 from galeproj.errors import DimensionMismatch
+from galeproj.linalg import integer_row
 from galeproj.lp import FeasibilityResult, convex_combination, cone_combination, lp_feasible
 from galeproj.pipeline import two_triangle_example
 from helpers import (
@@ -163,8 +164,8 @@ def oracle_checked(monkeypatch):
         return pivot(T, basis, Z, D, r, c)
 
     def checked_solve(rows, nvars):
-        # the rows arrive scaled to integers; the oracle reads them as Fractions
-        raw_rows = [([Fraction(a, lam) for a in ints[:-1]], EQ, Fraction(ints[-1], lam)) for ints, lam in rows]
+        # the rows arrive as integers; the oracle reads the same rows as Fractions
+        raw_rows = [([Fraction(a) for a in row[:-1]], EQ, Fraction(row[-1])) for row in rows]
         oracle_log = []
         expected = fraction_solve_nonneg(raw_rows, nvars, oracle_log, events)
         width[:] = [nvars + 1]
@@ -251,6 +252,38 @@ def test_no_variables():
     assert lp.nonneg_combination([([], 0)], 0) == []
     assert lp.nonneg_combination([([], 1)], 0) is None
     assert cone_combination([], (0, 0)) == [] and cone_combination([], (0, 1)) is None
+
+
+def test_pivots_do_not_depend_on_how_rows_are_scaled(monkeypatch):
+    # phase 1 runs on the integer rows, so a rational system and its
+    # `integer_row`-scaled copy make the same pivots and find the same point
+    log = []
+    pivot = lp._pivot
+
+    def logging(T, basis, Z, D, r, c):
+        log.append((c, basis[r]))
+        return pivot(T, basis, Z, D, r, c)
+
+    monkeypatch.setattr(lp, "_pivot", logging)
+    rng = random.Random(1)
+
+    def entry():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+    pivots = feasible = 0
+    for _ in range(300):
+        nvars = rng.randint(1, 5)
+        eq_rows = [([entry() for _ in range(nvars)], entry()) for _ in range(rng.randint(1, 4))]
+        scaled = [(row[:-1], row[-1]) for row in (integer_row([*a, b])[0] for a, b in eq_rows)]
+        log.clear()
+        x = lp.nonneg_combination(eq_rows, nvars)
+        rational = list(log)
+        log.clear()
+        assert lp.nonneg_combination(scaled, nvars) == x
+        assert log == rational, eq_rows
+        pivots += len(rational)
+        feasible += x is not None
+    assert pivots > 300 and 50 < feasible < 250
 
 
 # Beale (1955): max 3/4 x4 - 20 x5 + 1/2 x6 - 6 x7 over x >= 0 with slacks

@@ -7,7 +7,7 @@ import pytest
 from galeproj.complexes import complete_bipartite
 from galeproj.errors import NotGale, OriginNotInterior, RankDeficient, UnknownLabel
 from galeproj.gale import gale_faces_of_card
-from galeproj.linalg import kernel_basis, mat_vec, rank, transpose
+from galeproj.linalg import kernel_basis, mat_vec, rank
 from galeproj.pipeline import TRIANGLE_PRODUCT_PROJECTION, coupling_g_matrix, deformed_triangle_product
 from galeproj.polytopes import HPolytope, h_vertices
 from galeproj.projections import (
@@ -77,11 +77,11 @@ class TestMakeSetup:
         ]
         for P, proj in cases:
             kern = kernel_basis(proj)
-            expected = tuple(mat_vec(transpose(kern), tuple(x / bi for x in a)) for a, bi in zip(P.A, P.b))
+            expected = tuple(mat_vec(kern, tuple(x / bi for x in a)) for a, bi in zip(P.A, P.b))
             s = make_setup(P, proj)
             assert s.g_images.vectors == expected
             assert s.g_images.labels == P.facet_labels
-            assert s.g_images.dim == len(kern[0])
+            assert s.g_images.dim == len(kern)
 
     def test_scaling_a_row_keeps_the_g_vectors(self):
         # (a_i, b_i) and (c a_i, c b_i) with c > 0 are the same facet and the same a_i / b_i
