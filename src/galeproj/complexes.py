@@ -111,6 +111,23 @@ def _tag(prefix: str, label) -> str:
     return f"{prefix}:{label}"
 
 
+def _tag_vertices(factors: Iterable[tuple[str, Complex]]) -> dict[str, tuple[int, Label]]:
+    """Each factor vertex's tag "prefix:v", in factor order, mapped to
+    (factor index, v).
+
+    Two vertices that tag alike, like 1 and "1" under one prefix, raise
+    LabelOutsideVertexSet naming both and the tag.
+    """
+    untag: dict[str, tuple[int, Label]] = {}
+    for i, (prefix, K) in enumerate(factors):
+        for v in K.vertices:
+            tag = _tag(prefix, v)
+            if tag in untag:
+                raise LabelOutsideVertexSet(f"vertex labels {untag[tag][1]!r} and {v!r} both tag as {tag!r}")
+            untag[tag] = (i, v)
+    return untag
+
+
 class Join(Complex):
     """Join of factor-tagged complexes, kept as its factors.
 
@@ -122,9 +139,7 @@ class Join(Complex):
 
     def __init__(self, factors: Iterable[tuple[str, Complex]]):
         factors = tuple(factors)
-        untag = {_tag(prefix, v): (i, v) for i, (prefix, K) in enumerate(factors) for v in K.vertices}
-        if len(untag) != sum(len(K.vertices) for _, K in factors):
-            raise LabelOutsideVertexSet("duplicate vertex labels")
+        untag = _tag_vertices(factors)
         self.__dict__.update(factors=factors, vertices=tuple(untag), _untag=untag)
 
     def __repr__(self):
@@ -203,6 +218,7 @@ def deleted_join(K: Complex) -> Complex:
     (sigma, G - sigma) with G a facet, so the candidate sweep below is
     exhaustive before the antichain reduction.
     """
+    vertices = tuple(_tag_vertices([("1", K), ("2", K)]))
     candidates = set()
     for sigma in K.faces():
         for g in K.facets:
@@ -210,7 +226,6 @@ def deleted_join(K: Complex) -> Complex:
             candidates.add(
                 frozenset(_tag("1", v) for v in sigma) | frozenset(_tag("2", v) for v in tau)
             )
-    vertices = tuple(_tag("1", v) for v in K.vertices) + tuple(_tag("2", v) for v in K.vertices)
     return Complex(vertices, _antichain(candidates))
 
 

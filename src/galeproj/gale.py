@@ -4,17 +4,22 @@ A Gale transform encodes a polytope's face lattice through positive
 dependences of complementary vector subsets; the face oracle here is the
 combinatorial side of that correspondence.
 
-A configuration answers "do the vectors with these labels positively
-span?" and "are they positively dependent?" once per set of rays: the
-verdicts are kept on the instance, keyed by the question and the sorted
-set of distinct primitive rays of those vectors, and a new question runs
-its LP on that set.  Neither verdict can change.  Both ask about the cone
-of the vectors, or a strictly positive combination of them that is zero,
-and those depend only on the set of rays: coefficients on copies of one
-ray add up to one positive coefficient on it, and a positive coefficient
-on a ray splits back among its copies.  A positive scaling of a vector
+Positive spanning and dependence are one Farkas system.  W is
+positively dependent iff no c has <c, w> <= 0 for all w and
+<c, sum W> <= -1, and W positively spans iff it is positively dependent
+and of full rank (Davis 1954).  A
+configuration asks that system once per set of rays: the dependence
+verdicts are kept on the instance, keyed by the sorted set of distinct
+primitive rays of the vectors asked about.  "Spans" is a rank test on
+the same rays, asked first as in `positively_spanning`, and then the
+kept verdict, so no ray set runs an LP twice or where the rank alone
+answers.  No verdict can change.  Both ask about the cone of the
+vectors, or a strictly positive combination of them that is zero, and
+those depend only on the set of rays: coefficients on copies of one ray
+add up to one positive coefficient on it, and a positive coefficient on
+a ray splits back among its copies.  A positive scaling of a vector
 keeps its ray, so the rational vectors and their primitive integer rays
-give the same verdicts; each "spans" verdict stays certified by the
+give the same verdicts; each "dependent" verdict stays certified by the
 Farkas y that `lp_feasible` re-checks on the ray set.  A Gale transform
 with repeated vectors, like the one the deformed two-triangle product
 projects to, repeats its ray sets across deletions and complements.
@@ -25,7 +30,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 from math import comb
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import lp
 from .errors import DimensionMismatch, DuplicateLabels, NotGale, Record, TooLargeForExact, UnknownLabel
@@ -45,9 +50,9 @@ class VectorConfig(Record):
     `vectors` stays rational, so `==` and `hash` still tell configurations
     apart that differ only by such a scaling.
 
-    Whether it is a Gale transform (`is_gale`), and the spanning and
-    dependence verdicts of label sets (`spans`, `dependent`, see the
-    module docstring), are decided on first use and kept the same way.
+    Whether it is a Gale transform (`is_gale`), and the dependence
+    verdict of each ray set that `spans` or `dependent` asks about (see
+    the module docstring), are decided on first use and kept the same way.
     The configuration is immutable: assigning or deleting an attribute
     raises AttributeError, so no verdict can go stale.  The kept values
     live in the instance dict, which `==` and `hash` do not read, and none
@@ -86,7 +91,7 @@ class VectorConfig(Record):
         return {label: i for i, label in enumerate(self.labels)}
 
     @cached_property
-    def _verdicts(self) -> dict[tuple[str, tuple[tuple[int, ...], ...]], bool]:
+    def _verdicts(self) -> dict[tuple[tuple[int, ...], ...], bool]:
         return {}
 
     def vector(self, label: int) -> tuple[int, ...]:
@@ -102,23 +107,25 @@ class VectorConfig(Record):
 
     def spans(self, labels: Iterable[int]) -> bool:
         """Do the vectors labelled `labels` positively span?  See `positively_spanning`."""
-        return self._ask(positively_spanning, labels)
+        rays = self._ray_set(labels)
+        return rank(rays) == self.dim and self._dependent(rays)
 
     def dependent(self, labels: Iterable[int]) -> bool:
         """Are the vectors labelled `labels` positively dependent?  See `positively_dependent`."""
-        return self._ask(positively_dependent, labels)
+        return self._dependent(self._ray_set(labels))
 
-    def _ask(self, question: Callable[[Sequence[Sequence]], bool], labels: Iterable[int]) -> bool:
+    def _ray_set(self, labels: Iterable[int]) -> tuple[tuple[int, ...], ...]:
         all_rays, index = self._rays, self._index
         try:
-            rays = tuple(sorted({all_rays[index[l]] for l in labels}))
+            return tuple(sorted({all_rays[index[l]] for l in labels}))
         except KeyError as err:
             raise UnknownLabel(err.args[0]) from None
-        key = (question.__name__, rays)
+
+    def _dependent(self, rays: tuple[tuple[int, ...], ...]) -> bool:
         verdicts = self._verdicts
-        if key not in verdicts:
-            verdicts[key] = question(rays)
-        return verdicts[key]
+        if rays not in verdicts:
+            verdicts[rays] = positively_dependent(rays)
+        return verdicts[rays]
 
     @cached_property
     def is_gale(self) -> bool:
@@ -133,41 +140,39 @@ def positively_spanning(W: Sequence[Sequence]) -> bool:
     W is a sequence of vectors with int or Fraction entries, taken as
     given: the constructors made them exact, so nothing is coerced here.
 
-    Davis (1954), via Farkas: W positively spans R^e iff rank W = e and
-    no c has <c, w> <= 0 for all w and <c, sum W> < 0.  Only if: W spans,
-    and such a c is <= 0 on cone W = R^e, so c = 0 and <c, sum W> = 0.
-    If: were cone W != R^e, Farkas gives c != 0 with <c, w> <= 0 for all
-    w; as W spans, some <c, w> < 0, so <c, sum W> < 0.  The system is
-    homogeneous in c, so a positive multiple of c turns <c, sum W> < 0
-    into <c, sum W> <= -1: one rank and one `lp_feasible` system settle it.
-    A "spans" verdict is that system's infeasible one, so it is certified:
-    the Farkas y >= 0 that `lp_feasible` re-checks has y_0 = 1 on the
-    sum row and makes sum (1 + y_w) w = 0, a strictly positive
-    combination of W that is zero.
+    Davis (1954): W positively spans R^e iff rank W = e and W is
+    positively dependent.  Only if: -sum W lies in cone W = R^e, so
+    sum (1 + mu_w) w = 0 with mu >= 0.  If: were cone W != R^e, Farkas
+    gives c != 0 with <c, w> <= 0 for all w; as W spans, some <c, w> < 0,
+    and then no strictly positive combination of W is zero.  So one rank
+    and one `positively_dependent` system settle it, and a "spans" verdict
+    carries that system's certificate.
     """
     vectors = list(W)
     if not vectors:
         raise DimensionMismatch("empty set cannot span")
-    e = len(vectors[0])
-    if rank(vectors) < e:
-        return False
-    total = [sum(column) for column in zip(*vectors)]
-    return not lp.lp_feasible([(w, 0) for w in vectors] + [(total, -1)]).feasible
+    return rank(vectors) == len(vectors[0]) and positively_dependent(vectors)
 
 
 def positively_dependent(W: Sequence[Sequence]) -> bool:
     """True iff some strictly positive combination of W is zero.
 
     W is a sequence of vectors with int or Fraction entries, taken as
-    given, as in `positively_spanning`.  Normalizing the coefficients to
-    lam >= 1 makes this an exact cone query: lam = 1 + mu with mu >= 0
-    turns it into -sum(W) in cone(W).
+    given, as in `positively_spanning`.  Farkas: W is positively dependent
+    iff no c has <c, w> <= 0 for all w and <c, sum W> <= -1, one
+    `lp_feasible` system.  A "dependent" verdict is that system's
+    infeasible one, so it is certified: the Farkas y >= 0 that
+    `lp_feasible` re-checks has y_0 = 1 on the sum row and makes
+    sum (1 + y_w) w = 0.  Conversely, a strictly positive combination
+    that is zero, scaled so each coefficient is at least 1, is such a y.
+    The system is homogeneous in c, so <c, sum W> <= -1 asks no more than
+    <c, sum W> < 0.
     """
     vectors = list(W)
     if not vectors:
         raise DimensionMismatch("empty set cannot be positively dependent")
-    neg_total = tuple(-sum(column) for column in zip(*vectors))
-    return lp.cone_combination(vectors, neg_total) is not None
+    total = [sum(column) for column in zip(*vectors)]
+    return not lp.lp_feasible([(w, 0) for w in vectors] + [(total, -1)]).feasible
 
 
 def gale_face_test(G: VectorConfig, coface: Iterable[int]) -> bool:
@@ -175,10 +180,9 @@ def gale_face_test(G: VectorConfig, coface: Iterable[int]) -> bool:
 
     Holds iff the complementary vectors are positively dependent.  Refuses
     to answer for configurations that are not Gale transforms, where the
-    correspondence is meaningless.  A one-label coface needs no LP: in a
-    Gale transform its complement, a single deletion, positively spans,
-    and a positively spanning W is positively dependent (-sum W lies in
-    cone W, so sum (1 + mu_i) w_i = 0 with mu >= 0).
+    correspondence is meaningless.  A one-label coface runs no LP: its
+    complement is a single deletion, whose dependence verdict `is_gale`
+    has already kept.
     """
     if not G.is_gale:
         raise NotGale("face queries need a Gale transform")
@@ -187,8 +191,8 @@ def gale_face_test(G: VectorConfig, coface: Iterable[int]) -> bool:
     if unknown:
         raise UnknownLabel(sorted(unknown)[0])
     complement = [l for l in G.labels if l not in coface]
-    if not complement or len(coface) == 1:
-        return True  # the whole vertex set, or a vertex (see above)
+    if not complement:
+        return True  # the whole vertex set
     return G.dependent(complement)
 
 

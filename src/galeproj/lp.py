@@ -5,7 +5,10 @@ only algorithm: `nonneg_combination` finds a point of {x >= 0, Ax = b}
 or proves there is none, and re-checks the point in integers against the
 input rows, never the tableau.  `lp_feasible` decides {x : Ax <= b}, x
 free, by the Farkas system {y >= 0, yA = 0, yb = -1}, so each "empty"
-verdict has a re-checked y.
+verdict has a re-checked y.  Two questions come here: `convex_combination`,
+for the Gordan and convex-hull tests, and `lp_feasible`, which
+`gale.positively_dependent` asks for every spanning and dependence
+verdict and `HPolytope` asks of a system that is not bounded.
 
 Pricing is Dantzig's rule (enter the column of largest reduced cost, the
 lowest index among ties) with a Bland fallback, which makes it
@@ -128,8 +131,8 @@ def nonneg_combination(eq_rows: list[tuple[list, Fraction]], nvars: int) -> list
     """Solve {x >= 0, equality rows} by phase 1; a re-checked point or None.
 
     Entries are ints or Fractions.  This is the one entry to phase 1: the
-    cone and convex-hull tests and `lp_feasible`'s Farkas system all come
-    through here.  Each row a.x = b is scaled once by `integer_row` to
+    convex-hull test and `lp_feasible`'s Farkas system both come through
+    here.  Each row a.x = b is scaled once by `integer_row` to
     integers a'.x = b', for the tableau and for the re-check.  The re-check
     reads those input rows and the returned point, not the tableau:
     x = num / L on its nonzero entries, and each row must hold as
@@ -147,29 +150,18 @@ def nonneg_combination(eq_rows: list[tuple[list, Fraction]], nvars: int) -> list
     return x
 
 
-def _membership_rows(vectors, target, kind):
-    """Equality rows sum(lam_i * v_i) = target, one per coordinate.
-
-    Entries are ints or Fractions, kept as they are for `nonneg_combination`.
-    With no vectors each row is 0 = target[r].
-    """
-    if any(len(v) != len(target) for v in vectors):
-        raise DimensionMismatch(f"{kind} membership with mixed dimensions")
-    columns = zip(*vectors) if vectors else [()] * len(target)
-    return list(zip(columns, target))
-
-
-def cone_combination(vectors, target) -> list[Fraction] | None:
-    """Coefficients lam >= 0 with sum(lam_i * v_i) = target, or None."""
-    vectors = list(vectors)
-    return nonneg_combination(_membership_rows(vectors, target, "cone"), len(vectors))
-
-
 def convex_combination(points, target) -> list[Fraction] | None:
-    """Coefficients of target as a convex combination of points, or None."""
+    """Coefficients of target as a convex combination of points, or None.
+
+    Entries are ints or Fractions, kept as they are for `nonneg_combination`:
+    one row sum(lam_i * p_i) = target per coordinate, and sum(lam_i) = 1.
+    With no points each coordinate row is 0 = target[r].
+    """
     points = list(points)
-    eq_rows = _membership_rows(points, target, "convex") + [([1] * len(points), 1)]
-    return nonneg_combination(eq_rows, len(points))
+    if any(len(p) != len(target) for p in points):
+        raise DimensionMismatch("convex membership with mixed dimensions")
+    columns = zip(*points) if points else [()] * len(target)
+    return nonneg_combination([*zip(columns, target), ([1] * len(points), 1)], len(points))
 
 
 def lp_feasible(constraints: list[tuple[Sequence, int | Fraction]]) -> FeasibilityResult:

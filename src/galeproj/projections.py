@@ -19,10 +19,11 @@ boundary of the shadow: a functional c that is larger at it than at every
 other image is <= 0 on all the shifted images, so they do not positively
 span.  The g-vector tests read the primitive integer rays that
 `VectorConfig` keeps, a positive scaling of each g-vector, which changes
-none of these verdicts.  The spanning test goes through the ray-set memo
-of `VectorConfig` (see `gale`): vertices whose tight facets carry the same
-set of rays share one LP, and so does a deletion whose rays the Gale
-property of the same configuration already tested.
+none of these verdicts.  The spanning test goes through `VectorConfig`
+(see `gale`): a rank test, then the dependence verdict it keeps per set
+of rays.  Vertices whose tight facets carry the same set of rays share
+one LP, and so does a ray set that the Gale property or a face question
+on the same configuration already asked about.
 """
 
 from __future__ import annotations

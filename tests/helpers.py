@@ -250,13 +250,21 @@ def normal_cone_oracle(choice, polys) -> bool:
     return strict_lp_feasible(cons, dim=polys[0].dim).feasible
 
 
+def cone_combination(vectors, target) -> list[Fraction] | None:
+    """Coefficients lam >= 0 with sum(lam_i * v_i) = target, or None: the
+    cone membership system, one row per coordinate, on `lp.nonneg_combination`."""
+    vectors = list(vectors)
+    columns = zip(*vectors) if vectors else [()] * len(target)
+    return lp.nonneg_combination(list(zip(columns, target)), len(vectors))
+
+
 def spans_positively_primal(vectors) -> bool:
     """Primal oracle: +-e_j in cone(W) for every coordinate direction."""
     e = len(vectors[0])
     for j in range(e):
         for s in (1, -1):
             target = tuple(Fraction(s if c == j else 0) for c in range(e))
-            if lp.cone_combination(list(vectors), target) is None:
+            if cone_combination(vectors, target) is None:
                 return False
     return True
 
@@ -734,5 +742,5 @@ def lp_validation(A, b, labels) -> None:
     lifted = [(*a, bi) for a, bi in zip(A, b)]
     up = (0,) * n + (1,)
     for i, label in enumerate(labels):
-        if lp.cone_combination([*lifted[:i], *lifted[i + 1:], up], lifted[i]) is not None:
+        if cone_combination([*lifted[:i], *lifted[i + 1:], up], lifted[i]) is not None:
             raise RedundantRow(f"row with label {label} defines no facet")

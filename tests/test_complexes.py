@@ -166,6 +166,16 @@ class TestStructuredJoin:
         with pytest.raises(LabelOutsideVertexSet):
             Join([("1", points_complex(2)), ("1", points_complex(2))])
 
+    def test_labels_that_tag_alike_are_named(self):
+        # 1 and "1" are distinct labels that both tag as "1:1"; the message
+        # was "duplicate vertex labels", which they are not
+        K = closure_from_facets([1, "1"], [[1], ["1"]])
+        message = "vertex labels 1 and '1' both tag as '1:1'"
+        with pytest.raises(LabelOutsideVertexSet, match=f"^{message}$"):
+            deleted_join(K)
+        with pytest.raises(LabelOutsideVertexSet, match=f"^{message}$"):
+            power_join(K, 2)
+
 
 class TestComplement:
     def test_triangle_boundary_to_points(self):

@@ -13,8 +13,8 @@ re-checks its points in integers, with no `Fraction` and no `vdot`.
 call on its Farkas system, so its certificates pass that same re-check.
 Each LP row is scaled to integers once, where it enters `lp.py`:
 `_solve_nonneg` takes integer rows and scales none itself, and
-`polytopes.py` reaches phase 1 only through the cone, convex-hull and
-spanning tests, never by building `nonneg_combination` rows by hand.
+`polytopes.py` reaches phase 1 only through the convex-hull test,
+`lp_feasible` and the spanning test, never by building `nonneg_combination` rows by hand.
 The Gordan rows of the Minkowski vertex test reach `nonneg_combination`
 as ints: each summand's differences are scaled to integers once, so no
 `Fraction` is coerced per vertex tuple.

@@ -146,26 +146,42 @@ class TestCachedVerdict:
         assert seen == {True, False}
 
     def test_second_read_runs_no_lp(self, monkeypatch):
+        # every LP, the Farkas systems of `lp_feasible` too, is one
+        # `nonneg_combination` call
         calls = []
-        original = lp.lp_feasible
+        original = lp.nonneg_combination
 
         def counting(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(lp, "lp_feasible", counting)
+        monkeypatch.setattr(lp, "nonneg_combination", counting)
         G = coupling_config(Fraction(1, 4))
         assert G.is_gale
         # 6 deletions leave 3 distinct ray sets, one strict system each; one
         # system per deletion made 6
         assert len(calls) == 3
         assert G.is_gale
-        gale_faces_of_card(G, 2)
-        gale_face_test(G, {1, 3})
+        # a vertex's complement is a single deletion, whose verdict
+        # `is_gale` kept
+        assert gale_faces_of_card(G, 1) == [frozenset([l]) for l in G.labels]
         assert len(calls) == 3
+        gale_faces_of_card(G, 2)
+        # the complements of the 15 pairs carry 6 ray sets, 3 of them the
+        # deletions'; a cone LP for dependence apart from the spanning
+        # system asked all 6
+        assert len(calls) == 3 + 3
+        gale_face_test(G, {1, 3})
+        assert len(calls) == 3 + 3
+        # spanning and dependence read one verdict per ray set: the
+        # vectors 3 and 4 are of full rank and not positively dependent
+        assert not G.spans([3, 4])
+        assert len(calls) == 3 + 3 + 1
+        assert not G.dependent([4, 3])
+        assert len(calls) == 3 + 3 + 1
         # the verdict lives on the instance: an equal, fresh one decides again
         assert coupling_config(Fraction(1, 4)).is_gale
-        assert len(calls) == 6
+        assert len(calls) == 3 + 3 + 1 + 3
 
     def test_verdict_leaves_eq_and_hash_unchanged(self):
         G, H = coupling_config(Fraction(1, 4)), coupling_config(Fraction(1, 4))

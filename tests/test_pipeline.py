@@ -250,7 +250,13 @@ class TestTwoTriangleOpCounts:
         # vertex records decide emptiness, flatness and redundancy; an
         # interior LP and one Farkas cone LP per row made 7 lp_feasible
         # calls (2 feasible) and 7 + 26 nonneg_combination calls.
-        assert counts == {"lp_feasible": 6, "feasible": 1, "nonneg_combination": 6 + 20}
+        # Dependence is the Farkas system of the spanning test, kept once
+        # per ray set for both questions; a cone LP apart from it made 6
+        # lp_feasible calls (1 feasible) and 6 + 20 nonneg_combination
+        # calls.  The 12 are two spanning tests outside the configuration
+        # and its 10 dependence systems; the 7 feasible ones are the ray
+        # sets that are not positively dependent.
+        assert counts == {"lp_feasible": 12, "feasible": 7, "nonneg_combination": 12 + 10}
 
     def test_building_the_polytope(self, monkeypatch):
         counts = count_lp_calls(monkeypatch)
@@ -273,10 +279,12 @@ class TestTwoTriangleOpCounts:
         assert two_triangle_example("1").passed
         # Three distinct rays, each on two labels: every deletion leaves
         # all three, so the Gale property is one spanning test, and the 15
-        # pair and 20 triple face questions ask about 4 ray sets.  Asking
-        # them once per label set made 6 lp_feasible and 41
-        # nonneg_combination calls.
-        assert counts == {"lp_feasible": 1, "feasible": 0, "nonneg_combination": 1 + 4}
+        # pair and 20 triple face questions ask about 4 ray sets, one of
+        # them the Gale property's.  Asking them once per label set made 6
+        # lp_feasible and 41 nonneg_combination calls, and a cone LP for
+        # dependence apart from the spanning system, 1 lp_feasible and
+        # 1 + 4 nonneg_combination calls.
+        assert counts == {"lp_feasible": 4, "feasible": 3, "nonneg_combination": 4}
 
     def test_no_verdict_outlives_its_configuration(self, monkeypatch):
         counts = count_lp_calls(monkeypatch)
@@ -287,7 +295,7 @@ class TestTwoTriangleOpCounts:
             runs.append(dict(counts))
         # a verdict kept past its configuration would make the second call
         # cheaper, or the first one after an earlier test
-        assert runs == [{"lp_feasible": 6, "feasible": 1, "nonneg_combination": 6 + 20}] * 2
+        assert runs == [{"lp_feasible": 12, "feasible": 7, "nonneg_combination": 12 + 10}] * 2
 
     def test_pivots_at_one_quarter(self, monkeypatch):
         pivots = []
@@ -314,8 +322,27 @@ class TestTwoTriangleOpCounts:
         # instead of once per set of distinct rays, 151.  Bland's rule on
         # every pivot made 76, and validating the polytope by an interior
         # LP and one Farkas cone LP per row instead of by its vertex
-        # records, 78.
-        assert len(pivots) == 54
+        # records, 78.  Asking dependence by a cone LP apart from the
+        # Farkas system of the spanning test made 54.
+        assert len(pivots) == 48
+
+    def test_lp_work_over_the_bench_sweep(self, monkeypatch):
+        # the epsilons of the projection-sweep workload, copied from
+        # bench/workloads.py
+        counts = count_lp_calls(monkeypatch)
+        pivots = []
+        original = lp._pivot
+
+        def counting(*args):
+            pivots.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(lp, "_pivot", counting)
+        for epsilon in ("1/5", "1/4", "1/3", "1/2", "2/3", "3/4", "4/5", "1"):
+            assert two_triangle_example(epsilon).passed
+        # asking dependence by a cone LP apart from the Farkas system of
+        # the spanning test made 187 nonneg_combination calls and 384 pivots
+        assert (counts["nonneg_combination"], len(pivots)) == (158, 342)
 
     def test_one_image_hull(self, monkeypatch):
         # only the oracle projects the vertices and takes their hull

@@ -5,7 +5,7 @@ of a public class and every private module-level function.
 Uses are counted in the package outside `__init__.py` and in `bench/`,
 never in the tests: a definition only a test calls belongs in the tests.
 A top-level definition counts as used when its name occurs as a bare
-name or as an attribute of a galeproj module name (`lp.cone_combination`);
+name or as an attribute of a galeproj module name (`lp.convex_combination`);
 `itertools.product` and `"".join` do not count for a `product` or a
 `join`, and an import is no use, only what uses the name it binds.  A
 method or property counts only as an attribute (`P.dim`), since its bare
