@@ -12,8 +12,9 @@ configuration asks that system once per set of rays: the dependence
 verdicts are kept on the instance, keyed by the sorted set of distinct
 primitive rays of the vectors asked about.  "Spans" is a rank test on
 the same rays, asked first as in `positively_spanning`, and then the
-kept verdict, so no ray set runs an LP twice or where the rank alone
-answers.  No verdict can change.  Both ask about the cone of the
+kept verdict.  The rank verdict is kept too, in a second dict keyed the
+same way, so no ray set runs a rank or an LP twice, or an LP where the
+rank alone answers.  No verdict can change.  Both ask about the cone of the
 vectors, or a strictly positive combination of them that is zero, and
 those depend only on the set of rays: coefficients on copies of one ray
 add up to one positive coefficient on it, and a positive coefficient on
@@ -50,9 +51,10 @@ class VectorConfig(Record):
     `vectors` stays rational, so `==` and `hash` still tell configurations
     apart that differ only by such a scaling.
 
-    Whether it is a Gale transform (`is_gale`), and the dependence
-    verdict of each ray set that `spans` or `dependent` asks about (see
-    the module docstring), are decided on first use and kept the same way.
+    Whether it is a Gale transform (`is_gale`), the dependence verdict of
+    each ray set that `spans` or `dependent` asks about, and the rank
+    verdict of each one `spans` asks about (see the module docstring), are
+    decided on first use and kept the same way.
     The configuration is immutable: assigning or deleting an attribute
     raises AttributeError, so no verdict can go stale.  The kept values
     live in the instance dict, which `==` and `hash` do not read, and none
@@ -94,6 +96,10 @@ class VectorConfig(Record):
     def _verdicts(self) -> dict[tuple[tuple[int, ...], ...], bool]:
         return {}
 
+    @cached_property
+    def _full_rank(self) -> dict[tuple[tuple[int, ...], ...], bool]:
+        return {}
+
     def vector(self, label: int) -> tuple[int, ...]:
         """The primitive ray of the vector labelled `label`: a positive
         multiple of the rational vector, fit for every verdict but not for `==`."""
@@ -108,7 +114,9 @@ class VectorConfig(Record):
     def spans(self, labels: Iterable[int]) -> bool:
         """Do the vectors labelled `labels` positively span?  See `positively_spanning`."""
         rays = self._ray_set(labels)
-        return rank(rays) == self.dim and self._dependent(rays)
+        if rays not in self._full_rank:
+            self._full_rank[rays] = rank(rays) == self.dim
+        return self._full_rank[rays] and self._dependent(rays)
 
     def dependent(self, labels: Iterable[int]) -> bool:
         """Are the vectors labelled `labels` positively dependent?  See `positively_dependent`."""

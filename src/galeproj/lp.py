@@ -5,10 +5,12 @@ only algorithm: `nonneg_combination` finds a point of {x >= 0, Ax = b}
 or proves there is none, and re-checks the point in integers against the
 input rows, never the tableau.  `lp_feasible` decides {x : Ax <= b}, x
 free, by the Farkas system {y >= 0, yA = 0, yb = -1}, so each "empty"
-verdict has a re-checked y.  Two questions come here: `convex_combination`,
-for the Gordan and convex-hull tests, and `lp_feasible`, which
-`gale.positively_dependent` asks for every spanning and dependence
-verdict and `HPolytope` asks of a system that is not bounded.
+verdict has a re-checked y.  Every question comes here as an
+`lp_feasible` system: the Gordan vertex test of
+`polytopes.minkowski_vertex_test` and the convex-hull test of
+`projections.face_preserved` as their margin systems {c.w <= -1},
+`gale.positively_dependent` for every spanning and dependence verdict,
+and `HPolytope` of a system that is not bounded.
 
 Pricing is Dantzig's rule (enter the column of largest reduced cost, the
 lowest index among ties) with a Bland fallback, which makes it
@@ -130,13 +132,12 @@ def _solve_nonneg(rows, nvars):
 def nonneg_combination(eq_rows: list[tuple[list, Fraction]], nvars: int) -> list[Fraction] | None:
     """Solve {x >= 0, equality rows} by phase 1; a re-checked point or None.
 
-    Entries are ints or Fractions.  This is the one entry to phase 1: the
-    convex-hull test and `lp_feasible`'s Farkas system both come through
-    here.  Each row a.x = b is scaled once by `integer_row` to
-    integers a'.x = b', for the tableau and for the re-check.  The re-check
-    reads those input rows and the returned point, not the tableau:
-    x = num / L on its nonzero entries, and each row must hold as
-    a'.num = b' * L, with num >= 0.
+    Entries are ints or Fractions.  This is the one entry to phase 1, and
+    `lp_feasible`'s Farkas system is its one caller in the package.  Each
+    row a.x = b is scaled once by `integer_row` to integers a'.x = b', for
+    the tableau and for the re-check.  The re-check reads those input rows
+    and the returned point, not the tableau: x = num / L on its nonzero
+    entries, and each row must hold as a'.num = b' * L, with num >= 0.
     """
     rows = [integer_row([*coeffs, rhs])[0] for coeffs, rhs in eq_rows]
     x = _solve_nonneg(rows, nvars)
@@ -148,20 +149,6 @@ def nonneg_combination(eq_rows: list[tuple[list, Fraction]], nvars: int) -> list
     if any(n < 0 for _, n in num) or any(sum(a[j] * n for j, n in num) != a[-1] * L for a in rows):
         raise AssertionError("simplex returned an invalid witness")
     return x
-
-
-def convex_combination(points, target) -> list[Fraction] | None:
-    """Coefficients of target as a convex combination of points, or None.
-
-    Entries are ints or Fractions, kept as they are for `nonneg_combination`:
-    one row sum(lam_i * p_i) = target per coordinate, and sum(lam_i) = 1.
-    With no points each coordinate row is 0 = target[r].
-    """
-    points = list(points)
-    if any(len(p) != len(target) for p in points):
-        raise DimensionMismatch("convex membership with mixed dimensions")
-    columns = zip(*points) if points else [()] * len(target)
-    return nonneg_combination([*zip(columns, target), ([1] * len(points), 1)], len(points))
 
 
 def lp_feasible(constraints: list[tuple[Sequence, int | Fraction]]) -> FeasibilityResult:

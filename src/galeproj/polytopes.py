@@ -269,9 +269,13 @@ def minkowski_vertex_test(choice: Sequence[int], polys: Sequence[VPolytope]) -> 
 
     True iff some direction c has strictly larger inner product on each
     chosen point than on every other point of its polytope, i.e. the open
-    normal cones of the chosen vertices intersect.  By Gordan's alternative
-    such a c exists iff 0 is not a convex combination of the differences
-    w - v_i, which one phase-1 solve decides.  The differences are read
+    normal cones of the chosen vertices intersect: c.(w - v_i) < 0 for
+    every difference.  That system is homogeneous in c, so scaling c asks
+    no more of it than the margin system c.(w - v_i) <= -1, one
+    `lp_feasible` call.  Its Farkas system, y >= 0 with sum y_i = 1 and
+    sum y_i (w - v_i) = 0, is Gordan's alternative (0 is a convex
+    combination of the differences), so a "not a vertex" verdict carries
+    that combination, re-checked in integers.  The differences are read
     from each summand's `VPolytope.differences`, built once per summand,
     not once per tuple.
     """
@@ -286,7 +290,7 @@ def minkowski_vertex_test(choice: Sequence[int], polys: Sequence[VPolytope]) -> 
         diffs.extend(Q.differences[idx])
     if not diffs:
         return True  # all summands are single points
-    return lp.convex_combination(diffs, (0,) * polys[0].dim) is None
+    return lp.lp_feasible([(w, -1) for w in diffs]).feasible
 
 
 def minkowski_sum_vertices(polys: Sequence[VPolytope]) -> list[tuple[tuple[int, ...], Vec]]:

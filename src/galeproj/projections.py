@@ -19,11 +19,13 @@ boundary of the shadow: a functional c that is larger at it than at every
 other image is <= 0 on all the shifted images, so they do not positively
 span.  The g-vector tests read the primitive integer rays that
 `VectorConfig` keeps, a positive scaling of each g-vector, which changes
-none of these verdicts.  The spanning test goes through `VectorConfig`
-(see `gale`): a rank test, then the dependence verdict it keeps per set
-of rays.  Vertices whose tight facets carry the same set of rays share
-one LP, and so does a ray set that the Gale property or a face question
-on the same configuration already asked about.
+none of these verdicts.  Both g-vector tests are `lp_feasible` systems.
+The convex-hull test is the margin system of `face_preserved`.  The
+spanning test goes through `VectorConfig` (see `gale`): the rank and
+dependence verdicts it keeps per set of rays.  Vertices whose tight
+facets carry the same set of rays share one LP, and so does a ray set
+that the Gale property or a face question on the same configuration
+already asked about.
 """
 
 from __future__ import annotations
@@ -82,11 +84,17 @@ def make_setup(P: HPolytope, proj: Iterable[Iterable]) -> ProjectionSetup:
 
 
 def face_preserved(s: ProjectionSetup, tight: Iterable[int]) -> bool:
-    """Image of the face is a face of the image: 0 in conv of its g-vectors."""
+    """Image of the face is a face of the image: 0 in conv of its g-vectors.
+
+    By Gordan's alternative 0 is in conv g iff no c has c.w < 0 for every
+    g-vector w, and as that system is homogeneous in c, iff the margin
+    system c.w <= -1 is infeasible.  A "preserved" verdict carries the
+    Farkas y of `lp_feasible`, which sums to 1: that convex combination.
+    """
     g = s.g_images.subset(tight)
     if not g:
         return False
-    return lp.convex_combination(g, (0,) * s.g_images.dim) is not None
+    return not lp.lp_feasible([(w, -1) for w in g]).feasible
 
 
 def face_strictly_preserved(s: ProjectionSetup, tight: Iterable[int]) -> bool:

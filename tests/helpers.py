@@ -216,7 +216,7 @@ def full_survival_census(s) -> tuple[tuple[VertexRecord, ...], tuple[VertexRecor
     for r in records:
         w = [g[label] for label in r.tight_facets]
         strict = positively_spanning(w)
-        preserved = lp.convex_combination(w, origin) is not None
+        preserved = convex_combination(w, origin) is not None
         g_side.append(VertexRecord(r.tight_facets, strict, preserved))
     images = [fraction_mat_vec(s.proj, r.vertex_coords) for r in records]
     distinct = sorted(set(images))
@@ -256,6 +256,15 @@ def cone_combination(vectors, target) -> list[Fraction] | None:
     vectors = list(vectors)
     columns = zip(*vectors) if vectors else [()] * len(target)
     return lp.nonneg_combination(list(zip(columns, target)), len(vectors))
+
+
+def convex_combination(points, target) -> list[Fraction] | None:
+    """Coefficients lam >= 0 with sum(lam_i * p_i) = target and
+    sum(lam_i) = 1, or None: the convex membership system, one row per
+    coordinate and the row of ones, on `lp.nonneg_combination`."""
+    points = list(points)
+    columns = zip(*points) if points else [()] * len(target)
+    return lp.nonneg_combination([*zip(columns, target), ([1] * len(points), 1)], len(points))
 
 
 def spans_positively_primal(vectors) -> bool:

@@ -156,6 +156,14 @@ class TestCachedVerdict:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(lp, "nonneg_combination", counting)
+        ranks = []
+        original_rank = gale.rank
+
+        def counting_rank(rows):
+            ranks.append(1)
+            return original_rank(rows)
+
+        monkeypatch.setattr(gale, "rank", counting_rank)
         G = coupling_config(Fraction(1, 4))
         assert G.is_gale
         # 6 deletions leave 3 distinct ray sets, one strict system each; one
@@ -179,6 +187,12 @@ class TestCachedVerdict:
         assert len(calls) == 3 + 3 + 1
         assert not G.dependent([4, 3])
         assert len(calls) == 3 + 3 + 1
+        # the rank verdict is kept beside the dependence verdict: a second
+        # spanning read of the ray set runs no rank either, where it ran
+        # one on every read before
+        kept_ranks = len(ranks)
+        assert not G.spans([4, 3])
+        assert (len(calls), len(ranks)) == (3 + 3 + 1, kept_ranks)
         # the verdict lives on the instance: an equal, fresh one decides again
         assert coupling_config(Fraction(1, 4)).is_gale
         assert len(calls) == 3 + 3 + 1 + 3

@@ -7,12 +7,13 @@ import pytest
 from galeproj import lp
 from galeproj.errors import DimensionMismatch
 from galeproj.linalg import integer_row
-from galeproj.lp import FeasibilityResult, convex_combination, lp_feasible
+from galeproj.lp import FeasibilityResult, lp_feasible
 from galeproj.pipeline import two_triangle_example
 from helpers import (
     EQ,
     _fraction_simplex_max,
     cone_combination,
+    convex_combination,
     eq,
     fraction_solve_nonneg,
     le,
@@ -287,6 +288,34 @@ def test_pivots_do_not_depend_on_how_rows_are_scaled(monkeypatch):
         pivots += len(rational)
         feasible += x is not None
     assert pivots > 300 and 50 < feasible < 250
+
+
+def test_gordan_margin_system_is_the_convex_combination_tableau(monkeypatch):
+    # 0 is in conv W iff no c has c.w < 0 for all w (Gordan), iff the
+    # margin system {c.w <= -1} is empty.  Its Farkas rows are the convex
+    # combination rows with target 0, the row of ones negated, so both
+    # make the same pivots.
+    log = []
+    pivot = lp._pivot
+
+    def logging(T, basis, Z, D, r, c):
+        log.append((c, basis[r]))
+        return pivot(T, basis, Z, D, r, c)
+
+    monkeypatch.setattr(lp, "_pivot", logging)
+    rng = random.Random(2121)
+    verdicts = Counter()
+    for _ in range(300):
+        e = rng.randint(1, 3)
+        W = [[oracle_entry(rng) for _ in range(e)] for _ in range(rng.randint(1, 6))]
+        log.clear()
+        feasible = lp_feasible([(w, -1) for w in W]).feasible
+        margin = list(log)
+        log.clear()
+        assert feasible == (convex_combination(W, (0,) * e) is None), W
+        assert log == margin, W
+        verdicts[feasible] += 1
+    assert verdicts[True] > 50 and verdicts[False] > 50
 
 
 # Beale (1955): max 3/4 x4 - 20 x5 + 1/2 x6 - 6 x7 over x >= 0 with slacks

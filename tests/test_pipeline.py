@@ -8,6 +8,7 @@ from math import comb, prod
 
 import pytest
 from helpers import normal_cone_oracle, separation_hull_vertices
+from test_polytopes import lifted_lattice_summands
 
 from galeproj import complexes, lp, obstructions, pipeline, polytopes, projections
 from galeproj.cli import main
@@ -253,10 +254,15 @@ class TestTwoTriangleOpCounts:
         # Dependence is the Farkas system of the spanning test, kept once
         # per ray set for both questions; a cone LP apart from it made 6
         # lp_feasible calls (1 feasible) and 6 + 20 nonneg_combination
-        # calls.  The 12 are two spanning tests outside the configuration
-        # and its 10 dependence systems; the 7 feasible ones are the ray
-        # sets that are not positively dependent.
-        assert counts == {"lp_feasible": 12, "feasible": 7, "nonneg_combination": 12 + 10}
+        # calls.  The 22 are two spanning tests outside the configuration,
+        # its 10 dependence systems and the 10 Gordan systems of the image
+        # hull and the convex-hull test, so every phase 1 is an lp_feasible
+        # system; asking the Gordan systems as convex-combination rows, the
+        # same tableaux, made 12 lp_feasible calls (7 feasible).  The 16
+        # feasible ones are the 7 ray sets that are not positively
+        # dependent, the 8 images that are hull vertices and the one vertex
+        # that is not preserved.
+        assert counts == {"lp_feasible": 22, "feasible": 16, "nonneg_combination": 22}
 
     def test_building_the_polytope(self, monkeypatch):
         counts = count_lp_calls(monkeypatch)
@@ -294,8 +300,10 @@ class TestTwoTriangleOpCounts:
             assert two_triangle_example("1/4").passed
             runs.append(dict(counts))
         # a verdict kept past its configuration would make the second call
-        # cheaper, or the first one after an earlier test
-        assert runs == [{"lp_feasible": 12, "feasible": 7, "nonneg_combination": 12 + 10}] * 2
+        # cheaper, or the first one after an earlier test (12 lp_feasible
+        # calls, 7 feasible, while the Gordan systems were convex-combination
+        # rows)
+        assert runs == [{"lp_feasible": 22, "feasible": 16, "nonneg_combination": 22}] * 2
 
     def test_pivots_at_one_quarter(self, monkeypatch):
         pivots = []
@@ -373,6 +381,27 @@ class TestTwoTriangleOpCounts:
         monkeypatch.setattr(polytopes, "solve_square", counting)
         assert two_triangle_example("1/4").passed
         assert len(calls) == 15
+
+
+def test_every_phase_one_is_an_lp_feasible_system(monkeypatch):
+    # lp_feasible is the one formulation: each nonneg_combination call is
+    # one lp_feasible call's Farkas system.  Over the sweep the Gordan
+    # systems asked as convex-combination rows made 88 lp_feasible calls
+    # against 158 nonneg_combination calls.
+    counts = count_lp_calls(monkeypatch)
+
+    def calls():
+        got = (counts["lp_feasible"], counts["nonneg_combination"])
+        counts.clear()
+        return got
+
+    for epsilon in ("1/5", "1/4", "1/3", "1/2", "2/3", "3/4", "4/5", "1"):
+        assert two_triangle_example(epsilon).passed
+    assert calls() == (158, 158)
+    assert len(polytopes.minkowski_sum_vertices(lifted_lattice_summands())) == 41
+    assert calls() == (125, 125)
+    assert random_experiment(3, 3, [8, 8, 8], 1, 7).results["counts"] == [70]
+    assert calls() == (512, 512)
 
 
 def test_random_experiment_pivots(monkeypatch):

@@ -29,6 +29,7 @@ from galeproj.polytopes import (
     trivial_upper_bound,
 )
 from helpers import (
+    convex_combination,
     facet_description,
     fraction_slacks,
     le,
@@ -397,13 +398,13 @@ class TestHull:
 
     def test_one_gordan_test_per_unique_point(self, monkeypatch):
         calls = []
-        original = lp.convex_combination
+        original = lp.lp_feasible
 
         def counting(*args):
             calls.append(1)
             return original(*args)
 
-        monkeypatch.setattr(lp, "convex_combination", counting)
+        monkeypatch.setattr(lp, "lp_feasible", counting)
         pts = [(0, 0), (2, 0), (0, 2), (2, 0), (1, 1), (Fraction(1, 2), Fraction(1, 2))]
         assert hull_vertex_indices(pts) == {0, 2}
         assert len(calls) == 4  # the repeated (2, 0) is never tested
@@ -573,13 +574,15 @@ class TestGordanVertexTest:
                 diffs = [
                     vsub(w, Q.points[i]) for i, Q in zip(choice, polys) for w in Q.points if w != Q.points[i]
                 ]
-                lam = lp.convex_combination(diffs, (0, 0, 0))
+                lam = convex_combination(diffs, (0, 0, 0))
                 assert lam is not None and sum(lam) == 1 and min(lam) >= 0
                 assert all(sum(l * u[c] for l, u in zip(lam, diffs)) == 0 for c in range(3))
         assert accepted == 41
 
     def test_one_phase_one_solve_per_tuple(self, monkeypatch):
-        calls = {"convex_combination": 0, "lp_feasible": 0}
+        # the Gordan test is one lp_feasible margin system, so one
+        # nonneg_combination call; it was one convex_combination call
+        calls = {"lp_feasible": 0, "nonneg_combination": 0}
 
         def counting(name):
             original = getattr(lp, name)
@@ -595,9 +598,9 @@ class TestGordanVertexTest:
         polys = [TRIANGLE, VPolytope([(0, 0), (2, 1)])]
         for choice in all_choices(polys):
             minkowski_vertex_test(choice, polys)
-        assert calls == {"convex_combination": 6, "lp_feasible": 0}
+        assert calls == {"lp_feasible": 6, "nonneg_combination": 6}
         minkowski_vertex_test((0, 0), [VPolytope([(1, 1)]), VPolytope([(2, 2)])])
-        assert calls == {"convex_combination": 6, "lp_feasible": 0}
+        assert calls == {"lp_feasible": 6, "nonneg_combination": 6}
 
 
 class TestDifferencesCached:
@@ -666,7 +669,9 @@ class TestDifferencesCached:
     def test_lifted_lattice_instance_work(self, monkeypatch):
         # one phase 1 per tuple and no strict system: 125 solves, 646 pivots
         # (875 while the differences kept the common factors of their entries,
-        # 863 while Bland's rule priced every pivot)
+        # 863 while Bland's rule priced every pivot).  Each solve is the
+        # margin system of one lp_feasible call; the convex-combination
+        # rows it replaced, the same tableau, made 0 lp_feasible calls.
         calls = {"nonneg_combination": 0, "lp_feasible": 0, "_pivot": 0}
 
         def counting(name):
@@ -681,7 +686,7 @@ class TestDifferencesCached:
         for name in calls:
             monkeypatch.setattr(lp, name, counting(name))
         assert len(minkowski_sum_vertices(lifted_lattice_summands())) == 41
-        assert calls == {"nonneg_combination": 125, "lp_feasible": 0, "_pivot": 646}
+        assert calls == {"nonneg_combination": 125, "lp_feasible": 125, "_pivot": 646}
 
 
 class TestTrivialBound:

@@ -5,7 +5,7 @@ of a public class and every private module-level function.
 Uses are counted in the package outside `__init__.py` and in `bench/`,
 never in the tests: a definition only a test calls belongs in the tests.
 A top-level definition counts as used when its name occurs as a bare
-name or as an attribute of a galeproj module name (`lp.convex_combination`);
+name or as an attribute of a galeproj module name (`lp.lp_feasible`);
 `itertools.product` and `"".join` do not count for a `product` or a
 `join`, and an import is no use, only what uses the name it binds.  A
 method or property counts only as an attribute (`P.dim`), since its bare
@@ -33,7 +33,9 @@ as passing every parameter it could.
 without a caller that passes them, each with its reason.
 
 Last, `cli.py` neither constructs a `PipelineReport` nor adds a check to
-one: what a report holds is decided in `pipeline` alone.
+one: what a report holds is decided in `pipeline` alone.  And outside
+`lp.py` the package reads no name of `lp` but `lp_feasible`, so every
+LP question is asked in the one formulation.
 """
 
 import ast
@@ -261,6 +263,21 @@ def test_the_cli_builds_no_report():
     names = [c.func.attr if isinstance(c.func, ast.Attribute) else getattr(c.func, "id", None) for c in calls]
     built = [ast.unparse(c) for c, name in zip(calls, names) if name in ("PipelineReport", "check")]
     assert not built, f"cli.py builds report parts: {built}"
+
+
+def test_the_package_asks_every_lp_through_lp_feasible():
+    # a second LP formulation, read as `lp.name` or through `from .lp
+    # import name`, would come back here
+    read = []
+    for stem in sorted(MODULES - {"lp"}):
+        for node in ast.walk(_tree(PACKAGE / f"{stem}.py")):
+            if isinstance(node, ast.Attribute) and ast.unparse(node.value) in ("lp", "galeproj.lp"):
+                read.append((stem, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module in ("lp", "galeproj.lp"):
+                read += [(stem, alias.name) for alias in node.names]
+    assert ("polytopes", "lp_feasible") in read
+    others = sorted(f"{stem}: lp.{name}" for stem, name in read if name != "lp_feasible")
+    assert not others, f"names of lp read outside lp.py: {others}"
 
 
 def test_the_scan_sees_through_dead_callers():
