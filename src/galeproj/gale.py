@@ -1,8 +1,8 @@
 """Vector configurations, positive spanning/dependence, and Gale duality.
 
 A Gale transform encodes a polytope's face lattice through positive
-dependences of complementary vector subsets; the face oracle here is the
-combinatorial side of that correspondence.
+dependences of complementary vector subsets; `gale_faces_of_card`, the
+face query here, is the combinatorial side of that correspondence.
 
 Positive spanning and dependence are one Farkas system.  W is
 positively dependent iff no c has <c, w> <= 0 for all w and
@@ -100,16 +100,16 @@ class VectorConfig(Record):
     def _full_rank(self) -> dict[tuple[tuple[int, ...], ...], bool]:
         return {}
 
-    def vector(self, label: int) -> tuple[int, ...]:
-        """The primitive ray of the vector labelled `label`: a positive
-        multiple of the rational vector, fit for every verdict but not for `==`."""
-        try:
-            return self._rays[self._index[label]]
-        except KeyError:
-            raise UnknownLabel(label) from None
-
     def subset(self, labels: Iterable[int]) -> list[tuple[int, ...]]:
-        return [self.vector(l) for l in labels]
+        """The primitive rays of the vectors labelled `labels`, in order:
+        positive multiples of the rational vectors, fit for every verdict
+        but not for `==`.  A label not in the configuration raises
+        `UnknownLabel`."""
+        rays, index = self._rays, self._index
+        try:
+            return [rays[index[l]] for l in labels]
+        except KeyError as err:
+            raise UnknownLabel(err.args[0]) from None
 
     def spans(self, labels: Iterable[int]) -> bool:
         """Do the vectors labelled `labels` positively span?  See `positively_spanning`."""
@@ -123,11 +123,7 @@ class VectorConfig(Record):
         return self._dependent(self._ray_set(labels))
 
     def _ray_set(self, labels: Iterable[int]) -> tuple[tuple[int, ...], ...]:
-        all_rays, index = self._rays, self._index
-        try:
-            return tuple(sorted({all_rays[index[l]] for l in labels}))
-        except KeyError as err:
-            raise UnknownLabel(err.args[0]) from None
+        return tuple(sorted(set(self.subset(labels))))
 
     def _dependent(self, rays: tuple[tuple[int, ...], ...]) -> bool:
         verdicts = self._verdicts
@@ -183,31 +179,16 @@ def positively_dependent(W: Sequence[Sequence]) -> bool:
     return not lp.lp_feasible([(w, 0) for w in vectors] + [(total, -1)]).feasible
 
 
-def gale_face_test(G: VectorConfig, coface: Iterable[int]) -> bool:
-    """Is conv{v_i : i in coface} a face of the polytope G encodes?
-
-    Holds iff the complementary vectors are positively dependent.  Refuses
-    to answer for configurations that are not Gale transforms, where the
-    correspondence is meaningless.  A one-label coface runs no LP: its
-    complement is a single deletion, whose dependence verdict `is_gale`
-    has already kept.
-    """
-    if not G.is_gale:
-        raise NotGale("face queries need a Gale transform")
-    coface = frozenset(coface)
-    unknown = coface - set(G.labels)
-    if unknown:
-        raise UnknownLabel(sorted(unknown)[0])
-    complement = [l for l in G.labels if l not in coface]
-    if not complement:
-        return True  # the whole vertex set
-    return G.dependent(complement)
-
-
 def gale_faces_of_card(G: VectorConfig, k: int) -> list[frozenset[int]]:
-    """All k-subsets of labels passing the face test, sorted.
+    """The k-sets of labels S with conv{v_i : i in S} a face of the
+    polytope G encodes, in lexicographic order.
 
-    For a simplicial encoded polytope these are exactly its (k-1)-faces.
+    S is a face iff it is the whole label set or the complementary vectors
+    are positively dependent (`G.dependent`).  Refuses to answer for
+    configurations that are not Gale transforms, where the correspondence
+    is meaningless.  A one-label S runs no LP: its complement is a single
+    deletion, whose dependence verdict `is_gale` has already kept.  For a
+    simplicial encoded polytope these are exactly its (k-1)-faces.
     `FACE_CARD_CAP` bounds the cardinality, and so the C(m, k) sweep; a k
     past it raises `TooLargeForExact` before any face test.
     """
@@ -220,12 +201,12 @@ def gale_faces_of_card(G: VectorConfig, k: int) -> list[frozenset[int]]:
         )
     if not G.is_gale:
         raise NotGale("face enumeration needs a Gale transform")
-    out = [
+    labels = set(G.labels)
+    return [
         frozenset(c)
-        for c in itertools.combinations(sorted(G.labels), k)
-        if gale_face_test(G, c)
+        for c in itertools.combinations(sorted(labels), k)
+        if k == len(G) or G.dependent(labels.difference(c))
     ]
-    return sorted(out, key=sorted)
 
 
 def general_position(G: VectorConfig) -> bool:

@@ -38,7 +38,7 @@ from .polytopes import (
     minkowski_sum_vertices,
     trivial_upper_bound,
 )
-from .projections import make_setup, oracle_survival, vertex_survival_census
+from .projections import g_vectors, oracle_survival, vertex_survival_census
 from .serialize import vec_json
 
 
@@ -265,15 +265,12 @@ def two_triangle_example(eps) -> PipelineReport:
         incidences == expected,
     )
 
-    setup = make_setup(P, TRIANGLE_PRODUCT_PROJECTION)
-    report.check(
-        "projected dual vertices match the closed-form coupling matrix",
-        setup.g_images == G,
-    )
-    edges = _octahedron_checks(report, setup.g_images)
+    g = g_vectors(P, TRIANGLE_PRODUCT_PROJECTION)
+    report.check("projected dual vertices match the closed-form coupling matrix", g == G)
+    edges = _octahedron_checks(report, g)
 
-    census = vertex_survival_census(setup)
-    oracle = oracle_survival(setup)
+    census = vertex_survival_census(P, g)
+    oracle = oracle_survival(P, TRIANGLE_PRODUCT_PROJECTION)
     surviving = sum(r.strictly_preserved for r in census)
     report.results["surviving"] = surviving
     report.results["image_vertex_count"] = oracle.image_vertex_count

@@ -13,7 +13,6 @@ trade-off at the scale this package targets (m up to ~20).
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from functools import cached_property
 from fractions import Fraction
 from math import prod
@@ -111,6 +110,8 @@ class HPolytope(Record):
         if not A or len(A) != len(b):
             raise DimensionMismatch("need one rhs entry per row")
         m, n = len(A), len(A[0])
+        if not n:
+            raise DimensionMismatch("an H-polytope needs at least one coordinate")
         labels = tuple(facet_labels) if facet_labels is not None else tuple(range(1, m + 1))
         if len(labels) != m or len(set(labels)) != m:
             raise DuplicateLabels("facet labels must be distinct, one per row")
@@ -236,26 +237,15 @@ def h_vertices(P: HPolytope) -> tuple[FaceRecord, ...]:
 
 
 def hull_vertex_indices(points: Sequence[Vec]) -> set[int]:
-    """Indices whose point is a vertex of the hull and occurs exactly once.
+    """Indices of the points that are vertices of their convex hull.
 
-    A point repeated in the input is never reported (its index cannot name
-    a vertex unambiguously).  A unique point is decided by the Gordan test
-    of `minkowski_vertex_test`, run on one summand: the V-polytope of the
-    distinct values, whose cached `differences` it reads.  An empty input,
-    or one in which every point repeats, gives the empty set.  The points
-    are int or `Fraction` tuples; they are counted and looked up by
-    `integer_points`, which keeps every verdict, and `differences` makes
-    the same primitive rows of the scaled points as of the points.
+    The points are pairwise distinct: `VPolytope` refuses a repeated one,
+    so an index always names one point.  Each is decided by the Gordan
+    test of `minkowski_vertex_test`, run on one summand: the V-polytope of
+    the points, whose cached `differences` it reads.
     """
-    if not points:
-        return set()
-    keys = integer_points(points)
-    counts = Counter(keys)
-    hull = VPolytope(counts)  # the distinct values, in order of first occurrence
-    vertices = {
-        p for k, (p, c) in enumerate(counts.items()) if c == 1 and minkowski_vertex_test((k,), (hull,))
-    }
-    return {i for i, p in enumerate(keys) if p in vertices}
+    hull = VPolytope(points)
+    return {k for k in range(len(hull.points)) if minkowski_vertex_test((k,), (hull,))}
 
 
 def is_simple(P: HPolytope) -> bool:

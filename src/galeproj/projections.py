@@ -1,15 +1,16 @@
 """Face preservation under linear projections of polytopes.
 
-A projection setup packages a polytope with 0 interior, a full-rank
-projection, and the projected dual vertices g_i.  It stores no kernel
-basis: `make_setup` uses one to map the dual vertices down, once.
-Whether a face survives the projection is read off the g-vectors indexed
-by its tight facets: containing 0 in the convex hull / positively spanning
-correspond to preserved / strictly preserved; `vertex_survival_census`
-applies them to every vertex and never projects one.  `oracle_survival`
-is the independent census from images and fibers: it alone projects the
-vertices and takes the hull of their images, so it also reports how many
-vertices the shadow has.
+`g_vectors(P, proj)` maps the dual vertices of P, a polytope with 0
+interior, into the kernel of a full-rank projection, once: the g-vectors,
+labelled by P's facets.  It keeps no kernel basis.  Whether a face
+survives the projection is read off the g-vectors indexed by its tight
+facets: containing 0 in the convex hull / positively spanning correspond
+to preserved / strictly preserved (Sanyal and Ziegler, DCG 43, 2010).
+`vertex_survival_census(P, G)` applies them to every vertex; it is given
+no projection, so it never projects a vertex.  `oracle_survival(P, proj)`
+is the independent census from images and fibers: it is given no
+g-vectors, and it alone projects the vertices and takes the hull of their
+images, so it also reports how many vertices the shadow has.
 
 Neither census asks an LP whose answer it already holds.  Strictly
 preserved implies preserved: a positively spanning W is positively
@@ -21,7 +22,7 @@ span.  The g-vector tests read the primitive integer rays that
 `VectorConfig` keeps, a positive scaling of each g-vector, which changes
 none of these verdicts.  Both g-vector tests are `lp_feasible` systems.
 The convex-hull test is the margin system of `face_preserved`.  The
-spanning test goes through `VectorConfig` (see `gale`): the rank and
+spanning test is `VectorConfig.spans` (see `gale`): the rank and
 dependence verdicts it keeps per set of rays.  Vertices whose tight
 facets carry the same set of rays share one LP, and so does a ray set
 that the Gale property or a face question on the same configuration
@@ -40,12 +41,6 @@ from .linalg import Mat, integer_points, kernel_basis, mat, mat_vec, rank, vsub
 from .polytopes import HPolytope, h_vertices, hull_vertex_indices
 
 
-class ProjectionSetup(NamedTuple):
-    polytope: HPolytope
-    proj: Mat
-    g_images: VectorConfig
-
-
 class VertexRecord(NamedTuple):
     tight_facets: frozenset[int]
     strictly_preserved: bool
@@ -57,13 +52,12 @@ class SurvivalReport(NamedTuple):
     image_vertex_count: int
 
 
-def make_setup(P: HPolytope, proj: Iterable[Iterable]) -> ProjectionSetup:
-    """Assemble the projection data for (P, proj).
+def g_vectors(P: HPolytope, proj: Iterable[Iterable]) -> VectorConfig:
+    """The g-vectors of (P, proj), labelled by P's facets.
 
-    The g-vectors are K (a_i / b_i), labeled by P's facets, for K the
-    rows of a computed basis of ker(proj).  With 0 strictly inside P
-    (b > 0), the a_i / b_i are the vertices of the polar dual: row
-    irredundancy makes each one a vertex.
+    They are K (a_i / b_i), for K the rows of a computed basis of
+    ker(proj).  With 0 strictly inside P (b > 0), the a_i / b_i are the
+    vertices of the polar dual: row irredundancy makes each one a vertex.
     """
     proj = mat(proj)
     n = P.dim
@@ -80,46 +74,41 @@ def make_setup(P: HPolytope, proj: Iterable[Iterable]) -> ProjectionSetup:
     if any(any(mat_vec(proj, k)) for k in kern):
         raise AssertionError("kernel_basis returned vectors the projection does not annihilate")
     g = [tuple(v / bi for v in mat_vec(kern, a)) for a, bi in zip(P.A, P.b)]
-    return ProjectionSetup(P, proj, VectorConfig(g, P.facet_labels))
+    return VectorConfig(g, P.facet_labels)
 
 
-def face_preserved(s: ProjectionSetup, tight: Iterable[int]) -> bool:
+def face_preserved(G: VectorConfig, tight: Iterable[int]) -> bool:
     """Image of the face is a face of the image: 0 in conv of its g-vectors.
 
     By Gordan's alternative 0 is in conv g iff no c has c.w < 0 for every
     g-vector w, and as that system is homogeneous in c, iff the margin
     system c.w <= -1 is infeasible.  A "preserved" verdict carries the
     Farkas y of `lp_feasible`, which sums to 1: that convex combination.
+    `tight` is a nonempty set of G's labels: a vertex of a full-dimensional
+    polytope in R^n lies on at least n facets.
     """
-    g = s.g_images.subset(tight)
-    if not g:
-        return False
-    return not lp.lp_feasible([(w, -1) for w in g]).feasible
+    return not lp.lp_feasible([(w, -1) for w in G.subset(tight)]).feasible
 
 
-def face_strictly_preserved(s: ProjectionSetup, tight: Iterable[int]) -> bool:
-    """Strict survival: the g-vectors positively span the kernel space."""
-    tight = list(tight)
-    return bool(tight) and s.g_images.spans(tight)
+def vertex_survival_census(P: HPolytope, G: VectorConfig) -> tuple[VertexRecord, ...]:
+    """Classify every vertex of P by the g-vectors G of its tight facets.
 
-
-def vertex_survival_census(s: ProjectionSetup) -> tuple[VertexRecord, ...]:
-    """Classify every vertex of the polytope by the g-vector criteria.
-
-    Reads only the polytope and the g-vectors: no vertex is projected, so
-    the image side stays with `oracle_survival`.  `face_preserved` runs
-    only for the vertices that are not strictly preserved, since strict
-    preservation implies preservation (see the module docstring).
+    A vertex is strictly preserved iff they positively span the kernel
+    space (`G.spans`), and preserved iff 0 is in their convex hull
+    (`face_preserved`).  No vertex is projected, so the image side stays
+    with `oracle_survival`.  `face_preserved` runs only for the vertices
+    that are not strictly preserved, since strict preservation implies
+    preservation (see the module docstring).
     """
     out = []
-    for r in h_vertices(s.polytope):
-        strict = face_strictly_preserved(s, r.tight_facets)
-        out.append(VertexRecord(r.tight_facets, strict, strict or face_preserved(s, r.tight_facets)))
+    for r in h_vertices(P):
+        strict = G.spans(r.tight_facets)
+        out.append(VertexRecord(r.tight_facets, strict, strict or face_preserved(G, r.tight_facets)))
     return tuple(out)
 
 
-def oracle_survival(s: ProjectionSetup) -> SurvivalReport:
-    """Independent census straight from images and fibers.
+def oracle_survival(P: HPolytope, proj: Mat) -> SurvivalReport:
+    """Independent census of P's vertices straight from images and fibers.
 
     A vertex strictly survives iff its image is a hull vertex of the
     projected vertex set and no other vertex shares that image; it is
@@ -134,10 +123,11 @@ def oracle_survival(s: ProjectionSetup) -> SurvivalReport:
 
     Everything reads the `integer_points` keys of the images, one positive
     scaling of them all, which changes no hull vertex, no multiplicity and
-    no spanning verdict.
+    no spanning verdict.  Multiplicity is decided here alone: the hull is
+    taken of the distinct keys.
     """
-    records = h_vertices(s.polytope)
-    images = [mat_vec(s.proj, r.vertex_coords) for r in records]
+    records = h_vertices(P)
+    images = [mat_vec(proj, r.vertex_coords) for r in records]
     keys = integer_points(images)
     counts = Counter(keys)
     distinct = sorted(counts)
@@ -149,4 +139,3 @@ def oracle_survival(s: ProjectionSetup) -> SurvivalReport:
         on_boundary = hull_vertex or not positively_spanning([vsub(w, key) for w in distinct if w != key])
         classified.append(VertexRecord(r.tight_facets, strict, on_boundary))
     return SurvivalReport(tuple(classified), len(hull_keys))
-

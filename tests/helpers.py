@@ -23,7 +23,7 @@ from galeproj.gale import positively_spanning
 from galeproj.linalg import Vec, frac, integer_row, mat, rank, vec, vsub
 from galeproj.obstructions import Graph
 from galeproj.polytopes import HPolytope, h_vertices
-from galeproj.projections import VertexRecord
+from galeproj.projections import VertexRecord, g_vectors
 
 
 # Systems of rows a.x <= b, a.x = b and a.x < b on free variables, the
@@ -199,8 +199,8 @@ def separation_hull_vertices(points: list[Vec]) -> set[int]:
     return out
 
 
-def full_survival_census(s) -> tuple[tuple[VertexRecord, ...], tuple[VertexRecord, ...]]:
-    """Both vertex censuses of a projection setup, every question asked.
+def full_survival_census(P, proj) -> tuple[tuple[VertexRecord, ...], tuple[VertexRecord, ...]]:
+    """Both vertex censuses of P under proj, every question asked.
 
     The g-vector side asks the spanning and the convex-hull question of
     every vertex, on the rational g-vectors; the image side takes the hull
@@ -209,16 +209,17 @@ def full_survival_census(s) -> tuple[tuple[VertexRecord, ...], tuple[VertexRecor
     not.  Test oracle for the shortcuts of `vertex_survival_census` and
     `oracle_survival`, which the two sides must equal record for record.
     """
-    records = h_vertices(s.polytope)
-    g = dict(zip(s.g_images.labels, s.g_images.vectors))
-    origin = (0,) * s.g_images.dim
+    records = h_vertices(P)
+    G = g_vectors(P, proj)
+    g = dict(zip(G.labels, G.vectors))
+    origin = (0,) * G.dim
     g_side = []
     for r in records:
         w = [g[label] for label in r.tight_facets]
         strict = positively_spanning(w)
         preserved = convex_combination(w, origin) is not None
         g_side.append(VertexRecord(r.tight_facets, strict, preserved))
-    images = [fraction_mat_vec(s.proj, r.vertex_coords) for r in records]
+    images = [fraction_mat_vec(proj, r.vertex_coords) for r in records]
     distinct = sorted(set(images))
     hull_values = {distinct[i] for i in separation_hull_vertices(distinct)}
     image_side = []

@@ -149,6 +149,15 @@ def test_missing_field_is_named(name, tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("A, b", [([[], []], [1, -1]), ([[]], [1])])
+def test_h_polytope_without_coordinates_is_named(A, b, tmp_path, capsys):
+    # rows with no entries used to reach the square solves of vertex enumeration
+    assert main(["minksum", "--input", _write(tmp_path, {"type": "H", "A": A, "b": b})]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: an H-polytope needs at least one coordinate\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("via", ["epsilon", "file"])
 def test_zero_denominator_is_named(via, tmp_path, capsys):
     argv = {

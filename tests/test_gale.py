@@ -10,7 +10,6 @@ from galeproj.errors import DuplicateLabels, NotGale, TooLargeForExact, UnknownL
 from galeproj.gale import (
     FACE_CARD_CAP,
     VectorConfig,
-    gale_face_test,
     gale_faces_of_card,
     general_position,
     positively_dependent,
@@ -179,7 +178,8 @@ class TestCachedVerdict:
         # deletions'; a cone LP for dependence apart from the spanning
         # system asked all 6
         assert len(calls) == 3 + 3
-        gale_face_test(G, {1, 3})
+        # the complement of the edge {1, 3} is one of those 15
+        assert G.dependent([2, 4, 5, 6])
         assert len(calls) == 3 + 3
         # spanning and dependence read one verdict per ray set: the
         # vectors 3 and 4 are of full rank and not positively dependent
@@ -256,7 +256,7 @@ class TestRaySetMemo:
         monkeypatch.setattr(lp, "nonneg_combination", counting)
         checked = 0
         for _, G in ray_multisets(2424, 60):
-            rays = [G.vector(l) for l in G.labels]
+            rays = G.subset(G.labels)
             first = {}
             for label, ray in zip(G.labels, rays):
                 first.setdefault(ray, label)
@@ -321,7 +321,7 @@ class TestIntegerCopy:
         rng, gale_configs, other = self.configs()
         for G in gale_configs + other:
             for label, v in zip(G.labels, G.vectors):
-                w = G.vector(label)
+                w = G.subset([label])[0]
                 assert all(type(x) is int for x in w)
                 c = next(wj / vj for wj, vj in zip(w, v) if vj)
                 assert c > 0 and w == tuple(c * x for x in v)
@@ -344,24 +344,26 @@ class TestFaceTest:
     OCT = coupling_config(1)
 
     def test_edge(self):
-        assert gale_face_test(self.OCT, {1, 3})
+        assert frozenset({1, 3}) in gale_faces_of_card(self.OCT, 2)
+        assert self.OCT.dependent([2, 4, 5, 6])
 
     def test_diagonal_is_not_a_face(self):
-        assert not gale_face_test(self.OCT, {1, 2})
+        assert frozenset({1, 2}) not in gale_faces_of_card(self.OCT, 2)
+        assert not self.OCT.dependent([3, 4, 5, 6])
 
     def test_empty_coface(self):
-        assert gale_face_test(self.OCT, set())
+        assert gale_faces_of_card(self.OCT, 0) == [frozenset()]
         assert positively_dependent(self.OCT.vectors)
 
     def test_improper_face(self):
-        assert gale_face_test(self.OCT, {1, 2, 3, 4, 5, 6})
+        # the whole label set has no complement to be dependent, and is a face
+        assert gale_faces_of_card(self.OCT, 6) == [frozenset({1, 2, 3, 4, 5, 6})]
 
     def test_non_gale_refused(self):
         bad = coupling_config(0)
-        with pytest.raises(NotGale):
-            gale_face_test(bad, {1, 3})
-        with pytest.raises(NotGale):
-            gale_faces_of_card(bad, 4)
+        for k in (2, 4, 6):
+            with pytest.raises(NotGale):
+                gale_faces_of_card(bad, k)
 
 
 class TestFaceEnumeration:
@@ -450,7 +452,7 @@ class TestInvariance:
             assert g1.is_gale == g2.is_gale
             if g1.is_gale:
                 coface = frozenset(rng.sample(range(1, m + 1), rng.randint(0, m)))
-                assert gale_face_test(g1, coface) == gale_face_test(g2, coface)
+                assert gale_faces_of_card(g1, len(coface)) == gale_faces_of_card(g2, len(coface))
 
     def test_positive_rescaling_preserves_verdicts(self):
         rng = random.Random(64)
@@ -488,7 +490,7 @@ def test_duplicate_labels_rejected():
         VectorConfig([(1, 0), (0, 1)], labels=[1, 1])
 
 
-@pytest.mark.parametrize("question", ["spans", "dependent"])
+@pytest.mark.parametrize("question", ["subset", "spans", "dependent"])
 def test_questions_name_the_unknown_label(question):
     G = VectorConfig([(1, 0), (0, 1), (-1, -1)], labels=(4, 5, 6))
     with pytest.raises(UnknownLabel) as info:

@@ -80,6 +80,12 @@ class TestConstruction:
         with pytest.raises(RedundantRow):
             HPolytope([[1, 0], [2, 0], [-1, 0], [0, 1], [0, -1]], [1, 2, 1, 1, 1])
 
+    @pytest.mark.parametrize("A, b", [([[], []], [1, -1]), ([[]], [1])])
+    def test_no_coordinates_rejected(self, A, b):
+        with pytest.raises(DimensionMismatch) as err:
+            HPolytope(A, b)
+        assert str(err.value) == "an H-polytope needs at least one coordinate"
+
     def test_duplicate_labels_rejected(self):
         with pytest.raises(DuplicateLabels):
             HPolytope([[1], [-1]], [1, 1], [1, 1])
@@ -384,15 +390,16 @@ class TestHull:
     def test_collinear(self):
         assert hull_vertex_indices(VPolytope([(0, 0), (1, 1), (2, 2)]).points) == {0, 2}
 
-    def test_duplicate_values_not_reported(self):
-        pts = [vec([0, 0]), vec([1, 0]), vec([1, 0]), vec([0, 1])]
-        assert hull_vertex_indices(pts) == {0, 3}
+    def test_repeated_point_refused(self):
+        # an index could not name the vertex; the caller counts multiplicity
+        for pts in ([vec([0, 0]), vec([1, 0]), vec([1, 0]), vec([0, 1])], [(1, 2), (1, 2)]):
+            with pytest.raises(DuplicateLabels):
+                hull_vertex_indices(pts)
 
     def test_contract_on_degenerate_inputs(self):
-        assert hull_vertex_indices([]) == set()
-        assert hull_vertex_indices([(1, 2), (1, 2)]) == set()
-        assert hull_vertex_indices([(0, 0), (1, 0), (0, 0), (1, 0)]) == set()
         assert hull_vertex_indices([(5, 7)]) == {0}
+        with pytest.raises(EmptyPolytope):
+            hull_vertex_indices([])
         with pytest.raises(DimensionMismatch):
             hull_vertex_indices([(0, 0), (1,)])
 
@@ -405,9 +412,9 @@ class TestHull:
             return original(*args)
 
         monkeypatch.setattr(lp, "lp_feasible", counting)
-        pts = [(0, 0), (2, 0), (0, 2), (2, 0), (1, 1), (Fraction(1, 2), Fraction(1, 2))]
-        assert hull_vertex_indices(pts) == {0, 2}
-        assert len(calls) == 4  # the repeated (2, 0) is never tested
+        pts = [(0, 0), (2, 0), (0, 2), (1, 1), (Fraction(1, 2), Fraction(1, 2))]
+        assert hull_vertex_indices(pts) == {0, 1, 2}
+        assert len(calls) == 5
 
     def test_matches_separation_oracle_on_random_sets(self):
         rng = random.Random(5150)

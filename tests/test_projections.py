@@ -1,3 +1,4 @@
+import inspect
 import random
 from collections import Counter
 from fractions import Fraction
@@ -6,18 +7,11 @@ import pytest
 
 from galeproj.complexes import complete_bipartite
 from galeproj.errors import NotGale, OriginNotInterior, RankDeficient, UnknownLabel
-from galeproj.gale import gale_faces_of_card
+from galeproj.gale import VectorConfig, gale_faces_of_card
 from galeproj.linalg import kernel_basis, mat_vec, rank
 from galeproj.pipeline import TRIANGLE_PRODUCT_PROJECTION, coupling_g_matrix, deformed_triangle_product
 from galeproj.polytopes import HPolytope, h_vertices
-from galeproj.projections import (
-    VertexRecord,
-    face_preserved,
-    face_strictly_preserved,
-    make_setup,
-    oracle_survival,
-    vertex_survival_census,
-)
+from galeproj.projections import VertexRecord, face_preserved, g_vectors, oracle_survival, vertex_survival_census
 from helpers import full_survival_census
 
 CUBE = HPolytope(
@@ -26,20 +20,29 @@ CUBE = HPolytope(
 AXIS_PLANE = [[1, 0, 0], [0, 1, 0]]
 # -2 <= x <= 1, -4 <= y <= 3, -6 <= z <= 5, with facet labels that are not 1..6
 BOX = HPolytope(CUBE.A, [1, 2, 3, 4, 5, 6], [11, 12, 13, 14, 15, 16])
+# |x| + |y| + |z| <= 1: 8 facets, and each of the 6 vertices lies on 4, so not simple
+OCTAHEDRON = HPolytope([[a, b, c] for a in (1, -1) for b in (1, -1) for c in (1, -1)], [1] * 8)
+# the cube with its corner (1, 1, 1) cut off by x + y + z <= 5/2: 10 vertices
+CUT_CUBE = HPolytope(CUBE.A + ((1, 1, 1),), CUBE.b + (Fraction(5, 2),))
+# -x_i <= 1 and x_1 + x_2 + x_3 <= 1: a 3-simplex with 0 inside
+SIMPLEX = HPolytope([[-1, 0, 0], [0, -1, 0], [0, 0, -1], [1, 1, 1]], [1, 1, 1, 1])
 EPSILONS_BELOW_ONE = ("1/5", "1/4", "1/3", "1/2", "2/3", "3/4", "4/5")
 # few distinct small entries, so that images often coincide or land mid-edge
 PROJECTION_ENTRIES = (-1, 0, 0, 1, 1, 2, Fraction(1, 2), Fraction(-2, 3))
 
 
 def two_triangle_setup(eps):
-    return make_setup(deformed_triangle_product(eps), TRIANGLE_PRODUCT_PROJECTION)
+    """The g-vectors of the deformed two-triangle product under the plane projection."""
+    return g_vectors(deformed_triangle_product(eps), TRIANGLE_PRODUCT_PROJECTION)
 
 
 class TestMakeSetup:
+    """`g_vectors` of a polytope and a projection, and the pairs it refuses."""
+
     def test_g_vectors_are_the_coupling_matrix(self):
-        s = two_triangle_setup("1/4")
-        assert s.g_images == coupling_g_matrix("1/4")
-        assert s.g_images.dim == 2
+        G = two_triangle_setup("1/4")
+        assert G == coupling_g_matrix("1/4")
+        assert G.dim == 2
 
     @pytest.mark.parametrize(
         "proj",
@@ -51,23 +54,23 @@ class TestMakeSetup:
     )
     def test_bad_projection_refused(self, proj):
         with pytest.raises(RankDeficient):
-            make_setup(CUBE, proj)
+            g_vectors(CUBE, proj)
 
     def test_origin_on_the_boundary_refused(self):
         shifted = HPolytope(CUBE.A, [2, 0, 1, 1, 1, 1])  # 0 <= x <= 2
         with pytest.raises(OriginNotInterior):
-            make_setup(shifted, AXIS_PLANE)
+            g_vectors(shifted, AXIS_PLANE)
 
     def test_origin_outside_refused(self):
         shifted = HPolytope(CUBE.A, [3, -1, 1, 1, 1, 1])  # 1 <= x <= 3, so some b_i < 0
         with pytest.raises(OriginNotInterior):
-            make_setup(shifted, AXIS_PLANE)
+            g_vectors(shifted, AXIS_PLANE)
 
     def test_g_vectors_of_a_box_by_hand(self):
         # ker(AXIS_PLANE) is the z-axis, so g_i is the z-entry of a_i / b_i
-        s = make_setup(BOX, AXIS_PLANE)
-        assert s.g_images.vectors == ((0,), (0,), (0,), (0,), (Fraction(1, 5),), (Fraction(-1, 6),))
-        assert s.g_images.labels == (11, 12, 13, 14, 15, 16)
+        G = g_vectors(BOX, AXIS_PLANE)
+        assert G.vectors == ((0,), (0,), (0,), (0,), (Fraction(1, 5),), (Fraction(-1, 6),))
+        assert G.labels == (11, 12, 13, 14, 15, 16)
 
     def test_g_vectors_are_the_dual_vertices_in_the_kernel(self):
         cases = [
@@ -78,10 +81,10 @@ class TestMakeSetup:
         for P, proj in cases:
             kern = kernel_basis(proj)
             expected = tuple(mat_vec(kern, tuple(x / bi for x in a)) for a, bi in zip(P.A, P.b))
-            s = make_setup(P, proj)
-            assert s.g_images.vectors == expected
-            assert s.g_images.labels == P.facet_labels
-            assert s.g_images.dim == len(kern)
+            G = g_vectors(P, proj)
+            assert G.vectors == expected
+            assert G.labels == P.facet_labels
+            assert G.dim == len(kern)
 
     def test_scaling_a_row_keeps_the_g_vectors(self):
         # (a_i, b_i) and (c a_i, c b_i) with c > 0 are the same facet and the same a_i / b_i
@@ -92,14 +95,15 @@ class TestMakeSetup:
             BOX.facet_labels,
         )
         for proj in (AXIS_PLANE, [[1, 0, 2], [0, 1, 3]], [[1, 1, 1]]):
-            assert make_setup(scaled, proj).g_images == make_setup(BOX, proj).g_images
+            assert g_vectors(scaled, proj) == g_vectors(BOX, proj)
 
 
 class TestCensus:
     @pytest.mark.parametrize("eps", EPSILONS_BELOW_ONE)
     def test_two_triangle_census_equals_oracle(self, eps):
-        s = two_triangle_setup(eps)
-        census, oracle = vertex_survival_census(s), oracle_survival(s)
+        P = deformed_triangle_product(eps)
+        census = vertex_survival_census(P, two_triangle_setup(eps))
+        oracle = oracle_survival(P, TRIANGLE_PRODUCT_PROJECTION)
         assert census == oracle.records
         assert (len(census), sum(r.strictly_preserved for r in census)) == (9, 8)
         assert oracle.image_vertex_count == 8
@@ -113,36 +117,46 @@ class TestCensus:
         ],
     )
     def test_cube_census_equals_oracle(self, proj, surviving, image_vertices, preserved):
-        s = make_setup(CUBE, proj)
-        census, oracle = vertex_survival_census(s), oracle_survival(s)
+        census, oracle = vertex_survival_census(CUBE, g_vectors(CUBE, proj)), oracle_survival(CUBE, proj)
         assert census == oracle.records
         assert oracle.image_vertex_count == image_vertices
         assert (len(census), sum(r.strictly_preserved for r in census)) == (8, surviving)
         assert sum(r.preserved for r in census) == preserved
 
     def test_census_reads_no_projection(self):
-        # the g-vectors decide every vertex; the matrix that made them is not read
-        s = two_triangle_setup("1/4")._replace(proj=None)
+        # the g-vectors decide every vertex; the census is given no projection
+        assert list(inspect.signature(vertex_survival_census).parameters) == ["P", "G"]
+        P = deformed_triangle_product("1/4")
         failing = frozenset({1, 2, 5, 6})
-        assert vertex_survival_census(s) == tuple(
+        assert vertex_survival_census(P, two_triangle_setup("1/4")) == tuple(
             VertexRecord(r.tight_facets, r.tight_facets != failing, r.tight_facets != failing)
-            for r in h_vertices(s.polytope)
+            for r in h_vertices(P)
         )
-        cube = make_setup(CUBE, [[1, 1, 1]])._replace(proj=None)
-        strict = [r.strictly_preserved for r in vertex_survival_census(cube)]
+        strict = [r.strictly_preserved for r in vertex_survival_census(CUBE, g_vectors(CUBE, [[1, 1, 1]]))]
         assert strict == [True, False, False, False, False, False, False, True]
 
-    def test_empty_label_set_is_not_preserved(self):
-        for s in (two_triangle_setup("1/4"), make_setup(CUBE, AXIS_PLANE)):
-            assert face_preserved(s, []) is False
-            assert face_strictly_preserved(s, []) is False
-
-    @pytest.mark.parametrize("test", [face_preserved, face_strictly_preserved], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("test", [face_preserved, VectorConfig.spans], ids=lambda f: f.__name__)
     def test_foreign_label_refused(self, test):
-        s = two_triangle_setup("1/4")
+        G = two_triangle_setup("1/4")
         for tight in ([7], [1, 2, 7], [0]):
             with pytest.raises(UnknownLabel):
-                test(s, tight)
+                test(G, tight)
+
+    @pytest.mark.parametrize("P", [OCTAHEDRON, CUT_CUBE, SIMPLEX], ids=["octahedron", "cut-cube", "simplex"])
+    def test_census_equals_oracle_on_other_polytopes(self, P):
+        # any polytope with 0 inside and any projection: here onto a line and
+        # onto a plane, 15 seeded projections each
+        rng = random.Random(2010)
+        kinds = Counter()
+        for rows in (1, 2):
+            for _ in range(15):
+                proj = random_projection(rng, rows, 3)
+                census = vertex_survival_census(P, g_vectors(P, proj))
+                assert census == oracle_survival(P, proj).records, proj
+                kinds.update((r.strictly_preserved, r.preserved) for r in census)
+        # preserved but not strictly: a vertex whose image is shared or mid-edge
+        assert kinds[(True, True)] and kinds[(False, True)] and kinds[(False, False)]
+        assert not kinds[(True, False)]
 
 
 def random_projection(rng, rows, cols):
@@ -161,10 +175,10 @@ class TestShortcutsMatchFullEvaluation:
         cases += [(BOX, rows, 3) for rows in (1, 2) for _ in range(8)]
         kinds = Counter()
         for P, rows, cols in cases:
-            s = make_setup(P, random_projection(rng, rows, cols))
-            g_side, image_side = full_survival_census(s)
-            assert vertex_survival_census(s) == g_side
-            assert oracle_survival(s).records == image_side
+            proj = random_projection(rng, rows, cols)
+            g_side, image_side = full_survival_census(P, proj)
+            assert vertex_survival_census(P, g_vectors(P, proj)) == g_side
+            assert oracle_survival(P, proj).records == image_side
             assert g_side == image_side
             kinds.update((r.strictly_preserved, r.preserved) for r in g_side)
         # preserved but not strictly: a vertex whose image is shared or mid-edge
@@ -175,13 +189,12 @@ class TestShortcutsMatchFullEvaluation:
 class TestVerifyRealized:
     def test_two_triangle_graph(self):
         # K33 minus the edge {3, 4} is realized in the boundary; K33 is not
-        s = two_triangle_setup("1/4")
         k33 = complete_bipartite((1, 2, 3), (4, 5, 6))
-        assert k33.facets - set(gale_faces_of_card(s.g_images, 2)) == {frozenset({3, 4})}
+        assert k33.facets - set(gale_faces_of_card(two_triangle_setup("1/4"), 2)) == {frozenset({3, 4})}
 
     def test_cube_g_vectors_are_not_gale(self):
         # one kernel dimension: four zero vectors and the pair +1, -1
-        s = make_setup(CUBE, AXIS_PLANE)
-        assert not s.g_images.is_gale
+        G = g_vectors(CUBE, AXIS_PLANE)
+        assert not G.is_gale
         with pytest.raises(NotGale):
-            gale_faces_of_card(s.g_images, 2)
+            gale_faces_of_card(G, 2)

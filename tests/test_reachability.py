@@ -33,9 +33,11 @@ as passing every parameter it could.
 without a caller that passes them, each with its reason.
 
 Last, `cli.py` neither constructs a `PipelineReport` nor adds a check to
-one: what a report holds is decided in `pipeline` alone.  And outside
+one: what a report holds is decided in `pipeline` alone.  Outside
 `lp.py` the package reads no name of `lp` but `lp_feasible`, so every
-LP question is asked in the one formulation.
+LP question is asked in the one formulation.  And every name a module
+imports, `from __future__` aside, is read in that module, so an import
+left behind by deleted code shows.
 """
 
 import ast
@@ -239,9 +241,9 @@ def parameters_unpassed():
 
 def test_the_scan_sees_the_package():
     defs = public_definitions()
-    assert {"gale.VectorConfig", "gale.gale_face_test", "projections.make_setup", "cli.main"} <= defs.keys()
+    assert {"gale.VectorConfig", "gale.gale_faces_of_card", "projections.g_vectors", "cli.main"} <= defs.keys()
     members = public_members()
-    assert {"gale.VectorConfig.vector", "polytopes.HPolytope.dim", "polytopes.VPolytope.differences"} <= members.keys()
+    assert {"gale.VectorConfig.subset", "polytopes.HPolytope.dim", "polytopes.VPolytope.differences"} <= members.keys()
     params = public_parameters()
     assert {"gale.VectorConfig.labels", "pipeline.Check.detail", "pipeline.PipelineReport.check.detail"} <= params.keys()
     assert params["polytopes.HPolytope.facet_labels"] == ("HPolytope", False, 2, "facet_labels")
@@ -278,6 +280,32 @@ def test_the_package_asks_every_lp_through_lp_feasible():
     assert ("polytopes", "lp_feasible") in read
     others = sorted(f"{stem}: lp.{name}" for stem, name in read if name != "lp_feasible")
     assert not others, f"names of lp read outside lp.py: {others}"
+
+
+def _unread_imports(tree):
+    """Names an import binds in `tree` that no expression there reads."""
+    bound = [
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in bound if name not in read]
+
+
+def test_every_import_is_read():
+    source = """
+from __future__ import annotations
+import os.path
+from collections import Counter, OrderedDict as OD
+from . import lp
+def f(x: OD) -> None:
+    return os.path.join(lp.lp_feasible(x))
+"""
+    assert _unread_imports(ast.parse(source)) == ["Counter"]
+    unread = [f"{stem}: {name}" for stem in sorted(MODULES) for name in _unread_imports(_tree(PACKAGE / f"{stem}.py"))]
+    assert not unread, f"imported but never read: {unread}"
 
 
 def test_the_scan_sees_through_dead_callers():
