@@ -25,7 +25,9 @@ from .obstructions import nonembeddable
 
 
 def _dump(data: dict) -> str:
-    return json.dumps(data, indent=2, sort_keys=True)
+    # one line per document, so a run of reports is JSON Lines; without an
+    # indent `json` keeps its C encoder
+    return json.dumps(data, sort_keys=True)
 
 
 def _print_report(report: pipeline.PipelineReport, fmt: str) -> int:

@@ -4,6 +4,9 @@ Vectors are tuples of ``fractions.Fraction``; matrices are tuples of rows.
 All arithmetic is exact; nothing in this package ever touches a float.
 Rank, kernels and square solves share one fraction-free Gauss-Jordan
 elimination on integer rows and build Fractions only for their results.
+`basic_solutions` solves every n-subset of a system's rows by a second
+fraction-free elimination, one row at a time over a tree of row prefixes,
+and returns integers.
 """
 
 from __future__ import annotations
@@ -166,6 +169,102 @@ def solve_square(a: Mat, b: Vec) -> Vec | None:
     if pivots != list(range(n)):
         return None
     return tuple(Fraction(row[n], row[i]) for i, row in enumerate(rows))
+
+
+def basic_solutions(rows: Sequence[Sequence[int]]) -> list[tuple[tuple[int, ...], int]]:
+    """The solution of a.x = b on each nonsingular n-subset of the integer
+    rows [a | b], as (num, L): x = num / L with L > 0 and gcd(num, L) = 1,
+    the pair `integer_row` makes of x.  One pair per nonsingular subset, in
+    the lexicographic order of the subsets, so a point two subsets share
+    comes out twice.
+
+    The subsets are walked depth first as a tree of row prefixes, and
+    each prefix keeps one fraction-free (Bareiss 1968) reduced form.  A
+    prefix P of k independent rows, with pivot columns C, keeps the rows
+    R = D (P_C)^-1 P, D = det P_C, over the columns outside C and b: D
+    times the Gauss-Jordan rows, whose entries are k x k minors of P by
+    Cramer's rule.  Adding a row a makes new = D a - sum_t a[c_t] R_t,
+    whose entry at a column j is D (a_j - a_C (P_C)^-1 P_j), the
+    (k+1) x (k+1) minor of [P; a] on the columns C + {j} (Schur's
+    determinant formula).  A nonzero entry at a column c outside C is the
+    new pivot p, and each kept row becomes (p R_t - R_t[c] new) / D.
+    That quotient is again a (k+1) x (k+1) minor, so the division is
+    exact (Sylvester's identity), and every entry is a minor of the
+    rows.  If new is zero on every column outside C, a is
+    dependent on P, every superset of the prefix is singular, and its
+    subtree is dropped.  At the last row only b is left outside the
+    pivot columns, so the step updates the right-hand sides alone, and
+    x[c_t] = R_t[b] / p.  See `_add_row`.
+    """
+    if not rows or len(rows[0]) < 2:
+        raise DimensionMismatch("basic solutions need rows [a | b] with at least one coordinate")
+    n = len(rows[0]) - 1
+    if any(len(row) != n + 1 for row in rows):
+        raise DimensionMismatch("rows [a | b] of unequal length")
+    m = len(rows)
+    out: list[tuple[tuple[int, ...], int]] = []
+    # one frame per row of the prefix, depth first and without recursion, as
+    # n may pass the interpreter's recursion limit: the rows still to try
+    # in that place, and the prefix before it.  The row in place k (from
+    # 0) is at most m - n + k, so that n - k - 1 rows are left after it.
+    frames = [(iter(range(m - n + 1)), 1, list(range(n)), [], [])]
+    while frames:
+        candidates, det, free, pivots, reduced = frames[-1]
+        i = next(candidates, None)
+        if i is None:
+            frames.pop()
+            continue
+        step = _add_row(rows[i], det, free, pivots, reduced)
+        if step is None:
+            continue
+        k = len(frames)
+        if k < n:
+            frames.append((iter(range(i + 1, m - n + k + 1)), *step))
+            continue
+        p, _, columns, rhs = step
+        num = [0] * n
+        for c, (x,) in zip(columns, rhs):
+            num[c] = x
+        if p < 0:
+            p, num = -p, [-x for x in num]
+        g = gcd(*num, p)
+        out.append((tuple(x // g for x in num), p // g))
+    return out
+
+
+def _add_row(
+    a: Sequence[int], det: int, free: list[int], pivots: list[int], reduced: list[list[int]]
+) -> tuple[int, list[int], list[int], list[list[int]]] | None:
+    """One step of `basic_solutions`: row a added to a prefix with
+    determinant det, pivot columns `pivots` and reduced rows `reduced`
+    over the columns `free` and b.  Returns the new prefix's (det, free,
+    pivots, reduced), or None if a is dependent on the prefix."""
+    new = [det * a[j] for j in free]
+    new.append(det * a[-1])
+    for c, row in zip(pivots, reduced):
+        f = a[c]
+        if f:
+            new = [x - f * y for x, y in zip(new, row)]
+    for q, p in enumerate(new):
+        if p:
+            break
+    if q == len(free):
+        # zero on every free column: the a-part of a depends on the prefix
+        return None
+    if len(free) == 1:
+        # the last row: the pivot column is the last column of a, and
+        # only the right-hand sides are left to update
+        b = new[1]
+        return p, [], pivots + free, [[(p * row[1] - row[0] * b) // det] for row in reduced] + [[b]]
+    out = []
+    for row in reduced:
+        f = row[q]
+        updated = [(p * x - f * y) // det for x, y in zip(row, new)]
+        del updated[q]
+        out.append(updated)
+    del new[q]
+    out.append(new)
+    return p, free[:q] + free[q + 1:], pivots + [free[q]], out
 
 
 def affine_rank(points: Sequence[Vec]) -> int:

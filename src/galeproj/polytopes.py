@@ -4,19 +4,20 @@ H-polytopes are validated on construction: the solution set must be
 nonempty, bounded and full-dimensional, and every row must define a facet.
 One spanning test decides boundedness.  A bounded system's vertex records
 then decide the other three verdicts (see `HPolytope._validate`), so the
-constructor enumerates the vertices: C(m, n) square solves for m rows in
-R^n, which any cap on H-vertex enumeration must meet at construction.
-Vertex enumeration goes through all n-subsets of rows, which is the right
-trade-off at the scale this package targets (m up to ~20).
+constructor enumerates the vertices: one `linalg.basic_solutions` walk
+over the C(m, n) row subsets of m rows in R^n, which shares each prefix's
+elimination among the subsets that extend it and drops every subset
+holding a dependent prefix.  `H_VERTEX_CAP` bounds C(m, n), and the
+constructor checks it before any other work.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from fractions import Fraction
-from math import prod
-from operator import attrgetter, mul
+from math import comb, prod
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from . import lp
@@ -30,20 +31,27 @@ from .errors import (
     NotFullDimensional,
     Record,
     RedundantRow,
+    TooLargeForExact,
     UnboundedPolytope,
 )
 from .gale import positively_spanning
 from .linalg import (
     Mat,
     Vec,
+    basic_solutions,
     integer_points,
     integer_row,
     mat,
     primitive,
-    solve_square,
     vec,
     vsub,
 )
+
+# row subsets C(m, n) of an H-polytope's vertex enumeration.  Construction
+# took 2-10 us per subset on systems tangent to a sphere in R^3 to R^8 and
+# 150-200 us on a coupled (Delta_4)^4 in R^16, so a system at the cap takes
+# up to about a minute on a 2-core host
+H_VERTEX_CAP = 300_000
 
 
 class VPolytope(Record):
@@ -94,9 +102,17 @@ class HPolytope(Record):
     records are exact, and they decide the rest: no record means empty, a
     row tight at every vertex means flat, and a row whose tight vertices
     are none, or lie among another row's, defines no facet.  So
-    construction runs the C(m, n) square solves of `vertex_records`, and
-    the records are kept for every later read.  Only an unbounded system
-    asks LPs for emptiness and flatness.
+    construction runs the `basic_solutions` walk of `vertex_records` over
+    the C(m, n) row subsets, and the records are kept for every later
+    read.  A system with C(m, n) past `H_VERTEX_CAP` raises
+    `TooLargeForExact` before any of this.  Only an unbounded system asks
+    LPs for emptiness and flatness.
+
+    Each row [a | b] is scaled to integers once, by `integer_row`, and
+    kept on the instance beside the rational `A` and `b`, out of `==` and
+    `hash`.  A positive scaling of a row keeps its half-space, its ray
+    and the points where it is tight, so the walk and the spanning test
+    read those rows.
     """
 
     _fields = ("A", "b", "facet_labels")
@@ -115,16 +131,18 @@ class HPolytope(Record):
         labels = tuple(facet_labels) if facet_labels is not None else tuple(range(1, m + 1))
         if len(labels) != m or len(set(labels)) != m:
             raise DuplicateLabels("facet labels must be distinct, one per row")
-        self.__dict__.update(A=A, b=b, facet_labels=labels)
+        if comb(m, n) > H_VERTEX_CAP:
+            raise TooLargeForExact(
+                f"H-vertex enumeration of {m} rows in R^{n} (C({m}, {n}) = {comb(m, n)} row subsets)"
+                f" exceeds the cap {H_VERTEX_CAP}"
+            )
+        rows = tuple(integer_row((*a, bi))[0] for a, bi in zip(A, b))
+        self.__dict__.update(A=A, b=b, facet_labels=labels, _rows=rows)
         self._validate()
 
     @property
     def dim(self) -> int:
         return len(self.A[0])
-
-    @property
-    def num_facets(self) -> int:
-        return len(self.A)
 
     @cached_property
     def vertex_records(self) -> tuple[FaceRecord, ...]:
@@ -133,38 +151,41 @@ class HPolytope(Record):
         The first read is `_validate`'s, in the constructor, on a system
         it has proved bounded.
 
-        Enumerates n-subsets of rows, keeps feasible basic solutions, merges
-        duplicates and recomputes tightness against every row, so non-simple
-        vertices come out with |I(v)| > n.  Ordered by coordinates.  Like
-        `VectorConfig.is_gale`, the value lives in the instance dict, where
-        `==` and `hash` do not look: they compare `A`, `b` and
-        `facet_labels` alone.  Each row [a | b] is scaled to integers once,
-        and the square solves read those rows: a positive scaling of a row
-        keeps the point where it is tight.  With x = num / L, the slack
-        b' * L - a'.num is b - a.x times a positive number, so its sign
-        gives feasibility and tightness.  The pair
-        (num, L), L the lcm of the denominators of x, is x's own integer
-        form, so basic solutions are merged by it, not by the coordinates.
+        One `basic_solutions` call on the integer rows gives the basic
+        solution x = num / L of every nonsingular n-subset of rows; the
+        feasible ones are kept, duplicates merged, and tightness recomputed
+        against every row, so non-simple vertices come out with
+        |I(v)| > n.  The slack scan of a point stops at its first violated
+        row.  Ordered by coordinates, compared in integers by
+        `_compare_points`.  Like `VectorConfig.is_gale`,
+        the value lives in the instance dict, where `==` and `hash` do not
+        look: they compare `A`, `b` and `facet_labels` alone.  The slack
+        b' * L - a'.num of an integer row [a' | b'] is b - a.x times a
+        positive number, so its sign gives feasibility and tightness.  The
+        pair (num, L), L the lcm of the denominators of x, is x's own
+        integer form, so basic solutions are merged by it, not by the
+        coordinates.
         """
-        m, n = self.num_facets, self.dim
-        rows = [integer_row((*a, bi))[0] for a, bi in zip(self.A, self.b)]
-        seen: set[tuple[int, ...]] = set()
-        found: list[FaceRecord] = []
-        for subset in itertools.combinations(range(m), n):
-            x = solve_square([rows[i][:-1] for i in subset], [rows[i][-1] for i in subset])
-            if x is None:
-                continue
-            num, L = integer_row(x)
-            key = (*num, L)
+        rows = self._rows
+        seen: set[tuple[tuple[int, ...], int]] = set()
+        found = []
+        for key in basic_solutions(rows):
             if key in seen:
                 continue
             seen.add(key)
-            # num has one entry per coordinate, so map leaves b' out of the sum
-            slacks = [row[-1] * L - sum(map(mul, row, num)) for row in rows]
-            if min(slacks) >= 0:
-                tight = frozenset(label for label, s in zip(self.facet_labels, slacks) if s == 0)
-                found.append(FaceRecord(tight, x))
-        return tuple(sorted(found, key=attrgetter("vertex_coords")))
+            num, L = key
+            tight = []
+            for label, row in zip(self.facet_labels, rows):
+                # num has one entry per coordinate, so map leaves b' out of the sum
+                slack = row[-1] * L - sum(map(mul, row, num))
+                if slack < 0:
+                    break
+                if slack == 0:
+                    tight.append(label)
+            else:
+                found.append((num, L, frozenset(tight)))
+        found.sort(key=cmp_to_key(_compare_points))
+        return tuple(FaceRecord(tight, tuple(Fraction(x, L) for x in num)) for num, L, tight in found)
 
     def _validate(self) -> None:
         """Raise EmptyPolytope, NotFullDimensional, UnboundedPolytope or
@@ -172,6 +193,8 @@ class HPolytope(Record):
 
         Boundedness is tested first, by one spanning test: the recession cone
         {Ax <= 0} is {0} iff the rows positively span R^n (Davis 1954).
+        The test reads the a-parts of the integer rows, a positive scaling
+        of each row, which keeps the rank and the cone.
 
         A bounded system has rank n, so its solution set P is pointed: a
         nonempty P has a vertex, its vertices are its feasible basic
@@ -198,7 +221,7 @@ class HPolytope(Record):
         nothing; there the emptiness and interior LPs decide, and only
         then is it reported unbounded.
         """
-        if not positively_spanning(self.A):
+        if not positively_spanning([row[:-1] for row in self._rows]):
             n = self.dim
             # Ax < b has a point iff some (y, mu), mu >= 0, has a.y - b*mu <= b - 1
             # on every row: x = y / (1 + mu) then has a.x <= b - 1/(1 + mu) < b, and
@@ -225,6 +248,17 @@ class HPolytope(Record):
         for label, mine in tight.items():
             if any(mine | other == other for o, other in tight.items() if o != label):
                 raise RedundantRow(f"row with label {label} defines no facet")
+
+
+def _compare_points(u: tuple, v: tuple) -> int:
+    """The lexicographic order of two points num / L, each given as
+    (num, L, ...) with L > 0: the sign of the first nonzero
+    num_u[j] L_v - num_v[j] L_u, so no common denominator is formed."""
+    for x, y in zip(u[0], v[0]):
+        diff = x * v[1] - y * u[1]
+        if diff:
+            return diff
+    return 0
 
 
 def h_vertices(P: HPolytope) -> tuple[FaceRecord, ...]:

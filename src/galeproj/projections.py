@@ -37,7 +37,7 @@ from typing import Iterable, NamedTuple
 from . import lp
 from .errors import OriginNotInterior, RankDeficient
 from .gale import VectorConfig, positively_spanning
-from .linalg import Mat, integer_points, kernel_basis, mat, mat_vec, rank, vsub
+from .linalg import Mat, integer_points, kernel_basis, mat, mat_vec, vsub
 from .polytopes import HPolytope, h_vertices, hull_vertex_indices
 
 
@@ -66,11 +66,10 @@ def g_vectors(P: HPolytope, proj: Iterable[Iterable]) -> VectorConfig:
         raise RankDeficient(f"projection must have {n} columns")
     if not d < n:
         raise RankDeficient("projection must drop at least one dimension")
-    if rank(proj) != d:
-        raise RankDeficient("projection must have full row rank")
+    # raises RankDeficient on a projection without full row rank
+    kern = kernel_basis(proj)
     if any(bi <= 0 for bi in P.b):
         raise OriginNotInterior("translate P so that 0 is interior: need b > 0")
-    kern = kernel_basis(proj)
     if any(any(mat_vec(proj, k)) for k in kern):
         raise AssertionError("kernel_basis returned vectors the projection does not annihilate")
     g = [tuple(v / bi for v in mat_vec(kern, a)) for a, bi in zip(P.A, P.b)]

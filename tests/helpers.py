@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable
 
-from galeproj import lp
+from galeproj import linalg, lp, polytopes
 from galeproj.complexes import Complex, closure_from_facets
 from galeproj.errors import (
     DimensionMismatch,
@@ -22,7 +22,7 @@ from galeproj.errors import (
 from galeproj.gale import positively_spanning
 from galeproj.linalg import Vec, frac, integer_row, mat, rank, vec, vsub
 from galeproj.obstructions import Graph
-from galeproj.polytopes import HPolytope, h_vertices
+from galeproj.polytopes import FaceRecord, HPolytope, h_vertices
 from galeproj.projections import VertexRecord, g_vectors
 
 
@@ -754,3 +754,86 @@ def lp_validation(A, b, labels) -> None:
     for i, label in enumerate(labels):
         if cone_combination([*lifted[:i], *lifted[i + 1:], up], lifted[i]) is not None:
             raise RedundantRow(f"row with label {label} defines no facet")
+
+
+def subset_basic_solutions(rows) -> list[tuple[tuple[int, ...], int]]:
+    """The (num, L) of each nonsingular n-subset of the integer rows
+    [a | b], in lexicographic subset order, each subset solved from scratch
+    by `Fraction` Gauss-Jordan: the oracle for `linalg.basic_solutions`."""
+    n = len(rows[0]) - 1
+    out = []
+    for subset in itertools.combinations(rows, n):
+        x = gauss_jordan_solve([row[:-1] for row in subset], [row[-1] for row in subset])
+        if x is not None:
+            num, L = integer_row(x)
+            out.append((tuple(num), L))
+    return out
+
+
+def subset_vertex_records(P: HPolytope) -> tuple[FaceRecord, ...]:
+    """The vertex records of P by the route `HPolytope.vertex_records`
+    took before `linalg.basic_solutions`: each of the C(m, n) row subsets
+    solved on its own (by `gauss_jordan_solve`, whose answers are
+    `linalg.solve_square`'s), the feasible solutions kept, merged by their
+    integer form and given every row tight there.  The reference the
+    prefix tree is checked against, record for record."""
+    rows = [integer_row((*a, bi))[0] for a, bi in zip(P.A, P.b)]
+    seen = set()
+    found = []
+    for subset in itertools.combinations(range(len(rows)), P.dim):
+        x = gauss_jordan_solve([rows[i][:-1] for i in subset], [rows[i][-1] for i in subset])
+        if x is None:
+            continue
+        num, L = integer_row(x)
+        key = (*num, L)
+        if key in seen:
+            continue
+        seen.add(key)
+        slacks = [row[-1] * L - sum(a * v for a, v in zip(row, num)) for row in rows]
+        if min(slacks) >= 0:
+            tight = frozenset(label for label, s in zip(P.facet_labels, slacks) if s == 0)
+            found.append(FaceRecord(tight, x))
+    return tuple(sorted(found, key=lambda rec: rec.vertex_coords))
+
+
+def count_vertex_walks(monkeypatch) -> Counter:
+    """Count `basic_solutions` calls made through `polytopes` ("walks") and
+    the work of their prefix trees: the rows added to a prefix
+    ("reductions"), the prefixes a row made singular, whose subtrees are
+    dropped ("pruned"), and the nonsingular subsets ("leaves")."""
+    counts = Counter()
+    walk, add_row = linalg.basic_solutions, linalg._add_row
+
+    def counting_walk(rows):
+        counts["walks"] += 1
+        out = walk(rows)
+        counts["leaves"] += len(out)
+        return out
+
+    def counting_add_row(*args):
+        counts["reductions"] += 1
+        step = add_row(*args)
+        counts["pruned"] += step is None
+        return step
+
+    monkeypatch.setattr(polytopes, "basic_solutions", counting_walk)
+    monkeypatch.setattr(linalg, "_add_row", counting_add_row)
+    return counts
+
+
+def simplex_power(d: int, seed: int | None = None) -> HPolytope:
+    """(Delta_d)^d in R^(d*d), block j the simplex {x >= -1, sum x <= 1} on
+    coordinates jd..jd+d-1, with 0 inside.  With a seed, each row also gets
+    entries in the other blocks' coordinates, drawn from [-3/40, 3/40]: a
+    coupled product, which the small entries keep bounded, full-dimensional
+    and irredundant."""
+    rng = random.Random(seed)
+    n = d * d
+    A = []
+    for j in range(d):
+        for i in range(d + 1):
+            row = [Fraction(rng.randint(-3, 3), 40) if seed is not None and c // d != j else 0 for c in range(n)]
+            for c in range(j * d, j * d + d):
+                row[c] = 1 if i == d else -(c - j * d == i)
+            A.append(row)
+    return HPolytope(A, [1] * len(A))

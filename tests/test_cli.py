@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
+from test_polytopes import polygon_rows
 
-from galeproj import cli, pipeline
+from galeproj import cli, pipeline, polytopes
 from galeproj.cli import _COMMANDS, _build_parser, main
 from galeproj.obstructions import EXACT_CAP
 
@@ -158,6 +160,24 @@ def test_h_polytope_without_coordinates_is_named(A, b, tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_h_polytope_over_the_vertex_cap_exits_2(tmp_path, capsys, monkeypatch):
+    def walking(rows):
+        raise AssertionError("the vertices were enumerated")
+
+    monkeypatch.setattr(polytopes, "basic_solutions", walking)
+    m = 4
+    while comb(m, 2) <= polytopes.H_VERTEX_CAP:
+        m += 1
+    A, b = polygon_rows(m)
+    assert main(["minksum", "--input", _write(tmp_path, {"type": "H", "A": A, "b": b})]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: H-vertex enumeration of {m} rows in R^2 (C({m}, 2) = {comb(m, 2)} row subsets)"
+        f" exceeds the cap {polytopes.H_VERTEX_CAP}\n"
+    )
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("via", ["epsilon", "file"])
 def test_zero_denominator_is_named(via, tmp_path, capsys):
     argv = {
@@ -226,15 +246,10 @@ target_sphere: 1
 embeddable: no
 """
 
+# one line per document; it was indented by 2 while that made `json` fall
+# back to its pure-Python encoder
 EMBED_JSON = """\
-{
-  "chi_used": 1,
-  "complex_size": 4,
-  "djn_dim_upper": 2,
-  "embeddable": "no",
-  "sarkaria_lower": 2,
-  "target_sphere": 1
-}
+{"chi_used": 1, "complex_size": 4, "djn_dim_upper": 2, "embeddable": "no", "sarkaria_lower": 2, "target_sphere": 1}
 """
 
 

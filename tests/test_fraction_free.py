@@ -6,8 +6,10 @@ where the input is coerced (module-level constants) and where a result
 goes out, as one two-argument `Fraction(numerator, denominator)` per
 value.  The pivot loops (`lp._pivot`, every loop of `lp.py` that calls
 it, `_gauss_jordan`, and the body of `solve_square`) name no `Fraction`
-and use no true division `/`, and `_gauss_jordan` is the only function
-of `linalg.py` with a Bareiss row update.  `nonneg_combination`
+and use no true division `/`, and `_gauss_jordan` and `_add_row`, the
+step of `basic_solutions`' prefix tree, are the only functions of
+`linalg.py` with a Bareiss row update.  `basic_solutions` builds no
+`Fraction` at all: it returns each solution as integers (num, L).  `nonneg_combination`
 re-checks its points in integers, with no `Fraction` and no `vdot`.
 `lp_feasible` re-checks nothing itself: it makes one `nonneg_combination`
 call on its Farkas system, so its certificates pass that same re-check.
@@ -150,12 +152,20 @@ def _is_bareiss_update(node):
     )
 
 
-def test_linalg_has_one_elimination():
+def test_linalg_eliminates_in_two_kernels():
     _, functions = _functions(PACKAGE / "linalg.py")
     eliminating = [name for name, fn in functions.items() if any(map(_is_bareiss_update, ast.walk(fn)))]
-    assert eliminating == ["_gauss_jordan"]
+    assert eliminating == ["_gauss_jordan", "_add_row"]
     for name in ("rank", "kernel_basis", "solve_square"):
         assert _calls(functions[name], "_gauss_jordan"), name
+    assert _calls(functions["basic_solutions"], "_add_row")
+
+
+def test_basic_solutions_are_integer():
+    _, functions = _functions(PACKAGE / "linalg.py")
+    for name in ("basic_solutions", "_add_row"):
+        assert not _rational_uses(functions[name]), (name, _rational_uses(functions[name]))
+        assert not _fraction_calls(functions[name]), name
 
 
 def test_gauss_jordan_is_integer():

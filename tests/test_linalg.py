@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import lcm
+from math import comb, gcd, lcm
 
 import pytest
 
@@ -8,6 +8,8 @@ from galeproj import linalg
 from galeproj.errors import DimensionMismatch, RankDeficient
 from galeproj.linalg import (
     affine_rank,
+    basic_solutions,
+    integer_row,
     kernel_basis,
     mat,
     mat_vec,
@@ -15,7 +17,14 @@ from galeproj.linalg import (
     solve_square,
     vec,
 )
-from helpers import fraction_mat_vec, fraction_rref, gauss_jordan_solve, generator_integer_row, rref_kernel
+from helpers import (
+    fraction_mat_vec,
+    fraction_rref,
+    gauss_jordan_solve,
+    generator_integer_row,
+    rref_kernel,
+    subset_basic_solutions,
+)
 
 
 def gauss_rank(rows):
@@ -149,6 +158,74 @@ def test_solve_square_one_by_one():
     assert solve_square(mat([[Fraction(-3, 7)]]), vec([Fraction(9, 2)])) == (Fraction(-21, 2),)
     assert solve_square(mat([[10**7]]), vec([1])) == (Fraction(1, 10**7),)
     assert solve_square(mat([[0]]), vec([1])) is None
+
+
+def test_basic_solutions_one_coordinate():
+    # each row alone is a 1 x 1 system; a zero a-part is singular
+    rows = [[2, 3], [0, 1], [-4, 2], [5, 0], [0, 0]]
+    assert basic_solutions(rows) == [((3,), 2), ((-1,), 2), ((0,), 1)]
+
+
+def test_basic_solutions_without_a_nonsingular_subset():
+    # three parallel lines in R^2, and fewer rows than coordinates
+    assert basic_solutions([[1, 2, 3], [-2, -4, 5], [3, 6, 0]]) == []
+    assert basic_solutions([[1, 0, 0, 1], [0, 1, 0, 1]]) == []
+
+
+def test_basic_solutions_repeat_a_shared_point():
+    # three lines through (1/2, 1/3): one pair per nonsingular subset,
+    # in subset order, each in lowest terms with L > 0
+    rows = [[2, 0, 1], [0, -3, -1], [6, 6, 5]]
+    assert basic_solutions(rows) == [((3, 2), 6)] * 3
+
+
+def test_basic_solutions_match_the_subset_oracle():
+    rng = random.Random(3301)
+    seen = {"pairs": 0, "repeats": 0, "singular": 0}
+    for trial in range(150):
+        n = rng.randint(1, 4)
+        kind = ("integer", "rational", "large")[trial % 3]
+        rows = [[square_entry(rng, kind) for _ in range(n + 1)] for _ in range(rng.randint(1, n + 4))]
+        for _ in range(rng.randint(0, 2)):
+            # a scaled copy or a combination of two rows, so singular
+            # prefixes and shared points come up
+            i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+            s = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            rows.insert(rng.randrange(len(rows) + 1), [s * x + y for x, y in zip(rows[i], rows[j])])
+        ints = [integer_row(row)[0] for row in rows]
+        got = basic_solutions(ints)
+        assert got == subset_basic_solutions(ints), rows
+        for num, L in got:
+            assert L > 0 and gcd(*num, L) == 1 and all(type(x) is int for x in num)
+        seen["pairs"] += len(got)
+        seen["repeats"] += len(got) - len(set(got))
+        seen["singular"] += comb(len(rows), n) - len(got)
+    assert min(seen.values()) > 20, seen
+
+
+def test_basic_solutions_drop_the_subtree_of_a_singular_prefix(monkeypatch):
+    # rows 0 and 1 have parallel a-parts, so the prefix (0, 1) is singular
+    # and its three subsets (0, 1, k) are never reached: 3 + 6 + 10 rows
+    # added to prefixes in the full tree, 3 fewer here
+    rows = [[1, 0, 0, 1], [2, 0, 0, 3], [0, 1, 0, 1], [0, 0, 1, 1], [1, 1, 1, 5]]
+    steps = []
+    add_row = linalg._add_row
+
+    def counting(*args):
+        step = add_row(*args)
+        steps.append(step is not None)
+        return step
+
+    monkeypatch.setattr(linalg, "_add_row", counting)
+    got = basic_solutions(rows)
+    assert (len(steps), steps.count(False), len(got)) == (16, 1, 7)
+    assert got == subset_basic_solutions(rows)
+
+
+@pytest.mark.parametrize("rows", [[], [[1]], [[1, 2], [1, 2, 3]]], ids=["no rows", "no coordinate", "ragged"])
+def test_basic_solutions_refuse_malformed_rows(rows):
+    with pytest.raises(DimensionMismatch):
+        basic_solutions(rows)
 
 
 def test_exactness_with_huge_entries():

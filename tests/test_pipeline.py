@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import comb, prod
 
 import pytest
-from helpers import normal_cone_oracle, separation_hull_vertices
+from helpers import count_vertex_walks, normal_cone_oracle, separation_hull_vertices
 from test_polytopes import lifted_lattice_summands
 
 from galeproj import complexes, lp, obstructions, pipeline, polytopes, projections
@@ -266,19 +266,16 @@ class TestTwoTriangleOpCounts:
 
     def test_building_the_polytope(self, monkeypatch):
         counts = count_lp_calls(monkeypatch)
-        solves = []
-        original = polytopes.solve_square
-
-        def counting(a, b):
-            solves.append(1)
-            return original(a, b)
-
-        monkeypatch.setattr(polytopes, "solve_square", counting)
+        walks = count_vertex_walks(monkeypatch)
         pipeline.deformed_triangle_product("1/4")
         # one spanning test proves it bounded, and the vertex records of its
         # 15 row subsets, enumerated here and kept, decide the rest
         assert counts == {"lp_feasible": 1, "feasible": 0, "nonneg_combination": 1}
-        assert len(solves) == 15
+        # one prefix tree over the 15 subsets of 4 of the 6 rows: 3 + 6 + 10
+        # + 15 rows added to prefixes, none dropped above the last level, and
+        # 2 of the 15 subsets singular.  Solving each subset on its own made
+        # 15 square solves.
+        assert walks == {"walks": 1, "reductions": 34, "pruned": 2, "leaves": 13}
 
     def test_lp_calls_at_one(self, monkeypatch):
         counts = count_lp_calls(monkeypatch)
@@ -331,8 +328,10 @@ class TestTwoTriangleOpCounts:
         # every pivot made 76, and validating the polytope by an interior
         # LP and one Farkas cone LP per row instead of by its vertex
         # records, 78.  Asking dependence by a cone LP apart from the
-        # Farkas system of the spanning test made 54.
-        assert len(pivots) == 48
+        # Farkas system of the spanning test made 54, and the spanning test
+        # on the rational rows instead of their integer copies, which scale
+        # each row by the lcm of its denominators, 48.
+        assert len(pivots) == 49
 
     def test_lp_work_over_the_bench_sweep(self, monkeypatch):
         # the epsilons of the projection-sweep workload, copied from
@@ -370,17 +369,20 @@ class TestTwoTriangleOpCounts:
     def test_one_vertex_enumeration(self, monkeypatch):
         # h_vertices runs 5 times on the product polytope (directly, and in
         # is_simple, both censuses and dual_boundary_complex) but enumerates
-        # its 15 row subsets once; each run enumerated them anew before
-        calls = []
-        original = polytopes.solve_square
-
-        def counting(a, b):
-            calls.append(1)
-            return original(a, b)
-
-        monkeypatch.setattr(polytopes, "solve_square", counting)
+        # its 15 row subsets once; each run enumerated them anew before.
+        # Solving each subset on its own made 15 square solves.
+        walks = count_vertex_walks(monkeypatch)
         assert two_triangle_example("1/4").passed
-        assert len(calls) == 15
+        assert walks == {"walks": 1, "reductions": 34, "pruned": 2, "leaves": 13}
+
+    def test_vertex_walks_over_the_bench_sweep(self, monkeypatch):
+        # every epsilon < 1 builds one polytope and walks its tree once;
+        # at 1 the example builds none.  Solving each row subset on its own
+        # made 105 square solves.
+        walks = count_vertex_walks(monkeypatch)
+        for epsilon in ("1/5", "1/4", "1/3", "1/2", "2/3", "3/4", "4/5", "1"):
+            assert two_triangle_example(epsilon).passed
+        assert walks == {"walks": 7, "reductions": 7 * 34, "pruned": 7 * 2, "leaves": 7 * 13}
 
 
 def test_every_phase_one_is_an_lp_feasible_system(monkeypatch):

@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
@@ -13,6 +13,7 @@ from galeproj.errors import (
     IndexOutOfRange,
     NotFullDimensional,
     RedundantRow,
+    TooLargeForExact,
     UnboundedPolytope,
 )
 from galeproj import lp, polytopes
@@ -30,6 +31,7 @@ from galeproj.polytopes import (
 )
 from helpers import (
     convex_combination,
+    count_vertex_walks,
     facet_description,
     fraction_slacks,
     le,
@@ -39,7 +41,9 @@ from helpers import (
     normal_cone_oracle,
     random_points,
     separation_hull_vertices,
+    simplex_power,
     spans_positively_primal,
+    subset_vertex_records,
 )
 
 UNIT_SQUARE = HPolytope([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 1, 1, 1])
@@ -310,26 +314,21 @@ class TestVertexEnumeration:
 
 class TestVertexRecordsCached:
     def test_enumerated_once_per_polytope(self, monkeypatch):
-        calls = []
-        original = polytopes.solve_square
-
-        def counting(a, b):
-            calls.append(1)
-            return original(a, b)
-
-        monkeypatch.setattr(polytopes, "solve_square", counting)
+        walks = count_vertex_walks(monkeypatch)
         P = coupled_triangles(Fraction(1, 4))
         records = h_vertices(P)
         assert isinstance(records, tuple) and len(records) == 9
-        assert len(calls) == 15  # one solve per 4-subset of the 6 rows
+        # one walk over the 4-subsets of the 6 rows; it was one solve_square
+        # call per subset, 15
+        assert walks == {"walks": 1, "reductions": 34, "pruned": 2, "leaves": 13}
         assert h_vertices(P) is records is P.vertex_records
         assert is_simple(P)
         dual_boundary_complex(P)
-        assert len(calls) == 15
+        assert walks["walks"] == 1
         # the records live on the instance: an equal, fresh one enumerates again
         Q = coupled_triangles(Fraction(1, 4))
         assert h_vertices(Q) == records and h_vertices(Q) is not records
-        assert len(calls) == 30
+        assert walks["walks"] == 2
 
     def test_records_leave_eq_hash_and_repr_unchanged(self):
         P, Q = coupled_triangles(Fraction(1, 4)), coupled_triangles(Fraction(1, 4))
@@ -338,6 +337,124 @@ class TestVertexRecordsCached:
         assert P == Q and hash(P) == hash(Q) == before
         assert repr(P) == repr(Q) == text
         assert P != coupled_triangles(Fraction(1, 2))
+
+
+OCTAHEDRON_ROWS = [list(signs) for signs in itertools.product((1, -1), repeat=3)]
+PYRAMID_ROWS = [[1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1], [0, 0, -1]]
+
+
+def scaled_rows(rng, P):
+    """P's rows, each scaled by its own positive rational: the same
+    polytope, given by rational rows."""
+    scales = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in P.A]
+    return [[s * x for x in a] for s, a in zip(scales, P.A)], [s * bi for s, bi in zip(scales, P.b)]
+
+
+class TestVertexRecordsAgainstSubsets:
+    """`vertex_records`, read off one `basic_solutions` prefix tree, against
+    `helpers.subset_vertex_records`, the C(m, n) route it replaced: the
+    same records in the same order."""
+
+    @pytest.mark.parametrize("epsilon", ["1/5", "1/4", "1/3", "1/2", "2/3", "3/4", "4/5"])
+    def test_bench_sweep(self, epsilon):
+        P = coupled_triangles(Fraction(epsilon))
+        assert P.vertex_records == subset_vertex_records(P)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("seed", [None, 7], ids=["uncoupled", "coupled"])
+    def test_simplex_powers(self, d, seed):
+        P = simplex_power(d, seed)
+        records = P.vertex_records
+        assert len(records) == (d + 1) ** d and is_simple(P)
+        assert records == subset_vertex_records(P)
+
+    @pytest.mark.parametrize("rows, b", [(OCTAHEDRON_ROWS, [1] * 8), (PYRAMID_ROWS, [1, 1, 1, 1, 0])], ids=["octahedron", "pyramid"])
+    def test_non_simple_vertices(self, rows, b):
+        rng = random.Random(33)
+        for P in (HPolytope(rows, b), HPolytope(*scaled_rows(rng, HPolytope(rows, b)))):
+            assert not is_simple(P)
+            assert P.vertex_records == subset_vertex_records(P)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_random_bounded_systems(self, n):
+        # hulls of random rational points (n >= 2) or intervals (n = 1),
+        # with every row scaled by a random positive rational; simplicial
+        # hulls have non-simple vertices.  In R^1 to R^3 also the valid
+        # systems of random_bounded_system, whose small integer rows make
+        # singular prefixes.
+        rng = random.Random(3300 + n)
+        polytopes_made = []
+        while len(polytopes_made) < 6:
+            if n == 1:
+                lo, hi = sorted(rng.sample(range(-20, 20), 2))
+                P = HPolytope([[1], [-1]], [hi, -lo])
+            else:
+                pts = [vec(p) for p in random_points(rng, n, rng.randint(n + 1, n + 4))]
+                if affine_rank(pts) != n:
+                    continue
+                P = facet_description(pts)
+            polytopes_made.append(HPolytope(*scaled_rows(rng, P)))
+        while len(polytopes_made) < 12 and n <= 3:
+            A, b, labels = random_bounded_system(rng)
+            if len(A[0]) == n and verdict(lambda: HPolytope(A, b, labels)) is None:
+                polytopes_made.append(HPolytope(A, b, labels))
+        nonsimple = 0
+        for P in polytopes_made:
+            assert P.vertex_records == subset_vertex_records(P), (P.A, P.b)
+            nonsimple += not is_simple(P)
+        assert n <= 2 or nonsimple > 0
+
+
+def polygon_rows(m):
+    """m >= 4 rows (+-1, k) with rhs 1: they positively span R^2."""
+    return [[1 - 2 * (i % 2), i // 2 - m // 4] for i in range(m)], [1] * m
+
+
+class TestVertexCap:
+    """`HPolytope` refuses a system whose C(m, n) row subsets exceed
+    `H_VERTEX_CAP`, before any LP or walk."""
+
+    class Worked(Exception):
+        pass
+
+    def refuse_work(self, monkeypatch):
+        def working(*args):
+            raise self.Worked
+
+        monkeypatch.setattr(polytopes, "basic_solutions", working)
+        monkeypatch.setattr(lp, "lp_feasible", working)
+
+    def test_least_system_over_the_cap_refused_before_any_work(self, monkeypatch):
+        self.refuse_work(monkeypatch)
+        # the least number of rows in R^2 over the cap
+        m = 4
+        while comb(m, 2) <= polytopes.H_VERTEX_CAP:
+            m += 1
+        message = (
+            f"H-vertex enumeration of {m} rows in R^2 (C({m}, 2) = {comb(m, 2)} row subsets)"
+            f" exceeds the cap {polytopes.H_VERTEX_CAP}"
+        )
+        with pytest.raises(TooLargeForExact) as err:
+            HPolytope(*polygon_rows(m))
+        assert str(err.value) == message
+        # one row fewer is under the cap and starts its work
+        with pytest.raises(self.Worked):
+            HPolytope(*polygon_rows(m - 1))
+
+    def test_delta_4_to_the_4_is_under_the_cap(self):
+        # the deformed (Delta_4)^4 in R^16, with its 20 facets, is the
+        # projection census's next input
+        assert comb(20, 16) == 4845 <= polytopes.H_VERTEX_CAP
+
+    def test_system_at_a_lowered_cap_runs(self, monkeypatch):
+        # the 15 row subsets of the two-triangle product
+        monkeypatch.setattr(polytopes, "H_VERTEX_CAP", 15)
+        walks = count_vertex_walks(monkeypatch)
+        assert len(coupled_triangles(Fraction(1, 4)).vertex_records) == 9
+        monkeypatch.setattr(polytopes, "H_VERTEX_CAP", 14)
+        with pytest.raises(TooLargeForExact, match=r"C\(6, 4\) = 15 row subsets\) exceeds the cap 14"):
+            coupled_triangles(Fraction(1, 4))
+        assert walks["walks"] == 1
 
 
 class TestVertexRecordsOracle:

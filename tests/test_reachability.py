@@ -50,7 +50,13 @@ PACKAGE = ROOT / "src" / "galeproj"
 BENCH = ROOT / "bench"
 MODULES = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
 
-KEEP: dict[str, str] = {}
+KEEP: dict[str, str] = {
+    "linalg.solve_square": (
+        "no caller in src/ since HPolytope enumerates its vertices by basic_solutions, but"
+        " bench/workloads.KERNELS names it and tracing.PieceTimer.install looks it up by getattr,"
+        " so deleting it fails every benchmark run; it goes once the benchmark drops the name"
+    ),
+}
 
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

@@ -136,7 +136,8 @@ def test_vertex_records_are_computed_once_and_kept(monkeypatch):
     # the constructor's validation makes the first read
     H, twin = HPolytope(SQUARE_A, SQUARE_B), HPolytope(SQUARE_A, SQUARE_B)
     assert "vertex_records" in vars(H)
-    records = _kept_once(H, "vertex_records", monkeypatch, polytopes, "solve_square")
+    # one basic_solutions walk builds them; it was 15 solve_square calls before
+    records = _kept_once(H, "vertex_records", monkeypatch, polytopes, "basic_solutions")
     assert len(records) == 4 and polytopes.h_vertices(H) is records
     assert H == twin and hash(H) == hash(twin)
 
