@@ -89,7 +89,7 @@ class NotGale(GaleprojError, ValueError):
 
 class TooLargeForExact(GaleprojError, ValueError):
     """Input exceeds the size cap of an exact layer (coloring, experiment,
-    Gale face enumeration)."""
+    Gale face enumeration, H-vertex enumeration, minksum)."""
 
 
 class OutOfTheoremRange(GaleprojError, ValueError):

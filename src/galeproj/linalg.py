@@ -2,11 +2,12 @@
 
 Vectors are tuples of ``fractions.Fraction``; matrices are tuples of rows.
 All arithmetic is exact; nothing in this package ever touches a float.
-Rank, kernels and square solves share one fraction-free Gauss-Jordan
-elimination on integer rows and build Fractions only for their results.
-`basic_solutions` solves every n-subset of a system's rows by a second
-fraction-free elimination, one row at a time over a tree of row prefixes,
-and returns integers.
+One fraction-free (Bareiss 1968) elimination, `_add_row`, adds integer
+rows one at a time.  `basic_solutions` steps it over a tree of row
+prefixes to solve every n-subset of a system's rows, and returns
+integers; a square solve is its one n-subset.  Rank and kernels fold it
+over the rows of a matrix (`_echelon`).  Fractions are built only for
+results.
 """
 
 from __future__ import annotations
@@ -92,65 +93,48 @@ def primitive(v: Sequence[int]) -> tuple[int, ...]:
     return tuple(x // g for x in v)
 
 
-def _gauss_jordan(m: Iterable[Iterable]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free Gauss-Jordan elimination (Bareiss 1968).
-
-    Each row is scaled to integers by `integer_row`.  A column with no
-    nonzero entry left below the pivot rows is skipped; otherwise the
-    pivot row is swapped up and every other row gets the Bareiss update
-    (x*p - f*y) // prev, which divides exactly.  Returns the rows and the
-    pivot columns: row r has its pivot in column pivots[r], every pivot
-    entry equals the last pivot (a determinant), each pivot column is zero
-    off its pivot, and the rows past len(pivots) are zero.
+def _echelon(m: Sequence[Sequence]) -> tuple[int, list[int], list[int], list[list[int]]]:
+    """The rows of m added one at a time by `_add_row`, each scaled to
+    integers by `integer_row` and given the right-hand side 0; a row that
+    depends on those before it is skipped.  Returns (det, free, pivots,
+    reduced).  Each added row takes its leftmost free nonzero column as
+    pivot, so the pivots are the leftmost column basis, the pivot columns
+    of the RREF, in the order of their rows; reduced[t] is det times the
+    RREF row with pivot pivots[t], on the columns `free`, then 0.
     """
-    rows = [integer_row(row)[0] for row in m]
-    pivots: list[int] = []
-    prev = 1
-    for c in range(len(rows[0])):
-        r = len(pivots)
-        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        prow = rows[r]
-        piv = prow[c]
-        for i, row in enumerate(rows):
-            if i != r:
-                f = row[c]
-                rows[i] = [(x * piv - f * y) // prev for x, y in zip(row, prow)]
-        prev = piv
-        pivots.append(c)
-    return rows, pivots
+    step = 1, list(range(len(m[0]))), [], []
+    for row in m:
+        step = _add_row([*integer_row(row)[0], 0], *step) or step
+    return step
 
 
 def rank(m: Mat) -> int:
     """Exact rank over the rationals by fraction-free elimination."""
     if not m:
         raise DimensionMismatch("rank of an empty matrix")
-    return len(_gauss_jordan(m)[1])
+    return len(_echelon(m)[2])
 
 
 def kernel_basis(m: Mat) -> Mat:
     """Rational basis of the null space of a full-row-rank d x n matrix.
 
-    Returns the n - d basis vectors of ker(m) as rows.  Each free
-    column f of the reduced rows gives one basis vector, read off without
-    back-substitution: 1 at f and -row[f] / det at the pivot column of
-    each row, where det is the common pivot entry.
+    Returns the n - d basis vectors of ker(m) as rows, those of the RREF
+    in the same order.  Each free column f of `_echelon` gives one,
+    read off without back-substitution: 1 at f and -row[f] / det at the
+    pivot column of each reduced row.
     """
     if not m:
         raise DimensionMismatch("kernel of an empty matrix")
     n = len(m[0])
-    rows, pivots = _gauss_jordan(m)
+    det, free, pivots, reduced = _echelon(m)
     if len(pivots) < len(m):
         raise RankDeficient(f"row rank {len(pivots)} < {len(m)} rows")
-    det = rows[0][pivots[0]]
     basis: list[Vec] = []
-    for f in [c for c in range(n) if c not in pivots]:
+    for q, f in enumerate(free):
         x = [0] * n
         x[f] = det
-        for row, p in zip(rows, pivots):
-            x[p] = -row[f]
+        for p, row in zip(pivots, reduced):
+            x[p] = -row[q]
         basis.append(tuple(Fraction(v, det) for v in x))
     return tuple(basis)
 
@@ -158,17 +142,18 @@ def kernel_basis(m: Mat) -> Mat:
 def solve_square(a: Mat, b: Vec) -> Vec | None:
     """Solve a square system exactly; None if the matrix is singular.
 
-    Fraction-free inside, returning Fractions: [a | b] is reduced by
-    `_gauss_jordan`.  The matrix is nonsingular iff the pivots are the
-    columns of a, and then coordinate i is one quotient rhs_i / det.
+    Fraction-free inside, returning Fractions: the n integer rows [a | b]
+    are the one n-subset of `basic_solutions`, which solves it unless it
+    is singular.
     """
     n = len(a)
     if n == 0 or any(len(row) != n for row in a) or len(b) != n:
         raise DimensionMismatch("solve_square needs a square system")
-    rows, pivots = _gauss_jordan([(*row, rhs) for row, rhs in zip(a, b)])
-    if pivots != list(range(n)):
+    solved = basic_solutions([integer_row((*row, rhs))[0] for row, rhs in zip(a, b)])
+    if not solved:
         return None
-    return tuple(Fraction(row[n], row[i]) for i, row in enumerate(rows))
+    [(num, L)] = solved
+    return tuple(Fraction(x, L) for x in num)
 
 
 def basic_solutions(rows: Sequence[Sequence[int]]) -> list[tuple[tuple[int, ...], int]]:
@@ -235,10 +220,11 @@ def basic_solutions(rows: Sequence[Sequence[int]]) -> list[tuple[tuple[int, ...]
 def _add_row(
     a: Sequence[int], det: int, free: list[int], pivots: list[int], reduced: list[list[int]]
 ) -> tuple[int, list[int], list[int], list[list[int]]] | None:
-    """One step of `basic_solutions`: row a added to a prefix with
-    determinant det, pivot columns `pivots` and reduced rows `reduced`
-    over the columns `free` and b.  Returns the new prefix's (det, free,
-    pivots, reduced), or None if a is dependent on the prefix."""
+    """One step of `basic_solutions` and `_echelon`: row a added to a
+    prefix with determinant det, pivot columns `pivots` and reduced rows
+    `reduced` over the columns `free` and b.  Returns the new prefix's
+    (det, free, pivots, reduced), or None if a is dependent on the
+    prefix."""
     new = [det * a[j] for j in free]
     new.append(det * a[-1])
     for c, row in zip(pivots, reduced):
@@ -252,8 +238,8 @@ def _add_row(
         # zero on every free column: the a-part of a depends on the prefix
         return None
     if len(free) == 1:
-        # the last row: the pivot column is the last column of a, and
-        # only the right-hand sides are left to update
+        # the last free column is the pivot, and only the right-hand
+        # sides are left to update
         b = new[1]
         return p, [], pivots + free, [[(p * row[1] - row[0] * b) // det] for row in reduced] + [[b]]
     out = []

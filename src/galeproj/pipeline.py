@@ -143,11 +143,17 @@ def minkowski_sum_report(polys: Sequence[HPolytope | VPolytope], inputs: Sequenc
 
     An H-polytope enters the sum by its vertices.  f0(P_i) is read off the
     vertex tuples: every vertex of P_i lies in some tuple, and a point that
-    is not a vertex lies in none.
+    is not a vertex lies in none.  Sums whose vertex tests measure past
+    `EXPERIMENT_CAP` raise TooLargeForExact before the first test.
     """
     summands = [
         P if isinstance(P, VPolytope) else VPolytope([r.vertex_coords for r in h_vertices(P)]) for P in polys
     ]
+    d = max((Q.dim for Q in summands), default=0)
+    tuples, columns, work = _vertex_test_work(d, [len(Q.points) for Q in summands])
+    if work > EXPERIMENT_CAP:
+        size = f"{tuples} tuples x {columns} LP columns x (d+1)^2 = {work}"
+        raise TooLargeForExact(f"minksum of {size} exceeds the cap {EXPERIMENT_CAP}")
     sums = minkowski_sum_vertices(summands)
     bound = trivial_upper_bound([len({choice[i] for choice, _ in sums}) for i in range(len(summands))])
     report = PipelineReport(
@@ -409,9 +415,18 @@ def obstruction_pipeline(d: int) -> PipelineReport:
 # seeded random experiments
 
 
-# units of random_experiment's work; one took 0.5-2.9 us in measured runs,
-# so a call at the cap takes up to about a minute on a 2-core host
+# units of `_vertex_test_work`, the cap of random_experiment's trials and
+# of one minksum; one took 0.5-2.9 us in measured runs, so a call at the
+# cap takes up to about a minute on a 2-core host
 EXPERIMENT_CAP = 20_000_000
+
+
+def _vertex_test_work(d: int, f0s: Sequence[int]) -> tuple[int, int, int]:
+    """(tuples, columns, work) of the Minkowski vertex tests of summands
+    of f0_i points in R^d: prod f0_i vertex tuples, each one LP with
+    sum (f0_i - 1) columns, and work = tuples x columns x (d+1)^2."""
+    tuples, columns = trivial_upper_bound(f0s), sum(f0s) - len(f0s)
+    return tuples, columns, tuples * columns * (d + 1) ** 2
 
 
 def sample_vpolytope(rng: random.Random, d: int, f0: int) -> VPolytope:
@@ -446,8 +461,8 @@ def random_experiment(d: int, r: int, f0s: Sequence[int], trials: int, seed: int
     _require_summands(d, r, f0s)
     if trials < 1:
         raise HypothesisViolated(f"need at least one trial, got {trials}")
-    trivial, columns = trivial_upper_bound(f0s), sum(f0s) - r
-    work = trials * trivial * columns * (d + 1) ** 2
+    trivial, columns, work = _vertex_test_work(d, f0s)
+    work *= trials
     if work > EXPERIMENT_CAP:
         size = f"{trials} trials x {trivial} tuples x {columns} LP columns x (d+1)^2 = {work}"
         raise TooLargeForExact(f"experiment of {size} exceeds the cap {EXPERIMENT_CAP}")

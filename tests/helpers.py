@@ -623,7 +623,8 @@ def gauss_jordan_solve(a, b):
     """Solve a square system by `Fraction` Gauss-Jordan; None if singular.
 
     The rational elimination `linalg.solve_square` used before it became
-    fraction-free, kept as its oracle.
+    fraction-free (it is now one `linalg.basic_solutions` subset), kept as
+    its oracle.
     """
     n = len(a)
     aug = [[Fraction(x) for x in row] + [Fraction(rhs)] for row, rhs in zip(a, b)]
@@ -644,7 +645,7 @@ def gauss_jordan_solve(a, b):
 def fraction_rref(m):
     """Reduced row echelon form by `Fraction` elimination, with pivot columns.
 
-    The independent oracle for `linalg._gauss_jordan`: each pivot row is
+    The independent oracle for `linalg._echelon`: each pivot row is
     divided by its pivot, and the pivot column is cleared in every other row.
     """
     rows = [[Fraction(x) for x in row] for row in m]
@@ -803,17 +804,26 @@ def count_vertex_walks(monkeypatch) -> Counter:
     dropped ("pruned"), and the nonsingular subsets ("leaves")."""
     counts = Counter()
     walk, add_row = linalg.basic_solutions, linalg._add_row
+    walking = False
 
     def counting_walk(rows):
+        nonlocal walking
         counts["walks"] += 1
-        out = walk(rows)
+        walking = True
+        try:
+            out = walk(rows)
+        finally:
+            walking = False
         counts["leaves"] += len(out)
         return out
 
     def counting_add_row(*args):
-        counts["reductions"] += 1
         step = add_row(*args)
-        counts["pruned"] += step is None
+        # `rank` and `kernel_basis` step through `_add_row` too; only the
+        # walk's rows are counted
+        if walking:
+            counts["reductions"] += 1
+            counts["pruned"] += step is None
         return step
 
     monkeypatch.setattr(polytopes, "basic_solutions", counting_walk)

@@ -178,6 +178,26 @@ def test_h_polytope_over_the_vertex_cap_exits_2(tmp_path, capsys, monkeypatch):
     assert captured.out == ""
 
 
+def test_minksum_over_the_work_cap_exits_2(tmp_path, capsys, monkeypatch):
+    def testing(choice, polys):
+        raise AssertionError("a vertex tuple was tested")
+
+    monkeypatch.setattr(polytopes, "minkowski_vertex_test", testing)
+    argv = ["minksum"]
+    for k, n in enumerate([30, 30, 29]):
+        path = tmp_path / f"summand{k}.json"
+        path.write_text(json.dumps({"type": "V", "dim": 2, "points": [[i, i * i] for i in range(n)]}))
+        argv += ["--input", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    # 30 x 30 x 29 tuples x 86 LP columns x 3^2
+    assert captured.err == (
+        "error: minksum of 26100 tuples x 86 LP columns x (d+1)^2 = 20201400"
+        f" exceeds the cap {pipeline.EXPERIMENT_CAP}\n"
+    )
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("via", ["epsilon", "file"])
 def test_zero_denominator_is_named(via, tmp_path, capsys):
     argv = {

@@ -1,15 +1,17 @@
 """The exact kernels pivot on integers; `Fraction` arithmetic stays out.
 
-`lp._solve_nonneg` and `linalg._gauss_jordan` keep integer rows, the
-tableau over one common denominator.  A `Fraction` may be built only
-where the input is coerced (module-level constants) and where a result
-goes out, as one two-argument `Fraction(numerator, denominator)` per
-value.  The pivot loops (`lp._pivot`, every loop of `lp.py` that calls
-it, `_gauss_jordan`, and the body of `solve_square`) name no `Fraction`
-and use no true division `/`, and `_gauss_jordan` and `_add_row`, the
-step of `basic_solutions`' prefix tree, are the only functions of
-`linalg.py` with a Bareiss row update.  `basic_solutions` builds no
-`Fraction` at all: it returns each solution as integers (num, L).  `nonneg_combination`
+`lp._solve_nonneg` and `linalg._add_row` keep integer rows, the tableau
+over one common denominator.  A `Fraction` may be built only where the
+input is coerced (module-level constants) and where a result goes out,
+as one two-argument `Fraction(numerator, denominator)` per value.  The
+pivot loops (`lp._pivot`, every loop of `lp.py` that calls it,
+`linalg._echelon`, and the body of `solve_square`) name no `Fraction`
+and use no true division `/`.  `_add_row` is the only function of
+`linalg.py` with a Bareiss row update: `basic_solutions` steps it over
+its prefix tree, `solve_square` is one `basic_solutions` subset, and
+`rank` and `kernel_basis` reach it through `_echelon`.
+`basic_solutions` builds no `Fraction` at all: it returns each solution
+as integers (num, L).  `nonneg_combination`
 re-checks its points in integers, with no `Fraction` and no `vdot`.
 `lp_feasible` re-checks nothing itself: it makes one `nonneg_combination`
 call on its Farkas system, so its certificates pass that same re-check.
@@ -152,13 +154,15 @@ def _is_bareiss_update(node):
     )
 
 
-def test_linalg_eliminates_in_two_kernels():
+def test_linalg_eliminates_in_one_kernel():
     _, functions = _functions(PACKAGE / "linalg.py")
     eliminating = [name for name, fn in functions.items() if any(map(_is_bareiss_update, ast.walk(fn)))]
-    assert eliminating == ["_gauss_jordan", "_add_row"]
-    for name in ("rank", "kernel_basis", "solve_square"):
-        assert _calls(functions[name], "_gauss_jordan"), name
-    assert _calls(functions["basic_solutions"], "_add_row")
+    assert eliminating == ["_add_row"]
+    for name in ("rank", "kernel_basis"):
+        assert _calls(functions[name], "_echelon"), name
+    assert _calls(functions["solve_square"], "basic_solutions")
+    for name in ("_echelon", "basic_solutions"):
+        assert _calls(functions[name], "_add_row"), name
 
 
 def test_basic_solutions_are_integer():
@@ -170,7 +174,7 @@ def test_basic_solutions_are_integer():
 
 def test_gauss_jordan_is_integer():
     _, functions = _functions(PACKAGE / "linalg.py")
-    assert not _rational_uses(functions["_gauss_jordan"])
+    assert not _rational_uses(functions["_echelon"])
 
 
 def test_kernel_and_solve_build_fractions_from_two_integers():

@@ -305,26 +305,32 @@ class ExactInt(int):
 
 
 class TestGaussJordan:
+    """`linalg._echelon`, the fold of `_add_row` over a matrix's rows, against
+    the `Fraction` RREF: its reduced rows are the Gauss-Jordan form."""
+
     def test_rows_are_the_determinant_times_the_rref(self):
         rng = random.Random(9090)
         seen = {"full": 0, "deficient": 0, "skipped": 0, "square_det": 0, "large": 0}
         for trial in range(360):
             m = structured_matrix(rng, trial)
-            rows, pivots = linalg._gauss_jordan(m)
+            det, free, pivots, reduced = linalg._echelon(m)
             ref, ref_pivots = fraction_rref(m)
-            assert pivots == ref_pivots
-            assert all(type(x) is int for row in rows for x in row)
+            # the pivots come in the order of their rows, the RREF's by column
+            assert sorted(pivots) == ref_pivots
+            assert free == [c for c in range(len(m[0])) if c not in pivots]
+            assert type(det) is int and all(type(x) is int for row in reduced for x in row)
             if not pivots:
-                assert all(x == 0 for row in rows for x in row)
+                assert (det, reduced) == (1, [])
                 continue
-            det = rows[0][pivots[0]]
-            assert det != 0 and all(rows[r][p] == det for r, p in enumerate(pivots))
-            assert rows == [[det * x for x in row] for row in ref]
+            assert det != 0
+            rref_rows = dict(zip(ref_pivots, ref))
+            assert reduced == [[det * rref_rows[p][f] for f in free] + [0] for p in pivots]
             seen["full" if len(pivots) == len(m) else "deficient"] += 1
-            seen["skipped"] += pivots != list(range(len(pivots)))
+            seen["skipped"] += ref_pivots != list(range(len(pivots)))
             seen["large"] += trial % 3 == 2
             if len(m) == len(m[0]) == len(pivots):
-                # the common pivot is the determinant of the integer rows, up to the swaps' sign
+                # det is the determinant of the integer rows, up to the sign
+                # of the pivots' order
                 scaled = [linalg.integer_row(row)[0] for row in m]
                 assert abs(det) == abs(fraction_det(scaled))
                 seen["square_det"] += 1
@@ -341,8 +347,10 @@ class TestGaussJordan:
         monkeypatch.setattr(linalg, "integer_row", exact_row)
         rng = random.Random(5151)
         for trial in range(300):
-            rows, _ = linalg._gauss_jordan(structured_matrix(rng, trial))
-            assert all(type(x) is ExactInt for row in rows for x in row)
+            det, _, pivots, reduced = linalg._echelon(structured_matrix(rng, trial))
+            # the right-hand column starts as the plain 0 `_echelon` appends
+            assert all(type(x) is ExactInt for row in reduced for x in row[:-1])
+            assert type(det) is ExactInt or not pivots
 
     def test_kernel_basis_equals_the_rref_kernel(self):
         rng = random.Random(6262)
@@ -360,6 +368,11 @@ class TestGaussJordan:
             assert not any(any(fraction_mat_vec(m, v)) for v in k)
             checked["kernel"] += len(m[0]) > len(m)
         assert checked["kernel"] > 100 and checked["deficient"] > 30
+        # leading columns that arrive right to left: the pivots are still
+        # the leftmost column basis, so the kernel is still the RREF's
+        m = mat([[0, 0, 1, 2], [0, 1, 0, 3]])
+        assert linalg._echelon(m)[2] == [2, 1]
+        assert list(kernel_basis(m)) == rref_kernel(m) == [(1, 0, 0, 0), (0, -3, -2, 1)]
 
     def test_rank_equals_the_rref_pivot_count(self):
         rng = random.Random(7373)

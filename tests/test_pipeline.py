@@ -204,6 +204,40 @@ class TestBounds:
         assert (res["f0_sum"], res["trivial_bound"]) == (5, 12)
         assert sorted(res["vertices"]) == [["-1", "-1"], ["-1", "2"], ["1", "2"], ["2", "-1"], ["2", "1"]]
 
+    def test_minksum_work_cap_boundary(self, monkeypatch):
+        class Tested(Exception):
+            pass
+
+        calls = []
+
+        def testing(choice, polys):
+            calls.append(choice)
+            raise Tested
+
+        monkeypatch.setattr(polytopes, "minkowski_vertex_test", testing)
+        # three point sets in the plane grown by one point at a time, the
+        # smallest first, until tuples x LP columns x (d+1)^2 passes the cap
+        sizes = [3, 3, 3]
+        while prod(sizes) * (sum(sizes) - 3) * 3**2 <= pipeline.EXPERIMENT_CAP:
+            last = sizes.index(min(sizes))
+            sizes[last] += 1
+        with pytest.raises(TooLargeForExact, match=f"^minksum of {prod(sizes)} tuples x {sum(sizes) - 3} LP columns"):
+            minkowski_sum_report(parabola_summands(sizes), ["P", "Q", "R"])
+        assert calls == []
+        sizes[last] -= 1
+        with pytest.raises(Tested):
+            minkowski_sum_report(parabola_summands(sizes), ["P", "Q", "R"])
+        assert calls == [(0, 0, 0)]
+
+    def test_minksum_d3r3_measures_far_under_the_cap(self):
+        # the benchmark's instance: 5^3 tuples x 12 LP columns x 4^2
+        assert pipeline._vertex_test_work(3, [5, 5, 5]) == (125, 12, 24_000)
+
+
+def parabola_summands(sizes):
+    """One V-polytope per size: that many points (i, i^2), all vertices."""
+    return [polytopes.VPolytope([(i, i * i) for i in range(n)]) for n in sizes]
+
 def count_lp_calls(monkeypatch) -> Counter:
     """Count lp_feasible calls, their feasible verdicts, and nonneg_combination calls."""
     counts = Counter()
