@@ -89,9 +89,6 @@ class Complex(Record):
                 out.update(map(frozenset, itertools.combinations(f, r)))
         return out
 
-    def sorted_facets(self) -> list[list]:
-        return sort_family(self.facets)
-
     @cached_property
     def nonfaces(self) -> frozenset[Face]:
         """`minimal_nonfaces` of the complex, listed on first read and kept.

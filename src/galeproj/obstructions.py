@@ -21,27 +21,19 @@ building its graph when they are all k-subsets of an n-set with n >= 2k
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .complexes import Complex, Join, sort_family, sort_labels
-from .errors import HypothesisViolated, OutOfTheoremRange, Record, TooLargeForExact
+from .errors import HypothesisViolated, OutOfTheoremRange, TooLargeForExact
 
 EXACT_CAP = 32
 
 
-class Graph(Record):
-    """Finite simple graph; edges are unordered pairs of declared labels."""
+class Graph(NamedTuple):
+    """Finite simple graph; edges are unordered pairs of vertex labels."""
 
-    _fields = ("vertices", "edges")
-
-    def __init__(self, vertices: tuple, edges: frozenset[frozenset]):
-        vs = set(vertices)
-        for e in edges:
-            if len(e) != 2:
-                raise ValueError(f"not an edge: {sorted(e, key=repr)}")
-            if not e <= vs:
-                raise ValueError("edge endpoint not among the vertices")
-        self.__dict__.update(vertices=vertices, edges=edges)
+    vertices: tuple
+    edges: frozenset[frozenset]
 
 
 def kneser_graph(family: Iterable[Iterable]) -> Graph:
@@ -103,8 +95,6 @@ def _k_colorable(adj: Sequence[set[int]], k: int, clique: Sequence[int]) -> bool
     uncolored neighbours that lacked it and records them; undoing the
     color clears bit c on exactly those, so no node rescans a neighbourhood.
     """
-    if len(clique) > k:
-        return False
     sat = [0] * len(adj)
     deg = [len(nbrs) for nbrs in adj]
     uncolored = set(range(len(adj))) - set(clique)
@@ -198,23 +188,15 @@ def certified_kneser_chi(family: Iterable[Iterable]) -> int | None:
     return chi
 
 
-class ObstructionVerdict(Record):
-    """The bounds `nonembeddable` compares, checked; `embeddable` is "no" or "unknown"."""
+class ObstructionVerdict(NamedTuple):
+    """The bounds `nonembeddable` compares; `embeddable` is "no" or "unknown"."""
 
-    _fields = ("complex_size", "chi_used", "sarkaria_lower", "djn_dim_upper", "target_sphere", "embeddable")
-
-    def __init__(
-        self, complex_size: int, chi_used: int, sarkaria_lower: int, djn_dim_upper: int, target_sphere: int,
-        embeddable: str,
-    ):
-        if sarkaria_lower != complex_size - chi_used - 1:
-            raise ValueError("lower bound must equal n - chi - 1")
-        if sarkaria_lower > djn_dim_upper:
-            raise ValueError("lower bound exceeds the dimension upper bound")
-        if embeddable != ("no" if sarkaria_lower > target_sphere else "unknown"):
-            raise ValueError("verdict inconsistent with the bounds")
-        values = (complex_size, chi_used, sarkaria_lower, djn_dim_upper, target_sphere, embeddable)
-        self.__dict__.update(zip(self._fields, values))
+    complex_size: int
+    chi_used: int
+    sarkaria_lower: int
+    djn_dim_upper: int
+    target_sphere: int
+    embeddable: str
 
 
 def nonface_kneser_chi(K: Complex) -> int:
@@ -246,24 +228,23 @@ def djn_dim_upper(K: Complex) -> int:
     """Dimension of the deleted join, an upper bound for its index.
 
     Computed from facet pairs: the largest disjoint face pair has the form
-    (F, G - F) over facets F, G.  Joins add up factor dimensions (plus one
-    per extra factor), taking each distinct factor's once.
+    (F, G - F) over facets F, G, with |F | G| vertices.  Joins add up
+    factor dimensions (plus one per extra factor), taking each distinct
+    factor's once.
     """
     if isinstance(K, Join):
         total = sum(times * djn_dim_upper(factor) for factor, times in K.distinct_factors())
         return total + len(K.factors) - 1
-    best = -1
-    for f in K.facets:
-        for g in K.facets:
-            best = max(best, len(f) + len(g - f))
-    return best - 1 if best >= 0 else -1
+    return max((len(f | g) for f in K.facets for g in K.facets), default=0) - 1
 
 
 def nonembeddable(K: Complex, d: int) -> ObstructionVerdict:
     """Verdict "no" iff the index lower bound n - chi - 1 exceeds d; else "unknown".
 
     Sarkaria's bound needs the empty face, so a complex without faces (a
-    join with a void factor, say) is refused.
+    join with a void factor, say) is refused.  A lower bound above the
+    dimension of the deleted join means a wrong colouring, and raises
+    ValueError.
     """
     if d < 0:
         raise ValueError("sphere dimension must be >= 0")
@@ -271,5 +252,7 @@ def nonembeddable(K: Complex, d: int) -> ObstructionVerdict:
         raise HypothesisViolated("the complex has no faces, not even the empty one")
     n = len(K.vertices)
     chi = nonface_kneser_chi(K)
-    lower = n - chi - 1
-    return ObstructionVerdict(n, chi, lower, djn_dim_upper(K), d, "no" if lower > d else "unknown")
+    lower, upper = n - chi - 1, djn_dim_upper(K)
+    if lower > upper:
+        raise ValueError("lower bound exceeds the dimension upper bound")
+    return ObstructionVerdict(n, chi, lower, upper, d, "no" if lower > d else "unknown")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .complexes import Complex, closure_from_facets
+from .complexes import Complex, closure_from_facets, sort_family
 from .linalg import Vec
 from .polytopes import HPolytope, VPolytope
 
@@ -87,7 +87,7 @@ def parse_polytope(data: dict) -> VPolytope | HPolytope:
 
 
 def complex_json(K: Complex) -> dict:
-    return {"vertices": list(K.vertices), "facets": K.sorted_facets()}
+    return {"vertices": list(K.vertices), "facets": sort_family(K.facets)}
 
 
 def parse_complex(data: dict) -> Complex:

@@ -198,6 +198,37 @@ def test_minksum_over_the_work_cap_exits_2(tmp_path, capsys, monkeypatch):
     assert captured.out == ""
 
 
+# input files each parser or constructor refuses: (argv before --input, document, message)
+REFUSED = {
+    "float coordinate": (
+        ["minksum"], {"type": "V", "points": [[0.5, 1]]}, "expected a rational string or int, got 0.5"
+    ),
+    "polytope type": (["minksum"], {"type": "X"}, "polytope type must be 'V' or 'H', got 'X'"),
+    "declared dim": (
+        ["minksum"], {"type": "V", "dim": 2, "points": [["0", "0", "1"]]}, "declared dim does not match the coordinates"
+    ),
+    "rhs per row": (
+        ["minksum"], {"type": "H", "A": [[1, 0], [0, 1], [-1, -1]], "b": [1, 1]}, "need one rhs entry per row"
+    ),
+    "ragged rows": (["minksum"], {"type": "H", "A": [[1, 0], [1]], "b": [1, 1]}, "matrix rows must have equal length"),
+    "duplicate labels embed": (
+        ["embed", "--sphere", "1"], {"vertices": [1, 1, 2], "facets": [[1, 2]]}, "duplicate vertex labels"
+    ),
+    "duplicate labels complex": (
+        ["complex", "nf"], {"vertices": [1, 1, 2], "facets": [[1, 2]]}, "duplicate vertex labels"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED))
+def test_refused_input_is_named(name, tmp_path, capsys):
+    head, doc, message = REFUSED[name]
+    assert main([*head, "--input", _write(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("via", ["epsilon", "file"])
 def test_zero_denominator_is_named(via, tmp_path, capsys):
     argv = {

@@ -1,10 +1,12 @@
 import itertools
+import json
 import random
 import sys
 
 import pytest
 
-from galeproj import obstructions
+from galeproj import obstructions, serialize
+from galeproj.cli import main
 from galeproj.complexes import (
     Complex,
     Join,
@@ -298,13 +300,16 @@ class TestNonembeddable:
                 nonembeddable(K, 0)
 
 
-def test_verdict_invariants_enforced():
+def test_verdict_invariants_enforced(monkeypatch, tmp_path, capsys):
     assert ObstructionVerdict(6, 2, 3, 3, 2, "no").embeddable == "no"
-    with pytest.raises(ValueError, match="n - chi - 1"):
-        ObstructionVerdict(6, 2, 4, 4, 2, "no")
-    with pytest.raises(ValueError, match="upper bound"):
-        ObstructionVerdict(6, 2, 3, 2, 2, "no")
-    with pytest.raises(ValueError, match="inconsistent"):
-        ObstructionVerdict(6, 2, 3, 3, 2, "unknown")
-    with pytest.raises(ValueError, match="inconsistent"):
-        ObstructionVerdict(6, 2, 3, 3, 3, "no")
+    # a colouring with too few colours: n = 6, so lower = 4 > upper = 3
+    K = power_join(points_complex(3), 2)
+    monkeypatch.setattr(obstructions, "nonface_kneser_chi", lambda K: 1)
+    with pytest.raises(ValueError, match="lower bound exceeds the dimension upper bound"):
+        nonembeddable(K, 2)
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(serialize.complex_json(K)))
+    assert main(["embed", "--input", str(path), "--sphere", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: lower bound exceeds the dimension upper bound\n"
+    assert captured.out == ""
