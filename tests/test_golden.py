@@ -27,8 +27,13 @@ CALLS = {
     "example-quarter.txt": (["example", "--epsilon", "1/4"], 0),
     "example-quarter.json": (["example", "--epsilon", "1/4", "--format", "json"], 0),
     "example-one.txt": (["example", "--epsilon", "1"], 0),
-    # the two ends of the benchmark's epsilon sweep
+    # the benchmark's epsilon sweep, each as its JSON report; with 1/4 and 1
+    # above, all eight are pinned
     "example-fifth.json": (["example", "--epsilon", "1/5", "--format", "json"], 0),
+    "example-third.json": (["example", "--epsilon", "1/3", "--format", "json"], 0),
+    "example-half.json": (["example", "--epsilon", "1/2", "--format", "json"], 0),
+    "example-two-thirds.json": (["example", "--epsilon", "2/3", "--format", "json"], 0),
+    "example-three-quarters.json": (["example", "--epsilon", "3/4", "--format", "json"], 0),
     "example-four-fifths.json": (["example", "--epsilon", "4/5", "--format", "json"], 0),
     "minksum-triangle-square.txt": (["minksum", "--input", "triangle.json", "--input", "square.json"], 0),
     "obstruction-d2-4.json": (["obstruction", "--d", "2..4", "--format", "json"], 0),
