@@ -86,6 +86,12 @@ def integer_points(points: Sequence[Sequence]) -> list[tuple[int, ...]]:
     return [tuple(x.numerator * (L // x.denominator) for x in p) for p in points]
 
 
+def cross(o: Sequence[int], a: Sequence[int], b: Sequence[int]) -> int:
+    """The cross product of a - o and b - o in R^2: positive iff o, a, b
+    turn counter-clockwise, 0 iff they are collinear."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
 def primitive(v: Sequence[int]) -> tuple[int, ...]:
     """The integer vector divided by the gcd of its entries: the primitive
     vector on its ray (the zero vector stays as it is)."""

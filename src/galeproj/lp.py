@@ -27,15 +27,15 @@ The tableau is integer over one common denominator D > 0 and pivots by
 the fraction-free update of Edmonds (1967), as Avis's lrs (2000) does:
 each division is exact and no gcd is taken while pivoting.  Rationals
 occur only where rows come in, each scaled to integers once by
-`integer_row`, and where the point goes out; ints pass as they are.
-Phase 1 runs on those integer rows, so the integer tableau is the
-rational simplex on the integer rows, times D (see `_solve_nonneg`).
+`integer_row`; ints pass as they are.  Phase 1 runs on those integer
+rows, so the integer tableau is the rational simplex on the integer rows,
+times D (see `_solve_nonneg`), and the point goes out as it is, integers
+over D, with no `Fraction` built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatch
@@ -46,9 +46,6 @@ class FeasibilityResult(NamedTuple):
     """`lp_feasible`'s verdict; read `.feasible`, as a 1-tuple is always true."""
 
     feasible: bool
-
-
-_ZERO = Fraction(0)
 
 
 def _pivot(T, basis, Z, D, r, c):
@@ -104,17 +101,19 @@ def _simplex_max(T, basis, Z, D, allowed):
 
 
 def _solve_nonneg(rows, nvars):
-    """A point of {x >= 0, rows} by phase 1, or None.
+    """A point of {x >= 0, rows} by phase 1, as (num, D), or None.
 
     Each row is a list of ints [coeffs, rhs], meaning coeffs.x = rhs.
     Each row's artificial gets entry 1, so the first basis is the identity,
     D = 1, and Z, the reduced costs of -(sum of the artificials), is the
     column sums.  From there T / D and Z / D are the rational tableau of
-    these rows, so pricing and the ratio test pick its pivots.  An
-    artificial still basic at the end has value 0 and is not read.  No
-    artificial column is stored, as none may enter: the i-th artificial is
-    basic under its virtual index nvars + i, the index the ratio test's
-    tie-break compares in the rational tableau.
+    these rows, so pricing and the ratio test pick its pivots.  The point
+    is x = num / D: num holds the basic values of T, the rhs of each row
+    whose basic variable is an x_j, and 0 elsewhere.  An artificial still
+    basic at the end has value 0 and is not read.  No artificial column is
+    stored, as none may enter: the i-th artificial is basic under its
+    virtual index nvars + i, the index the ratio test's tie-break compares
+    in the rational tableau.
     """
     T = [row if row[-1] >= 0 else [-x for x in row] for row in rows]
     basis = list(range(nvars, nvars + len(T)))
@@ -122,33 +121,33 @@ def _solve_nonneg(rows, nvars):
     D = _simplex_max(T, basis, Z, 1, range(nvars))
     if Z[-1] > 0:
         return None
-    x = [_ZERO] * nvars
+    num = [0] * nvars
     for row, b in zip(T, basis):
         if b < nvars:
-            x[b] = Fraction(row[-1], D)
-    return x
+            num[b] = row[-1]
+    return num, D
 
 
-def nonneg_combination(eq_rows: list[tuple[list, Fraction]], nvars: int) -> list[Fraction] | None:
+def nonneg_combination(eq_rows: list[tuple[list, Fraction]], nvars: int) -> tuple[list[int], int] | None:
     """Solve {x >= 0, equality rows} by phase 1; a re-checked point or None.
 
     Entries are ints or Fractions.  This is the one entry to phase 1, and
     `lp_feasible`'s Farkas system is its one caller in the package.  Each
     row a.x = b is scaled once by `integer_row` to integers a'.x = b', for
-    the tableau and for the re-check.  The re-check reads those input rows
-    and the returned point, not the tableau: x = num / L on its nonzero
-    entries, and each row must hold as a'.num = b' * L, with num >= 0.
+    the tableau and for the re-check.  The point comes back as phase 1
+    leaves it, x = num / D with num integer, and the re-check reads it and
+    those input rows, not the tableau: D > 0, num >= 0, and each row must
+    hold as a'.num = b' * D.
     """
     rows = [integer_row([*coeffs, rhs])[0] for coeffs, rhs in eq_rows]
-    x = _solve_nonneg(rows, nvars)
-    if x is None:
+    point = _solve_nonneg(rows, nvars)
+    if point is None:
         return None
-    support = [(j, v) for j, v in enumerate(x) if v]
-    L = lcm(*(v.denominator for _, v in support))
-    num = [(j, v.numerator * (L // v.denominator)) for j, v in support]
-    if any(n < 0 for _, n in num) or any(sum(a[j] * n for j, n in num) != a[-1] * L for a in rows):
+    num, D = point
+    support = [(j, n) for j, n in enumerate(num) if n]
+    if D <= 0 or any(n < 0 for _, n in support) or any(sum(a[j] * n for j, n in support) != a[-1] * D for a in rows):
         raise AssertionError("simplex returned an invalid witness")
-    return x
+    return point
 
 
 def lp_feasible(constraints: list[tuple[Sequence, int | Fraction]]) -> FeasibilityResult:

@@ -36,6 +36,7 @@ from .polytopes import (
     h_vertices,
     is_simple,
     minkowski_sum_vertices,
+    normal_fan_tuples,
     trivial_upper_bound,
 )
 from .projections import g_vectors, oracle_survival, vertex_survival_census
@@ -138,8 +139,13 @@ def vertex_bounds(d: int, r: int, f0s: Sequence[int]) -> PipelineReport:
     return report
 
 
+# at d = 2 the vertex tuples are read a second way, off the normal fans
+FAN_CLAIM = "the normal-fan tuples equal the Gordan tuples, tuple for tuple"
+
+
 def minkowski_sum_report(polys: Sequence[HPolytope | VPolytope], inputs: Sequence[str]) -> PipelineReport:
-    """Vertices of the Minkowski sum, checked against the trivial bound.
+    """Vertices of the Minkowski sum, checked against the trivial bound
+    and, in the plane, tuple for tuple against `normal_fan_tuples`.
 
     An H-polytope enters the sum by its vertices.  f0(P_i) is read off the
     vertex tuples: every vertex of P_i lies in some tuple, and a point that
@@ -171,6 +177,9 @@ def minkowski_sum_report(polys: Sequence[HPolytope | VPolytope], inputs: Sequenc
         len(sums) <= bound,
         f"{len(sums)} <= {bound}",
     )
+    if d == 2:
+        fan = sorted(normal_fan_tuples(summands))
+        report.check(FAN_CLAIM, fan == [choice for choice, _ in sums], f"{len(fan)} and {len(sums)} tuples")
     return report
 
 
@@ -456,7 +465,9 @@ def random_experiment(d: int, r: int, f0s: Sequence[int], trials: int, seed: int
     For r >= d the sharpened bound is enforced; for r < d only the trivial
     bound applies and attainment is possible, so no pass/fail is attached
     to it.  Calls past `EXPERIMENT_CAP` of trials x prod f0_i x
-    sum (f0_i - 1) x (d+1)^2 raise TooLargeForExact unsampled.
+    sum (f0_i - 1) x (d+1)^2 raise TooLargeForExact unsampled.  In the
+    plane every trial's vertex tuples are also read off the normal fans,
+    with no LP, and must equal the Gordan tuples.
     """
     _require_summands(d, r, f0s)
     if trials < 1:
@@ -468,10 +479,14 @@ def random_experiment(d: int, r: int, f0s: Sequence[int], trials: int, seed: int
         raise TooLargeForExact(f"experiment of {size} exceeds the cap {EXPERIMENT_CAP}")
     bound = minkowski_vertex_bound(d, r, f0s) if r >= d else None
     counts = []
+    fan_agrees = 0
     for t in range(trials):
         rng = random.Random(seed * 1_000_003 + t)
         polys = [sample_vpolytope(rng, d, f) for f in f0s]
-        counts.append(len(minkowski_sum_vertices(polys)))
+        sums = minkowski_sum_vertices(polys)
+        counts.append(len(sums))
+        if d == 2:
+            fan_agrees += sorted(normal_fan_tuples(polys)) == [choice for choice, _ in sums]
     max_count = max(counts)
     report = PipelineReport(
         "random_experiment",
@@ -503,4 +518,5 @@ def random_experiment(d: int, r: int, f0s: Sequence[int], trials: int, seed: int
             all(c <= f0_bound for c in counts),
             f"max {max_count} <= {f0_bound}",
         )
+        report.check(FAN_CLAIM, fan_agrees == trials, f"{fan_agrees} of {trials} trials")
     return report

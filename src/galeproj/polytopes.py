@@ -9,6 +9,11 @@ over the C(m, n) row subsets of m rows in R^n, which shares each prefix's
 elimination among the subsets that extend it and drops every subset
 holding a dependent prefix.  `H_VERTEX_CAP` bounds C(m, n), and the
 constructor checks it before any other work.
+
+In the plane, `planar_hull` takes hulls by integer cross products, and
+`normal_fan_tuples` reads the vertex tuples of a Minkowski sum off the
+summands' normal fans; neither asks an LP.  In other dimensions the
+Gordan LP of `minkowski_vertex_test` decides both.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from .linalg import (
     Mat,
     Vec,
     basic_solutions,
+    cross,
     integer_points,
     integer_row,
     mat,
@@ -271,7 +277,9 @@ def h_vertices(P: HPolytope) -> tuple[FaceRecord, ...]:
 
 
 def hull_vertex_indices(points: Sequence[Vec]) -> set[int]:
-    """Indices of the points that are vertices of their convex hull.
+    """Indices of the points that are vertices of their convex hull, in
+    any dimension; in the plane `planar_hull` answers without an LP, so
+    this serves the images that are not planar.
 
     The points are pairwise distinct: `VPolytope` refuses a repeated one,
     so an index always names one point.  Each is decided by the Gordan
@@ -280,6 +288,40 @@ def hull_vertex_indices(points: Sequence[Vec]) -> set[int]:
     """
     hull = VPolytope(points)
     return {k for k in range(len(hull.points)) if minkowski_vertex_test((k,), (hull,))}
+
+
+def planar_hull(points: Sequence[tuple[int, int]]) -> list[int]:
+    """Indices of the vertices of the hull of distinct integer points in
+    R^2, counter-clockwise from the least point.
+
+    Andrew's monotone chain (Inf. Process. Lett. 9, 1979): the points in
+    sorted order make the lower chain, and in reverse order the upper
+    one; each chain drops its last point while the turn to the next point
+    is not strictly counter-clockwise (`cross` <= 0).  So a point inside
+    an edge, or inside a collinear run, is no vertex: the vertices are the
+    points some functional takes at them alone, as `hull_vertex_indices`
+    decides.  One point is its own hull; two points, or any collinear set,
+    give the two ends.  Integer products only: no LP, no division.
+    """
+    if not points:
+        raise EmptyPolytope("a hull needs at least one point")
+    if any(len(p) != 2 for p in points):
+        raise DimensionMismatch("planar_hull takes points in R^2")
+    if len(set(points)) != len(points):
+        raise DuplicateLabels("points must be pairwise distinct")
+    order = sorted(range(len(points)), key=points.__getitem__)
+    if len(order) < 2:
+        return order
+    ring = []
+    for run in (order, order[::-1]):
+        chain: list[int] = []
+        for i in run:
+            while len(chain) > 1 and cross(points[chain[-2]], points[chain[-1]], points[i]) <= 0:
+                chain.pop()
+            chain.append(i)
+        # each chain ends where the other starts
+        ring += chain[:-1]
+    return ring
 
 
 def is_simple(P: HPolytope) -> bool:
@@ -331,6 +373,61 @@ def minkowski_sum_vertices(polys: Sequence[VPolytope]) -> list[tuple[tuple[int, 
             point = tuple(Fraction(sum(ints), lam) for ints, lam in map(integer_row, columns))
             out.append((choice, point))
     return out
+
+
+def normal_fan_tuples(polys: Sequence[VPolytope]) -> list[tuple[int, ...]]:
+    """The vertex tuples of a Minkowski sum in R^2, from the summands'
+    normal fans: no LP.
+
+    A tuple sums to a vertex iff some direction c is maximised on each
+    summand by its chosen point alone (see `minkowski_vertex_test`).  The
+    directions that pick a hull vertex of a polygon alone are the open
+    sector between the outer normals of its two edges; a segment has the
+    two opposite normals of its one edge, and a point has none.  So the
+    sum's vertices are the sectors between neighbouring normals of all the
+    summands, sorted by angle, and each gives one tuple: every summand's
+    argmax at a direction c inside the sector, which is unique, as c is
+    normal to no edge.  c is the sum of the two normals, or the first
+    turned a quarter counter-clockwise when they are opposite, which only
+    happens with two normals in all.  If every summand is a point, the
+    sum is one point, one vertex.
+
+    Each hull is `planar_hull` on the summand's `integer_points`, one
+    positive scaling per summand, which keeps its normals and its
+    argmaxes; each normal is primitive, so equal directions are equal
+    vectors.  The tuples come in the counter-clockwise order of their
+    sectors, one per vertex of the sum.
+    """
+    if any(Q.dim != 2 for Q in polys):
+        raise DimensionMismatch("normal fans are taken in R^2")
+    hulls = []
+    normals = set()
+    for Q in polys:
+        pts = integer_points(Q.points)
+        ring = planar_hull(pts)
+        hulls.append((pts, ring))
+        corners = [pts[i] for i in ring]
+        if len(corners) > 1:
+            # the outer normal of the edge from (x0, y0) to (x1, y1)
+            for (x0, y0), (x1, y1) in zip(corners, corners[1:] + corners[:1]):
+                normals.add(primitive((y1 - y0, x0 - x1)))
+    if not normals:
+        return [(0,) * len(polys)]
+    fan = sorted(normals, key=cmp_to_key(_by_angle))
+    out = []
+    for u, v in zip(fan, fan[1:] + fan[:1]):
+        cx, cy = (u[0] + v[0], u[1] + v[1]) if cross((0, 0), u, v) > 0 else (-u[1], u[0])
+        out.append(tuple(max(ring, key=lambda i: cx * pts[i][0] + cy * pts[i][1]) for pts, ring in hulls))
+    return out
+
+
+def _by_angle(u: tuple[int, int], v: tuple[int, int]) -> int:
+    """The order of two nonzero vectors by their angle from the positive
+    x-axis, in [0, 2 pi): first by half-plane, then by the turn from one to
+    the other, as two vectors in one half are less than a half turn apart."""
+    half_u = u[1] < 0 or (u[1] == 0 and u[0] < 0)
+    half_v = v[1] < 0 or (v[1] == 0 and v[0] < 0)
+    return half_u - half_v or -cross((0, 0), u, v)
 
 
 def trivial_upper_bound(f0s: Sequence[int]) -> int:

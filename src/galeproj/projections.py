@@ -12,21 +12,27 @@ is the independent census from images and fibers: it is given no
 g-vectors, and it alone projects the vertices and takes the hull of their
 images, so it also reports how many vertices the shadow has.
 
+The census asks LPs on the g-vectors: both of its tests are
+`lp_feasible` systems, the convex-hull test the margin system of
+`face_preserved` and the spanning test `VectorConfig.spans` (see
+`gale`), the rank and dependence verdicts it keeps per set of rays.  It reads the primitive integer rays that
+`VectorConfig` keeps, a positive scaling of each g-vector, which changes
+none of these verdicts.  The oracle, when the image is planar, as in the
+paper's worked example, asks no LP at all: `polytopes.planar_hull` and
+integer cross products decide both of its questions, so there the two
+sides share no kernel either.  Only images in other dimensions take the
+Gordan hull `hull_vertex_indices` and the spanning test of
+`positively_spanning` on the shifted images.
+
 Neither census asks an LP whose answer it already holds.  Strictly
 preserved implies preserved: a positively spanning W is positively
 dependent, and a strictly positive combination summing to 0, rescaled to
 sum 1, puts 0 in conv W.  A hull vertex of the images lies on the
 boundary of the shadow: a functional c that is larger at it than at every
 other image is <= 0 on all the shifted images, so they do not positively
-span.  The g-vector tests read the primitive integer rays that
-`VectorConfig` keeps, a positive scaling of each g-vector, which changes
-none of these verdicts.  Both g-vector tests are `lp_feasible` systems.
-The convex-hull test is the margin system of `face_preserved`.  The
-spanning test is `VectorConfig.spans` (see `gale`): the rank and
-dependence verdicts it keeps per set of rays.  Vertices whose tight
-facets carry the same set of rays share one LP, and so does a ray set
-that the Gale property or a face question on the same configuration
-already asked about.
+span.  Vertices whose tight facets carry the same set of rays share one
+LP, and so does a ray set that the Gale property or a face question on
+the same configuration already asked about.
 """
 
 from __future__ import annotations
@@ -37,8 +43,8 @@ from typing import Iterable, NamedTuple
 from . import lp
 from .errors import OriginNotInterior, RankDeficient
 from .gale import VectorConfig, positively_spanning
-from .linalg import Mat, integer_points, kernel_basis, mat, mat_vec, vsub
-from .polytopes import HPolytope, h_vertices, hull_vertex_indices
+from .linalg import Mat, cross, integer_points, kernel_basis, mat, mat_vec, vsub
+from .polytopes import HPolytope, h_vertices, hull_vertex_indices, planar_hull
 
 
 class VertexRecord(NamedTuple):
@@ -116,25 +122,44 @@ def oracle_survival(P: HPolytope, proj: Mat) -> SurvivalReport:
     making it a vertex of the image).  No g-vector machinery is involved,
     which makes this the cross-validation oracle for
     `vertex_survival_census`.  The report also counts the vertices of
-    the shadow, the hull of the distinct images.  A hull vertex is on the
-    boundary, so only the other images run the spanning test on the
-    shifted images (see the module docstring).
+    the shadow, the hull of the distinct images.
+
+    In the plane (two projection rows) both questions are integer cross
+    products on `planar_hull`'s counter-clockwise ring: an image is a hull
+    vertex iff it is on the ring, and on the boundary iff it is collinear
+    with the two ends of some edge (no image lies beyond an edge, so
+    collinear means on it); it is inside iff it lies strictly left of
+    every edge.  No LP is asked, so the oracle shares no kernel with the
+    census.  In any other dimension the hull is `hull_vertex_indices`,
+    and the other images run the spanning test on the shifted images (see
+    the module docstring).
 
     Everything reads the `integer_points` keys of the images, one positive
-    scaling of them all, which changes no hull vertex, no multiplicity and
-    no spanning verdict.  Multiplicity is decided here alone: the hull is
-    taken of the distinct keys.
+    scaling of them all, which changes no hull vertex, no multiplicity, no
+    turn and no spanning verdict.  Multiplicity is decided here alone: the
+    hull is taken of the distinct keys.
     """
     records = h_vertices(P)
-    images = [mat_vec(proj, r.vertex_coords) for r in records]
-    keys = integer_points(images)
+    keys = integer_points([mat_vec(proj, r.vertex_coords) for r in records])
     counts = Counter(keys)
     distinct = sorted(counts)
-    hull_keys = {distinct[i] for i in hull_vertex_indices(distinct)}
+    if len(proj) == 2:
+        ring = [distinct[i] for i in planar_hull(distinct)]
+        edges = list(zip(ring, ring[1:] + ring[:1]))
+
+        def on_boundary(key):
+            return any(cross(u, v, key) == 0 for u, v in edges)
+
+    else:
+        ring = [distinct[i] for i in hull_vertex_indices(distinct)]
+
+        def on_boundary(key):
+            return not positively_spanning([vsub(w, key) for w in distinct if w != key])
+
+    hull_keys = set(ring)
     classified = []
     for r, key in zip(records, keys):
         hull_vertex = key in hull_keys  # always so for a lone image
         strict = hull_vertex and counts[key] == 1
-        on_boundary = hull_vertex or not positively_spanning([vsub(w, key) for w in distinct if w != key])
-        classified.append(VertexRecord(r.tight_facets, strict, on_boundary))
+        classified.append(VertexRecord(r.tight_facets, strict, hull_vertex or on_boundary(key)))
     return SurvivalReport(tuple(classified), len(hull_keys))

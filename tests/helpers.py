@@ -104,7 +104,7 @@ def strict_lp_feasible(constraints: Iterable[LinConstraint], dim: int | None = N
         rhs = c.rhs - 1 if c.relation == LT else c.rhs
         slacks = [int(i == s) for s in slacked]
         rows.append(integer_row([*c.coeffs, *(-a for a in c.coeffs), -c.rhs, *slacks, rhs])[0])
-    y = lp._solve_nonneg(rows, 2 * k + 1 + len(slacked))
+    y = rational_point(lp._solve_nonneg(rows, 2 * k + 1 + len(slacked)))
     if y is None:
         return StrictResult(None)
     lam = 1 + y[2 * k]
@@ -251,12 +251,21 @@ def normal_cone_oracle(choice, polys) -> bool:
     return strict_lp_feasible(cons, dim=polys[0].dim).feasible
 
 
+def rational_point(point) -> list[Fraction] | None:
+    """The rational point x = num / D of phase 1's integer point (num, D),
+    as `lp._solve_nonneg` and `lp.nonneg_combination` return it, or None."""
+    if point is None:
+        return None
+    num, D = point
+    return [Fraction(n, D) for n in num]
+
+
 def cone_combination(vectors, target) -> list[Fraction] | None:
     """Coefficients lam >= 0 with sum(lam_i * v_i) = target, or None: the
     cone membership system, one row per coordinate, on `lp.nonneg_combination`."""
     vectors = list(vectors)
     columns = zip(*vectors) if vectors else [()] * len(target)
-    return lp.nonneg_combination(list(zip(columns, target)), len(vectors))
+    return rational_point(lp.nonneg_combination(list(zip(columns, target)), len(vectors)))
 
 
 def convex_combination(points, target) -> list[Fraction] | None:
@@ -265,7 +274,7 @@ def convex_combination(points, target) -> list[Fraction] | None:
     coordinate and the row of ones, on `lp.nonneg_combination`."""
     points = list(points)
     columns = zip(*points) if points else [()] * len(target)
-    return lp.nonneg_combination([*zip(columns, target), ([1] * len(points), 1)], len(points))
+    return rational_point(lp.nonneg_combination([*zip(columns, target), ([1] * len(points), 1)], len(points)))
 
 
 def spans_positively_primal(vectors) -> bool:
@@ -566,7 +575,7 @@ def _fraction_simplex(raw_rows, nvars, objective, log, events):
 
 
 def fraction_solve_nonneg(raw_rows, nvars, log, events):
-    """Phase 1 in `Fraction` arithmetic; as `lp._solve_nonneg`, a point or None."""
+    """Phase 1 in `Fraction` arithmetic: the rational point of `lp._solve_nonneg`, or None."""
     return _fraction_simplex(raw_rows, nvars, None, log, events)[1]
 
 

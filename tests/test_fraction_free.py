@@ -11,8 +11,9 @@ and use no true division `/`.  `_add_row` is the only function of
 its prefix tree, `solve_square` is one `basic_solutions` subset, and
 `rank` and `kernel_basis` reach it through `_echelon`.
 `basic_solutions` builds no `Fraction` at all: it returns each solution
-as integers (num, L).  `nonneg_combination`
-re-checks its points in integers, with no `Fraction` and no `vdot`.
+as integers (num, L).  Nor does `lp.py`: `_solve_nonneg` returns its
+point as integers (num, D), and `nonneg_combination` re-checks it in
+integers, with no `Fraction` and no `vdot`, and returns it as it is.
 `lp_feasible` re-checks nothing itself: it makes one `nonneg_combination`
 call on its Farkas system, so its certificates pass that same re-check.
 Each LP row is scaled to integers once, where it enters `lp.py`:
@@ -73,16 +74,13 @@ def test_lp_builds_fractions_only_for_input_and_output():
     tree, _ = _functions(PACKAGE / "lp.py")
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            calls = _fraction_calls(node)
-            if node.name == "_solve_nonneg":
-                # the witness coordinates
-                assert len(calls) == 1 and len(calls[0].args) == 2
-            else:
-                assert not calls, f"Fraction(...) in lp.{node.name}"
+            # phase 1 returns its point as integers (num, D); a `Fraction`
+            # witness, one per coordinate, was built in `_solve_nonneg`
+            assert not _fraction_calls(node), f"Fraction(...) in lp.{node.name}"
 
 
 def test_witness_recheck_is_integer():
-    # the body, not the annotations, which name the Fraction type of the result
+    # the body, not the annotations, which name the Fraction type of the input entries
     _, functions = _functions(PACKAGE / "lp.py")
     body = functions["nonneg_combination"].body
     names = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}

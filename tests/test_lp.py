@@ -19,6 +19,7 @@ from helpers import (
     le,
     lt,
     margin_lp_feasible,
+    rational_point,
     strict_lp_feasible,
 )
 
@@ -146,10 +147,11 @@ def oracle_checked(monkeypatch):
     """Check every `_solve_nonneg` call against the `Fraction` simplex.
 
     Each solve must make the oracle's pivots, (entering, leaving) column
-    by column, and return the same point or None.  The pivot loop must see
-    only ints over a positive denominator and pivot on a positive entry,
-    and the tableau must store no artificial column: every row and Z hold
-    the variables and the rhs.
+    by column, and return the same rational point, as integers (num, D)
+    over D > 0, or None.  The pivot loop must see only ints over a
+    positive denominator and pivot on a positive entry, and the tableau
+    must store no artificial column: every row and Z hold the variables
+    and the rhs.
     Returns the counts of solves, pivots and covered cases.
     """
     events = Counter()
@@ -174,9 +176,12 @@ def oracle_checked(monkeypatch):
         integer_log.clear()
         got = solve(rows, nvars)
         assert integer_log == oracle_log
-        assert got == expected
+        # the integer point (num, D) is the oracle's rational point, x = num / D
+        assert rational_point(got) == expected
         if got is not None:
-            assert all(type(v) is Fraction for v in got)
+            num, D = got
+            assert type(D) is int and D > 0 and len(num) == nvars
+            assert all(type(n) is int for n in num)
         events["solves"] += 1
         events["pivots"] += len(oracle_log)
         return got
@@ -246,21 +251,25 @@ class TestIntegerPivotsMatchFractionSimplex:
         # spanning and dependence questions were asked once per ray set,
         # 7 + 26 before the vertex records validated the polytope, and
         # 6 + 20 while dependence was a cone LP apart from the Farkas
-        # system of the spanning test
-        assert oracle_checked["solves"] == 12 + 10
+        # system of the spanning test, and 12 + 10 while the oracle took
+        # the hull of the plane images by 9 Gordan systems and ran one
+        # spanning test; in the plane it now asks none
+        assert oracle_checked["solves"] == 12
 
 
 def test_no_variables():
     # the only point of {x >= 0} in zero variables is the empty one, and a
     # row 0 = b holds iff b = 0; nothing can enter
-    assert lp.nonneg_combination([([], 0)], 0) == []
+    assert lp.nonneg_combination([([], 0)], 0) == ([], 1)
     assert lp.nonneg_combination([([], 1)], 0) is None
     assert cone_combination([], (0, 0)) == [] and cone_combination([], (0, 1)) is None
 
 
 def test_pivots_do_not_depend_on_how_rows_are_scaled(monkeypatch):
     # phase 1 runs on the integer rows, so a rational system and its
-    # `integer_row`-scaled copy make the same pivots and find the same point
+    # `integer_row`-scaled copy make the same pivots and find the same
+    # point, the same integers (num, D); it is the rational point of the
+    # `Fraction` simplex on the scaled rows
     log = []
     pivot = lp._pivot
 
@@ -285,6 +294,8 @@ def test_pivots_do_not_depend_on_how_rows_are_scaled(monkeypatch):
         log.clear()
         assert lp.nonneg_combination(scaled, nvars) == x
         assert log == rational, eq_rows
+        raw_rows = [([Fraction(a) for a in coeffs], EQ, Fraction(rhs)) for coeffs, rhs in scaled]
+        assert rational_point(x) == fraction_solve_nonneg(raw_rows, nvars, [], Counter())
         pivots += len(rational)
         feasible += x is not None
     assert pivots > 300 and 50 < feasible < 250
@@ -428,31 +439,34 @@ class TestLeSystems:
         "rows, bad",
         [
             # x <= 0 and -x <= -1, and y = (0, 1) off the row y1 - y2 = 0
-            ([([1], 0), ([-1], -1)], [Fraction(0), Fraction(1)]),
+            ([([1], 0), ([-1], -1)], ([0, 1], 1)),
             # x <= 0, -x <= -1 and x <= 1, and y = (1, 0, -1) on both rows
             # y1 - y2 + y3 = 0 and -y2 + y3 = -1, but with y3 < 0
-            ([([1], 0), ([-1], -1), ([1], 1)], [Fraction(1), Fraction(0), Fraction(-1)]),
+            ([([1], 0), ([-1], -1), ([1], 1)], ([1, 0, -1], 1)),
         ],
     )
     def test_a_bad_witness_raises(self, rows, bad, monkeypatch):
         # the systems are empty; a bad Farkas certificate y must not pass
         assert not lp_feasible(rows).feasible
-        monkeypatch.setattr(lp, "_solve_nonneg", lambda int_rows, nvars: list(bad))
+        monkeypatch.setattr(lp, "_solve_nonneg", lambda int_rows, nvars: bad)
         with pytest.raises(AssertionError, match="invalid witness"):
             lp_feasible(rows)
 
 
 # points 0, 1, 2 on a line and the target 1; both bad points below satisfy
-# the convex-combination row x1 + x2 + x3 = 1
+# the convex-combination row x1 + x2 + x3 = 1.  Each is phase 1's integer
+# point (num, D), x = num / D.
 LINE_POINTS = [(0,), (1,), (2,)]
 BAD_WITNESSES = {
-    # x2 + 2 x3 = 1/2, not 1
-    "off one row": [Fraction(1, 2), Fraction(1, 2), Fraction(0)],
-    # on every row, but x2 < 0
-    "negative coordinate": [Fraction(2, 3), Fraction(-1, 3), Fraction(2, 3)],
+    # x = (1/2, 1/2, 0): x2 + 2 x3 = 1/2, not 1
+    "off one row": ([1, 1, 0], 2),
+    # x = (2/3, -1/3, 2/3): on every row, but x2 < 0
+    "negative coordinate": ([2, -1, 2], 3),
+    # 0 / 0: a'.num = b' * D holds on every row, but D is no denominator
+    "zero denominator": ([0, 0, 0], 0),
 }
 MEMBERSHIP_CALLS = {
-    "nonneg_combination": lambda: lp.nonneg_combination([([0, 1, 2], 1), ([1, 1, 1], 1)], 3),
+    "nonneg_combination": lambda: rational_point(lp.nonneg_combination([([0, 1, 2], 1), ([1, 1, 1], 1)], 3)),
     "cone_combination": lambda: cone_combination(LINE_POINTS, (1,)),
     "convex_combination": lambda: convex_combination(LINE_POINTS, (1,)),
 }
@@ -470,6 +484,6 @@ class TestWitnessRecheck:
     @pytest.mark.parametrize("bad", sorted(BAD_WITNESSES))
     @pytest.mark.parametrize("call", sorted(MEMBERSHIP_CALLS))
     def test_a_bad_witness_raises(self, call, bad, monkeypatch):
-        monkeypatch.setattr(lp, "_solve_nonneg", lambda int_rows, nvars: list(BAD_WITNESSES[bad]))
+        monkeypatch.setattr(lp, "_solve_nonneg", lambda int_rows, nvars: BAD_WITNESSES[bad])
         with pytest.raises(AssertionError, match="invalid witness"):
             MEMBERSHIP_CALLS[call]()

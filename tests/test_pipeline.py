@@ -16,6 +16,7 @@ from galeproj.errors import HypothesisViolated, TooLargeForExact
 from galeproj.linalg import affine_rank
 from galeproj.obstructions import EXACT_CAP, certified_kneser_chi, chromatic_number, kneser_graph
 from galeproj.pipeline import (
+    Check,
     minkowski_sum_report,
     minkowski_vertex_bound,
     obstruction_pipeline,
@@ -203,6 +204,18 @@ class TestBounds:
         res = report.results
         assert (res["f0_sum"], res["trivial_bound"]) == (5, 12)
         assert sorted(res["vertices"]) == [["-1", "-1"], ["-1", "2"], ["1", "2"], ["2", "-1"], ["2", "1"]]
+        # in the plane the tuples are read off the normal fans as well
+        assert report.checks[-1] == Check(pipeline.FAN_CLAIM, True, "5 and 5 tuples")
+
+    def test_minksum_reads_the_normal_fan_in_the_plane_only(self, monkeypatch):
+        triangle = polytopes.VPolytope([(0, 0), (1, 0), (0, 1)])
+        original = polytopes.normal_fan_tuples
+        monkeypatch.setattr(pipeline, "normal_fan_tuples", lambda polys: original(polys)[1:])
+        report = minkowski_sum_report([triangle, triangle], ["T", "T"])
+        assert not report.passed and report.checks[-1] == Check(pipeline.FAN_CLAIM, False, "2 and 3 tuples")
+        monkeypatch.setattr(pipeline, "normal_fan_tuples", None)
+        report = minkowski_sum_report(lifted_lattice_summands(), ["P", "Q", "R"])
+        assert report.passed and pipeline.FAN_CLAIM not in [c.claim for c in report.checks]
 
     def test_minksum_work_cap_boundary(self, monkeypatch):
         class Tested(Exception):
@@ -288,15 +301,17 @@ class TestTwoTriangleOpCounts:
         # Dependence is the Farkas system of the spanning test, kept once
         # per ray set for both questions; a cone LP apart from it made 6
         # lp_feasible calls (1 feasible) and 6 + 20 nonneg_combination
-        # calls.  The 22 are two spanning tests outside the configuration,
-        # its 10 dependence systems and the 10 Gordan systems of the image
-        # hull and the convex-hull test, so every phase 1 is an lp_feasible
-        # system; asking the Gordan systems as convex-combination rows, the
-        # same tableaux, made 12 lp_feasible calls (7 feasible).  The 16
+        # calls.  Every phase 1 is an lp_feasible system; asking the
+        # Gordan systems as convex-combination rows, the same tableaux,
+        # made 12 lp_feasible calls (7 feasible).  The oracle took the hull
+        # of the 9 plane images by 9 Gordan systems (8 feasible, the hull
+        # vertices) and ran one spanning test on the shifted images, which
+        # made 22 (16 feasible); in the plane it now asks no LP.  The 12
+        # are the polytope's boundedness test, the configuration's 10
+        # dependence systems and the one convex-hull test.  The 8
         # feasible ones are the 7 ray sets that are not positively
-        # dependent, the 8 images that are hull vertices and the one vertex
-        # that is not preserved.
-        assert counts == {"lp_feasible": 22, "feasible": 16, "nonneg_combination": 22}
+        # dependent and the one vertex that is not preserved.
+        assert counts == {"lp_feasible": 12, "feasible": 8, "nonneg_combination": 12}
 
     def test_building_the_polytope(self, monkeypatch):
         counts = count_lp_calls(monkeypatch)
@@ -333,8 +348,9 @@ class TestTwoTriangleOpCounts:
         # a verdict kept past its configuration would make the second call
         # cheaper, or the first one after an earlier test (12 lp_feasible
         # calls, 7 feasible, while the Gordan systems were convex-combination
-        # rows)
-        assert runs == [{"lp_feasible": 22, "feasible": 16, "nonneg_combination": 22}] * 2
+        # rows, and 22 lp_feasible calls, 16 feasible, while the oracle took
+        # the plane images' hull by Gordan systems)
+        assert runs == [{"lp_feasible": 12, "feasible": 8, "nonneg_combination": 12}] * 2
 
     def test_pivots_at_one_quarter(self, monkeypatch):
         pivots = []
@@ -364,8 +380,10 @@ class TestTwoTriangleOpCounts:
         # records, 78.  Asking dependence by a cone LP apart from the
         # Farkas system of the spanning test made 54, and the spanning test
         # on the rational rows instead of their integer copies, which scale
-        # each row by the lcm of its denominators, 48.
-        assert len(pivots) == 49
+        # each row by the lcm of its denominators, 48.  The oracle's hull
+        # of the plane images by Gordan systems and its spanning test made
+        # 49; in the plane it asks no LP.
+        assert len(pivots) == 25
 
     def test_lp_work_over_the_bench_sweep(self, monkeypatch):
         # the epsilons of the projection-sweep workload, copied from
@@ -382,11 +400,42 @@ class TestTwoTriangleOpCounts:
         for epsilon in ("1/5", "1/4", "1/3", "1/2", "2/3", "3/4", "4/5", "1"):
             assert two_triangle_example(epsilon).passed
         # asking dependence by a cone LP apart from the Farkas system of
-        # the spanning test made 187 nonneg_combination calls and 384 pivots
-        assert (counts["nonneg_combination"], len(pivots)) == (158, 342)
+        # the spanning test made 187 nonneg_combination calls and 384
+        # pivots, and the oracle's LPs on the plane images (the Gordan
+        # hull and the spanning test) 158 and 342
+        assert (counts["nonneg_combination"], len(pivots)) == (88, 179)
 
     def test_one_image_hull(self, monkeypatch):
-        # only the oracle projects the vertices and takes their hull
+        # only the oracle projects the vertices and takes their hull, and
+        # in the plane it takes it by cross products; the Gordan hull
+        # of the 9 images was the one hull before
+        calls = {"hull_vertex_indices": [], "planar_hull": []}
+        for name, found in calls.items():
+            original = getattr(polytopes, name)
+
+            def counting(points, original=original, found=found):
+                found.append(len(points))
+                return original(points)
+
+            for module in (polytopes, projections, pipeline):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting)
+        assert two_triangle_example("1/4").passed
+        assert calls == {"hull_vertex_indices": [], "planar_hull": [9]}
+
+    def test_the_planar_oracle_asks_no_lp(self, monkeypatch):
+        P = pipeline.deformed_triangle_product("1/4")
+        counts = count_lp_calls(monkeypatch)
+        report = projections.oracle_survival(P, pipeline.TRIANGLE_PRODUCT_PROJECTION)
+        assert report.image_vertex_count == 8
+        # its 9 Gordan systems and one spanning test made 10 lp_feasible calls
+        assert counts == {}
+
+    def test_the_oracle_on_a_line_takes_the_gordan_hull(self, monkeypatch):
+        # images that are not planar keep hull_vertex_indices and the
+        # spanning test: here the 9 images land on 5 distinct points of the
+        # line, 2 of them the ends
+        P = pipeline.deformed_triangle_product("1/4")
         calls = []
         original = polytopes.hull_vertex_indices
 
@@ -394,11 +443,11 @@ class TestTwoTriangleOpCounts:
             calls.append(len(points))
             return original(points)
 
-        for module in (polytopes, projections, pipeline):
-            if hasattr(module, "hull_vertex_indices"):
-                monkeypatch.setattr(module, "hull_vertex_indices", counting)
-        assert two_triangle_example("1/4").passed
-        assert calls == [9]
+        monkeypatch.setattr(projections, "hull_vertex_indices", counting)
+        counts = count_lp_calls(monkeypatch)
+        report = projections.oracle_survival(P, [[1, 0, 0, 1]])
+        assert calls == [5] and report.image_vertex_count == 2
+        assert counts["lp_feasible"] > 0
 
     def test_one_vertex_enumeration(self, monkeypatch):
         # h_vertices runs 5 times on the product polytope (directly, and in
@@ -423,7 +472,8 @@ def test_every_phase_one_is_an_lp_feasible_system(monkeypatch):
     # lp_feasible is the one formulation: each nonneg_combination call is
     # one lp_feasible call's Farkas system.  Over the sweep the Gordan
     # systems asked as convex-combination rows made 88 lp_feasible calls
-    # against 158 nonneg_combination calls.
+    # against 158 nonneg_combination calls, and the oracle's LPs on the
+    # plane images (the Gordan hull and the spanning test), 158 and 158.
     counts = count_lp_calls(monkeypatch)
 
     def calls():
@@ -433,7 +483,7 @@ def test_every_phase_one_is_an_lp_feasible_system(monkeypatch):
 
     for epsilon in ("1/5", "1/4", "1/3", "1/2", "2/3", "3/4", "4/5", "1"):
         assert two_triangle_example(epsilon).passed
-    assert calls() == (158, 158)
+    assert calls() == (88, 88)
     assert len(polytopes.minkowski_sum_vertices(lifted_lattice_summands())) == 41
     assert calls() == (125, 125)
     assert random_experiment(3, 3, [8, 8, 8], 1, 7).results["counts"] == [70]
@@ -543,6 +593,22 @@ class TestSphereSampler:
         report = random_experiment(2, 3, [10, 10, 10], 1, 1)
         assert report.passed
         assert report.results["counts"] == [30]
+
+    def test_planar_trials_check_the_normal_fan(self, monkeypatch):
+        def fan_check():
+            report = random_experiment(2, 3, [6, 6, 6], 3, 5)
+            [check] = [c for c in report.checks if c.claim == pipeline.FAN_CLAIM]
+            return report.passed, check
+
+        assert fan_check() == (True, Check(pipeline.FAN_CLAIM, True, "3 of 3 trials"))
+        # a fan that loses a tuple fails the check, and with it the report
+        original = polytopes.normal_fan_tuples
+        monkeypatch.setattr(pipeline, "normal_fan_tuples", lambda polys: original(polys)[1:])
+        assert fan_check() == (False, Check(pipeline.FAN_CLAIM, False, "0 of 3 trials"))
+        # above the plane no trial reads a fan
+        monkeypatch.setattr(pipeline, "normal_fan_tuples", None)
+        report = random_experiment(3, 3, [4, 4, 4], 1, 5)
+        assert report.passed and pipeline.FAN_CLAIM not in [c.claim for c in report.checks]
 
 
 class TestKneserFactorBuiltOnce:

@@ -17,7 +17,7 @@ from galeproj.errors import (
     UnboundedPolytope,
 )
 from galeproj import lp, polytopes
-from galeproj.linalg import affine_rank, rank, vec, vsub
+from galeproj.linalg import affine_rank, cross, integer_points, rank, vec, vsub
 from galeproj.polytopes import (
     HPolytope,
     VPolytope,
@@ -27,6 +27,8 @@ from galeproj.polytopes import (
     is_simple,
     minkowski_sum_vertices,
     minkowski_vertex_test,
+    normal_fan_tuples,
+    planar_hull,
     trivial_upper_bound,
 )
 from helpers import (
@@ -539,6 +541,140 @@ class TestHull:
             d = rng.randint(1, 3)
             pts = [vec(p) for p in random_points(rng, d, rng.randint(1, 7))]
             assert hull_vertex_indices(pts) == separation_hull_vertices(pts)
+
+
+def lattice_points(rng, count, s):
+    """`count` distinct points of [-s, s]^2, at most (2s + 1)^2: on so small
+    a grid, collinear runs and points inside edges are common."""
+    return rng.sample([(x, y) for x in range(-s, s + 1) for y in range(-s, s + 1)], count)
+
+
+def on_an_edge(ring, p):
+    """p lies on the boundary of the ring's hull but is not a vertex of it."""
+    return p not in ring and any(cross(u, v, p) == 0 for u, v in zip(ring, ring[1:] + ring[:1]))
+
+
+class TestPlanarHull:
+    """`planar_hull` against the Gordan route of `hull_vertex_indices`."""
+
+    def test_hand_made_sets(self):
+        assert planar_hull([(5, 7)]) == [0]
+        assert planar_hull([(3, 1), (0, 0)]) == [1, 0]
+        # a collinear run keeps its two ends
+        assert planar_hull([(2, 2), (0, 0), (3, 3), (1, 1)]) == [1, 2]
+        # the square's edge midpoints and its centre are no vertices;
+        # counter-clockwise from the least point
+        square = [(1, 1), (2, 0), (0, 2), (0, 0), (2, 1), (2, 2), (1, 0)]
+        assert [square[i] for i in planar_hull(square)] == [(0, 0), (2, 0), (2, 2), (0, 2)]
+
+    def test_refusals(self):
+        with pytest.raises(EmptyPolytope):
+            planar_hull([])
+        with pytest.raises(DuplicateLabels):
+            planar_hull([(0, 0), (1, 0), (0, 0)])
+        with pytest.raises(DimensionMismatch):
+            planar_hull([(0, 0, 0), (1, 0, 0)])
+
+    def test_matches_the_gordan_hull_on_lattice_sets(self):
+        rng = random.Random(1979)
+        seen = {"one point": 0, "two points": 0, "collinear": 0, "mid-edge": 0}
+        for _ in range(300):
+            s = rng.randint(1, 3)
+            pts = lattice_points(rng, rng.randint(1, min(9, (2 * s + 1) ** 2)), s)
+            if rng.random() < 0.2:
+                # a collinear run along a random lattice direction
+                dx, dy = rng.choice([(1, 0), (0, 1), (1, 1), (1, -1), (2, 1)])
+                pts = [(k * dx, k * dy) for k in rng.sample(range(-4, 5), rng.randint(1, 6))]
+            ring = planar_hull(pts)
+            assert set(ring) == hull_vertex_indices(pts), pts
+            assert ring[0] == min(range(len(pts)), key=pts.__getitem__)
+            corners = [pts[i] for i in ring]
+            if len(ring) > 2:
+                # strictly counter-clockwise at every corner
+                turns = zip(corners, corners[1:] + corners[:1], corners[2:] + corners[:2])
+                assert all(cross(a, b, c) > 0 for a, b, c in turns)
+            seen["one point"] += len(pts) == 1
+            seen["two points"] += len(pts) == 2
+            seen["collinear"] += len(pts) > 2 and affine_rank([vec(p) for p in pts]) == 1
+            seen["mid-edge"] += len(ring) > 2 and any(on_an_edge(corners, p) for p in pts)
+        assert all(seen.values()), seen
+
+    def test_scaled_points_keep_the_hull(self):
+        # integer_points scales a rational set by one positive factor
+        pts = [(Fraction(1, 2), 0), (0, Fraction(1, 3)), (Fraction(1, 4), Fraction(1, 6)), (1, 1)]
+        assert set(planar_hull(integer_points([vec(p) for p in pts]))) == hull_vertex_indices(pts)
+
+
+class TestNormalFan:
+    """`normal_fan_tuples` against `minkowski_sum_vertices`, tuple for tuple."""
+
+    @staticmethod
+    def check(polys):
+        fan = normal_fan_tuples(polys)
+        sums = minkowski_sum_vertices(polys)
+        assert sorted(fan) == [choice for choice, _ in sums], [Q.points for Q in polys]
+        if len(fan) > 2:
+            # one tuple per vertex of the sum, counter-clockwise
+            points = integer_points(
+                [tuple(sum(Q.points[i][c] for i, Q in zip(choice, polys)) for c in range(2)) for choice in fan]
+            )
+            turns = zip(points, points[1:] + points[:1], points[2:] + points[:2])
+            assert all(cross(a, b, c) > 0 for a, b, c in turns)
+        return fan
+
+    def test_hand_made_sums(self):
+        square = VPolytope([(0, 0), (2, 0), (0, 2), (2, 2), (1, 1)])
+        assert len(self.check([TRIANGLE, square])) == 5
+        # points only: one vertex
+        assert self.check([VPolytope([(3, 4)]), VPolytope([(Fraction(1, 2), 0)])]) == [(0, 0)]
+        # parallel segments: two opposite normals, two vertices
+        assert len(self.check([VPolytope([(0, 0), (1, 1)]), VPolytope([(5, 5), (3, 3), (4, 4)])])) == 2
+        # a segment and a point, and two segments across
+        assert len(self.check([VPolytope([(0, 0), (0, 2)]), VPolytope([(1, 1)])])) == 2
+        assert len(self.check([VPolytope([(0, 0), (1, 0)]), VPolytope([(0, 0), (0, 1)])])) == 4
+        # a triangle and its reflection share no normal: a hexagon
+        neg = VPolytope([tuple(-x for x in p) for p in TRIANGLE.points])
+        assert len(self.check([TRIANGLE, neg])) == 6
+
+    def test_refuses_other_dimensions(self):
+        with pytest.raises(DimensionMismatch):
+            normal_fan_tuples([VPolytope([(0, 0, 0), (1, 0, 0)])])
+
+    def test_matches_gordan_on_lattice_instances(self):
+        rng = random.Random(2007)
+        seen = {"segment": 0, "point": 0, "non-vertex point": 0, "shared normal": 0}
+        for _ in range(120):
+            polys = []
+            for _ in range(rng.randint(1, 4)):
+                s = rng.randint(1, 2)
+                kind = rng.random()
+                if kind < 0.15:
+                    pts = lattice_points(rng, 1, s)
+                elif kind < 0.35:
+                    # a segment, with a point inside it now and then
+                    (x, y), (dx, dy) = lattice_points(rng, 1, s)[0], rng.choice([(1, 0), (0, 1), (1, 1), (1, -1)])
+                    pts = [(x + k * dx, y + k * dy) for k in rng.sample(range(3), rng.randint(2, 3))]
+                else:
+                    pts = lattice_points(rng, rng.randint(3, 6), s)
+                polys.append(VPolytope(pts))
+            self.check(polys)
+            rings = [planar_hull(integer_points(Q.points)) for Q in polys]
+            normals = [
+                {(v[1] - u[1], u[0] - v[0]) for u, v in zip(corners, corners[1:] + corners[:1])}
+                for corners in ([Q.points[i] for i in ring] for Q, ring in zip(polys, rings))
+                if len(corners) > 1
+            ]
+            directions = [{tuple(x / max(abs(n[0]), abs(n[1])) for x in n) for n in ns} for ns in normals]
+            seen["segment"] += any(len(ring) == 2 for ring in rings)
+            seen["point"] += any(len(Q.points) == 1 for Q in polys)
+            seen["non-vertex point"] += any(len(ring) < len(Q.points) for Q, ring in zip(polys, rings))
+            seen["shared normal"] += any(a & b for a, b in itertools.combinations(directions, 2))
+        assert all(seen.values()), seen
+
+    def test_the_fan_asks_no_lp(self, monkeypatch):
+        monkeypatch.setattr(lp, "lp_feasible", None)
+        square = VPolytope([(0, 0), (2, 0), (0, 2), (2, 2), (1, 1)])
+        assert sorted(normal_fan_tuples([TRIANGLE, square])) == [(0, 0), (1, 1), (1, 3), (2, 2), (2, 3)]
 
 
 class TestSimple:

@@ -12,7 +12,7 @@ from galeproj.linalg import kernel_basis, mat_vec, rank
 from galeproj.pipeline import TRIANGLE_PRODUCT_PROJECTION, coupling_g_matrix, deformed_triangle_product
 from galeproj.polytopes import HPolytope, h_vertices
 from galeproj.projections import VertexRecord, face_preserved, g_vectors, oracle_survival, vertex_survival_census
-from helpers import full_survival_census
+from helpers import fraction_mat_vec, full_survival_census
 
 CUBE = HPolytope(
     [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]], [1] * 6
@@ -145,18 +145,32 @@ class TestCensus:
     @pytest.mark.parametrize("P", [OCTAHEDRON, CUT_CUBE, SIMPLEX], ids=["octahedron", "cut-cube", "simplex"])
     def test_census_equals_oracle_on_other_polytopes(self, P):
         # any polytope with 0 inside and any projection: here onto a line and
-        # onto a plane, 15 seeded projections each
+        # onto a plane, 15 seeded projections each.  On the plane the oracle
+        # takes the cross-product route of `planar_hull`, on the line the
+        # Gordan hull and the spanning test.
         rng = random.Random(2010)
         kinds = Counter()
+        plane_cases = Counter()
         for rows in (1, 2):
             for _ in range(15):
                 proj = random_projection(rng, rows, 3)
                 census = vertex_survival_census(P, g_vectors(P, proj))
                 assert census == oracle_survival(P, proj).records, proj
                 kinds.update((r.strictly_preserved, r.preserved) for r in census)
+                if rows == 2:
+                    # read off the census, the side that projects nothing
+                    images = [fraction_mat_vec(proj, v.vertex_coords) for v in h_vertices(P)]
+                    counts = Counter(images)
+                    plane_cases["repeated"] += len(counts) < len(images)
+                    plane_cases["mid-edge"] += any(
+                        r.preserved and not r.strictly_preserved and counts[image] == 1
+                        for r, image in zip(census, images)
+                    )
         # preserved but not strictly: a vertex whose image is shared or mid-edge
         assert kinds[(True, True)] and kinds[(False, True)] and kinds[(False, False)]
         assert not kinds[(True, False)]
+        # both happen on the plane, where the cross products decide them
+        assert plane_cases["repeated"] and plane_cases["mid-edge"], plane_cases
 
 
 def random_projection(rng, rows, cols):
