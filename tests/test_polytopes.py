@@ -554,6 +554,17 @@ def on_an_edge(ring, p):
     return p not in ring and any(cross(u, v, p) == 0 for u, v in zip(ring, ring[1:] + ring[:1]))
 
 
+def outer_normal_directions(ring):
+    """The outer normals of the edges of a counter-clockwise ring, each
+    scaled to max(|a|, |b|) = 1, so that parallel normals are equal."""
+    out = set()
+    if len(ring) > 1:
+        for (x0, y0), (x1, y1) in zip(ring, ring[1:] + ring[:1]):
+            a, b = y1 - y0, x0 - x1
+            out.add((a / max(abs(a), abs(b)), b / max(abs(a), abs(b))))
+    return out
+
+
 class TestPlanarHull:
     """`planar_hull` against the Gordan route of `hull_vertex_indices`."""
 
@@ -658,13 +669,8 @@ class TestNormalFan:
                     pts = lattice_points(rng, rng.randint(3, 6), s)
                 polys.append(VPolytope(pts))
             self.check(polys)
-            rings = [planar_hull(integer_points(Q.points)) for Q in polys]
-            normals = [
-                {(v[1] - u[1], u[0] - v[0]) for u, v in zip(corners, corners[1:] + corners[:1])}
-                for corners in ([Q.points[i] for i in ring] for Q, ring in zip(polys, rings))
-                if len(corners) > 1
-            ]
-            directions = [{tuple(x / max(abs(n[0]), abs(n[1])) for x in n) for n in ns} for ns in normals]
+            rings = [[Q.points[i] for i in planar_hull(integer_points(Q.points))] for Q in polys]
+            directions = [outer_normal_directions(ring) for ring in rings]
             seen["segment"] += any(len(ring) == 2 for ring in rings)
             seen["point"] += any(len(Q.points) == 1 for Q in polys)
             seen["non-vertex point"] += any(len(ring) < len(Q.points) for Q, ring in zip(polys, rings))
