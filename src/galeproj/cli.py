@@ -19,7 +19,7 @@ import json
 import sys
 
 from . import pipeline, serialize
-from .complexes import complement_complex, deleted_join, minimal_nonfaces, sort_family
+from .complexes import complement_complex, minimal_nonfaces, sort_family
 from .errors import GaleprojError
 from .obstructions import nonembeddable
 
@@ -94,8 +94,6 @@ def _cmd_complex(args) -> int:
     K = serialize.parse_complex(_load_json(args.input))
     if args.op == "cc":
         out = serialize.complex_json(complement_complex(K))
-    elif args.op == "djn":
-        out = serialize.complex_json(deleted_join(K))
     else:
         out = {"minimal_nonfaces": sort_family(minimal_nonfaces(K))}
     if args.format == "json":
@@ -144,9 +142,9 @@ _COMMANDS = {
         {"--d": {"type": int}, "--r": {"type": int}, "--f0": {}, "--trials": {"type": int}, "--seed": {"type": int}},
     ),
     "complex": (
-        "complement complex, non-faces, deleted join",
+        "complement complex or minimal non-faces",
         _cmd_complex,
-        {"op": {"choices": ("cc", "nf", "djn")}, "--input": {"help": "complex JSON file"}},
+        {"op": {"choices": ("cc", "nf")}, "--input": {"help": "complex JSON file"}},
     ),
     "embed": (
         "embeddability verdict for a complex",

@@ -7,15 +7,18 @@ come from the factors, and its facets, a product of the factors' facets,
 are built only when asked for.  Joins tag vertex labels with a factor
 prefix ("1:v", "2:v", ...) so repeated joins stay unambiguous;
 downstream obstruction computations work factor by factor.
+
+No deleted join is built here: the obstruction needs only its
+dimension, which `obstructions.djn_dim_upper` reads off facet pairs.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Iterable
 
-from .errors import LabelOutsideVertexSet, Record
+from .errors import DuplicateLabels, LabelOutsideVertexSet, Record
 
 Label = object  # ints or strings in practice
 Face = frozenset
@@ -60,7 +63,7 @@ class Complex(Record):
     def __init__(self, vertices: tuple, facets: frozenset[Face]):
         vs = set(vertices)
         if len(vs) != len(vertices):
-            raise LabelOutsideVertexSet("duplicate vertex labels")
+            raise DuplicateLabels("duplicate vertex labels")
         for f in facets:
             if not f <= vs:
                 raise LabelOutsideVertexSet(f"facet {sorted(f, key=_label_key)} uses undeclared labels")
@@ -81,13 +84,6 @@ class Complex(Record):
     def is_face(self, sigma: Iterable) -> bool:
         s = frozenset(sigma)
         return any(s <= f for f in self.facets)
-
-    def faces(self) -> set[Face]:
-        out: set[Face] = set()
-        for f in self.facets:
-            for r in range(len(f) + 1):
-                out.update(map(frozenset, itertools.combinations(f, r)))
-        return out
 
     @cached_property
     def nonfaces(self) -> frozenset[Face]:
@@ -144,7 +140,8 @@ class Join(Complex):
 
     @cached_property
     def facets(self) -> frozenset[Face]:
-        return self._tagged_product(lambda K: K.facets)
+        tagged = [[frozenset(_tag(prefix, v) for v in f) for f in K.facets] for prefix, K in self.factors]
+        return frozenset(frozenset().union(*combo) for combo in itertools.product(*tagged))
 
     @property
     def dim(self) -> int:
@@ -161,19 +158,12 @@ class Join(Complex):
             parts[i].add(label)
         return all(K.is_face(part) for (_, K), part in zip(self.factors, parts))
 
-    def faces(self) -> set[Face]:
-        return set(self._tagged_product(lambda K: K.faces()))
-
     def distinct_factors(self) -> list[tuple[Complex, int]]:
         """Each distinct factor object once, with the number of times it occurs."""
         counts: dict[int, list] = {}
         for _, K in self.factors:
             counts.setdefault(id(K), [K, 0])[1] += 1
         return [(K, m) for K, m in counts.values()]
-
-    def _tagged_product(self, sets_of: Callable[[Complex], Iterable[Face]]) -> frozenset[Face]:
-        tagged = [[frozenset(_tag(prefix, v) for v in s) for s in sets_of(K)] for prefix, K in self.factors]
-        return frozenset(frozenset().union(*combo) for combo in itertools.product(*tagged))
 
 
 def power_join(L: Complex, d: int) -> Join:
@@ -206,24 +196,6 @@ def minimal_nonfaces(K: Complex) -> frozenset[Face]:
             if all(K.is_face(c - {x}) for x in c):
                 out.add(c)
     return frozenset(out)
-
-
-def deleted_join(K: Complex) -> Complex:
-    """Complex of disjoint face pairs on two tagged copies of the vertices.
-
-    The facets are the maximal pairs; every maximal pair has the form
-    (sigma, G - sigma) with G a facet, so the candidate sweep below is
-    exhaustive before the antichain reduction.
-    """
-    vertices = tuple(_tag_vertices([("1", K), ("2", K)]))
-    candidates = set()
-    for sigma in K.faces():
-        for g in K.facets:
-            tau = g - sigma
-            candidates.add(
-                frozenset(_tag("1", v) for v in sigma) | frozenset(_tag("2", v) for v in tau)
-            )
-    return Complex(vertices, _antichain(candidates))
 
 
 def points_complex(n: int) -> Complex:

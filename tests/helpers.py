@@ -354,6 +354,27 @@ def materialised_join(factors) -> Complex:
     return Complex(vertices, facets)
 
 
+def faces(K: Complex) -> set[frozenset]:
+    """Every face of K: each subset of each facet."""
+    return {frozenset(c) for f in K.facets for r in range(len(f) + 1) for c in itertools.combinations(f, r)}
+
+
+def deleted_join(K: Complex) -> Complex:
+    """Deleted join of K as a plain Complex: the disjoint face pairs, on
+    two copies of the vertices tagged "1:v" and "2:v".
+
+    Every maximal pair has the form (sigma, G - sigma) with G a facet, so
+    the antichain of those pairs is the facet set.
+    """
+    vertices = tuple(f"{k}:{v}" for k in (1, 2) for v in K.vertices)
+    pairs = (
+        frozenset(f"1:{v}" for v in sigma) | frozenset(f"2:{v}" for v in g - sigma)
+        for sigma in faces(K)
+        for g in K.facets
+    )
+    return closure_from_facets(vertices, pairs)
+
+
 def full_simplex(n: int) -> Complex:
     """The simplex with vertices 1..n (a single facet)."""
     if n < 1:

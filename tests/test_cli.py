@@ -43,7 +43,6 @@ PASSING = {
     "experiment d4": ["experiment", "--d", "4", "--r", "4", "--f0", "5,5,5,5", "--trials", "1", "--seed", "5"],
     "complex cc": ["complex", "cc", "--input", "{complex}"],
     "complex nf": ["complex", "nf", "--input", "{complex}", "--format", "json"],
-    "complex djn": ["complex", "djn", "--input", "{complex}"],
     "embed": ["embed", "--input", "{complex}", "--sphere", "1", "--format", "json"],
     "obstruction": ["obstruction", "--d", "3"],
 }
@@ -363,6 +362,7 @@ PARSER_EXITS = {
     "extra argument": ["embed", "--input", "x.json", "--sphere", "1", "extra"],
     "format xml": ["example", "--epsilon", "1/4", "--format", "xml"],
     "complex zz": ["complex", "zz", "--input", "x.json"],
+    "complex djn": ["complex", "djn", "--input", "x.json"],
     "unknown command": ["nope", "--d", "3"],
     "no arguments": [],
     "top-level help": ["--help"],
@@ -374,6 +374,12 @@ def _exit(call, capsys) -> tuple:
         call()
     captured = capsys.readouterr()
     return info.value.code, captured.out, captured.err
+
+
+def test_complex_refuses_the_deleted_join(files, capsys):
+    code, out, err = _exit(lambda: main(["complex", "djn", "--input", files["complex"]]), capsys)
+    assert (code, out) == (2, "")
+    assert "invalid choice: 'djn'" in err
 
 
 @pytest.mark.parametrize("name", sorted(PARSER_EXITS))

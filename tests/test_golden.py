@@ -40,7 +40,6 @@ CALLS = {
     "bound-d3-r3.txt": (["bound", "--d", "3", "--r", "3", "--f0", "5,5,5"], 0),
     # below the threshold (r < d): the counts and the trivial bound, no sharpened one
     "experiment-d3-r2.txt": (["experiment", "--d", "3", "--r", "2", "--f0", "5,5", "--trials", "2", "--seed", "1"], 0),
-    "complex-djn.txt": (["complex", "djn", "--input", "{complex}"], 0),
     "complex-nf.txt": (["complex", "nf", "--input", "{complex}"], 0),
     # the verdict's fields in order; "no" at the 1-sphere, "unknown" at the 2-sphere
     "embed-sphere1.json": (["embed", "--input", "{complex}", "--sphere", "1", "--format", "json"], 0),

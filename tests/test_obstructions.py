@@ -14,7 +14,6 @@ from galeproj.complexes import (
     minimal_nonfaces,
     points_complex,
     power_join,
-    deleted_join,
 )
 from galeproj.errors import HypothesisViolated, OutOfTheoremRange, TooLargeForExact
 from galeproj.obstructions import (
@@ -30,9 +29,12 @@ from galeproj.pipeline import obstruction_pipeline
 from helpers import (
     bipartite_sum,
     brute_chromatic_number,
+    deleted_join,
     full_simplex,
     graph,
     inclusion_exclusion_chromatic_number,
+    materialised_join,
+    random_complex,
     simplex_boundary,
 )
 
@@ -264,14 +266,17 @@ class TestDeletedJoinDim:
 
     def test_matches_constructed_deleted_join(self):
         rng = random.Random(83)
-        from helpers import random_complex
-
         for _ in range(25):
             K = random_complex(rng, 6)
             assert djn_dim_upper(K) == deleted_join(K).dim
         for d in (2, 3):
             K = power_join(points_complex(d + 1), d)
             assert djn_dim_upper(K) == deleted_join(K).dim
+        # binary joins of two distinct factors, against the deleted join of
+        # the materialised join
+        for _ in range(15):
+            factors = [("1", random_complex(rng, 4)), ("2", random_complex(rng, 4))]
+            assert djn_dim_upper(Join(factors)) == deleted_join(materialised_join(factors)).dim
 
 
 class TestNonembeddable:
