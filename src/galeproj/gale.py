@@ -4,26 +4,34 @@ A Gale transform encodes a polytope's face lattice through positive
 dependences of complementary vector subsets; `gale_faces_of_card`, the
 face query here, is the combinatorial side of that correspondence.
 
-Positive spanning and dependence are one Farkas system.  W is
-positively dependent iff no c has <c, w> <= 0 for all w and
-<c, sum W> <= -1, and W positively spans iff it is positively dependent
-and of full rank (Davis 1954).  A
-configuration asks that system once per set of rays: the dependence
+W positively spans iff it is positively dependent and of full rank
+(Davis 1954).  In the plane both are read off one exact angular sort of
+the distinct primitive nonzero rays of W (`linalg.sort_by_angle`): the
+rank from whether some two neighbours turn, the dependence from whether
+every turn between neighbours is a strict left turn (see
+`positively_dependent`).  No LP and no elimination is asked.  In any
+other dimension the rank is `linalg.rank`, and the dependence one
+Farkas system: W is positively dependent iff no c has <c, w> <= 0 for
+all w and <c, sum W> <= -1.
+
+A configuration asks about each set of rays once: the dependence
 verdicts are kept on the instance, keyed by the sorted set of distinct
 primitive rays of the vectors asked about.  "Spans" is a rank test on
 the same rays, asked first as in `positively_spanning`, and then the
 kept verdict.  The rank verdict is kept too, in a second dict keyed the
 same way, so no ray set runs a rank or an LP twice, or an LP where the
-rank alone answers.  No verdict can change.  Both ask about the cone of the
-vectors, or a strictly positive combination of them that is zero, and
-those depend only on the set of rays: coefficients on copies of one ray
-add up to one positive coefficient on it, and a positive coefficient on
-a ray splits back among its copies.  A positive scaling of a vector
-keeps its ray, so the rational vectors and their primitive integer rays
-give the same verdicts; each "dependent" verdict stays certified by the
-Farkas y that `lp_feasible` re-checks on the ray set.  A Gale transform
-with repeated vectors, like the one the deformed two-triangle product
-projects to, repeats its ray sets across deletions and complements.
+rank alone answers; in the plane one sort fills both dicts.  No verdict
+can change.  Both ask about the cone of the vectors, or a strictly
+positive combination of them that is zero, and those depend only on the
+set of rays: coefficients on copies of one ray add up to one positive
+coefficient on it, and a positive coefficient on a ray splits back among
+its copies.  A positive scaling of a vector keeps its ray, so the
+rational vectors and their primitive integer rays give the same
+verdicts.  Off the plane each "dependent" verdict stays certified by the
+Farkas y that `lp_feasible` re-checks on the ray set; in the plane a
+verdict rests on exact integer turns.  A Gale transform with repeated
+vectors, like the one the deformed two-triangle product projects to,
+repeats its ray sets across deletions and complements.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from typing import Iterable, Sequence
 
 from . import lp
 from .errors import DimensionMismatch, DuplicateLabels, NotGale, Record, TooLargeForExact, UnknownLabel
-from .linalg import Vec, integer_row, primitive, rank, vec
+from .linalg import Vec, cross, integer_row, primitive, rank, sort_by_angle, vec
 
 FACE_CARD_CAP = 8
 
@@ -114,9 +122,13 @@ class VectorConfig(Record):
     def spans(self, labels: Iterable[int]) -> bool:
         """Do the vectors labelled `labels` positively span?  See `positively_spanning`."""
         rays = self._ray_set(labels)
-        if rays not in self._full_rank:
-            self._full_rank[rays] = rank(rays) == self.dim
-        return self._full_rank[rays] and self._dependent(rays)
+        full_rank = self._full_rank
+        if rays not in full_rank:
+            if self.dim == 2:
+                full_rank[rays], self._verdicts[rays] = _planar_verdicts(rays)
+            else:
+                full_rank[rays] = rank(rays) == self.dim
+        return full_rank[rays] and self._dependent(rays)
 
     def dependent(self, labels: Iterable[int]) -> bool:
         """Are the vectors labelled `labels` positively dependent?  See `positively_dependent`."""
@@ -128,7 +140,10 @@ class VectorConfig(Record):
     def _dependent(self, rays: tuple[tuple[int, ...], ...]) -> bool:
         verdicts = self._verdicts
         if rays not in verdicts:
-            verdicts[rays] = positively_dependent(rays)
+            if self.dim == 2:
+                self._full_rank[rays], verdicts[rays] = _planar_verdicts(rays)
+            else:
+                verdicts[rays] = positively_dependent(rays)
         return verdicts[rays]
 
     @cached_property
@@ -149,12 +164,15 @@ def positively_spanning(W: Sequence[Sequence]) -> bool:
     sum (1 + mu_w) w = 0 with mu >= 0.  If: were cone W != R^e, Farkas
     gives c != 0 with <c, w> <= 0 for all w; as W spans, some <c, w> < 0,
     and then no strictly positive combination of W is zero.  So one rank
-    and one `positively_dependent` system settle it, and a "spans" verdict
-    carries that system's certificate.
+    and one `positively_dependent` question settle it.  In the plane both
+    come from one angular sort of the rays; elsewhere a "spans" verdict
+    carries the certificate of the dependence system.
     """
     vectors = list(W)
     if not vectors:
         raise DimensionMismatch("empty set cannot span")
+    if len(vectors[0]) == 2:
+        return all(_planar_verdicts(_planar_rays(vectors)))
     return rank(vectors) == len(vectors[0]) and positively_dependent(vectors)
 
 
@@ -162,21 +180,59 @@ def positively_dependent(W: Sequence[Sequence]) -> bool:
     """True iff some strictly positive combination of W is zero.
 
     W is a sequence of vectors with int or Fraction entries, taken as
-    given, as in `positively_spanning`.  Farkas: W is positively dependent
-    iff no c has <c, w> <= 0 for all w and <c, sum W> <= -1, one
-    `lp_feasible` system.  A "dependent" verdict is that system's
-    infeasible one, so it is certified: the Farkas y >= 0 that
-    `lp_feasible` re-checks has y_0 = 1 on the sum row and makes
-    sum (1 + y_w) w = 0.  Conversely, a strictly positive combination
-    that is zero, scaled so each coefficient is at least 1, is such a y.
-    The system is homogeneous in c, so <c, sum W> <= -1 asks no more than
-    <c, sum W> < 0.
+    given, as in `positively_spanning`.  W is positively dependent iff
+    cone W is a linear space: a strictly positive combination
+    sum lam_w w = 0 puts -w = sum_{v != w} (lam_v / lam_w) v in the cone
+    for every w, and conversely, if each -w is in the cone, summing
+    w + (a combination equal to -w) over all w gives one with every
+    coefficient at least 1.
+
+    In the plane the cone of W is that of its distinct primitive nonzero
+    rays (a zero vector takes any coefficient), and a linear space there
+    is {0}, a line or the plane.  {0}: no ray is left, and W, zero
+    vectors only, is dependent.  A line: the rays are exactly one
+    opposite pair u, -u.  The plane: sorted by angle, every gap between
+    neighbours, the wraparound one included, is less than pi, which is
+    to say a strict left turn (`linalg.cross` > 0); a gap of pi or more
+    leaves every ray in a closed half-plane, and the cone with them.  The
+    rays are of full rank iff some two neighbours turn: when no two do,
+    they lie on one line, and being distinct and primitive they are one
+    ray or one opposite pair.  So one sort answers both questions of
+    `positively_spanning`.
+
+    In any other dimension, Farkas: W is positively dependent iff no c
+    has <c, w> <= 0 for all w and <c, sum W> <= -1, one `lp_feasible`
+    system.  A "dependent" verdict is that system's infeasible one, so it
+    is certified: the Farkas y >= 0 that `lp_feasible` re-checks has
+    y_0 = 1 on the sum row and makes sum (1 + y_w) w = 0.  Conversely, a
+    strictly positive combination that is zero, scaled so each
+    coefficient is at least 1, is such a y.  The system is homogeneous in
+    c, so <c, sum W> <= -1 asks no more than <c, sum W> < 0.
     """
     vectors = list(W)
     if not vectors:
         raise DimensionMismatch("empty set cannot be positively dependent")
+    if len(vectors[0]) == 2:
+        return _planar_verdicts(_planar_rays(vectors))[1]
     total = [sum(column) for column in zip(*vectors)]
     return not lp.lp_feasible([(w, 0) for w in vectors] + [(total, -1)]).feasible
+
+
+def _planar_rays(W: Sequence[Sequence]) -> set[tuple[int, ...]]:
+    """The distinct primitive integer rays of the vectors W in R^2."""
+    rays = {primitive(integer_row(w)[0]) for w in W}
+    if any(len(r) != 2 for r in rays):
+        raise DimensionMismatch("vectors with mixed dimensions")
+    return rays
+
+
+def _planar_verdicts(rays: Iterable[tuple[int, ...]]) -> tuple[bool, bool]:
+    """(full rank, positively dependent) of distinct primitive rays in R^2,
+    from the turns between angular neighbours (see `positively_dependent`);
+    a zero ray is dropped."""
+    fan = sort_by_angle(r for r in rays if any(r))
+    turns = [cross((0, 0), u, v) for u, v in zip(fan, fan[1:] + fan[:1])]
+    return any(turns), all(t > 0 for t in turns) or (len(turns) == 2 and not any(turns))
 
 
 def gale_faces_of_card(G: VectorConfig, k: int) -> list[frozenset[int]]:

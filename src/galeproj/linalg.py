@@ -13,6 +13,7 @@ results.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd, lcm
 from operator import mul, sub
 from typing import Iterable, Sequence
@@ -90,6 +91,20 @@ def cross(o: Sequence[int], a: Sequence[int], b: Sequence[int]) -> int:
     """The cross product of a - o and b - o in R^2: positive iff o, a, b
     turn counter-clockwise, 0 iff they are collinear."""
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def sort_by_angle(vectors: Iterable[Sequence[int]]) -> list:
+    """Nonzero integer vectors in R^2 by their angle from the positive
+    x-axis, in [0, 2 pi), exactly: first by half-plane, then by the turn
+    from one to the other, as two vectors in one half are less than a half
+    turn apart."""
+    return sorted(vectors, key=cmp_to_key(_by_angle))
+
+
+def _by_angle(u: Sequence[int], v: Sequence[int]) -> int:
+    half_u = u[1] < 0 or (u[1] == 0 and u[0] < 0)
+    half_v = v[1] < 0 or (v[1] == 0 and v[0] < 0)
+    return half_u - half_v or -cross((0, 0), u, v)
 
 
 def primitive(v: Sequence[int]) -> tuple[int, ...]:

@@ -230,8 +230,12 @@ def djn_dim_upper(K: Complex) -> int:
     Computed from facet pairs: the largest disjoint face pair has the form
     (F, G - F) over facets F, G, with |F | G| vertices.  Joins add up
     factor dimensions (plus one per extra factor), taking each distinct
-    factor's once.
+    factor's once.  A join with a factor that has no faces has none
+    either, and neither has its deleted join: -1, as for any complex
+    without faces.
     """
+    if not K.is_face(()):
+        return -1
     if isinstance(K, Join):
         total = sum(times * djn_dim_upper(factor) for factor, times in K.distinct_factors())
         return total + len(K.factors) - 1

@@ -49,6 +49,7 @@ from .linalg import (
     integer_row,
     mat,
     primitive,
+    sort_by_angle,
     vec,
     vsub,
 )
@@ -413,21 +414,12 @@ def normal_fan_tuples(polys: Sequence[VPolytope]) -> list[tuple[int, ...]]:
                 normals.add(primitive((y1 - y0, x0 - x1)))
     if not normals:
         return [(0,) * len(polys)]
-    fan = sorted(normals, key=cmp_to_key(_by_angle))
+    fan = sort_by_angle(normals)
     out = []
     for u, v in zip(fan, fan[1:] + fan[:1]):
         cx, cy = (u[0] + v[0], u[1] + v[1]) if cross((0, 0), u, v) > 0 else (-u[1], u[0])
         out.append(tuple(max(ring, key=lambda i: cx * pts[i][0] + cy * pts[i][1]) for pts, ring in hulls))
     return out
-
-
-def _by_angle(u: tuple[int, int], v: tuple[int, int]) -> int:
-    """The order of two nonzero vectors by their angle from the positive
-    x-axis, in [0, 2 pi): first by half-plane, then by the turn from one to
-    the other, as two vectors in one half are less than a half turn apart."""
-    half_u = u[1] < 0 or (u[1] == 0 and u[0] < 0)
-    half_v = v[1] < 0 or (v[1] == 0 and v[0] < 0)
-    return half_u - half_v or -cross((0, 0), u, v)
 
 
 def trivial_upper_bound(f0s: Sequence[int]) -> int:

@@ -12,17 +12,20 @@ is the independent census from images and fibers: it is given no
 g-vectors, and it alone projects the vertices and takes the hull of their
 images, so it also reports how many vertices the shadow has.
 
-The census asks LPs on the g-vectors: both of its tests are
-`lp_feasible` systems, the convex-hull test the margin system of
-`face_preserved` and the spanning test `VectorConfig.spans` (see
-`gale`), the rank and dependence verdicts it keeps per set of rays.  It reads the primitive integer rays that
+On the g-vectors the census asks an LP only for its convex-hull test,
+the margin system of `face_preserved`.  Its spanning test is
+`VectorConfig.spans` (see `gale`), the rank and dependence verdicts it
+keeps per set of rays: on planar g-vectors, as in the paper's worked
+example, one angular sort of the rays, and elsewhere a rank and an
+`lp_feasible` system.  It reads the primitive integer rays that
 `VectorConfig` keeps, a positive scaling of each g-vector, which changes
-none of these verdicts.  The oracle, when the image is planar, as in the
-paper's worked example, asks no LP at all: `polytopes.planar_hull` and
-integer cross products decide both of its questions, so there the two
-sides share no kernel either.  Only images in other dimensions take the
-Gordan hull `hull_vertex_indices` and the spanning test of
-`positively_spanning` on the shifted images.
+none of these verdicts.  The oracle, when the image is planar, asks no
+LP at all: `polytopes.planar_hull` and integer cross products decide
+both of its questions.  So in the example the two sides share only
+`linalg.cross`, which the census applies to the g-vectors and the oracle
+to the images.  Only images in other dimensions take the Gordan hull
+`hull_vertex_indices` and the spanning test of `positively_spanning` on
+the shifted images.
 
 Neither census asks an LP whose answer it already holds.  Strictly
 preserved implies preserved: a positively spanning W is positively
@@ -31,8 +34,8 @@ sum 1, puts 0 in conv W.  A hull vertex of the images lies on the
 boundary of the shadow: a functional c that is larger at it than at every
 other image is <= 0 on all the shifted images, so they do not positively
 span.  Vertices whose tight facets carry the same set of rays share one
-LP, and so does a ray set that the Gale property or a face question on
-the same configuration already asked about.
+spanning verdict, and so does a ray set that the Gale property or a face
+question on the same configuration already asked about.
 """
 
 from __future__ import annotations
@@ -129,8 +132,8 @@ def oracle_survival(P: HPolytope, proj: Mat) -> SurvivalReport:
     vertex iff it is on the ring, and on the boundary iff it is collinear
     with the two ends of some edge (no image lies beyond an edge, so
     collinear means on it); it is inside iff it lies strictly left of
-    every edge.  No LP is asked, so the oracle shares no kernel with the
-    census.  In any other dimension the hull is `hull_vertex_indices`,
+    every edge.  No LP is asked, and the oracle shares only `cross` with
+    the census.  In any other dimension the hull is `hull_vertex_indices`,
     and the other images run the spanning test on the shifted images (see
     the module docstring).
 

@@ -315,6 +315,14 @@ def strictly_positive_dependence(vectors) -> bool:
     return strict_lp_feasible(cons).feasible
 
 
+def farkas_dependent(vectors) -> bool:
+    """The `lp_feasible` Farkas system `gale.positively_dependent` asks off
+    the plane, asked in any dimension: no c with <c, w> <= 0 for all w and
+    <c, sum W> <= -1.  With `rank`, the oracle of the planar angular sort."""
+    total = [sum(column) for column in zip(*vectors)]
+    return not lp.lp_feasible([(w, 0) for w in vectors] + [(total, -1)]).feasible
+
+
 def brute_minimal_nonfaces(K: Complex) -> set[frozenset]:
     """Reference implementation scanning every vertex subset."""
     verts = list(K.vertices)

@@ -8,9 +8,10 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from test_complexes import points_sweep_work
 from test_polytopes import polygon_rows
 
-from galeproj import cli, pipeline, polytopes
+from galeproj import cli, complexes, pipeline, polytopes
 from galeproj.cli import _COMMANDS, _build_parser, main
 from galeproj.obstructions import EXACT_CAP
 
@@ -193,6 +194,25 @@ def test_minksum_over_the_work_cap_exits_2(tmp_path, capsys, monkeypatch):
     assert captured.err == (
         "error: minksum of 26100 tuples x 86 LP columns x (d+1)^2 = 20201400"
         f" exceeds the cap {pipeline.EXPERIMENT_CAP}\n"
+    )
+    assert captured.out == ""
+
+
+def test_nf_over_the_sweep_cap_exits_2(tmp_path, capsys, monkeypatch):
+    def testing(self, sigma):
+        raise AssertionError("a face was tested")
+
+    monkeypatch.setattr(complexes.Complex, "is_face", testing)
+    n = 2
+    while points_sweep_work(n) <= complexes.NONFACE_CAP:
+        n += 1
+    doc = {"vertices": list(range(1, n + 1)), "facets": [[v] for v in range(1, n + 1)]}
+    assert main(["complex", "nf", "--input", _write(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: minimal non-face sweep of {n} vertices up to size 2"
+        f" ({1 + n + comb(n, 2)} candidates x {n} facets = {points_sweep_work(n)})"
+        f" exceeds the cap {complexes.NONFACE_CAP}\n"
     )
     assert captured.out == ""
 

@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import Counter
+from math import comb
 
 import pytest
 
@@ -14,7 +15,8 @@ from galeproj.complexes import (
     points_complex,
     power_join,
 )
-from galeproj.errors import DuplicateLabels, LabelOutsideVertexSet
+from galeproj import complexes
+from galeproj.errors import DuplicateLabels, LabelOutsideVertexSet, TooLargeForExact
 from helpers import (
     brute_minimal_nonfaces,
     deleted_join,
@@ -324,3 +326,63 @@ def test_complex_equality_ignores_vertex_order():
     b = closure_from_facets([3, 2, 1], [{1, 2}])
     assert a == b and hash(a) == hash(b)
 
+
+def points_sweep_work(n: int) -> int:
+    """The work measure of the minimal non-face sweep of n isolated points:
+    the subsets of size at most 2, times the n facets."""
+    return (1 + n + comb(n, 2)) * n
+
+
+class TestNonfaceCap:
+    """`minimal_nonfaces` refuses a sweep whose candidates times scanned
+    facets exceed `NONFACE_CAP`, before any face test."""
+
+    class Worked(Exception):
+        pass
+
+    @staticmethod
+    def count_face_tests(monkeypatch, refuse=False) -> list:
+        tests = []
+
+        def counting(self, sigma):
+            tests.append(1)
+            if refuse:
+                raise TestNonfaceCap.Worked
+            return original(self, sigma)
+
+        original = Complex.is_face
+        monkeypatch.setattr(Complex, "is_face", counting)
+        return tests
+
+    def test_least_complex_over_the_cap_refused_before_any_face_test(self, monkeypatch):
+        n = 2
+        while points_sweep_work(n) <= complexes.NONFACE_CAP:
+            n += 1
+        K, smaller = points_complex(n), points_complex(n - 1)
+        tests = self.count_face_tests(monkeypatch, refuse=True)
+        message = (
+            f"minimal non-face sweep of {n} vertices up to size 2"
+            f" ({1 + n + comb(n, 2)} candidates x {n} facets = {points_sweep_work(n)})"
+            f" exceeds the cap {complexes.NONFACE_CAP}"
+        )
+        with pytest.raises(TooLargeForExact) as err:
+            minimal_nonfaces(K)
+        assert str(err.value) == message
+        assert tests == []
+        # one point fewer is under the cap and starts its face tests
+        with pytest.raises(self.Worked):
+            minimal_nonfaces(smaller)
+        assert tests == [1]
+
+    def test_join_scans_its_factors_facets(self, monkeypatch):
+        # the join of an edge and a point: 3 vertices, dimension 2, so the 8
+        # subsets of size <= 4, and each face test scans the factors' 2
+        # facets, not the join's product of them
+        J = Join([("1", full_simplex(2)), ("2", points_complex(1))])
+        work = 8 * 2
+        monkeypatch.setattr(complexes, "NONFACE_CAP", work)
+        assert minimal_nonfaces(J) == set()
+        assert "facets" not in vars(J)
+        monkeypatch.setattr(complexes, "NONFACE_CAP", work - 1)
+        with pytest.raises(TooLargeForExact, match=rf"\(8 candidates x 2 facets = {work}\) exceeds the cap {work - 1}"):
+            minimal_nonfaces(J)

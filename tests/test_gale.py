@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from galeproj import gale, lp
-from galeproj.errors import DuplicateLabels, NotGale, TooLargeForExact, UnknownLabel
+from galeproj.errors import DimensionMismatch, DuplicateLabels, NotGale, TooLargeForExact, UnknownLabel
 from galeproj.gale import (
     FACE_CARD_CAP,
     VectorConfig,
@@ -15,9 +15,10 @@ from galeproj.gale import (
     positively_dependent,
     positively_spanning,
 )
-from galeproj.linalg import mat_vec, vec
+from galeproj.linalg import mat_vec, rank, vec
 from galeproj.polytopes import hull_vertex_indices
 from helpers import (
+    farkas_dependent,
     signed_systems_spanning,
     spans_positively_primal,
     strictly_positive_dependence,
@@ -114,6 +115,101 @@ class TestPositivelyDependent:
                 assert positively_dependent(vectors)
 
 
+def planar_configs(seed, count):
+    """Seeded vectors in R^2 built to meet every case of the angular sort:
+    a few drawn rays, each repeated as positive `Fraction` multiples, some
+    negated into opposite pairs, and now and then zero vectors, a single
+    vector, or a collinear set of multiples of one ray of both signs."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        kind = rng.random()
+        if kind < 0.1:
+            yield [tuple(oracle_entry(rng) for _ in range(2))]
+            continue
+        if kind < 0.25:
+            # multiples of one ray, both signs or one, with zero vectors
+            u = (Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3)))
+            signs = rng.choice([(1,), (-1,), (1, -1)])
+            yield [
+                tuple(rng.choice(signs) * Fraction(rng.randint(0, 9), rng.randint(1, 5)) * x for x in u)
+                for _ in range(rng.randint(1, 5))
+            ]
+            continue
+        rays = []
+        for _ in range(rng.randint(1, 4)):
+            if rays and rng.random() < 0.35:
+                rays.append(tuple(-x for x in rng.choice(rays)))
+            else:
+                rays.append(tuple(oracle_entry(rng) for _ in range(2)))
+        vectors = [
+            tuple(Fraction(rng.randint(1, 9), rng.randint(1, 9)) * x for x in r)
+            for r in rays
+            for _ in range(rng.randint(1, 3))
+        ]
+        vectors += [(0, 0)] * (rng.random() < 0.2) * rng.randint(1, 2)
+        rng.shuffle(vectors)
+        yield vectors
+
+
+class TestPlanarSort:
+    """In the plane one angular sort of the rays answers what the Farkas
+    system and the rank answer in every dimension."""
+
+    def test_matches_the_farkas_system_and_the_oracles(self):
+        verdicts = Counter()
+        for vectors in planar_configs(1928, 2000):
+            dependent, spans = positively_dependent(vectors), positively_spanning(vectors)
+            assert dependent == farkas_dependent(vectors), vectors
+            assert spans == (rank(vectors) == 2 and farkas_dependent(vectors)), vectors
+            G = VectorConfig(vectors)
+            assert (G.dependent(G.labels), G.spans(G.labels)) == (dependent, spans), vectors
+            verdicts[dependent, spans] += 1
+        assert verdicts[True, True] > 100 and verdicts[True, False] > 50 and verdicts[False, False] > 100
+        assert not verdicts[False, True]
+
+    def test_matches_the_strict_systems(self):
+        # the primal and dual oracles solve strict systems: every fourth
+        # configuration of another 2,000
+        for vectors in itertools.islice(planar_configs(1929, 2000), 0, 2000, 4):
+            assert positively_dependent(vectors) == strictly_positive_dependence(vectors), vectors
+            assert positively_spanning(vectors) == signed_systems_spanning(vectors), vectors
+
+    @pytest.mark.parametrize(
+        "vectors, dependent, spans",
+        [
+            ([(0, 0)], True, False),
+            ([(0, 0), (0, 0)], True, False),
+            ([(3, 1)], False, False),
+            ([(3, 1), (0, 0)], False, False),
+            # multiples of one ray are one ray, not an opposite pair
+            ([(-3, 0), (-2, 0)], False, False),
+            ([(Fraction(-1, 2), 0), (-2, 0), (-3, 0)], False, False),
+            ([(-3, 0), (2, 0)], True, False),
+            ([(-3, 0), (2, 0), (1, 0), (0, 0)], True, False),
+            ([(1, 0), (-1, 0), (0, 1)], False, False),
+            ([(1, 0), (-1, 0), (0, 1), (0, -5)], True, True),
+            ([(1, 0), (0, 1), (-1, -1)], True, True),
+            ([(1, 0), (0, 1), (-1, 1)], False, False),
+        ],
+    )
+    def test_cases(self, vectors, dependent, spans):
+        assert positively_dependent(vectors) == dependent == farkas_dependent(vectors)
+        assert positively_spanning(vectors) == spans
+        G = VectorConfig(vectors)
+        assert (G.dependent(G.labels), G.spans(G.labels)) == (dependent, spans)
+
+    def test_asks_no_lp_and_no_rank(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a planar question asked an LP or a rank")
+
+        monkeypatch.setattr(lp, "nonneg_combination", refuse)
+        monkeypatch.setattr(gale, "rank", refuse)
+        for vectors in planar_configs(1930, 50):
+            positively_dependent(vectors), positively_spanning(vectors)
+            G = VectorConfig(vectors)
+            G.spans(G.labels), G.dependent(G.labels), G.is_gale
+
+
 class TestGaleTransform:
     def test_four_signs_on_line(self):
         assert VectorConfig([(1,), (1,), (-1,), (-1,)]).is_gale
@@ -144,58 +240,81 @@ class TestCachedVerdict:
             seen.add(loop)
         assert seen == {True, False}
 
+    @staticmethod
+    def count_questions(monkeypatch) -> Counter:
+        """Count the planar sorts, the ranks and the LPs `gale` asks: every
+        LP, the Farkas systems of `lp_feasible` too, is one
+        `nonneg_combination` call."""
+        counts = Counter()
+
+        def count(module, name, key):
+            original = getattr(module, name)
+
+            def counting(*args):
+                counts[key] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, counting)
+
+        count(gale, "_planar_verdicts", "sorts")
+        count(gale, "rank", "ranks")
+        count(lp, "nonneg_combination", "lps")
+        return counts
+
     def test_second_read_runs_no_lp(self, monkeypatch):
-        # every LP, the Farkas systems of `lp_feasible` too, is one
-        # `nonneg_combination` call
-        calls = []
-        original = lp.nonneg_combination
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(lp, "nonneg_combination", counting)
-        ranks = []
-        original_rank = gale.rank
-
-        def counting_rank(rows):
-            ranks.append(1)
-            return original_rank(rows)
-
-        monkeypatch.setattr(gale, "rank", counting_rank)
+        counts = self.count_questions(monkeypatch)
         G = coupling_config(Fraction(1, 4))
         assert G.is_gale
-        # 6 deletions leave 3 distinct ray sets, one strict system each; one
-        # system per deletion made 6
-        assert len(calls) == 3
+        # 6 deletions leave 3 distinct ray sets, one positive dependence
+        # question each, and in the plane one angular sort answers it with
+        # the rank; one question per deletion made 6, and each one was a
+        # Farkas system after a rank, 3 LPs and 3 ranks, before the planar
+        # sort
+        assert counts == {"sorts": 3}
         assert G.is_gale
         # a vertex's complement is a single deletion, whose verdict
         # `is_gale` kept
         assert gale_faces_of_card(G, 1) == [frozenset([l]) for l in G.labels]
-        assert len(calls) == 3
+        assert counts == {"sorts": 3}
         gale_faces_of_card(G, 2)
         # the complements of the 15 pairs carry 6 ray sets, 3 of them the
         # deletions'; a cone LP for dependence apart from the spanning
         # system asked all 6
-        assert len(calls) == 3 + 3
+        assert counts == {"sorts": 3 + 3}
         # the complement of the edge {1, 3} is one of those 15
         assert G.dependent([2, 4, 5, 6])
-        assert len(calls) == 3 + 3
+        assert counts == {"sorts": 3 + 3}
         # spanning and dependence read one verdict per ray set: the
         # vectors 3 and 4 are of full rank and not positively dependent
         assert not G.spans([3, 4])
-        assert len(calls) == 3 + 3 + 1
         assert not G.dependent([4, 3])
-        assert len(calls) == 3 + 3 + 1
-        # the rank verdict is kept beside the dependence verdict: a second
-        # spanning read of the ray set runs no rank either, where it ran
-        # one on every read before
-        kept_ranks = len(ranks)
         assert not G.spans([4, 3])
-        assert (len(calls), len(ranks)) == (3 + 3 + 1, kept_ranks)
+        assert counts == {"sorts": 3 + 3 + 1}
         # the verdict lives on the instance: an equal, fresh one decides again
         assert coupling_config(Fraction(1, 4)).is_gale
-        assert len(calls) == 3 + 3 + 1 + 3
+        assert counts == {"sorts": 3 + 3 + 1 + 3}
+
+    def test_second_read_runs_no_lp_off_the_plane(self, monkeypatch):
+        counts = self.count_questions(monkeypatch)
+        # four rays in R^3 that positively span it, each on two labels
+        rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+        G = VectorConfig([r for r in rays for _ in range(2)])
+        assert G.is_gale
+        # every deletion leaves all four rays: one rank and one Farkas system
+        assert counts == {"ranks": 1, "lps": 1}
+        assert G.is_gale
+        assert gale_faces_of_card(G, 1) == [frozenset([l]) for l in G.labels]
+        assert counts == {"ranks": 1, "lps": 1}
+        # the 28 pair complements leave all four rays, or three of them when
+        # both copies of one go: 4 new ray sets, a dependence system each
+        # and no rank
+        assert len(gale_faces_of_card(G, 2)) == 28 - 4
+        assert counts == {"ranks": 1, "lps": 1 + 4}
+        # spanning asks the rank of such a set first, once, and reads the
+        # kept dependence verdict
+        assert not G.spans([3, 4, 5, 6, 7, 8])
+        assert not G.spans([5, 3, 7])
+        assert counts == {"ranks": 2, "lps": 1 + 4}
 
     def test_verdict_leaves_eq_and_hash_unchanged(self):
         G, H = coupling_config(Fraction(1, 4)), coupling_config(Fraction(1, 4))
@@ -496,3 +615,25 @@ def test_questions_name_the_unknown_label(question):
     with pytest.raises(UnknownLabel) as info:
         getattr(G, question)([4, 9, 5])
     assert info.value.args == (9,)
+
+
+@pytest.mark.parametrize("vectors", [[], [(1, 0), (1, 0, 0)], [(1, 0, 0), (1, 0)]])
+def test_configuration_needs_vectors_of_one_dimension(vectors):
+    with pytest.raises(DimensionMismatch):
+        VectorConfig(vectors)
+
+
+@pytest.mark.parametrize("question", [positively_spanning, positively_dependent])
+def test_empty_set_refused_before_any_dimension_is_read(question):
+    # the planar dispatch reads the first vector's dimension, so an empty
+    # set must be refused before it, in the generator form too
+    for W in ([], iter([])):
+        with pytest.raises(DimensionMismatch, match="empty set"):
+            question(W)
+
+
+@pytest.mark.parametrize("question", [positively_spanning, positively_dependent])
+def test_planar_question_refuses_mixed_dimensions(question):
+    for W in ([(1, 0), (1, 0, 0)], [(1, 2), (0, 0), (3,)]):
+        with pytest.raises(DimensionMismatch, match="mixed dimensions"):
+            question(W)

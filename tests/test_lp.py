@@ -253,8 +253,11 @@ class TestIntegerPivotsMatchFractionSimplex:
         # 6 + 20 while dependence was a cone LP apart from the Farkas
         # system of the spanning test, and 12 + 10 while the oracle took
         # the hull of the plane images by 9 Gordan systems and ran one
-        # spanning test; in the plane it now asks none
-        assert oracle_checked["solves"] == 12
+        # spanning test; in the plane it now asks none.  12 while the
+        # configuration's 10 dependence questions on its planar g-vectors
+        # were Farkas systems; they are read off an angular sort now, and
+        # the 2 are the boundedness test and the one convex-hull test
+        assert oracle_checked["solves"] == 2
 
 
 def test_no_variables():

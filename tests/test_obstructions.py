@@ -10,6 +10,7 @@ from galeproj.cli import main
 from galeproj.complexes import (
     Complex,
     Join,
+    closure_from_facets,
     complete_bipartite,
     minimal_nonfaces,
     points_complex,
@@ -277,6 +278,22 @@ class TestDeletedJoinDim:
         for _ in range(15):
             factors = [("1", random_complex(rng, 4)), ("2", random_complex(rng, 4))]
             assert djn_dim_upper(Join(factors)) == deleted_join(materialised_join(factors)).dim
+
+    def test_join_with_a_void_factor(self):
+        # a factor without faces, not even the empty one, leaves the join
+        # and its deleted join without faces; the empty face alone does not
+        void, empty = closure_from_facets([4], []), closure_from_facets([5], [[]])
+        rng = random.Random(84)
+        for _ in range(10):
+            for others in ([random_complex(rng, 4)], [random_complex(rng, 3), points_complex(2)]):
+                for factor in (void, empty):
+                    for at in range(len(others) + 1):
+                        complexes = others[:at] + [factor] + others[at:]
+                        factors = [(str(i), L) for i, L in enumerate(complexes, 1)]
+                        expected = deleted_join(materialised_join(factors)).dim
+                        assert djn_dim_upper(Join(factors)) == expected, factors
+                        assert expected == -1 or factor is empty
+        assert djn_dim_upper(Join([("1", points_complex(2)), ("2", void)])) == -1
 
 
 class TestNonembeddable:

@@ -310,8 +310,12 @@ class TestTwoTriangleOpCounts:
         # are the polytope's boundedness test, the configuration's 10
         # dependence systems and the one convex-hull test.  The 8
         # feasible ones are the 7 ray sets that are not positively
-        # dependent and the one vertex that is not preserved.
-        assert counts == {"lp_feasible": 12, "feasible": 8, "nonneg_combination": 12}
+        # dependent and the one vertex that is not preserved.  The
+        # g-vectors lie in the plane, where one angular sort of the rays
+        # decides rank and dependence; their 10 Farkas systems made 12
+        # lp_feasible calls (8 feasible).  The 2 are the boundedness test
+        # and the convex-hull test, whose vertex is not preserved.
+        assert counts == {"lp_feasible": 2, "feasible": 1, "nonneg_combination": 2}
 
     def test_building_the_polytope(self, monkeypatch):
         counts = count_lp_calls(monkeypatch)
@@ -335,8 +339,11 @@ class TestTwoTriangleOpCounts:
         # them the Gale property's.  Asking them once per label set made 6
         # lp_feasible and 41 nonneg_combination calls, and a cone LP for
         # dependence apart from the spanning system, 1 lp_feasible and
-        # 1 + 4 nonneg_combination calls.
-        assert counts == {"lp_feasible": 4, "feasible": 3, "nonneg_combination": 4}
+        # 1 + 4 nonneg_combination calls.  The 4 ray sets in the plane
+        # are decided by angular sorts, where their Farkas systems made 4
+        # lp_feasible calls (3 feasible); at eps = 1 no polytope is built,
+        # so nothing else asks an LP.
+        assert counts == {}
 
     def test_no_verdict_outlives_its_configuration(self, monkeypatch):
         counts = count_lp_calls(monkeypatch)
@@ -349,8 +356,9 @@ class TestTwoTriangleOpCounts:
         # cheaper, or the first one after an earlier test (12 lp_feasible
         # calls, 7 feasible, while the Gordan systems were convex-combination
         # rows, and 22 lp_feasible calls, 16 feasible, while the oracle took
-        # the plane images' hull by Gordan systems)
-        assert runs == [{"lp_feasible": 12, "feasible": 8, "nonneg_combination": 12}] * 2
+        # the plane images' hull by Gordan systems, and 12, 8 feasible,
+        # while the planar dependence questions were Farkas systems)
+        assert runs == [{"lp_feasible": 2, "feasible": 1, "nonneg_combination": 2}] * 2
 
     def test_pivots_at_one_quarter(self, monkeypatch):
         pivots = []
@@ -382,8 +390,10 @@ class TestTwoTriangleOpCounts:
         # on the rational rows instead of their integer copies, which scale
         # each row by the lcm of its denominators, 48.  The oracle's hull
         # of the plane images by Gordan systems and its spanning test made
-        # 49; in the plane it asks no LP.
-        assert len(pivots) == 25
+        # 49; in the plane it asks no LP.  The Farkas systems of the 10
+        # dependence questions on the planar g-vectors made 25; an angular
+        # sort decides them now.
+        assert len(pivots) == 8
 
     def test_lp_work_over_the_bench_sweep(self, monkeypatch):
         # the epsilons of the projection-sweep workload, copied from
@@ -402,8 +412,9 @@ class TestTwoTriangleOpCounts:
         # asking dependence by a cone LP apart from the Farkas system of
         # the spanning test made 187 nonneg_combination calls and 384
         # pivots, and the oracle's LPs on the plane images (the Gordan
-        # hull and the spanning test) 158 and 342
-        assert (counts["nonneg_combination"], len(pivots)) == (88, 179)
+        # hull and the spanning test) 158 and 342, and the Farkas systems
+        # of the dependence questions on the planar g-vectors 88 and 179
+        assert (counts["nonneg_combination"], len(pivots)) == (14, 53)
 
     def test_one_image_hull(self, monkeypatch):
         # only the oracle projects the vertices and takes their hull, and
@@ -473,7 +484,8 @@ def test_every_phase_one_is_an_lp_feasible_system(monkeypatch):
     # one lp_feasible call's Farkas system.  Over the sweep the Gordan
     # systems asked as convex-combination rows made 88 lp_feasible calls
     # against 158 nonneg_combination calls, and the oracle's LPs on the
-    # plane images (the Gordan hull and the spanning test), 158 and 158.
+    # plane images (the Gordan hull and the spanning test), 158 and 158,
+    # and the Farkas systems of the planar dependence questions, 88 and 88.
     counts = count_lp_calls(monkeypatch)
 
     def calls():
@@ -483,7 +495,7 @@ def test_every_phase_one_is_an_lp_feasible_system(monkeypatch):
 
     for epsilon in ("1/5", "1/4", "1/3", "1/2", "2/3", "3/4", "4/5", "1"):
         assert two_triangle_example(epsilon).passed
-    assert calls() == (88, 88)
+    assert calls() == (14, 14)
     assert len(polytopes.minkowski_sum_vertices(lifted_lattice_summands())) == 41
     assert calls() == (125, 125)
     assert random_experiment(3, 3, [8, 8, 8], 1, 7).results["counts"] == [70]
