@@ -14,24 +14,30 @@ other dimension the rank is `linalg.rank`, and the dependence one
 Farkas system: W is positively dependent iff no c has <c, w> <= 0 for
 all w and <c, sum W> <= -1.
 
-A configuration asks about each set of rays once: the dependence
-verdicts are kept on the instance, keyed by the sorted set of distinct
-primitive rays of the vectors asked about.  "Spans" is a rank test on
-the same rays, asked first as in `positively_spanning`, and then the
-kept verdict.  The rank verdict is kept too, in a second dict keyed the
-same way, so no ray set runs a rank or an LP twice, or an LP where the
-rank alone answers; in the plane one sort fills both dicts.  No verdict
-can change.  Both ask about the cone of the vectors, or a strictly
-positive combination of them that is zero, and those depend only on the
-set of rays: coefficients on copies of one ray add up to one positive
+A configuration asks about each set of rays once: one dict on the
+instance keeps a [full rank, dependent] pair per sorted set of distinct
+primitive rays of the vectors asked about, each entry filled on first
+use by `_ask`, the one function every verdict goes through.  In the
+plane one sort fills both entries, and the empty ray set is answered
+without a question; otherwise "spans" asks the rank first, as in
+`positively_spanning`, and the Farkas system only if the rank is full,
+and "dependent" asks the Farkas system alone.  So no ray set runs a
+rank or an LP twice, or an LP where the rank alone answers.
+`positively_spanning` asks `_ask` too, with a dict of its own per call,
+and so does `positively_dependent` in the plane; off the plane it is
+the Farkas system that `_ask` asks.  Both refuse an empty W and vectors
+of mixed dimensions first, in one guard.  No verdict can change.  Both
+verdicts ask about the cone of the vectors, or a strictly positive
+combination of them that is zero, and those depend only on the set of
+rays: coefficients on copies of one ray add up to one positive
 coefficient on it, and a positive coefficient on a ray splits back among
 its copies.  A positive scaling of a vector keeps its ray, so the
 rational vectors and their primitive integer rays give the same
 verdicts.  Off the plane each "dependent" verdict stays certified by the
-Farkas y that `lp_feasible` re-checks on the ray set; in the plane a
-verdict rests on exact integer turns.  A Gale transform with repeated
-vectors, like the one the deformed two-triangle product projects to,
-repeats its ray sets across deletions and complements.
+Farkas y that `lp_feasible` re-checks on the vectors asked about; in the
+plane a verdict rests on exact integer turns.  A Gale transform with
+repeated vectors, like the one the deformed two-triangle product
+projects to, repeats its ray sets across deletions and complements.
 """
 
 from __future__ import annotations
@@ -59,10 +65,13 @@ class VectorConfig(Record):
     `vectors` stays rational, so `==` and `hash` still tell configurations
     apart that differ only by such a scaling.
 
-    Whether it is a Gale transform (`is_gale`), the dependence verdict of
-    each ray set that `spans` or `dependent` asks about, and the rank
-    verdict of each one `spans` asks about (see the module docstring), are
-    decided on first use and kept the same way.
+    Whether it is a Gale transform (`is_gale`), and the [full rank,
+    dependent] pair of each ray set that `spans` or `dependent` asks
+    about, in one dict (see the module docstring and `_ask`), are decided
+    on first use and kept the same way.  The empty set of rays, as
+    `dependent([])` asks, is dependent in every dimension and of full
+    rank only in R^0, so a one-vector configuration is a Gale transform
+    only there.
     The configuration is immutable: assigning or deleting an attribute
     raises AttributeError, so no verdict can go stale.  The kept values
     live in the instance dict, which `==` and `hash` do not read, and none
@@ -83,7 +92,7 @@ class VectorConfig(Record):
         labs = tuple(labels) if labels is not None else tuple(range(1, len(vecs) + 1))
         if len(labs) != len(vecs) or len(set(labs)) != len(labs):
             raise DuplicateLabels("labels must be distinct, one per vector")
-        self.__dict__.update(vectors=vecs, labels=labs)
+        self.__dict__.update(vectors=vecs, labels=labs, _verdicts={})
 
     @property
     def dim(self) -> int:
@@ -100,14 +109,6 @@ class VectorConfig(Record):
     def _index(self) -> dict[int, int]:
         return {label: i for i, label in enumerate(self.labels)}
 
-    @cached_property
-    def _verdicts(self) -> dict[tuple[tuple[int, ...], ...], bool]:
-        return {}
-
-    @cached_property
-    def _full_rank(self) -> dict[tuple[tuple[int, ...], ...], bool]:
-        return {}
-
     def subset(self, labels: Iterable[int]) -> list[tuple[int, ...]]:
         """The primitive rays of the vectors labelled `labels`, in order:
         positive multiples of the rational vectors, fit for every verdict
@@ -121,30 +122,11 @@ class VectorConfig(Record):
 
     def spans(self, labels: Iterable[int]) -> bool:
         """Do the vectors labelled `labels` positively span?  See `positively_spanning`."""
-        rays = self._ray_set(labels)
-        full_rank = self._full_rank
-        if rays not in full_rank:
-            if self.dim == 2:
-                full_rank[rays], self._verdicts[rays] = _planar_verdicts(rays)
-            else:
-                full_rank[rays] = rank(rays) == self.dim
-        return full_rank[rays] and self._dependent(rays)
+        return _ask(self._verdicts, tuple(sorted(set(self.subset(labels)))), self.dim, True)
 
     def dependent(self, labels: Iterable[int]) -> bool:
         """Are the vectors labelled `labels` positively dependent?  See `positively_dependent`."""
-        return self._dependent(self._ray_set(labels))
-
-    def _ray_set(self, labels: Iterable[int]) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted(set(self.subset(labels))))
-
-    def _dependent(self, rays: tuple[tuple[int, ...], ...]) -> bool:
-        verdicts = self._verdicts
-        if rays not in verdicts:
-            if self.dim == 2:
-                self._full_rank[rays], verdicts[rays] = _planar_verdicts(rays)
-            else:
-                verdicts[rays] = positively_dependent(rays)
-        return verdicts[rays]
+        return _ask(self._verdicts, tuple(sorted(set(self.subset(labels)))), self.dim, False)
 
     @cached_property
     def is_gale(self) -> bool:
@@ -158,6 +140,7 @@ def positively_spanning(W: Sequence[Sequence]) -> bool:
 
     W is a sequence of vectors with int or Fraction entries, taken as
     given: the constructors made them exact, so nothing is coerced here.
+    An empty W, or one of mixed dimensions, raises `DimensionMismatch`.
 
     Davis (1954): W positively spans R^e iff rank W = e and W is
     positively dependent.  Only if: -sum W lies in cone W = R^e, so
@@ -168,12 +151,8 @@ def positively_spanning(W: Sequence[Sequence]) -> bool:
     come from one angular sort of the rays; elsewhere a "spans" verdict
     carries the certificate of the dependence system.
     """
-    vectors = list(W)
-    if not vectors:
-        raise DimensionMismatch("empty set cannot span")
-    if len(vectors[0]) == 2:
-        return all(_planar_verdicts(_planar_rays(vectors)))
-    return rank(vectors) == len(vectors[0]) and positively_dependent(vectors)
+    vectors = _checked(W, "span")
+    return _ask({}, _ray_set(vectors), len(vectors[0]), True, vectors)
 
 
 def positively_dependent(W: Sequence[Sequence]) -> bool:
@@ -186,6 +165,12 @@ def positively_dependent(W: Sequence[Sequence]) -> bool:
     for every w, and conversely, if each -w is in the cone, summing
     w + (a combination equal to -w) over all w gives one with every
     coefficient at least 1.
+
+    An empty W is refused, as in `positively_spanning`: it has no
+    dimension to read.  The empty set of rays, which
+    `VectorConfig.dependent([])` asks about, is positively dependent in
+    every dimension, as the empty combination is zero, and of rank 0, so
+    it spans R^0 alone (see `_ask`).
 
     In the plane the cone of W is that of its distinct primitive nonzero
     rays (a zero vector takes any coefficient), and a linear space there
@@ -207,23 +192,57 @@ def positively_dependent(W: Sequence[Sequence]) -> bool:
     y_0 = 1 on the sum row and makes sum (1 + y_w) w = 0.  Conversely, a
     strictly positive combination that is zero, scaled so each
     coefficient is at least 1, is such a y.  The system is homogeneous in
-    c, so <c, sum W> <= -1 asks no more than <c, sum W> < 0.
+    c, so <c, sum W> <= -1 asks no more than <c, sum W> < 0.  A planar W
+    goes to `_ask`; any other W is that system, which `_ask` asks in turn.
     """
-    vectors = list(W)
-    if not vectors:
-        raise DimensionMismatch("empty set cannot be positively dependent")
+    vectors = _checked(W, "be positively dependent")
     if len(vectors[0]) == 2:
-        return _planar_verdicts(_planar_rays(vectors))[1]
+        return _ask({}, _ray_set(vectors), 2, False)
     total = [sum(column) for column in zip(*vectors)]
     return not lp.lp_feasible([(w, 0) for w in vectors] + [(total, -1)]).feasible
 
 
-def _planar_rays(W: Sequence[Sequence]) -> set[tuple[int, ...]]:
-    """The distinct primitive integer rays of the vectors W in R^2."""
-    rays = {primitive(integer_row(w)[0]) for w in W}
-    if any(len(r) != 2 for r in rays):
+def _checked(W: Iterable[Sequence], verb: str) -> list[Sequence]:
+    """The vectors W as a list, refused if empty or of mixed dimensions."""
+    vectors = list(W)
+    if not vectors:
+        raise DimensionMismatch(f"empty set cannot {verb}")
+    if any(len(w) != len(vectors[0]) for w in vectors):
         raise DimensionMismatch("vectors with mixed dimensions")
-    return rays
+    return vectors
+
+
+def _ray_set(vectors: Iterable[Sequence]) -> tuple[tuple[int, ...], ...]:
+    """The sorted distinct primitive integer rays of the vectors."""
+    return tuple(sorted({primitive(integer_row(w)[0]) for w in vectors}))
+
+
+def _ask(verdicts: dict, rays: tuple, e: int, spans: bool, vectors: Sequence = ()) -> bool:
+    """Does the sorted set of distinct primitive rays `rays` in R^e
+    positively span (`spans`), or is it positively dependent?
+
+    `verdicts` keeps one [full rank, dependent] pair per ray set, each
+    entry filled when first asked.  In the plane one angular sort fills
+    both (`_planar_verdicts`).  In any other dimension the empty ray set
+    has rank 0, which is full in R^0 alone, and is dependent, as the
+    empty combination is zero.  Otherwise `rank` fills the first entry,
+    asked first by "spans" so that a rank short of e answers with no LP,
+    and `positively_dependent` the second: off the plane that is the
+    Farkas system alone, which asks nothing of `_ask`.  Both are asked of
+    `vectors`, vectors with these rays and so with the same verdicts, or
+    of the rays when none are given.
+    """
+    pair = verdicts.get(rays)
+    if pair is None:
+        pair = verdicts[rays] = list(_planar_verdicts(rays)) if e == 2 else [None, None] if rays else [e == 0, True]
+    if spans:
+        if pair[0] is None:
+            pair[0] = rank(vectors or rays) == e
+        if not pair[0]:
+            return False
+    if pair[1] is None:
+        pair[1] = positively_dependent(vectors or rays)
+    return pair[1]
 
 
 def _planar_verdicts(rays: Iterable[tuple[int, ...]]) -> tuple[bool, bool]:

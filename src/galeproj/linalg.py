@@ -121,9 +121,13 @@ def _echelon(m: Sequence[Sequence]) -> tuple[int, list[int], list[int], list[lis
     reduced).  Each added row takes its leftmost free nonzero column as
     pivot, so the pivots are the leftmost column basis, the pivot columns
     of the RREF, in the order of their rows; reduced[t] is det times the
-    RREF row with pivot pivots[t], on the columns `free`, then 0.
+    RREF row with pivot pivots[t], on the columns `free`, then 0.  Rows
+    of unequal length raise `DimensionMismatch`.
     """
-    step = 1, list(range(len(m[0]))), [], []
+    n = len(m[0])
+    if any(len(row) != n for row in m):
+        raise DimensionMismatch("matrix rows must have equal length")
+    step = 1, list(range(n)), [], []
     for row in m:
         step = _add_row([*integer_row(row)[0], 0], *step) or step
     return step

@@ -634,6 +634,16 @@ def test_empty_set_refused_before_any_dimension_is_read(question):
 
 @pytest.mark.parametrize("question", [positively_spanning, positively_dependent])
 def test_planar_question_refuses_mixed_dimensions(question):
-    for W in ([(1, 0), (1, 0, 0)], [(1, 2), (0, 0), (3,)]):
+    for W in ([(1, 0), (1, 0, 0)], [(1, 2), (0, 0), (3,)], [(1, 0, 0), (0, 1), (-1, -1)], [(1,), (0, 1)]):
         with pytest.raises(DimensionMismatch, match="mixed dimensions"):
             question(W)
+
+
+@pytest.mark.parametrize("e", [0, 1, 2, 3])
+def test_the_empty_ray_set_is_dependent_and_of_full_rank_in_r0_alone(e):
+    # the one deletion of a one-vector configuration leaves no ray: the
+    # empty combination is zero, and the empty set has rank 0, which is
+    # full in R^0 alone, where the empty cone is the whole space
+    G = VectorConfig([(1,) * e])
+    assert G.dependent([])
+    assert G.spans([]) == G.is_gale == (e == 0)

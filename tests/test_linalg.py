@@ -71,6 +71,17 @@ def test_rank_empty_matrix_rejected():
         rank(())
 
 
+@pytest.mark.parametrize(
+    "question, rows",
+    [(rank, [(1, 0), (0, 1, 5)]), (rank, [(1, 0, 0), (0, 1)]), (kernel_basis, [(1, 0, 0), (0, 1)])],
+    ids=["rank, longer row last", "rank, shorter row last", "kernel"],
+)
+def test_elimination_refuses_rows_of_unequal_length(question, rows):
+    # raw sequences, as gale passes them, not the checked rows of `mat`
+    with pytest.raises(DimensionMismatch, match="equal length"):
+        question(rows)
+
+
 def test_kernel_of_coordinate_projection():
     proj = mat([[1, 0, 0, 0], [0, 0, 0, 1]])
     assert set(kernel_basis(proj)) == {vec([0, 1, 0, 0]), vec([0, 0, 1, 0])}
