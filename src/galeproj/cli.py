@@ -51,7 +51,11 @@ def _print_report(report: pipeline.PipelineReport, fmt: str) -> int:
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            # the decoder recurses once per nesting level: bad input, not a bug
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 def _parse_d_range(text: str) -> list[int]:
@@ -179,6 +183,10 @@ def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # exact arithmetic has no magnitude bound: read and print integers of any
+    # length (Python 3.10.0 to 3.10.6 have no such limit to lift)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     argv = sys.argv[1:] if argv is None else argv
     args = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:

@@ -9,7 +9,7 @@ verdict has a re-checked y.  Every question comes here as an
 `lp_feasible` system: the Gordan vertex test of
 `polytopes.minkowski_vertex_test` and the convex-hull test of
 `projections.face_preserved` as their margin systems {c.w <= -1},
-`gale.positively_dependent` for every spanning and dependence verdict,
+`gale._ask` for every spanning and dependence verdict off the plane,
 and `HPolytope` of a system that is not bounded.
 
 Pricing is Dantzig's rule (enter the column of largest reduced cost, the

@@ -307,8 +307,9 @@ def signed_systems_spanning(vectors) -> bool:
 
 
 def strictly_positive_dependence(vectors) -> bool:
-    """Oracle for `gale.positively_dependent`: some lam with every lam_i > 0
-    has sum lam_i w_i = 0, decided as one strict system in lam."""
+    """Oracle for the dependence verdict of `gale._ask`: some lam with
+    every lam_i > 0 has sum lam_i w_i = 0, decided as one strict system in
+    lam."""
     m = len(vectors)
     cons = [eq([w[r] for w in vectors], 0) for r in range(len(vectors[0]))]
     cons += [lt([-int(i == j) for j in range(m)], 0) for i in range(m)]
@@ -316,9 +317,10 @@ def strictly_positive_dependence(vectors) -> bool:
 
 
 def farkas_dependent(vectors) -> bool:
-    """The `lp_feasible` Farkas system `gale.positively_dependent` asks off
-    the plane, asked in any dimension: no c with <c, w> <= 0 for all w and
-    <c, sum W> <= -1.  With `rank`, the oracle of the planar angular sort."""
+    """The `lp_feasible` Farkas system `gale._ask` asks of the rays off the
+    plane, asked of the vectors as given in any dimension: no c with
+    <c, w> <= 0 for all w and <c, sum W> <= -1.  With `rank`, the oracle
+    of the planar angular sort."""
     total = [sum(column) for column in zip(*vectors)]
     return not lp.lp_feasible([(w, 0) for w in vectors] + [(total, -1)]).feasible
 

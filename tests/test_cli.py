@@ -260,6 +260,43 @@ def test_zero_denominator_is_named(via, tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["minksum", "complex", "embed"])
+def test_deeply_nested_file_exits_2(command, tmp_path, capsys):
+    # the JSON decoder recurses once per level, so this file raised a
+    # RecursionError, which is no input error, and exited 1 with a traceback
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    argv = {
+        "minksum": ["minksum", "--input", str(path)],
+        "complex": ["complex", "cc", "--input", str(path)],
+        "embed": ["embed", "--input", str(path), "--sphere", "1"],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: JSON nested too deeply to read\n"
+    assert captured.out == ""
+
+
+# 5,000 digits, past the 4,300 that Python allows by default in a
+# conversion between int and str
+@pytest.mark.parametrize(
+    "coordinate, doubled",
+    [("1" + "0" * 4999, "2" + "0" * 4999), ('"1/' + "9" * 5000 + '"', "2/" + "9" * 5000)],
+    ids=["integer", "fraction"],
+)
+def test_minksum_reads_and_prints_coordinates_of_any_length(coordinate, doubled, tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text('{"type": "V", "points": [[0, 0], [' + coordinate + ", 0], [0, 1]]}")
+    assert main(["minksum", "--input", str(path), "--input", str(path), "--format", "json"]) == 0
+    assert [doubled, "0"] in json.loads(capsys.readouterr().out)["results"]["vertices"]
+
+
+def test_bound_prints_integers_of_any_length(capsys):
+    # the trivial bound 1501^1500 has 4,765 digits
+    assert main(["bound", "--d", "1500", "--r", "1500", "--f0", ",".join(["1501"] * 1500)]) == 0
+    assert f"  trivial_bound: {1501 ** 1500}\n" in capsys.readouterr().out
+
+
 def test_minksum_bound_counts_summand_vertices_not_points(tmp_path, capsys):
     # a square with its centre point (5 points, 4 vertices) plus a triangle
     square = {"type": "V", "dim": 2, "points": [[0, 0], [2, 0], [0, 2], [2, 2], [1, 1]]}

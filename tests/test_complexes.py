@@ -90,6 +90,13 @@ class TestJoin:
         joined = Join((("1", K), ("2", empty)))
         assert joined == closure_from_facets([f"1:{v}" for v in K.vertices], [{"1:1", "1:2"}, {"1:3"}])
 
+    def test_repr_builds_no_facets(self):
+        # the repr of a Record reads every field, and the facets of a join
+        # are its (d+1)^d product; a join shows its factors instead
+        K = power_join(points_complex(3), 2)
+        assert repr(K).startswith("Join(")
+        assert "facets" not in vars(K)
+
     def test_power_join_counts(self):
         K = power_join(points_complex(3), 2)
         assert len(K.vertices) == 6 and len(K.facets) == 9 and K.dim == 1

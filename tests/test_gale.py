@@ -12,7 +12,6 @@ from galeproj.gale import (
     VectorConfig,
     gale_faces_of_card,
     general_position,
-    positively_dependent,
     positively_spanning,
 )
 from galeproj.linalg import mat_vec, rank, vec
@@ -26,6 +25,13 @@ from helpers import (
     vpoly_face_oracle,
 )
 from test_lp import oracle_entry
+
+
+def is_dependent(W):
+    """Is some strictly positive combination of W zero?  Asked as the
+    package asks it, `VectorConfig(W).dependent` of every label."""
+    G = VectorConfig(W)
+    return G.dependent(G.labels)
 
 
 def coupling_config(e):
@@ -95,13 +101,13 @@ class TestSpanningOracle:
 
 class TestPositivelyDependent:
     def test_opposite_pair(self):
-        assert positively_dependent([(1, 0), (-1, 0)])
+        assert is_dependent([(1, 0), (-1, 0)])
 
     def test_independent_pair(self):
-        assert not positively_dependent([(1, 0), (0, 1)])
+        assert not is_dependent([(1, 0), (0, 1)])
 
     def test_positive_quadrant_subset(self):
-        assert not positively_dependent([(1, 0), (1, 0), (0, 1), (0, 1)])
+        assert not is_dependent([(1, 0), (1, 0), (0, 1), (0, 1)])
 
     def test_spanning_implies_dependent(self):
         rng = random.Random(62)
@@ -112,7 +118,7 @@ class TestPositivelyDependent:
                 for _ in range(rng.randint(1, 6))
             ]
             if positively_spanning(vectors):
-                assert positively_dependent(vectors)
+                assert is_dependent(vectors)
 
 
 def planar_configs(seed, count):
@@ -158,11 +164,11 @@ class TestPlanarSort:
     def test_matches_the_farkas_system_and_the_oracles(self):
         verdicts = Counter()
         for vectors in planar_configs(1928, 2000):
-            dependent, spans = positively_dependent(vectors), positively_spanning(vectors)
+            G = VectorConfig(vectors)
+            dependent, spans = G.dependent(G.labels), positively_spanning(vectors)
             assert dependent == farkas_dependent(vectors), vectors
             assert spans == (rank(vectors) == 2 and farkas_dependent(vectors)), vectors
-            G = VectorConfig(vectors)
-            assert (G.dependent(G.labels), G.spans(G.labels)) == (dependent, spans), vectors
+            assert G.spans(G.labels) == spans, vectors
             verdicts[dependent, spans] += 1
         assert verdicts[True, True] > 100 and verdicts[True, False] > 50 and verdicts[False, False] > 100
         assert not verdicts[False, True]
@@ -171,7 +177,7 @@ class TestPlanarSort:
         # the primal and dual oracles solve strict systems: every fourth
         # configuration of another 2,000
         for vectors in itertools.islice(planar_configs(1929, 2000), 0, 2000, 4):
-            assert positively_dependent(vectors) == strictly_positive_dependence(vectors), vectors
+            assert is_dependent(vectors) == strictly_positive_dependence(vectors), vectors
             assert positively_spanning(vectors) == signed_systems_spanning(vectors), vectors
 
     @pytest.mark.parametrize(
@@ -193,10 +199,9 @@ class TestPlanarSort:
         ],
     )
     def test_cases(self, vectors, dependent, spans):
-        assert positively_dependent(vectors) == dependent == farkas_dependent(vectors)
-        assert positively_spanning(vectors) == spans
         G = VectorConfig(vectors)
-        assert (G.dependent(G.labels), G.spans(G.labels)) == (dependent, spans)
+        assert G.dependent(G.labels) == dependent == farkas_dependent(vectors)
+        assert positively_spanning(vectors) == G.spans(G.labels) == spans
 
     def test_asks_no_lp_and_no_rank(self, monkeypatch):
         def refuse(*args):
@@ -205,9 +210,24 @@ class TestPlanarSort:
         monkeypatch.setattr(lp, "nonneg_combination", refuse)
         monkeypatch.setattr(gale, "rank", refuse)
         for vectors in planar_configs(1930, 50):
-            positively_dependent(vectors), positively_spanning(vectors)
+            positively_spanning(vectors)
             G = VectorConfig(vectors)
             G.spans(G.labels), G.dependent(G.labels), G.is_gale
+
+
+def test_the_farkas_system_is_asked_of_the_ray_set(monkeypatch):
+    # six vectors on four rays: a repeated vector and a positive multiple of
+    # another are one row each, next to the sum row
+    systems = []
+    original = lp.lp_feasible
+
+    def recording(rows):
+        systems.append(rows)
+        return original(rows)
+
+    monkeypatch.setattr(lp, "lp_feasible", recording)
+    assert positively_spanning([(1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)])
+    assert [len(rows) for rows in systems] == [4 + 1]
 
 
 class TestGaleTransform:
@@ -359,7 +379,7 @@ class TestRaySetMemo:
                 raw = [G.vectors[G.labels.index(l)] for l in labs]
                 spans, dependent = G.spans(labs), G.dependent(labs)
                 assert spans == positively_spanning(raw) == signed_systems_spanning(raw), raw
-                assert dependent == positively_dependent(raw) == strictly_positive_dependence(raw), raw
+                assert dependent == is_dependent(raw) == strictly_positive_dependence(raw), raw
                 verdicts[spans, dependent] += 1
         assert verdicts[True, True] > 20 and verdicts[False, True] > 20 and verdicts[False, False] > 20
         assert not verdicts[True, False]  # a positively spanning set is positively dependent
@@ -451,7 +471,7 @@ class TestIntegerCopy:
             deletions = [
                 frozenset({G.labels[i]})
                 for i in range(len(G))
-                if positively_dependent(G.vectors[:i] + G.vectors[i + 1:])
+                if is_dependent(G.vectors[:i] + G.vectors[i + 1:])
             ]
             assert gale_faces_of_card(G, 1) == deletions == [frozenset({l}) for l in G.labels]
         for G in other:
@@ -472,7 +492,7 @@ class TestFaceTest:
 
     def test_empty_coface(self):
         assert gale_faces_of_card(self.OCT, 0) == [frozenset()]
-        assert positively_dependent(self.OCT.vectors)
+        assert is_dependent(self.OCT.vectors)
 
     def test_improper_face(self):
         # the whole label set has no complement to be dependent, and is a face
@@ -566,7 +586,7 @@ class TestInvariance:
             u = unimodular_matrix(rng, e)
             mapped = [mat_vec(u, v) for v in vectors]
             assert positively_spanning(vectors) == positively_spanning(mapped)
-            assert positively_dependent(vectors) == positively_dependent(mapped)
+            assert is_dependent(vectors) == is_dependent(mapped)
             g1, g2 = VectorConfig(vectors), VectorConfig(mapped)
             assert g1.is_gale == g2.is_gale
             if g1.is_gale:
@@ -586,7 +606,7 @@ class TestInvariance:
                 c = Fraction(rng.randint(1, 5), rng.randint(1, 5))
                 scaled.append(tuple(c * x for x in v))
             assert positively_spanning(vectors) == positively_spanning(scaled)
-            assert positively_dependent(vectors) == positively_dependent(scaled)
+            assert is_dependent(vectors) == is_dependent(scaled)
 
     def test_monotonicity(self):
         rng = random.Random(65)
@@ -599,9 +619,9 @@ class TestInvariance:
             extra = tuple(Fraction(rng.randint(-3, 3)) for _ in range(e))
             if positively_spanning(vectors):
                 assert positively_spanning(vectors + [extra])
-            if positively_dependent(vectors):
+            if is_dependent(vectors):
                 negated = tuple(-x for x in extra)
-                assert positively_dependent(vectors + [extra, negated])
+                assert is_dependent(vectors + [extra, negated])
 
 
 def test_duplicate_labels_rejected():
@@ -623,7 +643,7 @@ def test_configuration_needs_vectors_of_one_dimension(vectors):
         VectorConfig(vectors)
 
 
-@pytest.mark.parametrize("question", [positively_spanning, positively_dependent])
+@pytest.mark.parametrize("question", [positively_spanning])
 def test_empty_set_refused_before_any_dimension_is_read(question):
     # the planar dispatch reads the first vector's dimension, so an empty
     # set must be refused before it, in the generator form too
@@ -632,7 +652,7 @@ def test_empty_set_refused_before_any_dimension_is_read(question):
             question(W)
 
 
-@pytest.mark.parametrize("question", [positively_spanning, positively_dependent])
+@pytest.mark.parametrize("question", [positively_spanning, is_dependent])
 def test_planar_question_refuses_mixed_dimensions(question):
     for W in ([(1, 0), (1, 0, 0)], [(1, 2), (0, 0), (3,)], [(1, 0, 0), (0, 1), (-1, -1)], [(1,), (0, 1)]):
         with pytest.raises(DimensionMismatch, match="mixed dimensions"):
